@@ -1,7 +1,16 @@
-"""Benchmark the compiled polynomial kernel against the pure-Python fallback.
+"""Benchmark the polynomial kernel: each pure-Python algorithm, and the backends.
 
-Micro benchmarks call both backends directly on the dense F_p[x] primitives;
-the macro benchmark reruns a Carlitz height computation in a subprocess with
+Micro benchmarks time the dense F_p[x] primitives at operand size n:
+``mul`` multiplies two length-n polynomials, ``mul2x`` a length-2 one by a
+length-n one, ``divmod`` divides a length 2n-1 polynomial by a length-n one
+(quotient and divisor both of length n), ``gcd`` takes two random
+polynomials of lengths n and n-1.  The rows for the pure-Python module time
+each algorithm on its own, forced by setting the module's size limits for
+the duration of the row; the ``python`` rows use the limits as shipped, and
+the ``c`` rows the compiled extension if it is built.  The size limits in
+``_purepoly`` are the crossovers in this table.
+
+The macro benchmark reruns a Carlitz height computation in a subprocess with
 DRINHEIGHTS_PURE=1 to force the fallback.
 
 Run:  python benchmarks/bench_backends.py
@@ -13,44 +22,93 @@ import subprocess
 import sys
 import time
 
+SIZES = (8, 16, 32, 64, 256, 1024, 4096)
+PRIMES = (3, 65521)
 
-def timeit(fn, repeat=5):
+# size limits that force one pure-Python algorithm
+NEVER = 1 << 62
+ALGORITHMS = (
+    ("mul", "schoolbook", {"KRONECKER_MIN": NEVER}),
+    ("mul", "kronecker", {"KRONECKER_MIN": 1}),
+    ("mul2x", "schoolbook", {"KRONECKER_MIN": NEVER}),
+    ("mul2x", "kronecker", {"KRONECKER_MIN": 1}),
+    ("divmod", "indexed", {"NEWTON_MIN": NEVER, "ROW_MIN": NEVER}),
+    ("divmod", "rows", {"NEWTON_MIN": NEVER, "ROW_MIN": 0}),
+    ("divmod", "newton", {"NEWTON_MIN": 1}),
+)
+
+
+def timeit(fn, repeat=5, budget=5.0):
+    """Best of `repeat` timings, each the mean of >= 1 ms of calls.
+
+    Stops early once `budget` seconds are spent, so slow cells take one timing.
+    """
+    t0 = time.perf_counter()
+    fn()
+    spent = time.perf_counter() - t0
+    number = max(1, int(1e-3 / max(spent, 1e-7)))
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for _ in range(number):
+            fn()
+        dt = time.perf_counter() - t0
+        best = min(best, dt / number)
+        spent += dt
+        if spent > budget:
+            break
     return best
 
 
-def micro():
+# operation: (kernel function, operand lengths at size n)
+SHAPES = {
+    "mul": ("poly_mul", lambda n: (n, n)),
+    "mul2x": ("poly_mul", lambda n: (2, n)),
+    "divmod": ("poly_divmod", lambda n: (2 * n - 1, n)),
+    "gcd": ("poly_gcd", lambda n: (n, n - 1)),
+}
+
+
+def row(label, impl, op, p):
     rng = random.Random(0)
-    p = 3
-    sizes = (256, 1024, 4096)
+
+    def rand(m):
+        return [rng.randrange(p) for _ in range(m - 1)] + [rng.randrange(1, p)]
+    name, lengths = SHAPES[op]
+    fn = getattr(impl, name)
+    cols = []
+    for n in SIZES:
+        a, b = (rand(m) for m in lengths(n))
+        cols.append("%.2e" % timeit(lambda: fn(a, b, p)))
+    print("%-8s %-18s" % (p, label) + "".join("%10s" % c for c in cols))
+
+
+def micro():
+    from drinheights import _purepoly as pure
     backends = []
     try:
         from drinheights import _fastpoly as fast
         backends.append(("c", fast))
     except ImportError:
         pass
-    from drinheights import _purepoly as pure
     backends.append(("python", pure))
 
-    print("%-10s %-8s %10s %10s %10s" % ("op", "backend", *["n=%d" % n for n in sizes]))
-    for op in ("mul", "divmod", "gcd"):
-        for name, impl in backends:
-            cols = []
-            for n in sizes:
-                a = [rng.randrange(p) for _ in range(n)]
-                b = [rng.randrange(p) for _ in range(n // 2 + 1)]
-                if op == "mul":
-                    fn = lambda: impl.poly_mul(a, b, p)
-                elif op == "divmod":
-                    fn = lambda: impl.poly_divmod(a, b, p)
-                else:
-                    fn = lambda: impl.poly_gcd(a, b, p)
-                cols.append("%.4fs" % timeit(fn))
-            print("%-10s %-8s %10s %10s %10s" % (op, name, *cols))
+    print("seconds per call")
+    print("%-8s %-18s" % ("p", "op/algorithm") + "".join("%10s" % ("n=%d" % n) for n in SIZES))
+    for p in PRIMES:
+        for op, algorithm, limits in ALGORITHMS:
+            saved = {name: getattr(pure, name) for name in limits}
+            try:
+                for name, value in limits.items():
+                    setattr(pure, name, value)
+                row("%s/%s" % (op, algorithm), pure, op, p)
+            finally:
+                for name, value in saved.items():
+                    setattr(pure, name, value)
+        for op in ("mul", "divmod", "gcd"):
+            for name, impl in backends:
+                row("%s/%s" % (op, name), impl, op, p)
+        sys.stdout.flush()
 
 
 MACRO = r"""

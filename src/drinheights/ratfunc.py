@@ -103,6 +103,11 @@ class Poly:
         if isinstance(other, int):
             c = other % self.field.char
             return self.scale(c)
+        # Poly is immutable, so a factor 1 can hand back the other factor
+        if self.coeffs == (1,):
+            return other
+        if other.coeffs == (1,):
+            return self
         return Poly(self.field, self.field.poly_mul(list(self.coeffs), list(other.coeffs)))
 
     __rmul__ = __mul__
