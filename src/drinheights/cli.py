@@ -13,7 +13,6 @@ machine-readable report with fractions rendered as strings.  Exit codes:
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -71,9 +70,7 @@ class Job:
             self.field = finite_field(p, k, modulus)
         except FieldError as exc:
             raise InputError(str(exc))
-        self.n_max = int(data.get("n_max",
-                                  os.environ.get("DRINHEIGHTS_NMAX",
-                                                 DEFAULT_N_MAX)))
+        self.n_max = int(data.get("n_max", DEFAULT_N_MAX))
         if args.n_max is not None:
             self.n_max = args.n_max
         self.level = int(data.get("insep_level", 0))
@@ -441,7 +438,7 @@ def main(argv=None):
     parser.add_argument("--insep-level", type=int, default=None,
                         help="work over F_q(u) with t = u^(p^n)")
     parser.add_argument("--n-max", type=int, default=None,
-                        help="iteration budget (env DRINHEIGHTS_NMAX)")
+                        help="iteration budget (overrides the job's n_max)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--counts", type=int, default=None)
     parser.add_argument("--inject-mv-bug", action="store_true",

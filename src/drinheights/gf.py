@@ -504,6 +504,41 @@ def kernel_basis(rows, field, ncols):
     return basis
 
 
+def first_dependence(vectors, field):
+    """First linear dependence in a sequence of sparse vectors over field.
+
+    `vectors` yields dicts {key: coefficient} (zero entries allowed).  Returns
+    (c_0, ..., c_k) with c_k = 1 and sum_j c_j v_j = 0 for the least such k,
+    which makes it unique, or None if the vectors run out first.  The vectors
+    are eliminated as they arrive, and none is read past the dependence, so
+    they can be built lazily by a generator that may raise or stop early.
+    """
+    echelon = []  # (pivot key, row with 1 at the pivot, its combination)
+    for k, vec in enumerate(vectors):
+        vec = {key: a for key, a in vec.items() if a}
+        comb = [0] * k + [1]
+        for pivot, row, row_comb in echelon:
+            c = vec.get(pivot)
+            if not c:
+                continue
+            for key, a in row.items():
+                v = field.sub(vec.get(key, 0), field.mul(c, a))
+                if v:
+                    vec[key] = v
+                else:
+                    vec.pop(key, None)
+            for i, a in enumerate(row_comb):
+                if a:
+                    comb[i] = field.sub(comb[i], field.mul(c, a))
+        if not vec:
+            return comb
+        pivot = next(iter(vec))
+        inv = field.inv(vec[pivot])
+        echelon.append((pivot, {key: field.mul(inv, a) for key, a in vec.items()},
+                        [field.mul(inv, a) for a in comb]))
+    return None
+
+
 def solve_linear(rows, rhs, field, ncols):
     """One solution of A x = rhs, or None if the system is inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]

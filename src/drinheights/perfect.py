@@ -9,6 +9,7 @@ with coherent degrees d(w) = f d(v) / p^n relative to K.
 import math
 from fractions import Fraction
 
+from drinheights import gf
 from drinheights.errors import BudgetExhaustedError, IsotrivialModuleError
 from drinheights.heights import (DEFAULT_N_MAX, DEGREE_CAP, height_sum,
                                  global_height_breakdown, lehmer_bounds,
@@ -131,46 +132,31 @@ def key_dichotomy_check(module, n, x, n_max=DEFAULT_N_MAX):
             exhausted = True
 
     uptos = [(w, math.floor(psi.reduction_data(w).T)) for w in S]
-    echelon = []  # (pivot key, sparse vector, combination)
-    iterates = []
-    y = x
     phi_t = psi.phi_t
-    for j in range(B + 1):
-        if j:
-            y = phi_t(y)
-            if y.weil_height() > DEGREE_CAP:
-                raise BudgetExhaustedError(
-                    "iterates outgrew the degree budget before a branch-2 "
-                    "certificate appeared")
-        iterates.append(y)
-        vec = {}
-        for w_idx, (w, upto) in enumerate(uptos):
-            vec.update(_expansion_vector(level, w_idx, w, y, upto))
-        comb = [0] * (B + 1)
-        comb[j] = 1
-        for pkey, pvec, pcomb in echelon:
-            c = vec.get(pkey, 0)
-            if c:
-                for k, a in pvec.items():
-                    nv = field.sub(vec.get(k, 0), field.mul(c, a))
-                    if nv:
-                        vec[k] = nv
-                    elif k in vec:
-                        del vec[k]
-                comb = [field.sub(a, field.mul(c, b)) for a, b in zip(comb, pcomb)]
-        if not vec:
-            b = Poly(field, comb[:j + 1])
-            z = psi.act(b, x)
-            vals = [(w, w.valuation(z)) for w in S]
-            for w, val in vals:
-                if not val > psi.reduction_data(w).T:
-                    raise AssertionError("branch 2 certificate fails at %r" % w)
-            return DichotomyReport(2, b=b, valuations=vals)
-        pivot = min(vec)
-        inv = field.inv(vec[pivot])
-        vec = {k: field.mul(inv, a) for k, a in vec.items()}
-        comb = [field.mul(inv, a) for a in comb]
-        echelon.append((pivot, vec, comb))
+
+    def conditions():
+        y = x
+        for j in range(B + 1):
+            if j:
+                y = phi_t(y)
+                if y.weil_height() > DEGREE_CAP:
+                    raise BudgetExhaustedError(
+                        "iterates outgrew the degree budget before a "
+                        "branch-2 certificate appeared")
+            vec = {}
+            for w_idx, (w, upto) in enumerate(uptos):
+                vec.update(_expansion_vector(level, w_idx, w, y, upto))
+            yield vec
+
+    dep = gf.first_dependence(conditions(), field)
+    if dep is not None:
+        b = Poly(field, dep)
+        z = psi.act(b, x)
+        vals = [(w, w.valuation(z)) for w in S]
+        for w, val in vals:
+            if not val > psi.reduction_data(w).T:
+                raise AssertionError("branch 2 certificate fails at %r" % w)
+        return DichotomyReport(2, b=b, valuations=vals)
 
     if exhausted:
         raise BudgetExhaustedError(

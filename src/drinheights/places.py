@@ -293,17 +293,15 @@ def extend_places(emb, v, degree_below=None):
 def minimal_polynomial(rho):
     """Monic minimal polynomial over F_q of an element of a residue field."""
     field = rho.field
-    base = field.base
-    powers = [field.one]
-    for d in range(1, field.dim + 1):
-        powers.append(powers[-1] * rho)
-        rows = [[powers[j].coords()[i] for j in range(d)] for i in range(field.dim)]
-        rhs = powers[d].coords()
-        sol = gf.solve_linear(rows, rhs, base, d)
-        if sol is not None:
-            coeffs = [base.neg(c) for c in sol] + [1]
-            return Poly(base, coeffs)
-    raise AssertionError("no minimal polynomial found")  # unreachable
+
+    def powers():
+        # the first dependence comes within field.dim + 1 powers
+        y = field.one
+        while True:
+            yield dict(enumerate(y.coords()))
+            y = y * rho
+
+    return Poly(field.base, gf.first_dependence(powers(), field.base))
 
 
 def place_below(emb, w):

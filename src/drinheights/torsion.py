@@ -5,8 +5,12 @@ floor(-min{0, M_v}) at each v in S (a deeper pole escapes under phi_t and
 forces a positive local height).  That pole lattice is a finite-dimensional
 F_q-space, which makes everything here exact linear algebra:
 
-* the torsion decision tests F_q-linear dependence of the first
-  r N |S| + 1 iterates of x (leaving the lattice proves non-torsion early);
+* the torsion decision finds the first F_q-linear dependence among the
+  first r N |S| + 1 iterates of x (leaving the lattice proves non-torsion
+  early);
+* every rational torsion point is killed by b_lcm, the lcm of all monic
+  polynomials of degree <= D = r N |S|, which is Carlitz's closed form
+  prod_{k=1}^{D} (t^(q^k) - t);
 * kernel_in_K solves phi_b = 0 on a basis of the lattice.
 """
 
@@ -15,9 +19,7 @@ import math
 from drinheights import gf
 from drinheights.errors import InseparableKernelError
 from drinheights.places import FinitePlace, is_constant
-from drinheights.ratfunc import Poly, RatFunc, irreducible_monics
-
-_lcm_cache = {}
+from drinheights.ratfunc import Poly, RatFunc
 
 
 def torsion_lattice(module):
@@ -48,29 +50,6 @@ def in_torsion_lattice(module, y, lattice=None):
     return y.num.degree <= y.den.degree + m_inf
 
 
-def _dependence_coeffs(vectors, field, ncols):
-    """None if the vectors are independent, else (c_0..c_k) with
-    sum c_j vectors[j] = 0, c_k = 1, k minimal (so all earlier are independent)."""
-    echelon = []  # (pivot index, vector, combination)
-    for j, vec in enumerate(vectors):
-        vec = list(vec)
-        comb = [0] * len(vectors)
-        comb[j] = 1
-        for pidx, pvec, pcomb in echelon:
-            c = vec[pidx]
-            if c:
-                vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, pvec)]
-                comb = [field.sub(a, field.mul(c, b)) for a, b in zip(comb, pcomb)]
-        pivot = next((i for i, a in enumerate(vec) if a), None)
-        if pivot is None:
-            return comb[:j + 1]
-        inv = field.inv(vec[pivot])
-        vec = [field.mul(inv, a) for a in vec]
-        comb = [field.mul(inv, a) for a in comb]
-        echelon.append((pivot, vec, comb))
-    return None
-
-
 def annihilator_of(module, x, max_degree=None):
     """Minimal monic annihilator b with phi_b(x) = 0, or None if non-torsion.
 
@@ -93,24 +72,24 @@ def annihilator_of(module, x, max_degree=None):
 
     D = max_degree if max_degree is not None else module.r * module.N_phi * len(S)
     lattice = torsion_lattice(module)
-    Q, m_inf = lattice
+    Q = lattice[0]
     if not in_torsion_lattice(module, x, lattice):
         return None
-    width = (Q.degree + m_inf if not Q.is_zero() else m_inf) + 1
     phi_t = module.phi_t
-    iterates = []
-    y = x
-    for _ in range(D + 1):
-        num = y.num * (Q // y.den)
-        vec = list(num.coeffs) + [0] * (width - len(num.coeffs))
-        iterates.append(vec)
-        dep = _dependence_coeffs(iterates, field, width)
-        if dep is not None:
-            return Poly(field, dep)
-        y = phi_t(y)
-        if not in_torsion_lattice(module, y, lattice):
-            return None
-    return None
+
+    def coordinates():
+        # numerators over the common denominator Q; leaving the lattice
+        # proves non-torsion and ends the sequence
+        y = x
+        for j in range(D + 1):
+            if j:
+                y = phi_t(y)
+                if not in_torsion_lattice(module, y, lattice):
+                    return
+            yield dict(enumerate((y.num * (Q // y.den)).coeffs))
+
+    dep = gf.first_dependence(coordinates(), field)
+    return None if dep is None else Poly(field, dep)
 
 
 class TorsionCertificate:
@@ -159,7 +138,13 @@ class AnnihilatorBound:
 
 
 def annihilator_bound(module):
-    """D = r N |S| and the lcm of all monic polynomials of degree <= D.
+    """D = r N |S| and b_lcm, the lcm of all monic polynomials of degree <= D.
+
+    b_lcm = prod_{k=1}^{D} (t^(q^k) - t) (Carlitz 1935; Goss, Basic Structures
+    of Function Field Arithmetic, ch. 3).  t^(q^k) - t is the product of the
+    monic irreducibles whose degree divides k, so an irreducible P of degree
+    d occurs in the product floor(D/d) times, which is the largest power of
+    P dividing a monic polynomial of degree <= D.
 
     With S empty the torsion module is exactly the constants F_q, and that
     description is returned instead.
@@ -169,14 +154,11 @@ def annihilator_bound(module):
     if not S:
         return AnnihilatorBound(True, None, None)
     D = module.r * module.N_phi * len(S)
-    key = (module.field, D)
-    if key not in _lcm_cache:
-        b = Poly.one(module.field)
-        for d in range(1, D + 1):
-            for P in irreducible_monics(module.field, d):
-                b = b * P**(D // d)
-        _lcm_cache[key] = b
-    return AnnihilatorBound(False, D, _lcm_cache[key])
+    t = Poly.x(module.field)
+    b = Poly.one(module.field)
+    for k in range(1, D + 1):
+        b = b * (t.spread(k) - t)
+    return AnnihilatorBound(False, D, b)
 
 
 def kernel_in_K(module, b):

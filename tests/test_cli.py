@@ -176,9 +176,9 @@ def test_flat_job_schema(tmp_path, capsys):
     assert code == 0
 
 
-def test_env_n_max(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DRINHEIGHTS_NMAX", "5")
+def test_n_max_flag(tmp_path, capsys):
     job = dict(PSI2, point="t/(t+1)", place={"kind": "infinity"})
-    code, out, _ = run(capsys, ["local-height", job_file(tmp_path, job)])
+    code, out, _ = run(capsys, ["local-height", job_file(tmp_path, job),
+                                "--n-max", "5"])
     assert code == 0
     assert "[0, 1/32]" in out  # interval bound q^(-r n_max) with n_max = 5

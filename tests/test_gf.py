@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from drinheights.gf import (ExtensionField, FieldError, additive_kernel,
-                            additive_preimages, finite_field, frobenius, span)
+                            additive_preimages, finite_field,
+                            first_dependence, frobenius, span)
 
 
 def test_prime_field_create():
@@ -152,3 +154,63 @@ def test_additive_preimages_identity():
     F9 = finite_field(3, 2)
     sols = additive_preimages([(F9.one, 0)], F9.one)
     assert len(sols) == 1 and sols[0] == F9.one
+
+
+def _brute_first_dependence(vectors, field):
+    """Try every coefficient tuple (c_0, ..., c_{k-1}, 1), shortest first."""
+    for k in range(len(vectors)):
+        found = []
+        for cs in itertools.product(field.elements(), repeat=k):
+            total = {}
+            for c, vec in zip(cs + (1,), vectors):
+                for key, a in vec.items():
+                    total[key] = field.add(total.get(key, 0), field.mul(c, a))
+            if not any(total.values()):
+                found.append(list(cs) + [1])
+        if found:
+            assert len(found) == 1  # the first dependence is unique
+            return found[0]
+    return None
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+def test_first_dependence_matches_brute_force(p, k):
+    field = finite_field(p, k)
+    rng = random.Random(10 * p + k)
+    outcomes = set()
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        vectors = []
+        for _ in range(rng.randint(1, 4)):
+            # sparse: absent keys and explicit zeros both mean 0
+            vectors.append({i: rng.choice([0, rng.randrange(field.order)])
+                            for i in range(dim) if rng.random() < 0.8})
+        expect = _brute_first_dependence(vectors, field)
+        assert first_dependence(iter(vectors), field) == expect
+        outcomes.add(expect is None)
+    assert outcomes == {True, False}
+
+
+def test_first_dependence_empty_first_vector():
+    F3 = finite_field(3)
+    assert first_dependence(iter([{}]), F3) == [1]
+    assert first_dependence(iter([{0: 0, 1: 0}, {0: 1}]), F3) == [1]
+
+
+def test_first_dependence_independent():
+    F4 = finite_field(2, 2)
+    assert first_dependence(iter([]), F4) is None
+    vectors = [{0: 1}, {1: 3, 0: 2}, {2: 1, 0: 1}]
+    assert first_dependence(iter(vectors), F4) is None
+
+
+def test_first_dependence_reads_no_further():
+    F3 = finite_field(3)
+
+    def vectors():
+        yield {0: 1}
+        yield {1: 2}
+        yield {0: 2, 1: 1}  # = 2 v_0 + 2 v_1
+        raise AssertionError("read past the dependence")
+
+    assert first_dependence(vectors(), F3) == [1, 1, 1]

@@ -6,7 +6,8 @@ from conftest import make_module
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import InseparableKernelError
 from drinheights.gf import finite_field
-from drinheights.ratfunc import Poly, RatFunc, parse_poly, parse_ratfunc
+from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics,
+                                 parse_poly, parse_ratfunc)
 from drinheights.torsion import (annihilator_bound, annihilator_of,
                                  is_torsion, kernel_in_K, torsion_enumerate,
                                  torsion_lattice)
@@ -73,6 +74,28 @@ def test_annihilator_bound_psi_p():
         # lcm of all monic degree <= 1 polynomials is t^p - t
         xp = Poly(field, [0, field.neg(1)] + [0] * (p - 2) + [1])
         assert bound.b_lcm == xp
+
+
+@pytest.mark.parametrize("p, k, D", [(2, 1, 4), (2, 1, 6), (3, 1, 3),
+                                     (3, 1, 4), (5, 1, 3), (2, 2, 3)])
+def test_annihilator_bound_matches_lcm_search(p, k, D):
+    # phi_t = t + 1/(P_1 ... P_m) + tau has S = {v[P_1], ..., v[P_m], v_inf}
+    # and N = 1, except N = 2 for q = 2
+    field = finite_field(p, k)
+    n_bad = D // 2 if field.order == 2 else D
+    places = [P for d in (1, 2) for P in irreducible_monics(field, d)]
+    a0 = RatFunc.x(field)
+    for P in places[:n_bad - 1]:
+        a0 = a0 + RatFunc(Poly.one(field), P)
+    mod = DrinfeldModule(field, [a0, RatFunc.one(field)])
+    bound = annihilator_bound(mod)
+    assert bound.D == D
+    # lcm of all monic polynomials of degree <= D: P^floor(D / deg P)
+    lcm = Poly.one(field)
+    for d in range(1, D + 1):
+        for P in irreducible_monics(field, d):
+            lcm = lcm * P**(D // d)
+    assert bound.b_lcm == lcm
 
 
 def test_kernel_examples(psi2, car3, F2, F3):
