@@ -231,11 +231,11 @@ def _height_core(job, rep):
         rep.data["local"].append(entry)
     rep.say("global height = %s", total)
     rep.put("height", _height_json(total))
-    return mod, x, total
+    return mod, x, parts, total
 
 
 def cmd_height(job, rep):
-    mod, x, total = _height_core(job, rep)
+    mod, x, parts, total = _height_core(job, rep)
     sub = job.data.get("substitution")
     if sub is not None and job.level == 0:
         from drinheights.heights import height_via_embedding
@@ -269,7 +269,7 @@ def cmd_height(job, rep):
             rep.put("lehper", {"bound": frac(report.bound),
                                "margin": frac(report.margin)})
         return 0
-    cert = check_t2mwg(mod, x, job.n_max)
+    cert = check_t2mwg(mod, x, job.n_max, parts=parts)
     if cert.kind == "constant":
         rep.say("constant point (torsion = constants since S is empty)")
         rep.put("certificate", {"kind": "constant"})

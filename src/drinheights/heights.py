@@ -221,26 +221,32 @@ class T2Certificate:
         return "T2Certificate(constant)"
 
 
-def check_t2mwg(module, x, n_max=DEFAULT_N_MAX):
+def check_t2mwg(module, x, n_max=DEFAULT_N_MAX, parts=None):
     """Certify the height-gap dichotomy for x.
 
     With S empty: x is constant or some place has hhat_v(x) >= d(v).  With S
     nonempty: x is torsion with an annihilator of degree <= r N |S|, or some
     place has hhat_v(x) > q^(-2r - r^2 N |S|) d(v).  Budget exhaustion raises
     rather than guessing.
+
+    `parts` is global_height_breakdown(module, x, n_max) when the caller has
+    it already; x is then neither factored nor iterated again.
     """
     module._require_monic()
     S = module.bad_reduction_set()
     bounds = lehmer_bounds(module)
+    if parts is None:
+        # lazy, so that the search stops at the first witness
+        parts = ((v, local_height(module, v, x, n_max))
+                 for v in relevant_places(module, x))
     if not S:
         if is_constant(x):
             return T2Certificate("constant")
-        for v, m in support(x):
-            if m < 0:
-                h = Fraction(-m) * v.degree
-                return T2Certificate("witness", place=v, local=h,
-                                     bound=Fraction(v.degree))
-        raise AssertionError("non-constant x has a pole")  # unreachable
+        # the relevant places are the poles of x, and each local height
+        # there escapes at step 0 with value -v(x) d(v) >= d(v)
+        v, h = next(iter(parts))
+        return T2Certificate("witness", place=v, local=h.value,
+                             bound=Fraction(v.degree))
 
     from drinheights.torsion import annihilator_of
     b = annihilator_of(module, x)
@@ -250,8 +256,7 @@ def check_t2mwg(module, x, n_max=DEFAULT_N_MAX):
         return T2Certificate("torsion", annihilator=b)
 
     exhausted = False
-    for v in relevant_places(module, x):
-        h = local_height(module, v, x, n_max)
+    for v, h in parts:
         if not h.is_exact:
             exhausted = True
             continue

@@ -587,10 +587,13 @@ def _squarefree_decomposition(f):
     w = f // c
     i = 1
     while not w.is_one():
+        # w is squarefree, so gcd(w, c) = w exactly when w | c: such steps
+        # emit nothing, and one exponent search takes the whole run of them
+        e, c = _divide_out(c, w)
+        i += e
         y = w.gcd(c)
         fac = w // y
-        if not fac.is_one():
-            out[fac] = out.get(fac, 0) + i
+        out[fac] = out.get(fac, 0) + i
         w = y
         c = c // y
         i += 1
@@ -679,17 +682,47 @@ def factor(f):
     return unit, out
 
 
+def _divide_out(f, g):
+    """(e, f / g**e) for the largest e with g**e | f; f != 0, deg g >= 1.
+
+    After one division by g, divides by g, g^2, g^4, ... while the division
+    is exact, then works back down through the stored powers: O(log e)
+    divisions and squarings, and e = 0 or 1 (the common case) costs one or
+    two divisions and no product.
+    """
+    if g.degree > f.degree:
+        return 0, f
+    q, r = divmod(f, g)
+    if r:
+        return 0, f
+    f, e = q, 1
+    powers = []
+    step = g
+    while step.degree <= f.degree:
+        q, r = divmod(f, step)
+        if r:
+            break
+        f = q
+        e += 1 << len(powers)
+        powers.append(step)
+        if 2 * step.degree > f.degree:
+            break
+        step = step * step
+    # what is left of f is not divisible by g**(2**len(powers))
+    for j in range(len(powers) - 1, -1, -1):
+        if powers[j].degree <= f.degree:
+            q, r = divmod(f, powers[j])
+            if not r:
+                f = q
+                e += 1 << j
+    return e, f
+
+
 def ord_at(f, P):
     """Largest e with P**e dividing f, for f != 0 and irreducible monic P."""
     if f.is_zero():
         raise ValueError("ord of the zero polynomial")
-    e = 0
-    while True:
-        q, r = divmod(f, P)
-        if not r.is_zero():
-            return e
-        f = q
-        e += 1
+    return _divide_out(f, P)[0]
 
 
 def monic_polys(field, degree):

@@ -182,3 +182,42 @@ def test_n_max_flag(tmp_path, capsys):
                                 "--n-max", "5"])
     assert code == 0
     assert "[0, 1/32]" in out  # interval bound q^(-r n_max) with n_max = 5
+
+
+def test_height_high_power_carlitz(tmp_path, capsys):
+    job = dict(CAR3, point="t^4000")
+    code, out, _ = run(capsys, ["height", job_file(tmp_path, job), "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["height"]["value"] == "4000"
+    assert data["certificate"]["kind"] == "witness"
+    assert data["certificate"]["place"] == "v[inf]"
+
+
+def test_local_height_large_valuation(tmp_path, capsys):
+    # v_{t+1} = 2000 walks ord_at through a large valuation
+    job = dict(CAR3, point="(t+1)^2000/(t^2+1)",
+               place={"kind": "finite", "P": "t+1"})
+    code, out, _ = run(capsys, ["local-height", job_file(tmp_path, job),
+                                "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["height"]["value"] == "0"
+
+
+def test_height_factors_point_once(tmp_path, capsys, monkeypatch):
+    from drinheights import drinfeld, places, ratfunc
+    factored = []
+
+    def counting_factor(f):
+        factored.append(f)
+        return ratfunc.factor(f)
+    monkeypatch.setattr(places, "factor", counting_factor)
+    monkeypatch.setattr(drinfeld, "factor", counting_factor)
+    job = dict(CAR3, point="(t^2+1)^5/(t+1)^3")
+    code, out, _ = run(capsys, ["height", job_file(tmp_path, job), "--json"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["kind"] == "witness"
+    x = ratfunc.parse_ratfunc(cli.finite_field(3), "(t^2+1)^5/(t+1)^3")
+    assert factored.count(x.num) == 1
+    assert factored.count(x.den) == 1

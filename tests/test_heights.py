@@ -11,7 +11,7 @@ from drinheights.heights import (HeightValue, check_t2mwg, global_height,
                                  height_via_embedding, lehmer_bounds,
                                  local_height, weil_height)
 from drinheights.places import (FinitePlace, InfinitePlace,
-                                SubstitutionEmbedding)
+                                SubstitutionEmbedding, support)
 from drinheights.ratfunc import Poly, RatFunc, parse_poly, parse_ratfunc
 from drinheights.torsion import torsion_enumerate
 
@@ -223,3 +223,31 @@ def test_height_value_arithmetic():
         s.value
     with pytest.raises(ValueError):
         HeightValue.interval(1, 0, "bad")
+
+
+def _certificate_fields(cert):
+    return (cert.kind, cert.annihilator, cert.place, cert.local, cert.bound)
+
+
+def test_check_t2mwg_reuses_breakdown(psi2, car3, tau2, F2, F3):
+    # a given breakdown must give the certificate check_t2mwg finds alone
+    rng = random.Random(41)
+    for mod, field in ((psi2, F2), (car3, F3), (tau2, F2)):
+        for _ in range(15):
+            num = Poly(field, [rng.randrange(field.order) for _ in range(rng.randint(1, 5))])
+            den = Poly(field, [rng.randrange(field.order) for _ in range(rng.randint(1, 4))])
+            if num.is_zero() or den.is_zero():
+                continue
+            x = RatFunc(num, den)
+            parts = global_height_breakdown(mod, x)
+            try:
+                alone = _certificate_fields(check_t2mwg(mod, x))
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    check_t2mwg(mod, x, parts=parts)
+                continue
+            assert _certificate_fields(check_t2mwg(mod, x, parts=parts)) == alone
+            if mod is tau2 and alone[0] == "witness":
+                # S empty: the first pole v carries hhat_v(x) = -v(x) d(v)
+                v, m = next((v, m) for v, m in support(x) if m < 0)
+                assert alone[2:] == (v, -m * v.degree, v.degree)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from drinheights.gf import finite_field
-from drinheights.ratfunc import (ParseError, Poly, RatFunc, factor,
-                                 is_irreducible, irreducible_monics,
+from drinheights.ratfunc import (ParseError, Poly, RatFunc, _divide_out,
+                                 factor, is_irreducible, irreducible_monics,
                                  monic_polys, ord_at, parse_poly,
                                  parse_ratfunc)
 
@@ -201,3 +201,145 @@ def test_weil_height():
     assert R(F3, "t").weil_height() == 1
     assert R(F3, "1/t^2").weil_height() == 2
     assert RatFunc.zero(F3).weil_height() == 0
+
+
+# --- multiplicities: factor() against sympy, ord_at against repeated division
+
+def _multiplicities(p):
+    return sorted({1, p - 1, p, p + 1, p * p, 2 * p * p + 3, 1000})
+
+
+def _random_product(field, max_degree, rng):
+    """(f, unit, {g: m}) with f = unit * prod g^m, the g distinct random
+    monic irreducibles.
+
+    Each multiplicity of _multiplicities(char) appears once; the ones of 100
+    and more sit on linear factors, which keeps the degree under 1500.
+    """
+    p = field.char
+    pool = {d: list(irreducible_monics(field, d)) for d in range(1, max_degree + 1)}
+    expected = {}
+    for m in reversed(_multiplicities(p)):
+        degrees = [1] if m >= 100 else [d for d in pool if pool[d]]
+        d = rng.choice(degrees)
+        g = pool[d].pop(rng.randrange(len(pool[d])))
+        expected[g] = m
+    unit = rng.randrange(1, field.order)
+    f = Poly.const(field, unit)
+    for g, m in expected.items():
+        f = f * g**m
+    return f, unit, expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factor_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    field = finite_field(p)
+    t = sympy.Symbol("t")
+    f, unit, expected = _random_product(field, 4 if p == 2 else 3,
+                                        random.Random(100 + p))
+    lc, sym_factors = sympy.Poly(list(reversed(f.coeffs)), t,
+                                 modulus=p).factor_list()
+    oracle = sorted(((Poly(field, [int(c) % p for c in reversed(g.all_coeffs())]), m)
+                     for g, m in sym_factors), key=lambda gm: gm[0].sort_key())
+    got_unit, got = factor(f)
+    assert got == oracle
+    assert got_unit == int(lc) % p == unit
+    assert dict(got) == expected
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2)])
+def test_factor_high_multiplicities_extension_fields(p, k):
+    # no sympy oracle over F_4 and F_9: rebuild f and test each factor
+    field = finite_field(p, k)
+    rng = random.Random(200 + p)
+    f, unit, expected = _random_product(field, 2, rng)
+    got_unit, got = factor(f)
+    rebuilt = Poly.const(field, got_unit)
+    for g, m in got:
+        assert g.is_monic() and is_irreducible(g)
+        rebuilt = rebuilt * g**m
+    assert rebuilt == f
+    assert got_unit == unit and dict(got) == expected
+
+
+def _ord_by_division(f, P):
+    e = 0
+    while True:
+        q, r = divmod(f, P)
+        if r:
+            return e
+        f, e = q, e + 1
+
+
+ORD_EXPONENTS = sorted({0, 1} | {e for k in range(1, 7)
+                                 for e in (2**k - 1, 2**k, 2**k + 1)})
+
+
+@pytest.mark.parametrize("field", [F2, F3, finite_field(2, 2)], ids=str)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_ord_at_matches_repeated_division(field, degree):
+    rng = random.Random(degree)
+    irreducibles = list(irreducible_monics(field, degree))
+    for e in ORD_EXPONENTS:
+        P = rng.choice(irreducibles)
+        u = Poly(field, [rng.randrange(field.order) for _ in range(rng.randint(1, 6))])
+        if u.is_zero():
+            u = Poly.one(field)
+        f = P**e * u
+        v = ord_at(f, P)
+        assert v == _ord_by_division(f, P) and v >= e
+        assert _divide_out(f, P) == (v, f // P**v)
+
+
+def _count_calls(monkeypatch, field, name):
+    calls = []
+    inner = getattr(field, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(field, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("e", [999, 1000, 1023, 1024, 1025])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_ord_at_logarithmic_divisions(monkeypatch, e, degree):
+    field = finite_field(3)
+    P = next(irreducible_monics(field, degree))
+    f = P**e * Poly(field, [2, 0, 1, 1])
+    divisions = _count_calls(monkeypatch, field, "poly_divmod")
+    assert ord_at(f, P) == e
+    # ceil(log2(e + 1)) == e.bit_length() for e >= 0
+    assert len(divisions) <= 2 * e.bit_length() + 2
+
+
+@pytest.mark.parametrize("e", [0, 1])
+def test_ord_at_small_valuations_are_cheap(monkeypatch, e):
+    # valuations 0 and 1 are the common case in torsion and small jobs
+    field = finite_field(3)
+    P = Poly(field, [1, 0, 1])
+    f = P**e * Poly(field, [1, 1, 0, 2, 1, 1])
+    divisions = _count_calls(monkeypatch, field, "poly_divmod")
+    products = _count_calls(monkeypatch, field, "poly_mul")
+    assert ord_at(f, P) == e
+    assert len(divisions) <= 3 and len(products) <= 1
+
+
+def test_ord_at_no_division_when_degree_too_high(monkeypatch):
+    field = finite_field(3)
+    f = Poly(field, [1, 1, 1])
+    divisions = _count_calls(monkeypatch, field, "poly_divmod")
+    assert ord_at(f, Poly(field, [2, 0, 1, 1])) == 0
+    assert divisions == []
+
+
+def test_factor_high_power_logarithmic_gcds(monkeypatch):
+    field = finite_field(3)
+    t1 = Poly(field, [1, 1])
+    f = t1**1000
+    gcds = _count_calls(monkeypatch, field, "poly_gcd")
+    assert factor(f) == (1, [(t1, 1000)])
+    # one gcd per unit of multiplicity would be about 1000
+    assert len(gcds) <= 2 * (1000).bit_length()
