@@ -130,6 +130,7 @@ class DrinfeldModule:
         self.q = field.order
         self._S = None
         self._rd = {}
+        self._annihilators = {}  # torsion.annihilator_of, by point
 
     @property
     def is_monic(self):
@@ -169,14 +170,20 @@ class DrinfeldModule:
         return acc
 
     def act(self, b, x):
-        """phi_b(x) computed from the iterates of phi_t, without expanding phi_b."""
+        """phi_b(x) by Horner, acc <- phi_t(acc) + b_j x from b_d down to b_0.
+
+        phi_t is F_q-linear, so this is sum_j b_j phi_t^j(x) without
+        expanding phi_b: it evaluates phi_t deg b times, and only the small x
+        is ever scaled or added to a large iterate.
+        """
+        if b.is_zero():
+            return RatFunc.zero(self.field)
         phi_t = self.phi_t
-        acc = x.scale(b.coeffs[0]) if b.coeffs else RatFunc.zero(self.field)
-        y = x
-        for j in range(1, len(b.coeffs)):
-            y = phi_t(y)
-            if b.coeffs[j]:
-                acc = acc + y.scale(b.coeffs[j])
+        acc = x.scale(b.coeffs[-1])
+        for c in reversed(b.coeffs[:-1]):
+            acc = phi_t(acc)
+            if c:
+                acc = acc + x.scale(c)
         return acc
 
     def bad_reduction_set(self):

@@ -504,39 +504,52 @@ def kernel_basis(rows, field, ncols):
     return basis
 
 
-def first_dependence(vectors, field):
-    """First linear dependence in a sequence of sparse vectors over field.
+def dependencies(vectors, field):
+    """The linear dependencies in a sequence of sparse vectors over field.
 
-    `vectors` yields dicts {key: coefficient} (zero entries allowed).  Returns
-    (c_0, ..., c_k) with c_k = 1 and sum_j c_j v_j = 0 for the least such k,
-    which makes it unique, or None if the vectors run out first.  The vectors
-    are eliminated as they arrive, and none is read past the dependence, so
-    they can be built lazily by a generator that may raise or stop early.
+    `vectors` yields dicts {key: coefficient} (zero entries allowed).  Each
+    vector is eliminated against the independent ones before it as it
+    arrives.  For every v_k that reduces to zero this yields (c_0, ..., c_k)
+    with c_k = 1, c_j = 0 at every other reducing index j, and
+    sum_j c_j v_j = 0; that makes each one unique, and together they are a
+    basis of all dependencies among the vectors read (n - rank of them).
+    Nothing is read past the dependence just yielded, so the vectors can be
+    built lazily by a generator that may raise or stop early.
     """
-    echelon = []  # (pivot key, row with 1 at the pivot, its combination)
+    # (pivot key, inverse of the pivot entry, row, combination of the v_j
+    # giving the row); rows stay unscaled, since a vector that is never
+    # reduced against would be scaled for nothing
+    echelon = []
     for k, vec in enumerate(vectors):
         vec = {key: a for key, a in vec.items() if a}
         comb = [0] * k + [1]
-        for pivot, row, row_comb in echelon:
+        for pivot, inv, row, row_comb in echelon:
             c = vec.get(pivot)
             if not c:
                 continue
+            c = field.mul(c, inv)
             for key, a in row.items():
                 v = field.sub(vec.get(key, 0), field.mul(c, a))
                 if v:
                     vec[key] = v
                 else:
-                    vec.pop(key, None)
+                    del vec[key]
             for i, a in enumerate(row_comb):
                 if a:
                     comb[i] = field.sub(comb[i], field.mul(c, a))
-        if not vec:
-            return comb
-        pivot = next(iter(vec))
-        inv = field.inv(vec[pivot])
-        echelon.append((pivot, {key: field.mul(inv, a) for key, a in vec.items()},
-                        [field.mul(inv, a) for a in comb]))
-    return None
+        if vec:
+            pivot = next(iter(vec))
+            echelon.append((pivot, field.inv(vec[pivot]), vec, comb))
+        else:
+            yield comb
+
+
+def first_dependence(vectors, field):
+    """(c_0, ..., c_k) with c_k = 1 and sum_j c_j v_j = 0 for the least such
+    k, which makes it unique, or None if the vectors run out first; the
+    first of `dependencies`, and no vector past it is read.
+    """
+    return next(dependencies(vectors, field), None)
 
 
 def solve_linear(rows, rhs, field, ncols):

@@ -11,7 +11,12 @@ F_q-space, which makes everything here exact linear algebra:
 * every rational torsion point is killed by b_lcm, the lcm of all monic
   polynomials of degree <= D = r N |S|, which is Carlitz's closed form
   prod_{k=1}^{D} (t^(q^k) - t);
-* kernel_in_K solves phi_b = 0 on a basis of the lattice.
+* kernel_in_K writes phi_b of each lattice basis element over one common
+  denominator; the kernel is the space of linear dependencies among those
+  numerators, read off one elimination of them (gf.dependencies).
+
+The minimal annihilator of a point is kept per module, since the decision,
+the T2 check and the local height at every bad place ask for the same point.
 """
 
 import math
@@ -50,15 +55,23 @@ def in_torsion_lattice(module, y, lattice=None):
     return y.num.degree <= y.den.degree + m_inf
 
 
-def annihilator_of(module, x, max_degree=None):
+def annihilator_of(module, x):
     """Minimal monic annihilator b with phi_b(x) = 0, or None if non-torsion.
 
     With S nonempty the decision is F_q-linear dependence of the iterates
     x, phi_t(x), ..., phi_{t^D}(x) with D = r N |S| (both directions are part
     of the height gap theorem); the first dependence is the minimal monic
-    annihilator since the annihilator ideal of x is principal.
+    annihilator since the annihilator ideal of x is principal.  Answers are
+    kept per module and point.
     """
     module._require_monic()
+    memo = module._annihilators
+    if x not in memo:
+        memo[x] = _annihilator_of(module, x)
+    return memo[x]
+
+
+def _annihilator_of(module, x):
     field = module.field
     S = module.bad_reduction_set()
     if not S:
@@ -70,7 +83,7 @@ def annihilator_of(module, x, max_degree=None):
         mu = module.phi_t(RatFunc.one(field)).constant_value()
         return Poly(field, [field.neg(mu), 1])
 
-    D = max_degree if max_degree is not None else module.r * module.N_phi * len(S)
+    D = module.r * module.N_phi * len(S)
     lattice = torsion_lattice(module)
     Q = lattice[0]
     if not in_torsion_lattice(module, x, lattice):
@@ -165,8 +178,12 @@ def kernel_in_K(module, b):
     """All roots in K of the additive polynomial phi_b, as a sorted list.
 
     Roots are torsion, so they lie in the pole lattice; solving on a lattice
-    basis by linear algebra over F_q is complete.  The inseparable case
-    (constant term b(a_0) = 0) is rejected.
+    basis e_0, ..., e_n by linear algebra over F_q is complete.  phi_b is
+    F_q-linear, so sum c_i e_i is a root exactly when sum c_i phi_b(e_i) = 0:
+    the kernel is the space of dependencies among the images, which one
+    elimination of their sparse numerators over a common denominator yields
+    as a basis.  The span of that basis is checked root by root with act.
+    The inseparable case (constant term b(a_0) = 0) is rejected.
     """
     module._require_monic()
     if b.is_zero():
@@ -181,30 +198,16 @@ def kernel_in_K(module, b):
     Q, m_inf = torsion_lattice(module)
     basis = [RatFunc(Poly.x(field)**i, Q) for i in range(Q.degree + m_inf + 1)]
     images = [module.act(b, e) for e in basis]
-    # write the images over one common denominator and read off coefficients
     den = Poly.one(field)
     for z in images:
         den = den * (z.den // den.gcd(z.den))
-    vecs = []
-    width = 0
-    for z in images:
-        num = z.num * (den // z.den)
-        vecs.append(list(num.coeffs))
-        width = max(width, len(num.coeffs))
-    for vec in vecs:
-        vec.extend([0] * (width - len(vec)))
-    rows = [[vecs[j][i] for j in range(len(basis))] for i in range(width)]
-    kernel = gf.kernel_basis(rows, field, len(basis))
-    gens = []
-    for coeffs in kernel:
-        num = Poly(field, coeffs)
-        gens.append(RatFunc(num, Q))
-    roots = set()
-    stack = [RatFunc.zero(field)]
-    for g in gens:
+    vectors = ({i: a for i, a in enumerate((z.num * (den // z.den)).coeffs) if a}
+               for z in images)
+    roots = [RatFunc.zero(field)]
+    for coeffs in gf.dependencies(vectors, field):
+        g = RatFunc(Poly(field, coeffs), Q)
         scaled = [g.scale(c) for c in field.elements()]
-        stack = [s + gc for s in stack for gc in scaled]
-    roots.update(stack)
+        roots = [s + gc for s in roots for gc in scaled]
     for x in roots:
         if not module.act(b, x).is_zero():
             raise AssertionError("kernel solution fails verification")

@@ -1,4 +1,6 @@
+import io
 import json
+import pathlib
 
 import pytest
 
@@ -221,3 +223,17 @@ def test_height_factors_point_once(tmp_path, capsys, monkeypatch):
     x = ratfunc.parse_ratfunc(cli.finite_field(3), "(t^2+1)^5/(t+1)^3")
     assert factored.count(x.num) == 1
     assert factored.count(x.den) == 1
+
+
+VERIFY_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_f3_counts100_seed0.json"
+
+
+def test_verify_report_matches_golden(capsys, monkeypatch):
+    # `verify - --counts 100 --seed 0 --json` on F_3 must stay byte for byte
+    # the recorded report; a change that alters an answer on purpose
+    # re-records the file and says why in CHANGES.md
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"field":{"p":3,"k":1}}'))
+    code, out, _ = run(capsys, ["verify", "-", "--counts", "100", "--seed", "0",
+                                "--json"])
+    assert code == 0
+    assert out.encode() == VERIFY_GOLDEN.read_bytes()

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from drinheights.gf import (ExtensionField, FieldError, additive_kernel,
-                            additive_preimages, finite_field,
+                            additive_preimages, dependencies, finite_field,
                             first_dependence, frobenius, span)
 
 
@@ -214,3 +214,60 @@ def test_first_dependence_reads_no_further():
         raise AssertionError("read past the dependence")
 
     assert first_dependence(vectors(), F3) == [1, 1, 1]
+
+
+def _combine(cs, vectors, field):
+    total = {}
+    for c, vec in zip(cs, vectors):
+        for key, a in vec.items():
+            total[key] = field.add(total.get(key, 0), field.mul(c, a))
+    return {key: a for key, a in total.items() if a}
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+def test_dependencies_match_brute_force(p, k):
+    field = finite_field(p, k)
+    q = field.order
+    rng = random.Random(100 + 10 * p + k)
+    counts = set()
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        vectors = [{i: rng.choice([0, rng.randrange(q)])
+                    for i in range(dim) if rng.random() < 0.7}
+                   for _ in range(n)]
+        # every dependence, by trying all q^n coefficient tuples
+        brute = {cs for cs in itertools.product(field.elements(), repeat=n)
+                 if not _combine(cs, vectors, field)}
+        deps = list(dependencies(iter(vectors), field))
+        # each one is a dependence ending in 1 at the vector it reduces
+        for c in deps:
+            assert c[-1] == 1
+        got = [tuple(c) + (0,) * (n - len(c)) for c in deps]
+        assert set(got) <= brute
+        # independent and n - rank of them: their q^len(got) combinations
+        # are distinct and fill the whole space of dependencies
+        span_got = {(0,) * n}
+        for c in got:
+            span_got = {tuple(field.add(x, field.mul(a, y)) for x, y in zip(s, c))
+                        for s in span_got for a in field.elements()}
+        assert len(span_got) == q**len(got)
+        assert span_got == brute
+        assert (deps[0] if deps else None) == _brute_first_dependence(vectors, field)
+        counts.add(len(got))
+    assert {0, 1, 2} <= counts
+
+
+def test_dependencies_read_lazily():
+    F3 = finite_field(3)
+    read = []
+
+    def vectors():
+        for v in ({0: 1}, {0: 2}, {1: 1}, {0: 1, 1: 1}):
+            read.append(v)
+            yield v
+
+    deps = dependencies(vectors(), F3)
+    assert next(deps) == [1, 1] and len(read) == 2  # v_1 = 2 v_0
+    assert next(deps) == [2, 0, 2, 1] and len(read) == 4  # v_3 = v_0 + v_2
+    assert next(deps, None) is None

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -184,3 +185,73 @@ def test_annihilator_degree_within_bound(psi2):
     for x in torsion_enumerate(psi2):
         b = annihilator_of(psi2, x)
         assert b.degree <= bound.D
+
+
+# modules with a finite bad place, so the pole lattice has Q != 1, and the
+# largest kernel among the b tried below
+LATTICE_MODULES = [
+    ((2, 1), ["1/(t^2+t)", "1"], 4),
+    ((2, 1), ["t + 1/(t^2+t+1)", "1"], 4),  # m_inf = 1 as well
+    ((2, 1), ["t", "1/(t^2+t)^2", "1"], 1),
+    ((3, 1), ["-1/(t^2+t)^2", "1"], 3),
+    ((3, 1), ["t - 1/(t^2+1)^2", "1"], 1),
+    ((2, 2), ["1/(t^2+t)^3", "1"], 4),
+    ((2, 2), ["t", "1/t^12", "1"], 1),
+]
+
+
+@pytest.mark.parametrize("fk, coeffs, largest", LATTICE_MODULES)
+def test_kernel_matches_lattice_brute_force(fk, coeffs, largest):
+    field = finite_field(*fk)
+    mod = make_module(field, *coeffs)
+    Q, m_inf = torsion_lattice(mod)
+    assert not Q.is_one()
+    points = [RatFunc(Poly(field, c), Q) for c in
+              itertools.product(field.elements(), repeat=Q.degree + m_inf + 1)]
+    # every monic b of degree 1 and 2 over F_2, F_3; a sample over F_4
+    bs = [Poly(field, list(c) + [1]) for d in (1, 2)
+          for c in itertools.product(field.elements(), repeat=d)]
+    if field.order == 4:
+        bs = random.Random(3).sample(bs, 4) + [Poly.x(field)]
+    sizes = []
+    for b in bs:
+        if b.subs(mod.coeffs[0]).is_zero():
+            continue
+        expect = [y for y in points if mod.act(b, y).is_zero()]
+        got = kernel_in_K(mod, b)
+        assert got == sorted(expect, key=lambda y: y.sort_key())
+        sizes.append(len(got))
+    assert max(sizes) == largest
+
+
+# two of the F_7 kernels of psi(g), phi_t = -g^6 + tau with g = t + c: the
+# images have degree about 7^6, and t kills g, so ker phi_b = {c g} when
+# t | b and {0} otherwise
+@pytest.mark.parametrize("g, b", [((1, 1), (0, 6, 6, 0, 3, 0, 1)),
+                                  ((4, 1), (2, 5, 6, 0, 6, 1, 1))])
+def test_kernel_heavy_psi_closed_form(g, b):
+    F7 = finite_field(7)
+    gp = RatFunc.from_poly(Poly(F7, g))
+    mod = DrinfeldModule(F7, [-gp**6, RatFunc.one(F7)])
+    expect = [gp.scale(c) for c in F7.elements()] if b[0] == 0 else [RatFunc.zero(F7)]
+    assert kernel_in_K(mod, Poly(F7, b)) == sorted(expect, key=lambda y: y.sort_key())
+
+
+def test_annihilator_computed_once_per_point(F3, monkeypatch):
+    import drinheights.torsion as torsion
+    computed = []
+    real = torsion._annihilator_of
+
+    def counting(module, x):
+        computed.append(x)
+        return real(module, x)
+    monkeypatch.setattr(torsion, "_annihilator_of", counting)
+    mod = make_module(F3, "t", "1")  # a fresh module starts with no answers
+    # the decision, the T2 check and the local height at v_inf all ask
+    x = RatFunc.one(F3)
+    cert = is_torsion(mod, x)
+    assert not cert.torsion and cert.witness.kind == "witness"
+    assert computed == [x]
+    assert annihilator_of(mod, RatFunc.zero(F3)) == Poly.one(F3)
+    assert annihilator_of(mod, RatFunc.zero(F3)) == Poly.one(F3)
+    assert computed == [x, RatFunc.zero(F3)]
