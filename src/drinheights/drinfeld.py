@@ -194,9 +194,12 @@ class DrinfeldModule:
             for a in self.coeffs:
                 if a.is_zero():
                     continue
-                for v, m in support(a):
-                    if m < 0:
-                        bad.add(v)
+                # only poles count, so only the denominator is factored
+                if a.den.degree > 0:
+                    _, poles = factor(a.den)
+                    bad.update(places.FinitePlace(P) for P, _ in poles)
+                if a.num.degree > a.den.degree:
+                    bad.add(places.InfinitePlace(self.field))
             self._S = tuple(sorted(bad, key=lambda v: v.sort_key()))
         return self._S
 

@@ -16,6 +16,9 @@ from drinheights import _polycore
 # fields larger than this are refused: every residue computation here is
 # desk-scale and silent overflow of packed encodings must never happen
 ORDER_CAP = 2**31
+# an extension field up to this order keeps each product (and, in odd
+# characteristic, each sum and difference) once computed: at most order**2
+MEMO_ORDER = 256
 
 
 class FieldError(ValueError):
@@ -261,6 +264,10 @@ class ExtensionField(_Field):
         self.char = base.char
         self.order = base.order**m
         self.gen_name = gen_name
+        small = self.order <= MEMO_ORDER
+        self._products = {} if small else None
+        self._sums = {} if small and self.char != 2 else None
+        self._differences = {} if small and self.char != 2 else None
 
     def _key(self):
         return ("ext", self.base._key(), self.modulus)
@@ -287,18 +294,42 @@ class ExtensionField(_Field):
             a = a * q + c
         return a
 
+    def _memoized(self, memo, op, a, b):
+        if memo is None:
+            return op(a, b)
+        key = a * self.order + b
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = op(a, b)
+        return c
+
+    # in characteristic 2 the encoding is the bit vector of the coordinates
+    # over F_2 at every level of a tower, so a sum is an exclusive or
     def add(self, a, b):
+        if self.char == 2:
+            return a ^ b
+        return self._memoized(self._sums, self._add, a, b)
+
+    def sub(self, a, b):
+        if self.char == 2:
+            return a ^ b
+        return self._memoized(self._differences, self._sub, a, b)
+
+    def mul(self, a, b):
+        return self._memoized(self._products, self._mul, a, b)
+
+    def _add(self, a, b):
         ca, cb = self.coords(a), self.coords(b)
         return self.from_coords([self.base.add(x, y) for x, y in zip(ca, cb)])
 
-    def sub(self, a, b):
+    def _sub(self, a, b):
         ca, cb = self.coords(a), self.coords(b)
         return self.from_coords([self.base.sub(x, y) for x, y in zip(ca, cb)])
 
     def neg(self, a):
         return self.from_coords([self.base.neg(x) for x in self.coords(a)])
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         prod = self.base.poly_mul(_trim(self.coords(a)), _trim(self.coords(b)))
         _, rem = self.base.poly_divmod(prod, list(self.modulus))
         return self.from_coords(rem + [0] * (self.dim - len(rem)))

@@ -227,3 +227,41 @@ def test_module_validation(F3):
         DrinfeldModule(F3, [parse_ratfunc(F3, "t")])  # no tau part
     with pytest.raises(ValueError):
         DrinfeldModule(F3, [parse_ratfunc(F3, "t"), RatFunc.zero(F3)])
+
+
+def test_bad_reduction_set_is_the_poles():
+    """S is the set of places where some coefficient has a pole (support)."""
+    rng = random.Random(61)
+    for p, k in [(2, 1), (3, 1), (2, 2)]:
+        F = finite_field(p, k)
+        for _ in range(20):
+            num = Poly(F, [rng.randrange(F.order) for _ in range(rng.randint(1, 6))])
+            den = Poly(F, [rng.randrange(F.order) for _ in range(rng.randint(1, 5))])
+            if num.is_zero() or den.is_zero():
+                continue
+            coeffs = [RatFunc(num, den), RatFunc.one(F)]
+            if rng.random() < 0.5:
+                coeffs.insert(1, RatFunc(den, num))
+            mod = DrinfeldModule(F, coeffs)
+            want = {v for a in coeffs if not a.is_zero()
+                    for v, m in support(a) if m < 0}
+            got = mod.bad_reduction_set()
+            assert set(got) == want
+            assert list(got) == sorted(want, key=lambda v: v.sort_key())
+
+
+def test_bad_reduction_set_factors_only_denominators(F3, monkeypatch):
+    import drinheights.drinfeld as drinfeld
+    seen = []
+    real = drinfeld.factor
+
+    def spy(f):
+        seen.append(f)
+        return real(f)
+
+    monkeypatch.setattr(drinfeld, "factor", spy)
+    a0 = parse_ratfunc(F3, "(t^5+t+2)/(t*(t^2+1))")
+    mod = DrinfeldModule(F3, [a0, RatFunc.one(F3)])
+    assert [v.to_string() for v in mod.bad_reduction_set()] == [
+        "v[t]", "v[t^2+1]", "v[inf]"]
+    assert seen == [a0.den]

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from drinheights.gf import (ExtensionField, FieldError, additive_kernel,
-                            additive_preimages, dependencies, finite_field,
-                            first_dependence, frobenius, span)
+from drinheights.gf import (MEMO_ORDER, ExtensionField, FieldError,
+                            additive_kernel, additive_preimages, dependencies,
+                            finite_field, first_dependence, frobenius, span)
 
 
 def test_prime_field_create():
@@ -39,6 +39,41 @@ def test_default_modulus_deterministic():
 def test_field_order_cap():
     with pytest.raises(FieldError):
         finite_field(2, 40)
+
+
+def _small_fields():
+    F4 = finite_field(2, 2)
+    F9 = finite_field(3, 2)
+    return [F4, finite_field(2, 3), F9, finite_field(5, 2), finite_field(3, 3),
+            ExtensionField(F4, [F4.gen.val, 1, 1]),    # F_16 over F_4
+            ExtensionField(F9, [F9.gen.val, 1, 1])]    # F_81 over F_9
+
+
+@pytest.mark.parametrize("F", _small_fields(), ids=repr)
+def test_memoized_arithmetic_matches_coordinates(F):
+    """Sums (xor in characteristic 2), differences and products agree with
+    coordinate arithmetic on every pair, the second time from the memo too."""
+    assert F.order <= MEMO_ORDER
+    for _ in range(2):
+        for a in range(F.order):
+            for b in range(F.order):
+                assert F.add(a, b) == F._add(a, b)
+                assert F.sub(a, b) == F._sub(a, b)
+                assert F.mul(a, b) == F._mul(a, b)
+    assert len(F._products) == F.order**2
+
+
+def test_large_field_arithmetic_not_memoized():
+    F = finite_field(3, 6)
+    assert F.order > MEMO_ORDER and F._products is None
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert F.add(a, b) == F._add(a, b)
+        assert F.sub(a, b) == F._sub(a, b)
+        assert F.mul(a, b) == F._mul(a, b)
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
 
 
 def test_frobenius_fixes_one():
