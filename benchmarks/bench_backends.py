@@ -1,22 +1,21 @@
-"""Benchmark the polynomial kernel: each pure-Python algorithm, and the backends.
+"""Benchmark the polynomial kernel: each of its algorithms, and one macro run.
 
 Micro benchmarks time the dense F_p[x] primitives at operand size n:
 ``mul`` multiplies two length-n polynomials, ``mul2x`` a length-2 one by a
 length-n one, ``divmod`` divides a length 2n-1 polynomial by a length-n one
 (quotient and divisor both of length n), ``gcd`` takes two random
-polynomials of lengths n and n-1.  The rows for the pure-Python module time
-each algorithm on its own, forced by setting the module's size limits for
-the duration of the row; the ``python`` rows use the limits as shipped, and
-the ``c`` rows the compiled extension if it is built.  The size limits in
-``_purepoly`` are the crossovers in this table.
+polynomials of lengths n and n-1.  The ``op/algorithm`` rows time each
+algorithm on its own, forced by setting the module's size limits for the
+duration of the row; the ``op/python`` rows use the limits as shipped.  The
+size limits in ``_purepoly`` (``KRONECKER_MIN``, ``NEWTON_MIN``,
+``ROW_MIN``) are the crossovers in this table.
 
-The macro benchmark reruns a Carlitz height computation in a subprocess with
-DRINHEIGHTS_PURE=1 to force the fallback.
+The macro benchmark times 40 Carlitz heights and a short verify run in a
+fresh interpreter.
 
 Run:  python benchmarks/bench_backends.py
 """
 
-import os
 import random
 import subprocess
 import sys
@@ -85,13 +84,6 @@ def row(label, impl, op, p):
 
 def micro():
     from drinheights import _purepoly as pure
-    backends = []
-    try:
-        from drinheights import _fastpoly as fast
-        backends.append(("c", fast))
-    except ImportError:
-        pass
-    backends.append(("python", pure))
 
     print("seconds per call")
     print("%-8s %-18s" % ("p", "op/algorithm") + "".join("%10s" % ("n=%d" % n) for n in SIZES))
@@ -106,15 +98,14 @@ def micro():
                 for name, value in saved.items():
                     setattr(pure, name, value)
         for op in ("mul", "divmod", "gcd"):
-            for name, impl in backends:
-                row("%s/%s" % (op, name), impl, op, p)
+            row("%s/python" % op, pure, op, p)
         sys.stdout.flush()
 
 
 MACRO = r"""
 import time
 from fractions import Fraction
-from drinheights import backend_name, finite_field, DrinfeldModule
+from drinheights import finite_field, DrinfeldModule
 from drinheights.heights import global_height
 from drinheights.ratfunc import parse_ratfunc
 from drinheights.verify import run_verify
@@ -129,7 +120,7 @@ h_time = time.perf_counter() - t0
 t0 = time.perf_counter()
 run_verify(seed=0, count=60)
 v_time = time.perf_counter() - t0
-print("%-8s heights: %6.2fs   verify(60): %6.2fs" % (backend_name(), h_time, v_time))
+print("heights: %6.2fs   verify(60): %6.2fs" % (h_time, v_time))
 """
 
 
@@ -137,14 +128,8 @@ def macro():
     print()
     print("macro: 40 canonical heights of phi_{t^2+t}(x) + verify suite")
     sys.stdout.flush()
-    for pure in ("", "1"):
-        env = dict(os.environ)
-        if pure:
-            env["DRINHEIGHTS_PURE"] = "1"
-        else:
-            env.pop("DRINHEIGHTS_PURE", None)
-        subprocess.run([sys.executable, "-c", MACRO.replace("%%", "%")],
-                       env=env, check=True)
+    subprocess.run([sys.executable, "-c", MACRO.replace("%%", "%")],
+                   check=True)
 
 
 if __name__ == "__main__":

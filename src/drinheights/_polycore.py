@@ -1,28 +1,18 @@
-"""Backend selection for the dense prime-field polynomial kernel.
+"""The dense prime-field polynomial kernel, as the rest of the package calls it.
 
-The compiled ``_fastpoly`` extension is preferred; the pure-Python
-``_purepoly`` module is a drop-in replacement.  Set ``DRINHEIGHTS_PURE=1``
-to force the Python backend (used by the benchmark for comparison).
+Every F_p[x] operation goes through the five names below, which are the
+functions of ``_purepoly`` themselves.  The two modules stay separate on
+purpose: this one is the kernel's public boundary, where callers (``gf``)
+look the functions up and where an outside profiler can wrap them, while
+``_purepoly`` keeps its own unwrapped bindings, so that a call the kernel
+makes to itself (gcd -> mod, powmod -> mul) counts inside the outer call
+and not as a second kernel call.
 """
 
-import os
-
-if os.environ.get("DRINHEIGHTS_PURE"):
-    from drinheights import _purepoly as _impl
-else:
-    try:
-        from drinheights import _fastpoly as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from drinheights import _purepoly as _impl
-
-BACKEND = _impl.BACKEND
-poly_mul = _impl.poly_mul
-poly_divmod = _impl.poly_divmod
-poly_mod = _impl.poly_mod
-poly_gcd = _impl.poly_gcd
-poly_powmod = _impl.poly_powmod
+from drinheights._purepoly import (poly_divmod, poly_gcd, poly_mod, poly_mul,
+                                   poly_powmod)
 
 
 def backend_name():
-    """Name of the active kernel backend: "c" or "python"."""
-    return BACKEND
+    """Name of the kernel: always "python" (kept for result files that record it)."""
+    return "python"

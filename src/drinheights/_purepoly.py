@@ -1,11 +1,9 @@
-"""Dense polynomial arithmetic over a prime field, pure-Python backend.
+"""Dense polynomial arithmetic over a prime field: the package's one kernel.
 
 A polynomial is a list of ints in ``[0, p)``, constant term first; the zero
 polynomial is the empty list.  Every function accepts untrimmed input and
-returns a trimmed list.  This module mirrors the API of the compiled
-``_fastpoly`` extension and is used when the extension is unavailable (or
-when ``DRINHEIGHTS_PURE`` is set).  The extension is schoolbook at every
-size, so above the size limits below this module is the faster one.
+returns a trimmed list.  The rest of the package reaches these functions
+through ``_polycore``.
 
 Each operation picks its algorithm from the operand sizes:
 
@@ -23,8 +21,6 @@ Each operation picks its algorithm from the operand sizes:
 """
 
 import sys
-
-BACKEND = "python"
 
 # Size limits, read off the table printed by benchmarks/bench_backends.py
 # (2-core x86-64 VM, Python 3.11.7, p = 3 and p = 65521).

@@ -50,6 +50,25 @@ def load_job(path):
         raise InputError("cannot read job: %s" % exc)
 
 
+def integer(value, key, minimum=None):
+    """A JSON integer (not a bool) of at least `minimum`, or an InputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError("%s must be an integer, not %s"
+                         % (key, json.dumps(value)))
+    if minimum is not None and value < minimum:
+        raise InputError("%s must be at least %d, not %d"
+                         % (key, minimum, value))
+    return value
+
+
+def text(value, what):
+    """A JSON string, or an InputError naming `what`."""
+    if not isinstance(value, str):
+        raise InputError("%s must be a string, not %s"
+                         % (what, json.dumps(value)))
+    return value
+
+
 class Job:
     """Parsed job specification."""
 
@@ -60,28 +79,30 @@ class Job:
         self.var = data.get("var", "t")
         self.ext_var = data.get("ext_var", "u")
         field_desc = data.get("field", data)
-        try:
-            p = int(field_desc["p"])
-        except (KeyError, TypeError, ValueError):
+        if not isinstance(field_desc, dict) or "p" not in field_desc:
             raise InputError("job needs a field: {\"p\": ..., \"k\": ...}")
-        k = int(field_desc.get("k", 1))
+        p = integer(field_desc["p"], "p")
+        k = integer(field_desc.get("k", 1), "k")
         modulus = field_desc.get("modulus")
+        if modulus is not None:
+            if not isinstance(modulus, list):
+                raise InputError("modulus must be a list of integers")
+            modulus = [integer(c, "modulus coefficient") for c in modulus]
         try:
             self.field = finite_field(p, k, modulus)
         except FieldError as exc:
             raise InputError(str(exc))
-        self.n_max = int(data.get("n_max", DEFAULT_N_MAX))
-        if args.n_max is not None:
-            self.n_max = args.n_max
-        self.level = int(data.get("insep_level", 0))
-        if args.insep_level is not None:
-            self.level = args.insep_level
-        self.seed = int(data.get("seed", 0))
-        if args.seed is not None:
-            self.seed = args.seed
-        self.counts = int(data.get("counts", 500))
-        if args.counts is not None:
-            self.counts = args.counts
+        # a command-line flag overrides the job's entry of the same name
+        self.n_max = self._setting(args, "n_max", DEFAULT_N_MAX)
+        self.level = self._setting(args, "insep_level", 0, minimum=0)
+        self.seed = self._setting(args, "seed", 0)
+        self.counts = self._setting(args, "counts", 500, minimum=0)
+
+    def _setting(self, args, key, default, minimum=None):
+        value = getattr(args, key)
+        if value is None:
+            value = self.data.get(key, default)
+        return integer(value, key, minimum)
 
     @property
     def point_var(self):
@@ -89,11 +110,12 @@ class Job:
 
     def module(self):
         desc = self.data.get("module", self.data)
-        coeffs = desc.get("coefficients")
-        if not coeffs:
+        coeffs = desc.get("coefficients") if isinstance(desc, dict) else None
+        if not coeffs or not isinstance(coeffs, list):
             raise InputError("job needs module coefficients")
         try:
-            parsed = [parse_ratfunc(self.field, c, var=self.var)
+            parsed = [parse_ratfunc(self.field, text(c, "a coefficient"),
+                                    var=self.var)
                       for c in coeffs]
         except ParseError as exc:
             raise InputError("bad coefficient: %s" % exc)
@@ -104,7 +126,8 @@ class Job:
         if s is None:
             raise InputError("job needs a %r entry" % key)
         try:
-            return parse_ratfunc(self.field, s, var=var or self.point_var)
+            return parse_ratfunc(self.field, text(s, key),
+                                 var=var or self.point_var)
         except ParseError as exc:
             raise InputError("bad point %r: %s" % (s, exc))
 
@@ -113,19 +136,20 @@ class Job:
         if s is None:
             raise InputError("job needs a %r entry" % key)
         try:
-            return parse_poly(self.field, s, var=self.var)
+            return parse_poly(self.field, text(s, key), var=self.var)
         except ParseError as exc:
             raise InputError("bad polynomial %r: %s" % (s, exc))
 
     def place(self):
         desc = self.data.get("place")
-        if desc is None:
-            raise InputError("job needs a \"place\" entry")
+        if not isinstance(desc, dict):
+            raise InputError("job needs a \"place\" object")
         if desc.get("kind") == "infinity":
             return InfinitePlace(self.field)
         if desc.get("kind") == "finite":
             try:
-                P = parse_poly(self.field, desc["P"], var=self.point_var)
+                P = parse_poly(self.field, text(desc["P"], "place P"),
+                               var=self.point_var)
             except (KeyError, ParseError) as exc:
                 raise InputError("bad place: %s" % exc)
             try:
@@ -360,8 +384,7 @@ def cmd_lehmer(job, rep):
 
 
 def cmd_insep_height(job, rep):
-    if job.level <= 0:
-        job.level = int(job.data.get("insep_level", 1)) or 1
+    job.level = max(job.level, 1)
     _height_core(job, rep)
     return 0
 
@@ -425,25 +448,28 @@ COMMANDS = {
 }
 
 
+# built once: each parse_args call returns a fresh namespace
+PARSER = argparse.ArgumentParser(
+    prog="drinheights",
+    description="Exact heights, reduction data and torsion bounds for "
+                "Drinfeld modules over F_q(t).")
+PARSER.add_argument("command", choices=sorted(COMMANDS) + ["verify"])
+PARSER.add_argument("job", nargs="?", default="-",
+                    help="job JSON file, or - for stdin")
+PARSER.add_argument("--json", action="store_true", dest="as_json",
+                    help="emit a JSON report")
+PARSER.add_argument("--insep-level", type=int, default=None,
+                    help="work over F_q(u) with t = u^(p^n)")
+PARSER.add_argument("--n-max", type=int, default=None,
+                    help="iteration budget (overrides the job's n_max)")
+PARSER.add_argument("--seed", type=int, default=None)
+PARSER.add_argument("--counts", type=int, default=None)
+PARSER.add_argument("--inject-mv-bug", action="store_true",
+                    help=argparse.SUPPRESS)  # harness self-test only
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="drinheights",
-        description="Exact heights, reduction data and torsion bounds for "
-                    "Drinfeld modules over F_q(t).")
-    parser.add_argument("command", choices=sorted(COMMANDS) + ["verify"])
-    parser.add_argument("job", nargs="?", default="-",
-                        help="job JSON file, or - for stdin")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit a JSON report")
-    parser.add_argument("--insep-level", type=int, default=None,
-                        help="work over F_q(u) with t = u^(p^n)")
-    parser.add_argument("--n-max", type=int, default=None,
-                        help="iteration budget (overrides the job's n_max)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--counts", type=int, default=None)
-    parser.add_argument("--inject-mv-bug", action="store_true",
-                        help=argparse.SUPPRESS)  # harness self-test only
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     rep = Report()
     try:

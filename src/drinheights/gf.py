@@ -143,10 +143,6 @@ class _Field:
             raise FieldError("encoding %r out of range for %s" % (v, self))
         return FqElem(self, v)
 
-    def from_int(self, n):
-        """Image of the integer n under the ring map Z -> F_q."""
-        return FqElem(self, n % self.char)
-
     @property
     def zero(self):
         return FqElem(self, 0)
@@ -475,11 +471,12 @@ def finite_field(p, k=1, modulus=None):
     Without a modulus the deterministic smallest irreducible (lexicographic in
     the coefficient counter order) is selected, so residues are reproducible.
     """
-    if not _is_prime(p):
+    # trial division only below the cap, and no p**k for a huge k
+    if p < ORDER_CAP and not _is_prime(p):
         raise FieldError("p = %d is not prime" % p)
     if k < 1:
         raise FieldError("extension degree must be >= 1")
-    if p**k >= ORDER_CAP:
+    if p >= ORDER_CAP or k >= ORDER_CAP.bit_length() or p**k >= ORDER_CAP:
         raise FieldError("field order %d**%d exceeds the supported range" % (p, k))
     prime = PrimeField(p)
     if modulus is not None:

@@ -151,30 +151,12 @@ class Poly:
         inv = self.field.inv(self.lc)
         return self.scale(inv)
 
-    def shift(self, n):
-        """Multiply by x**n."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * n + self.coeffs)
-
-    def reverse(self):
-        """Reciprocal polynomial x^deg * f(1/x)."""
-        return Poly(self.field, tuple(reversed(self.coeffs)))
-
     def derivative(self):
         f = self.field
         out = []
         for i in range(1, len(self.coeffs)):
             out.append(f.mul(i % f.char, self.coeffs[i]))
         return Poly(f, out)
-
-    def eval_fq(self, a):
-        """Evaluate at the field element with encoding a; returns an encoding."""
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, a), c)
-        return acc
 
     def subs(self, value):
         """Evaluate at a Poly or RatFunc by Horner."""

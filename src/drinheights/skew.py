@@ -46,11 +46,6 @@ class SkewPoly:
             raise ValueError("zero skew polynomial has no degree")
         return len(self.coeffs) - 1
 
-    @property
-    def poly_degree(self):
-        """Degree q^n as an additive polynomial."""
-        return self.field.order**self.tau_degree
-
     def coeff(self, i):
         if i < len(self.coeffs):
             return self.coeffs[i]
@@ -108,10 +103,6 @@ class SkewPoly:
 
     def scale(self, c):
         return SkewPoly(self.field, [c * a for a in self.coeffs])
-
-    def coeff_strings(self, var="t"):
-        """Serialization: ordered coefficient list of rational-function strings."""
-        return [c.to_string(var) for c in self.coeffs]
 
     def to_string(self, var="t"):
         if not self.coeffs:

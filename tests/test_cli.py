@@ -124,6 +124,51 @@ def test_input_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, job, flags", [
+    ("lehmer", {"field": {"p": 3, "k": None},
+                "module": {"coefficients": ["t", "1"]}}, []),
+    ("lehmer", {"field": {"p": 3, "k": True},
+                "module": {"coefficients": ["t", "1"]}}, []),
+    ("lehmer", {"field": {"p": 3.0}, "module": {"coefficients": ["t", "1"]}},
+     []),
+    # far above the field-size cap: rejected without trial division or p**k
+    ("lehmer", {"field": {"p": 2**61 - 1},
+                "module": {"coefficients": ["t", "1"]}}, []),
+    ("lehmer", {"field": {"p": 2, "k": 10**12},
+                "module": {"coefficients": ["t", "1"]}}, []),
+    ("lehmer", dict(CAR3, module={"coefficients": ["t", 1]}), []),
+    ("lehmer", dict(CAR3, module=["t", "1"]), []),
+    ("height", dict(CAR3, point="1", n_max=[2]), []),
+    ("height", dict(CAR3, point=1), []),
+    ("insep-height", dict(CAR3, point="u", insep_level=1.5), []),
+    ("insep-height", dict(CAR3, point="u"), ["--insep-level", "-1"]),
+    ("kernel", dict(CAR3, b=["t"]), []),
+    ("local-height", dict(CAR3, point="1", place="infinity"), []),
+    ("local-height", dict(CAR3, point="1", place={"kind": "finite", "P": 3}),
+     []),
+    ("verify", dict(CAR3, seed="0"), []),
+    ("verify", dict(CAR3, counts=-5), []),
+    ("verify", dict(CAR3), ["--counts", "-5"]),
+])
+def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
+    code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
+    assert code == 2
+    assert err.startswith("input error: ") and out == ""
+
+
+def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
+    # the parser is built once; each call must see only its own flags
+    job = dict(PSI2, point="t/(t+1)", place={"kind": "infinity"})
+    path = job_file(tmp_path, job)
+    plain = run(capsys, ["local-height", path])
+    code, out, _ = run(capsys, ["local-height", path, "--n-max", "5",
+                                "--json"])
+    assert code == 0
+    assert json.loads(out)["height"]["hi"] == "1/32"
+    assert run(capsys, ["local-height", path]) == plain
+    assert plain[0] == 0 and "1/32" not in plain[1]
+
+
 def test_budget_exhaustion_exit_3(tmp_path, capsys, monkeypatch):
     def boom(*a, **k):
         raise BudgetExhaustedError("no certificate in budget")

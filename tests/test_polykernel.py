@@ -2,13 +2,20 @@
 
 Operand lengths sit at each size limit of ``_purepoly`` (one below, at, one
 above, four times), so every algorithm and each switch between them runs.
+The last tests pin the kernel boundary ``_polycore`` that perfbench's tracer
+wraps.
 """
 
+import importlib
+import importlib.util
 import math
+import pathlib
 import random
 
 import pytest
 
+import drinheights
+from drinheights import _polycore
 from drinheights import _purepoly as K
 from drinheights.gf import finite_field
 from drinheights.ratfunc import Poly
@@ -187,3 +194,41 @@ def test_mul_by_one_returns_the_other_factor():
     assert f * Poly(F3, [1, 0, 0]) is f
     assert one * one == one
     assert Poly.zero(F3) * one == Poly.zero(F3)
+
+
+KERNEL = ("poly_mul", "poly_divmod", "poly_mod", "poly_gcd", "poly_powmod")
+TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+
+
+def test_polycore_is_purepoly():
+    # the benchmark wraps the kernel at _polycore and records backend_name()
+    for name in KERNEL:
+        assert getattr(_polycore, name) is getattr(K, name)
+    assert drinheights.backend_name() == "python"
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    # every TARGETS entry of the benchmark's tracer must resolve in the package
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = []
+    for label, modname, attr, cls_name, _ in tracing.TARGETS:
+        owner = importlib.import_module(modname)
+        if cls_name is not None:
+            owner = getattr(owner, cls_name)
+        owners.append((label, owner, attr, getattr(owner, attr)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for label, owner, attr, fn in owners:
+            assert getattr(owner, attr) is not fn, label
+        # a call the kernel makes to itself (gcd -> mod) is not a second call
+        assert _polycore.poly_gcd([1, 0, 1], [1, 1], 3) == [1]
+        v = tracer.values
+        assert v["polycore.poly_gcd.small.calls"] == 1
+        assert v["polycore.poly_divmod.small.calls"] == 0
+    finally:
+        tracer.uninstall()
+    for label, owner, attr, fn in owners:
+        assert getattr(owner, attr) is fn, label
