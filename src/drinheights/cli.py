@@ -238,12 +238,12 @@ def _height_core(job, rep):
     var = job.point_var
     if job.level > 0:
         level = InsepLevel(mod, job.level)
-        work, degree_of = level.pushed, level.degree_of
+        work, index = level.pushed, level.index
         rep.say("inseparable level %d: t = %s^%d", job.level, job.ext_var,
                 level.index)
     else:
-        work, degree_of = mod, None
-    parts = global_height_breakdown(work, x, job.n_max, degree_of=degree_of)
+        work, index = mod, 1
+    parts = global_height_breakdown(work, x, job.n_max, index)
     total = height_sum(parts)
     rep.put("point", x.to_string(var))
     rep.put("local", [])
@@ -404,11 +404,10 @@ def cmd_dichotomy(job, rep):
     else:
         rep.say("branch 2: b = %s pushes x above every T_v",
                 report.b.to_string(job.var))
-        pushed = InsepLevel(mod, job.level).pushed
         for v, val in report.valuations:
             rep.say("  v = %s: v(phi_b(x)) = %s > T_v = %s",
                     v.to_string(job.point_var), frac(val),
-                    frac(pushed.reduction_data(v).T))
+                    frac(report.level.pushed.reduction_data(v).T))
         rep.put("branch", 2)
         rep.put("b", report.b.to_string(job.var))
         rep.put("valuations", [[v.to_string(job.point_var), frac(val)]

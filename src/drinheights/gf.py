@@ -657,7 +657,8 @@ def additive_preimages(coeffs, target):
     if part is None:
         return []
     x0 = field.element(field.from_coords(part))
-    kernel = additive_kernel(coeffs)
+    kernel = [field.element(field.from_coords(v))
+              for v in kernel_basis(rows, field.base, field.dim)]
     return sorted((x0 + k for k in span(field, kernel)), key=lambda e: e.val)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
-from drinheights.places import support, is_constant, coherent_degree
+from drinheights.places import support, is_constant
 from drinheights.ratfunc import RatFunc
 
 DEFAULT_N_MAX = 32
@@ -91,17 +91,16 @@ class HeightValue:
         return "HeightValue(%s, %s)" % (self, tag)
 
 
-def local_height(module, place, x, n_max=DEFAULT_N_MAX, degree=None):
+def local_height(module, place, x, n_max=DEFAULT_N_MAX, index=1):
     """hhat_v(x), exact whenever a certificate fires within the budget.
 
-    `degree` overrides the native d(v) (coherent degrees in extensions).
+    For a module over an extension L of K, `index` = [L:K] and the place
+    counts with its coherent degree d(v) / [L:K].
     """
     module._require_monic()
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if degree is None:
-        degree = place.degree
-    degree = Fraction(degree)
+    degree = Fraction(place.degree, index)
     rd = module.reduction_data(place)
     lam = min(Fraction(0), rd.M)
     q, r = module.q, module.r
@@ -141,13 +140,13 @@ def relevant_places(module, x):
     return sorted(out, key=lambda v: v.sort_key())
 
 
-def global_height_breakdown(module, x, n_max=DEFAULT_N_MAX, degree_of=None):
-    """[(place, local height)] over the relevant places, sorted."""
-    out = []
-    for v in relevant_places(module, x):
-        d = degree_of(v) if degree_of is not None else v.degree
-        out.append((v, local_height(module, v, x, n_max, degree=d)))
-    return out
+def global_height_breakdown(module, x, n_max=DEFAULT_N_MAX, index=1):
+    """[(place, local height)] over the relevant places, sorted.
+
+    `index` = [L:K] for a module over an extension L of K (see local_height).
+    """
+    return [(v, local_height(module, v, x, n_max, index))
+            for v in relevant_places(module, x)]
 
 def height_sum(parts):
     total = HeightValue.exact(Fraction(0), "Sum")
@@ -284,6 +283,4 @@ def height_via_embedding(module, emb, x, n_max=DEFAULT_N_MAX):
     module._require_monic()
     pushed = pushed_module(module, emb)
     x_up = emb.apply(x)
-    parts = global_height_breakdown(
-        pushed, x_up, n_max, degree_of=lambda w: coherent_degree(emb, w))
-    return height_sum(parts)
+    return height_sum(global_height_breakdown(pushed, x_up, n_max, emb.degree))

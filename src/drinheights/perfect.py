@@ -3,7 +3,7 @@ dichotomies behind the uniform perfect-closure Lehmer bound.
 
 K^(1/p^n) is realized concretely as F_q(u) with t = u^(p^n): every point is
 a rational function in u, and all place/height machinery applies verbatim
-with coherent degrees d(w) = f d(v) / p^n relative to K.
+with coherent degrees d(w) / p^n relative to K.
 """
 
 import math
@@ -46,9 +46,6 @@ class InsepLevel:
             if not T >= Fraction(self.index, q**r):
                 raise AssertionError("T_v < [L:K]/q^r at a bad place")
 
-    def degree_of(self, w):
-        return coherent_degree(self.embedding, w)
-
     def bad_places(self):
         return self.pushed.bad_reduction_set()
 
@@ -60,19 +57,21 @@ def insep_height(module, n, y, n_max=DEFAULT_N_MAX):
     comparable across levels.
     """
     level = InsepLevel(module, n)
-    parts = global_height_breakdown(level.pushed, y, n_max,
-                                    degree_of=level.degree_of)
-    return height_sum(parts)
+    return height_sum(global_height_breakdown(level.pushed, y, n_max,
+                                              level.index))
 
 
 class DichotomyReport:
     """Either a bad place with a certified large local height (branch 1) or
-    a polynomial b pushing x above every T_v (branch 2)."""
+    a polynomial b pushing x above every T_v (branch 2), at the InsepLevel
+    `level` whose places these are."""
 
-    __slots__ = ("branch", "place", "local", "threshold", "b", "valuations")
+    __slots__ = ("level", "branch", "place", "local", "threshold", "b",
+                 "valuations")
 
-    def __init__(self, branch, place=None, local=None, threshold=None,
+    def __init__(self, level, branch, place=None, local=None, threshold=None,
                  b=None, valuations=None):
+        self.level = level
         self.branch = branch
         self.place = place
         self.local = local
@@ -113,7 +112,7 @@ def key_dichotomy_check(module, n, x, n_max=DEFAULT_N_MAX):
     S = level.bad_places()
     if not S:
         one = Poly.one(field)
-        return DichotomyReport(2, b=one, valuations=[])
+        return DichotomyReport(level, 2, b=one, valuations=[])
     s = len(S)
     B = 4 * (r + 1)**2 * s
     exponent = 4 * r * (r + 1)**2 * s + 2 * r
@@ -121,12 +120,11 @@ def key_dichotomy_check(module, n, x, n_max=DEFAULT_N_MAX):
     exhausted = False
     for w in S:
         rd = psi.reduction_data(w)
-        d_w = level.degree_of(w)
-        threshold = -d_w * rd.M / q**exponent
-        h = local_height(psi, w, x, n_max, degree=d_w)
+        threshold = -coherent_degree(level.embedding, w) * rd.M / q**exponent
+        h = local_height(psi, w, x, n_max, level.index)
         if h.is_exact:
             if h.value >= threshold:
-                return DichotomyReport(1, place=w, local=h.value,
+                return DichotomyReport(level, 1, place=w, local=h.value,
                                        threshold=threshold)
         else:
             exhausted = True
@@ -156,7 +154,7 @@ def key_dichotomy_check(module, n, x, n_max=DEFAULT_N_MAX):
         for w, val in vals:
             if not val > psi.reduction_data(w).T:
                 raise AssertionError("branch 2 certificate fails at %r" % w)
-        return DichotomyReport(2, b=b, valuations=vals)
+        return DichotomyReport(level, 2, b=b, valuations=vals)
 
     if exhausted:
         raise BudgetExhaustedError(
@@ -197,7 +195,7 @@ def lehper_check(module, n, x, n_max=DEFAULT_N_MAX):
     if b is not None:
         return LehperReport(True, b, None, lehmer_bounds(module).lehper, None)
     h = height_sum(global_height_breakdown(level.pushed, x, n_max,
-                                           degree_of=level.degree_of))
+                                           level.index))
     bound = lehmer_bounds(module).lehper
     if not h.is_exact:
         if h.lo > bound:

@@ -314,7 +314,9 @@ def place_below(emb, w):
 
 
 def coherent_degree(emb, w):
-    """Coherent degree of w relative to K: f(w|v) d(v) / [L:K]."""
-    v = place_below(emb, w)
-    f_rel = w.degree // v.degree
-    return Fraction(f_rel * v.degree, emb.degree)
+    """Coherent degree of w relative to K: f(w|v) d(v) / [L:K] = d(w) / [L:K].
+
+    The residue fields of w and of the place v below it are F_q^d(w) and
+    F_q^d(v), so f(w|v) = d(w) / d(v); the place v is never needed.
+    """
+    return Fraction(w.degree, emb.degree)

@@ -11,8 +11,14 @@ F_q-space, which makes everything here exact linear algebra:
 * every rational torsion point is killed by b_lcm, the lcm of all monic
   polynomials of degree <= D = r N |S|, which is Carlitz's closed form
   prod_{k=1}^{D} (t^(q^k) - t);
-* kernel_in_K writes phi_b of each lattice basis element over one common
-  denominator; the kernel is the space of linear dependencies among those
+* the torsion module lies in the pole lattice, so its annihilator also has
+  degree <= n = dim of the lattice, and B = prod_{k=1}^{min(D, n)}
+  (t^(q^k) - t) kills it too (torsion_annihilator); B is usually far
+  smaller than b_lcm;
+* kernel_in_K writes phi_c of each lattice basis element over one common
+  denominator, for c = b when deg b <= min(D, n) and otherwise for each
+  prime power c of gcd(b, B) (same roots as b, and deg c <= min(D, n)); the
+  kernel of phi_c is the space of linear dependencies among those
   numerators, read off one elimination of them (gf.dependencies).
 
 The minimal annihilator of a point is kept per module, since the decision,
@@ -24,7 +30,7 @@ import math
 from drinheights import gf
 from drinheights.errors import InseparableKernelError
 from drinheights.places import FinitePlace, is_constant
-from drinheights.ratfunc import Poly, RatFunc
+from drinheights.ratfunc import Poly, RatFunc, factor
 
 
 def torsion_lattice(module):
@@ -167,23 +173,67 @@ def annihilator_bound(module):
     if not S:
         return AnnihilatorBound(True, None, None)
     D = module.r * module.N_phi * len(S)
-    t = Poly.x(module.field)
-    b = Poly.one(module.field)
-    for k in range(1, D + 1):
+    return AnnihilatorBound(False, D, _carlitz_lcm(module.field, D))
+
+
+def _carlitz_lcm(field, m):
+    """prod_{k=1}^{m} (t^(q^k) - t): the lcm of all monic polynomials of
+    degree <= m."""
+    t = Poly.x(field)
+    b = Poly.one(field)
+    for k in range(1, m + 1):
         b = b * (t.spread(k) - t)
-    return AnnihilatorBound(False, D, b)
+    return b
+
+
+def _exponent_degree_bound(module, lattice):
+    """m = min(D, n): the annihilator of all rational torsion has degree <= m.
+
+    See torsion_annihilator.  With S empty the torsion is F_q, killed by
+    t - phi_t(1), and m = n = 1.
+    """
+    Q, m_inf = lattice
+    n = Q.degree + m_inf + 1
+    S = module.bad_reduction_set()
+    return min(module.r * module.N_phi * len(S), n) if S else n
+
+
+def torsion_annihilator(module):
+    """B = prod_{k=1}^{m} (t^(q^k) - t) with m = min(D, n); phi_B kills all
+    rational torsion.
+
+    Proof.  The rational torsion T is an F_q[t]-submodule of the pole lattice
+    L (torsion_lattice), of F_q-dimension n = deg Q + m_inf + 1.  As a finite
+    F_q[t]-module T = F_q[t]/(d_1) + ... + F_q[t]/(d_k) with d_1 | ... | d_k,
+    so its annihilator d_k has degree <= deg d_1 + ... + deg d_k = dim T <= n.
+    d_k is also the minimal annihilator of a point of T (a generator of the
+    last summand), so deg d_k <= D = r N |S| as for every torsion point.  B is
+    the lcm of all monic polynomials of degree <= m = min(D, n)
+    (annihilator_bound), hence d_k | B and phi_B(T) = 0.  Conversely every
+    root of phi_B in K is torsion, so T is exactly the kernel of phi_B in K.
+    """
+    module._require_monic()
+    m = _exponent_degree_bound(module, torsion_lattice(module))
+    return _carlitz_lcm(module.field, m)
 
 
 def kernel_in_K(module, b):
     """All roots in K of the additive polynomial phi_b, as a sorted list.
 
     Roots are torsion, so they lie in the pole lattice; solving on a lattice
-    basis e_0, ..., e_n by linear algebra over F_q is complete.  phi_b is
-    F_q-linear, so sum c_i e_i is a root exactly when sum c_i phi_b(e_i) = 0:
-    the kernel is the space of dependencies among the images, which one
-    elimination of their sparse numerators over a common denominator yields
-    as a basis.  The span of that basis is checked root by root with act.
-    The inseparable case (constant term b(a_0) = 0) is rejected.
+    basis e_0, ..., e_{n-1} by linear algebra over F_q is complete.  When
+    deg b <= m = min(D, n), phi_b itself is evaluated on the basis.  Above
+    that, its images would have degree q^(r deg b).  Every root is then also
+    killed by B = torsion_annihilator(module), so phi_b has the same roots in
+    K as phi_g with g = gcd(b, B).  A prime power P^e exactly dividing g has
+    e <= floor(m / deg P), the multiplicity of P in B, so deg P^e <= m; and
+    ker phi_g is the direct sum of the ker phi_{P^e}.  For each part c
+    (b, or each P^e), phi_c is F_q-linear, so sum c_i e_i is a root exactly
+    when sum c_i phi_c(e_i) = 0: its kernel is the space of dependencies
+    among the images, which one elimination of their sparse numerators over
+    a common denominator yields as a basis.  The span of all those bases is
+    checked root by root with phi_b itself.  The inseparable case (constant
+    term b(a_0) = 0) is rejected.
     """
     module._require_monic()
     if b.is_zero():
@@ -195,19 +245,27 @@ def kernel_in_K(module, b):
             "phi_b has constant term b(a_0) = 0, so it is inseparable "
             "(finite characteristic with t | b); its kernel in K is not "
             "computed here")
-    Q, m_inf = torsion_lattice(module)
+    lattice = torsion_lattice(module)
+    Q, m_inf = lattice
+    m = _exponent_degree_bound(module, lattice)
+    if b.degree <= m:
+        parts = [b]
+    else:
+        _, factors = factor(b.gcd(_carlitz_lcm(field, m)))
+        parts = [P**e for P, e in factors]
     basis = [RatFunc(Poly.x(field)**i, Q) for i in range(Q.degree + m_inf + 1)]
-    images = [module.act(b, e) for e in basis]
-    den = Poly.one(field)
-    for z in images:
-        den = den * (z.den // den.gcd(z.den))
-    vectors = ({i: a for i, a in enumerate((z.num * (den // z.den)).coeffs) if a}
-               for z in images)
     roots = [RatFunc.zero(field)]
-    for coeffs in gf.dependencies(vectors, field):
-        g = RatFunc(Poly(field, coeffs), Q)
-        scaled = [g.scale(c) for c in field.elements()]
-        roots = [s + gc for s in roots for gc in scaled]
+    for part in parts:
+        images = [module.act(part, e) for e in basis]
+        den = Poly.one(field)
+        for z in images:
+            den = den * (z.den // den.gcd(z.den))
+        vectors = ({i: a for i, a in enumerate((z.num * (den // z.den)).coeffs)
+                    if a} for z in images)
+        for coeffs in gf.dependencies(vectors, field):
+            g = RatFunc(Poly(field, coeffs), Q)
+            scaled = [g.scale(c) for c in field.elements()]
+            roots = [s + gc for s in roots for gc in scaled]
     for x in roots:
         if not module.act(b, x).is_zero():
             raise AssertionError("kernel solution fails verification")
@@ -215,13 +273,15 @@ def kernel_in_K(module, b):
 
 
 def torsion_enumerate(module):
-    """The full rational torsion submodule, verified point by point."""
+    """The full rational torsion submodule, verified point by point.
+
+    It is the kernel in K of phi_B, B = torsion_annihilator(module).
+    """
     module._require_monic()
-    bound = annihilator_bound(module)
-    if bound.constants_only:
+    if not module.bad_reduction_set():
         pts = [RatFunc.const(module.field, c) for c in module.field.elements()]
     else:
-        pts = kernel_in_K(module, bound.b_lcm)
+        pts = kernel_in_K(module, torsion_annihilator(module))
     pool = set(pts)
     phi_t = module.phi_t
     for x in pts:

@@ -20,7 +20,7 @@ from drinheights.perfect import insep_height, key_dichotomy_check
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, support)
 from drinheights.ratfunc import Poly, RatFunc, parse_ratfunc
-from drinheights.torsion import annihilator_bound, annihilator_of
+from drinheights.torsion import annihilator_of, torsion_annihilator
 
 
 def rand_poly(rng, field, maxdeg):
@@ -293,29 +293,27 @@ def check_multiplicativity(rng, count, modules):
 
 
 def check_torsion_equivalence(rng, count, modules):
-    """Torsion decision agrees with killing by the universal annihilator.
+    """Torsion decision agrees with killing by B = torsion_annihilator(mod).
 
-    Only modules whose universal annihilator is actually evaluable are
-    fuzzed: phi_{b_lcm}(x) has degree q^(r deg b_lcm) in x.
+    Only modules whose B is actually evaluable are fuzzed: phi_B(x) has
+    degree q^(r deg B) in x.  With S empty a_0 is constant and B(a_0) = 0.
     """
     usable = []
     for name, mod in modules:
-        ab = annihilator_bound(mod)
-        if ab.constants_only:
+        B = torsion_annihilator(mod)
+        if mod.q**(mod.r * B.degree) > 1000:
             continue
-        if mod.q**(mod.r * ab.b_lcm.degree) > 1000:
+        if B.subs(mod.coeffs[0]).is_zero():
             continue
-        if ab.b_lcm.subs(mod.coeffs[0]).is_zero():
-            continue
-        usable.append((name, mod, ab))
+        usable.append((name, mod, B))
     for i in range(count):
-        name, mod, ab = usable[i % len(usable)]
+        name, mod, B = usable[i % len(usable)]
         x = rand_ratfunc(rng, mod.field, 3)
         decided = annihilator_of(mod, x) is not None
-        killed = mod.act(ab.b_lcm, x).is_zero()
+        killed = mod.act(B, x).is_zero()
         if decided != killed:
             _fail("torsion equivalence fails for %s, x = %s: decision %s, "
-                  "phi_b_lcm(x) = 0 is %s", name, x, decided, killed)
+                  "phi_B(x) = 0 is %s", name, x, decided, killed)
 
 
 def check_isotrivial_decay(rng, count, modules):
@@ -361,7 +359,7 @@ def check_lehper_floor(rng, count, modules):
         done += 1
         from drinheights.heights import global_height_breakdown, height_sum
         h = height_sum(global_height_breakdown(level.pushed, y,
-                                               degree_of=level.degree_of))
+                                               index=level.index))
         if not h.is_exact:
             _fail("lehper floor: unresolved height at level %d for y = %s", n, y)
         if not h.value > bound:

@@ -270,6 +270,36 @@ def test_height_factors_point_once(tmp_path, capsys, monkeypatch):
     assert factored.count(x.den) == 1
 
 
+@pytest.mark.parametrize("cmd, job, expect", [
+    ("insep-height", dict(CAR3, point="u", insep_level=1),
+     "global height = 4/9"),
+    ("dichotomy", dict(PSI2, point="u^2", insep_level=1),
+     "v = v[inf]: v(phi_b(x)) = +inf > T_v = 2"),
+    ("dichotomy", dict(CAR3, point="u", insep_level=1), "branch 1"),
+])
+def test_height_over_extension_one_level_no_place_below(
+        cmd, job, expect, tmp_path, capsys, monkeypatch):
+    # coherent degrees are d(w) / [L:K]: no place below is searched, and a
+    # job pushes the module to its level once
+    from drinheights import places
+    from drinheights.perfect import InsepLevel
+    below, levels = [], []
+    real_below, real_init = places.place_below, InsepLevel.__init__
+
+    def counting_below(emb, w):
+        below.append(w)
+        return real_below(emb, w)
+
+    def counting_init(self, module, n):
+        levels.append(n)
+        real_init(self, module, n)
+    monkeypatch.setattr(places, "place_below", counting_below)
+    monkeypatch.setattr(InsepLevel, "__init__", counting_init)
+    code, out, _ = run(capsys, [cmd, job_file(tmp_path, job)])
+    assert code == 0 and expect in out
+    assert below == [] and levels == [1]
+
+
 VERIFY_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_f3_counts100_seed0.json"
 
 

@@ -179,6 +179,24 @@ def test_additive_preimages_zero_target_is_kernel():
     assert sorted(e.val for e in pre) == sorted(e.val for e in span(F9, basis))
 
 
+def test_additive_preimages_builds_one_matrix(monkeypatch):
+    # the particular solution and the kernel come from the same rows
+    import drinheights.gf as gf
+    F9 = finite_field(3, 2)
+    built = []
+    real = gf._additive_matrix
+
+    def counting(coeffs, field):
+        built.append(coeffs)
+        return real(coeffs, field)
+    monkeypatch.setattr(gf, "_additive_matrix", counting)
+    two = F9.one + F9.one
+    sols = additive_preimages([(F9.one, 1), (F9.one, 0)], two)
+    assert len(built) == 1
+    xs = [F9.element(v) for v in F9.elements()]
+    assert [e.val for e in sols] == [x.val for x in xs if x**3 + x == two]
+
+
 def test_additive_preimages_empty():
     F2 = finite_field(2)
     # X^2 + X = 1 has no solution in F_2

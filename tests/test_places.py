@@ -8,7 +8,8 @@ from drinheights.places import (INFINITY, FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, angular_component,
                                 coherent_degree, expansion, extend_places,
                                 is_constant, place_below, support)
-from drinheights.ratfunc import Poly, RatFunc, parse_poly, parse_ratfunc
+from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics, parse_poly,
+                                 parse_ratfunc)
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -164,13 +165,18 @@ def test_tower_consistency():
 
 
 def test_place_below_roundtrip():
-    for img in ("u^2", "u^3+u", "(u^2+1)/u"):
+    # place_below is the oracle for the closed form d(w) / [L:K]
+    images = ("u^2", "u^3+u", "(u^2+1)/u", "u^3", "u^4+u", "u^3+u+1", "1/u^2")
+    places = [FinitePlace(f) for d in (1, 2, 3)
+              for f in irreducible_monics(F3, d)] + [InfinitePlace(F3)]
+    for img in images:
         emb = SubstitutionEmbedding(R(F3, img, var="u"))
-        for v in [FinitePlace(P(F3, "t")), FinitePlace(P(F3, "t^2+1")),
-                  InfinitePlace(F3)]:
+        for v in places:
             for ext in extend_places(emb, v):
-                assert place_below(emb, ext.above) == v
-                assert coherent_degree(emb, ext.above) == ext.d_above
+                w = ext.above
+                assert place_below(emb, w) == v
+                assert coherent_degree(emb, w) == ext.d_above \
+                    == Fraction(w.degree, emb.degree)
 
 
 def test_is_constant():

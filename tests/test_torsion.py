@@ -10,8 +10,8 @@ from drinheights.gf import finite_field
 from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics,
                                  parse_poly, parse_ratfunc)
 from drinheights.torsion import (annihilator_bound, annihilator_of,
-                                 is_torsion, kernel_in_K, torsion_enumerate,
-                                 torsion_lattice)
+                                 is_torsion, kernel_in_K, torsion_annihilator,
+                                 torsion_enumerate, torsion_lattice)
 
 
 def R(field, s, var="t"):
@@ -255,3 +255,65 @@ def test_annihilator_computed_once_per_point(F3, monkeypatch):
     assert annihilator_of(mod, RatFunc.zero(F3)) == Poly.one(F3)
     assert annihilator_of(mod, RatFunc.zero(F3)) == Poly.one(F3)
     assert computed == [x, RatFunc.zero(F3)]
+
+
+UNENUMERABLE_AT_B_LCM = ["rank2-two-bad", "rank2-deg2-bad", "rank2-q2",
+                         "rank1-finite-bad"]
+
+
+def _lattice_points(mod):
+    Q, m_inf = torsion_lattice(mod)
+    return [RatFunc(Poly(mod.field, c), Q) for c in
+            itertools.product(mod.field.elements(), repeat=Q.degree + m_inf + 1)]
+
+
+def _pool_module(name):
+    from drinheights.verify import module_pool
+    return dict(module_pool())[name]
+
+
+@pytest.mark.parametrize("mod", [
+    pytest.param(_pool_module(name), id=name) for name in UNENUMERABLE_AT_B_LCM
+] + [
+    pytest.param(make_module(finite_field(*fk), *coeffs), id="-".join(coeffs))
+    for fk, coeffs, _ in LATTICE_MODULES
+])
+def test_torsion_enumerate_matches_lattice_decision(mod):
+    # the kernel of phi_B with B = prod_{k <= min(D, n)} (t^(q^k) - t) is the
+    # set of lattice points that the torsion decision calls torsion
+    expect = [y for y in _lattice_points(mod) if annihilator_of(mod, y) is not None]
+    assert torsion_enumerate(mod) == sorted(expect, key=lambda y: y.sort_key())
+    B = torsion_annihilator(mod)
+    for y in expect:
+        assert (B % annihilator_of(mod, y)).is_zero()
+
+
+def test_kernel_evaluates_phi_b_on_the_basis_only_below_min_d_n(monkeypatch):
+    # above degree m = min(D, n) kernel_in_K evaluates only the prime powers
+    # of gcd(b, B) on the lattice basis, each of degree <= m; phi_b itself
+    # only checks the roots it returns, which equal a brute-force search
+    F2, F7 = finite_field(2), finite_field(7)
+    cases = [(make_module(F2, "t", "1"), Poly(F2, [1, 1, 0, 1])),
+             (make_module(F2, "1/(t^2+t)", "1"), Poly(F2, [0, 1, 1, 0, 1, 1]))]
+    for g, b in [((1, 1), (0, 6, 6, 0, 3, 0, 1)), ((4, 1), (2, 5, 6, 0, 6, 1, 1))]:
+        gp = RatFunc.from_poly(Poly(F7, g))
+        cases.append((DrinfeldModule(F7, [-gp**6, RatFunc.one(F7)]), Poly(F7, b)))
+    calls = []
+    real_act = DrinfeldModule.act
+
+    def spying_act(self, b, x):
+        calls.append((b, x))
+        return real_act(self, b, x)
+    monkeypatch.setattr(DrinfeldModule, "act", spying_act)
+    for mod, b in cases:
+        Q, m_inf = torsion_lattice(mod)
+        m = min(annihilator_bound(mod).D, Q.degree + m_inf + 1)
+        assert b.degree > m
+        basis = {RatFunc(Poly.x(mod.field)**i, Q) for i in range(Q.degree + m_inf + 1)}
+        del calls[:]
+        roots = kernel_in_K(mod, b)
+        for c, x in calls:
+            if x in basis and c.degree > m:
+                assert c == b and x in roots
+        assert [y for y in _lattice_points(mod) if real_act(mod, b, y).is_zero()] \
+            == roots
