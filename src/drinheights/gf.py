@@ -629,9 +629,13 @@ def additive_kernel(coeffs):
     q is the order of that field's base.
     """
     field = _check_additive_args(coeffs)
-    rows = _additive_matrix(coeffs, field)
-    basis = kernel_basis(rows, field.base, field.dim)
-    return [field.element(field.from_coords(v)) for v in basis]
+    return _kernel_elements(_additive_matrix(coeffs, field), field)
+
+
+def _kernel_elements(rows, field):
+    """The F_q-basis of the kernel of the matrix rows, as field elements."""
+    return [field.element(field.from_coords(v))
+            for v in kernel_basis(rows, field.base, field.dim)]
 
 
 def span(field, basis):
@@ -657,8 +661,7 @@ def additive_preimages(coeffs, target):
     if part is None:
         return []
     x0 = field.element(field.from_coords(part))
-    kernel = [field.element(field.from_coords(v))
-              for v in kernel_basis(rows, field.base, field.dim)]
+    kernel = _kernel_elements(rows, field)
     return sorted((x0 + k for k in span(field, kernel)), key=lambda e: e.val)
 
 

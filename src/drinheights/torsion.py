@@ -16,10 +16,10 @@ F_q-space, which makes everything here exact linear algebra:
   (t^(q^k) - t) kills it too (torsion_annihilator); B is usually far
   smaller than b_lcm;
 * kernel_in_K writes phi_c of each lattice basis element over one common
-  denominator, for c = b when deg b <= min(D, n) and otherwise for each
-  prime power c of gcd(b, B) (same roots as b, and deg c <= min(D, n)); the
-  kernel of phi_c is the space of linear dependencies among those
-  numerators, read off one elimination of them (gf.dependencies).
+  denominator, for each prime power c of gcd(b, B) (same roots as b, and
+  deg c <= min(D, n)); the kernel of phi_c is the space of linear
+  dependencies among those numerators, read off one elimination of them
+  (gf.dependencies).
 
 The minimal annihilator of a point is kept per module, since the decision,
 the T2 check and the local height at every bad place ask for the same point.
@@ -89,7 +89,7 @@ def _annihilator_of(module, x):
         mu = module.phi_t(RatFunc.one(field)).constant_value()
         return Poly(field, [field.neg(mu), 1])
 
-    D = module.r * module.N_phi * len(S)
+    D = _gap_degree(module, S)
     lattice = torsion_lattice(module)
     Q = lattice[0]
     if not in_torsion_lattice(module, x, lattice):
@@ -172,8 +172,14 @@ def annihilator_bound(module):
     S = module.bad_reduction_set()
     if not S:
         return AnnihilatorBound(True, None, None)
-    D = module.r * module.N_phi * len(S)
+    D = _gap_degree(module, S)
     return AnnihilatorBound(False, D, _carlitz_lcm(module.field, D))
+
+
+def _gap_degree(module, S):
+    """D = r N_phi |S|: every minimal annihilator of a torsion point has
+    degree <= D (height gap theorem)."""
+    return module.r * module.N_phi * len(S)
 
 
 def _carlitz_lcm(field, m):
@@ -195,7 +201,7 @@ def _exponent_degree_bound(module, lattice):
     Q, m_inf = lattice
     n = Q.degree + m_inf + 1
     S = module.bad_reduction_set()
-    return min(module.r * module.N_phi * len(S), n) if S else n
+    return min(_gap_degree(module, S), n) if S else n
 
 
 def torsion_annihilator(module):
@@ -221,19 +227,19 @@ def kernel_in_K(module, b):
     """All roots in K of the additive polynomial phi_b, as a sorted list.
 
     Roots are torsion, so they lie in the pole lattice; solving on a lattice
-    basis e_0, ..., e_{n-1} by linear algebra over F_q is complete.  When
-    deg b <= m = min(D, n), phi_b itself is evaluated on the basis.  Above
-    that, its images would have degree q^(r deg b).  Every root is then also
-    killed by B = torsion_annihilator(module), so phi_b has the same roots in
-    K as phi_g with g = gcd(b, B).  A prime power P^e exactly dividing g has
-    e <= floor(m / deg P), the multiplicity of P in B, so deg P^e <= m; and
-    ker phi_g is the direct sum of the ker phi_{P^e}.  For each part c
-    (b, or each P^e), phi_c is F_q-linear, so sum c_i e_i is a root exactly
-    when sum c_i phi_c(e_i) = 0: its kernel is the space of dependencies
-    among the images, which one elimination of their sparse numerators over
-    a common denominator yields as a basis.  The span of all those bases is
-    checked root by root with phi_b itself.  The inseparable case (constant
-    term b(a_0) = 0) is rejected.
+    basis e_0, ..., e_{n-1} by linear algebra over F_q is complete.  Every
+    root is also killed by B = torsion_annihilator(module), so phi_b has the
+    same roots in K as phi_g with g = gcd(b, B), and ker phi_g is the direct
+    sum of the ker phi_{P^e} over the prime powers P^e exactly dividing g.
+    B holds each monic irreducible P of degree d <= m = min(D, n) to the
+    power floor(m / d) and no other, so these are P^min(e, floor(m / d)) for
+    P^e exactly dividing b and d <= m; each has degree <= m, and neither B
+    nor g is formed.  For each part c, phi_c is F_q-linear, so sum c_i e_i
+    is a root exactly when sum c_i phi_c(e_i) = 0: its kernel is the space
+    of dependencies among the images, which one elimination of their sparse
+    numerators over a common denominator yields as a basis.  The span of all
+    those bases is checked root by root with phi_b itself.  The inseparable
+    case (constant term b(a_0) = 0) is rejected.
     """
     module._require_monic()
     if b.is_zero():
@@ -248,11 +254,7 @@ def kernel_in_K(module, b):
     lattice = torsion_lattice(module)
     Q, m_inf = lattice
     m = _exponent_degree_bound(module, lattice)
-    if b.degree <= m:
-        parts = [b]
-    else:
-        _, factors = factor(b.gcd(_carlitz_lcm(field, m)))
-        parts = [P**e for P, e in factors]
+    parts = [P**min(e, m // P.degree) for P, e in factor(b)[1] if P.degree <= m]
     basis = [RatFunc(Poly.x(field)**i, Q) for i in range(Q.degree + m_inf + 1)]
     roots = [RatFunc.zero(field)]
     for part in parts:
