@@ -9,6 +9,8 @@ and command-specific arguments:
 Every number printed is an exact fraction; --json switches to a
 machine-readable report with fractions rendered as strings.  Exit codes:
 0 ok, 1 property violation, 2 input error, 3 iteration budget exhausted.
+An expression or an inseparable level whose degree may exceed
+ratfunc.MAX_DEGREE is an input error.
 """
 
 import argparse
@@ -25,7 +27,8 @@ from drinheights.heights import (DEFAULT_N_MAX, global_height_breakdown,
                                  check_t2mwg)
 from drinheights.perfect import InsepLevel, key_dichotomy_check, lehper_check
 from drinheights.places import FinitePlace, InfinitePlace, INFINITY
-from drinheights.ratfunc import ParseError, parse_poly, parse_ratfunc
+from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
+                                 parse_ratfunc)
 from drinheights.torsion import (annihilator_bound, annihilator_of,
                                  kernel_in_K, torsion_enumerate)
 
@@ -94,7 +97,7 @@ class Job:
             raise InputError(str(exc))
         # a command-line flag overrides the job's entry of the same name
         self.n_max = self._setting(args, "n_max", DEFAULT_N_MAX)
-        self.level = self._setting(args, "insep_level", 0, minimum=0)
+        self.set_level(self._setting(args, "insep_level", 0, minimum=0))
         self.seed = self._setting(args, "seed", 0)
         self.counts = self._setting(args, "counts", 500, minimum=0)
 
@@ -103,6 +106,16 @@ class Job:
         if value is None:
             value = self.data.get(key, default)
         return integer(value, key, minimum)
+
+    def set_level(self, level):
+        """Work over F_q(u) with t = u^(p^level), a substitution that
+        multiplies every degree by p^level; refuse it above MAX_DEGREE (as
+        p >= 2, every level past the bit length of MAX_DEGREE is above)."""
+        p = self.field.char
+        if p ** min(level, MAX_DEGREE.bit_length()) > MAX_DEGREE:
+            raise InputError("insep_level %d: p^%d exceeds the cap "
+                             "MAX_DEGREE = %d" % (level, level, MAX_DEGREE))
+        self.level = level
 
     @property
     def point_var(self):
@@ -384,7 +397,7 @@ def cmd_lehmer(job, rep):
 
 
 def cmd_insep_height(job, rep):
-    job.level = max(job.level, 1)
+    job.set_level(max(job.level, 1))
     _height_core(job, rep)
     return 0
 

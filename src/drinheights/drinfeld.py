@@ -13,7 +13,7 @@ from fractions import Fraction
 from drinheights import gf, places
 from drinheights.errors import MonicizeError, NonMonicError
 from drinheights.places import INFINITY, support
-from drinheights.ratfunc import Poly, RatFunc, factor
+from drinheights.ratfunc import RatFunc, factor
 from drinheights.skew import SkewPoly
 
 
@@ -241,32 +241,14 @@ class DrinfeldModule:
                     ids.append(i)
             return best, ids
 
-        def ac(i):
-            return v.angular_component(self.coeffs[i])
-
-        k_v = v.residue_field
-        one = k_v.one
-
         P = sorted({-s for s in slopes if s >= 0})
         if q == 2 and r == 1 and in_S and Fraction(0) not in P:
             P.append(Fraction(0))
             P.sort()
 
-        R = {}
-        for alpha in P:
-            _, ids = min_indices(alpha)
-            sols = set()
-            if len(ids) >= 2:
-                basis = gf.additive_kernel([(ac(i), i) for i in ids])
-                sols = {e for e in gf.span(k_v, basis) if e.val != 0}
-            if alpha == 0:
-                sols.add(one)
-            R[Fraction(alpha)] = tuple(sorted(sols, key=lambda e: e.val))
-
         # P'_v: 0 < alpha <= T with min_i(v(a_i) + q^i alpha) landing in P_v;
         # the minimum is strictly increasing in alpha, so alpha is determined
         # by its target and the candidate set below is exhaustive
-        Pp = set()
         pp_target = {}
         for alpha1 in P:
             for i in range(r + 1):
@@ -276,34 +258,32 @@ class DrinfeldModule:
                 if 0 < cand <= T:
                     best, _ = min_indices(cand)
                     if best == alpha1:
-                        Pp.add(cand)
                         pp_target[cand] = alpha1
-        Pp = sorted(Pp)
+        Pp = sorted(pp_target)
 
         Ppp = sorted({-s for s in slopes if 0 < -s <= T})
 
-        for alpha in Pp:
-            _, ids = min_indices(alpha)
-            coeff_list = [(ac(i), i) for i in ids]
-            sols = set()
-            for target in R[pp_target[alpha]]:
-                sols.update(e for e in gf.additive_preimages(coeff_list, target)
-                            if e.val != 0)
-            key = Fraction(alpha)
-            if key in R:
-                sols.update(R[key])
-            R[key] = tuple(sorted(sols, key=lambda e: e.val))
-
-        for alpha in Ppp:
-            key = Fraction(alpha)
-            _, ids = min_indices(alpha)
-            basis = gf.additive_kernel([(ac(i), i) for i in ids])
-            sols = {e for e in gf.span(k_v, basis) if e.val != 0}
-            if key in R:
-                sols.update(R[key])
-            R[key] = tuple(sorted(sols, key=lambda e: e.val))
-
+        # R_v(alpha): the nonzero X whose residual image
+        # sum_{i minimal at alpha} ac(a_i) X^(q^i) lies in targets(alpha),
+        # which holds 0 on P_v and P''_v and R_v(target) on P'_v; every
+        # target lies in P_v <= 0 < P'_v, so its R_v is already filled
+        k_v = v.residue_field
         Q = sorted(set(P) | set(Pp) | set(Ppp))
+        R = {}
+        for alpha in Q:
+            _, ids = min_indices(alpha)
+            image = [(v.angular_component(self.coeffs[i]), i) for i in ids]
+            targets = []
+            if alpha in P or alpha in Ppp:
+                targets.append(k_v.zero)
+            if alpha in pp_target:
+                targets.extend(R[pp_target[alpha]])
+            sols = {e for target in targets
+                    for e in gf.additive_preimages(image, target) if e.val != 0}
+            if alpha == 0:
+                sols.add(k_v.one)
+            R[alpha] = tuple(sorted(sols, key=lambda e: e.val))
+
         return ReductionData(v, in_S, vals, M, T, tuple(newton), tuple(P),
                              tuple(Pp), tuple(Ppp), tuple(Q), R, self.N_phi,
                              q, r)

@@ -518,20 +518,6 @@ def rref(rows, field, ncols):
     return rows[:rank], pivots
 
 
-def kernel_basis(rows, field, ncols):
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
-    reduced, pivots = rref(rows, field, ncols)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(reduced[i][fc])
-        basis.append(vec)
-    return basis
-
-
 def dependencies(vectors, field):
     """The linear dependencies in a sequence of sparse vectors over field.
 
@@ -580,17 +566,31 @@ def first_dependence(vectors, field):
     return next(dependencies(vectors, field), None)
 
 
-def solve_linear(rows, rhs, field, ncols):
-    """One solution of A x = rhs, or None if the system is inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug, field, ncols + 1)
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-    x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced[i][ncols]
-    return x
+def solve(rows, rhs, field, ncols):
+    """(x, basis): one solution x of A x = rhs, or None if the system is
+    inconsistent, and a basis of the kernel {x : A x = 0}, both read off one
+    row reduction of [A | rhs].
+    """
+    reduced, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)],
+                           field, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        # the last row says 0 = 1; the rows above it are the reduced A
+        x = None
+        reduced, pivots = reduced[:-1], pivots[:-1]
+    else:
+        x = [0] * ncols
+        for row, pc in zip(reduced, pivots):
+            x[pc] = row[ncols]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = field.neg(row[fc])
+        basis.append(vec)
+    return x, basis
 
 
 # --- additive (F_q-linear) polynomial equations over F_{q^m} ---
@@ -629,13 +629,9 @@ def additive_kernel(coeffs):
     q is the order of that field's base.
     """
     field = _check_additive_args(coeffs)
-    return _kernel_elements(_additive_matrix(coeffs, field), field)
-
-
-def _kernel_elements(rows, field):
-    """The F_q-basis of the kernel of the matrix rows, as field elements."""
-    return [field.element(field.from_coords(v))
-            for v in kernel_basis(rows, field.base, field.dim)]
+    _, basis = solve(_additive_matrix(coeffs, field), [0] * field.dim,
+                     field.base, field.dim)
+    return [field.element(field.from_coords(v)) for v in basis]
 
 
 def span(field, basis):
@@ -656,12 +652,12 @@ def additive_preimages(coeffs, target):
     field = _check_additive_args(coeffs)
     if target.field is not field:
         raise FieldError("target from a different field")
-    rows = _additive_matrix(coeffs, field)
-    part = solve_linear(rows, target.coords(), field.base, field.dim)
+    part, basis = solve(_additive_matrix(coeffs, field), target.coords(),
+                        field.base, field.dim)
     if part is None:
         return []
     x0 = field.element(field.from_coords(part))
-    kernel = _kernel_elements(rows, field)
+    kernel = [field.element(field.from_coords(v)) for v in basis]
     return sorted((x0 + k for k in span(field, kernel)), key=lambda e: e.val)
 
 

@@ -11,13 +11,12 @@ returned instead of a guess.
 All heights are exact Fractions; no floating point enters the computation.
 """
 
-import math
 from fractions import Fraction
 
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
 from drinheights.places import support, is_constant
-from drinheights.ratfunc import RatFunc
+from drinheights.torsion import _gap_degree, annihilator_of
 
 DEFAULT_N_MAX = 32
 
@@ -106,7 +105,6 @@ def local_height(module, place, x, n_max=DEFAULT_N_MAX, index=1):
     q, r = module.q, module.r
 
     if rd.in_S:
-        from drinheights.torsion import annihilator_of
         if annihilator_of(module, x) is not None:
             return HeightValue.exact(Fraction(0), TORSION)
 
@@ -178,7 +176,7 @@ class LehmerBounds:
         self.s = s
         self.sharp = Fraction(1, q**(2 * r + r * r * N * s))
         self.weak = Fraction(1, q**(r * (2 + (r * r + r) * s)))
-        self.torsion_degree = r * N * s
+        self.torsion_degree = _gap_degree(module, S)
         if s:
             dmin = min(v.degree for v in S)
             self.lehper = Fraction(dmin, q**(4 * r * (r + 1)**2 * s + 3 * r))
@@ -247,7 +245,6 @@ def check_t2mwg(module, x, n_max=DEFAULT_N_MAX, parts=None):
         return T2Certificate("witness", place=v, local=h.value,
                              bound=Fraction(v.degree))
 
-    from drinheights.torsion import annihilator_of
     b = annihilator_of(module, x)
     if b is not None:
         if b.degree > bounds.torsion_degree:

@@ -87,7 +87,7 @@ class DichotomyReport:
             self.b, self.valuations)
 
 
-def _expansion_vector(level, w_idx, w, y, upto):
+def _expansion_vector(w_idx, w, y, upto):
     """Sparse F_q-conditions 'all uniformizer coefficients at levels <= upto'."""
     vec = {}
     for lvl, c in expansion(w, y, upto):
@@ -143,7 +143,7 @@ def key_dichotomy_check(module, n, x, n_max=DEFAULT_N_MAX):
                         "branch-2 certificate appeared")
             vec = {}
             for w_idx, (w, upto) in enumerate(uptos):
-                vec.update(_expansion_vector(level, w_idx, w, y, upto))
+                vec.update(_expansion_vector(w_idx, w, y, upto))
             yield vec
 
     dep = gf.first_dependence(conditions(), field)

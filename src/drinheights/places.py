@@ -14,7 +14,8 @@ valuations are ints and coherent degrees are Fractions.
 from fractions import Fraction
 
 from drinheights import gf
-from drinheights.ratfunc import Poly, RatFunc, factor, is_irreducible, ord_at
+from drinheights.ratfunc import (Poly, RatFunc, _divide_out, factor,
+                                 is_irreducible, ord_at)
 
 INFINITY = float("inf")
 
@@ -32,7 +33,15 @@ class Place:
         return self._residue_field
 
     def residue(self, y):
-        raise NotImplementedError
+        """The image of y in the residue field; y must have no pole here."""
+        if y.is_zero():
+            return self.residue_field.zero
+        v = self.valuation(y)
+        if v < 0:
+            raise ValueError("residue of a function with a pole at %s" % self)
+        if v > 0:
+            return self.residue_field.zero
+        return self.angular_component(y)
 
     def angular_component(self, y):
         """Residue of y * uniformizer^(-v(y)); never zero for y != 0."""
@@ -67,18 +76,6 @@ class FinitePlace(Place):
             return INFINITY
         return ord_at(y.num, self.P) - ord_at(y.den, self.P)
 
-    def residue(self, y):
-        if y.is_zero():
-            return self.residue_field.element(0)
-        if self.valuation(y) < 0:
-            raise ValueError("residue of a function with a pole at %s" % self)
-        num = y.num % self.P
-        den = y.den % self.P
-        k = self.residue_field
-        dnum = self._embed(num)
-        dden = self._embed(den)
-        return dnum / dden
-
     def _embed(self, poly):
         coeffs = list(poly.coeffs) + [0] * (self.degree - len(poly.coeffs))
         return self.residue_field.element(self.residue_field.from_coords(coeffs))
@@ -86,8 +83,11 @@ class FinitePlace(Place):
     def angular_component(self, y):
         if y.is_zero():
             raise ValueError("angular component of zero")
-        v = self.valuation(y)
-        return self.residue(y * self.uniformizer**(-v))
+        # the P-free parts of num and den come from the same division that
+        # finds the valuation; their residues are units of k_v
+        num = _divide_out(y.num, self.P)[1]
+        den = _divide_out(y.den, self.P)[1]
+        return self._embed(num % self.P) / self._embed(den % self.P)
 
     def lift(self, c):
         return RatFunc.from_poly(Poly(self.field, c.coords()))
@@ -122,17 +122,6 @@ class InfinitePlace(Place):
         if y.is_zero():
             return INFINITY
         return y.den.degree - y.num.degree
-
-    def residue(self, y):
-        if y.is_zero():
-            return self.residue_field.element(0)
-        v = self.valuation(y)
-        if v < 0:
-            raise ValueError("residue of a function with a pole at %s" % self)
-        if v > 0:
-            return self.residue_field.element(0)
-        c = self.field.div(y.num.lc, y.den.lc)
-        return self.residue_field.element(c)
 
     def angular_component(self, y):
         # y * t^v(y) has valuation 0 and residue lc(num)/lc(den)

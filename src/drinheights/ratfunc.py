@@ -8,10 +8,13 @@ distinct degree + Cantor-Zassenhaus equal degree) is the engine behind the
 finite places of F_q(t).
 """
 
-import math
 import random
 
 NEG_INF = float("-inf")
+# the largest Weil height an expression may reach while it is parsed: a few
+# bytes such as "t^100000000" must not ask for a huge power (a height job on
+# t^100000 takes about a second)
+MAX_DEGREE = 100_000
 
 
 class Poly:
@@ -274,11 +277,6 @@ class RatFunc:
     def is_constant(self):
         return self.num.is_constant() and self.den.is_one()
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("%s is not constant" % self)
-        return self.num.coeffs[0] if self.num.coeffs else 0
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -450,6 +448,14 @@ def _tokenize(s):
     return tokens
 
 
+def _check_degree(bound):
+    """Refuse a parse step whose result may exceed MAX_DEGREE, before it is
+    computed."""
+    if bound > MAX_DEGREE:
+        raise ParseError("degree up to %d exceeds the cap MAX_DEGREE = %d"
+                         % (bound, MAX_DEGREE))
+
+
 class _Parser:
     def __init__(self, field, var, s):
         self.field = field
@@ -487,6 +493,10 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             rhs = self.product()
+            # a/b +- c/d = (a d +- c b) / (b d) before reduction
+            _check_degree(max(value.num.degree + rhs.den.degree,
+                              rhs.num.degree + value.den.degree,
+                              value.den.degree + rhs.den.degree))
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -495,6 +505,7 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op = self.next()[0]
             rhs = self.power()
+            _check_degree(value.weil_height() + rhs.weil_height())
             if op == "*":
                 value = value * rhs
             else:
@@ -513,6 +524,7 @@ class _Parser:
                 neg = True
             tok = self.expect("int")
             e = -tok[1] if neg else tok[1]
+            _check_degree(base.weil_height() * abs(e))
             return base**e
         return base
 

@@ -6,8 +6,8 @@ forces a positive local height).  That pole lattice is a finite-dimensional
 F_q-space, which makes everything here exact linear algebra:
 
 * the torsion decision finds the first F_q-linear dependence among the
-  first r N |S| + 1 iterates of x (leaving the lattice proves non-torsion
-  early);
+  first min(D, n) + 1 iterates of x, D = r N |S| and n the dimension of the
+  lattice (leaving the lattice proves non-torsion early);
 * every rational torsion point is killed by b_lcm, the lcm of all monic
   polynomials of degree <= D = r N |S|, which is Carlitz's closed form
   prod_{k=1}^{D} (t^(q^k) - t);
@@ -29,7 +29,7 @@ import math
 
 from drinheights import gf
 from drinheights.errors import InseparableKernelError
-from drinheights.places import FinitePlace, is_constant
+from drinheights.places import FinitePlace
 from drinheights.ratfunc import Poly, RatFunc, factor
 
 
@@ -64,11 +64,13 @@ def in_torsion_lattice(module, y, lattice=None):
 def annihilator_of(module, x):
     """Minimal monic annihilator b with phi_b(x) = 0, or None if non-torsion.
 
-    With S nonempty the decision is F_q-linear dependence of the iterates
-    x, phi_t(x), ..., phi_{t^D}(x) with D = r N |S| (both directions are part
-    of the height gap theorem); the first dependence is the minimal monic
-    annihilator since the annihilator ideal of x is principal.  Answers are
-    kept per module and point.
+    The decision is F_q-linear dependence of the iterates x, phi_t(x), ...,
+    phi_{t^m}(x) with m = min(D, n), D = r N |S| (both directions are part
+    of the height gap theorem) and n the dimension of the pole lattice, in
+    which n + 1 iterates are dependent; with S empty the lattice is F_q and
+    n = 1.  The first dependence is the minimal monic annihilator since the
+    annihilator ideal of x is principal.  Answers are kept per module and
+    point.
     """
     module._require_monic()
     memo = module._annihilators
@@ -79,28 +81,18 @@ def annihilator_of(module, x):
 
 def _annihilator_of(module, x):
     field = module.field
-    S = module.bad_reduction_set()
-    if not S:
-        # torsion = constants here
-        if not is_constant(x):
-            return None
-        if x.is_zero():
-            return Poly.one(field)
-        mu = module.phi_t(RatFunc.one(field)).constant_value()
-        return Poly(field, [field.neg(mu), 1])
-
-    D = _gap_degree(module, S)
     lattice = torsion_lattice(module)
     Q = lattice[0]
     if not in_torsion_lattice(module, x, lattice):
         return None
+    m = _exponent_degree_bound(module, lattice)
     phi_t = module.phi_t
 
     def coordinates():
         # numerators over the common denominator Q; leaving the lattice
         # proves non-torsion and ends the sequence
         y = x
-        for j in range(D + 1):
+        for j in range(m + 1):
             if j:
                 y = phi_t(y)
                 if not in_torsion_lattice(module, y, lattice):

@@ -15,8 +15,8 @@ from drinheights import drinfeld as drinfeld_mod
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.gf import finite_field
 from drinheights.heights import (global_height, height_via_embedding,
-                                 local_height, weil_height)
-from drinheights.perfect import insep_height, key_dichotomy_check
+                                 local_height)
+from drinheights.perfect import insep_height
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, support)
 from drinheights.ratfunc import Poly, RatFunc, parse_ratfunc

@@ -149,6 +149,21 @@ def test_input_error_exit_2(tmp_path, capsys):
     ("verify", dict(CAR3, seed="0"), []),
     ("verify", dict(CAR3, counts=-5), []),
     ("verify", dict(CAR3), ["--counts", "-5"]),
+    # degrees above MAX_DEGREE are refused before they are built
+    ("height", dict(CAR3, point="t^100000000"), []),
+    ("height", dict(CAR3, point="(t+1)^3000000"), []),
+    ("height", dict(CAR3, point="(t^99999)^99999"), []),
+    ("height", dict(CAR3, point="t^60000*t^60000"), []),
+    ("height", dict(CAR3, point="t^60000/(t+1)^60000"), []),
+    ("height", dict(CAR3, point="1/t^60000+1/(t+1)^60000"), []),
+    ("height", dict(CAR3, module={"coefficients": ["t^100001", "1"]},
+                    point="1"), []),
+    ("insep-height", dict(CAR3, point="u", insep_level=25), []),
+    ("insep-height", dict(CAR3, point="u"), ["--insep-level", "11"]),
+    ("dichotomy", dict(CAR3, point="u", insep_level=10**9), []),
+    ("insep-height", {"field": {"p": 100003},
+                      "module": {"coefficients": ["t", "1"]}, "point": "u"},
+     []),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)

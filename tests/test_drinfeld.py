@@ -8,7 +8,8 @@ from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import MonicizeError, NonMonicError
 from drinheights.gf import finite_field
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace, support)
-from drinheights.ratfunc import Poly, RatFunc, parse_poly, parse_ratfunc
+from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics, parse_poly,
+                                 parse_ratfunc)
 from drinheights.skew import SkewPoly
 
 
@@ -149,6 +150,78 @@ def test_degree2_bad_place_reduction(F3):
     for alpha in rd.Q:
         for e in rd.R[alpha]:
             assert e.field.order == 9
+
+
+def _random_monic_modules(rng, count):
+    """Monic modules of rank 1 to 3 over F_2, F_3 and F_4 whose coefficients
+    have poles and zeros at places of small degree, so that P'_v and P''_v
+    occur; every residue field has at most 256 elements."""
+    out = []
+    for field, maxdeg in ((finite_field(2), 3), (finite_field(3), 2),
+                          (finite_field(2, 2), 2)):
+        irr = [P for d in range(1, maxdeg + 1)
+               for P in irreducible_monics(field, d)]
+        for _ in range(count // 3):
+            coeffs = []
+            for _ in range(rng.randint(1, 3)):
+                num = Poly(field, [rng.randrange(field.order)
+                                   for _ in range(rng.randint(1, 4))])
+                if rng.random() < 0.5:
+                    num = num * rng.choice(irr)**rng.randint(1, 3)
+                den = Poly.one(field)
+                for _ in range(rng.randint(0, 2)):
+                    den = den * rng.choice(irr)**rng.randint(1, 3)
+                coeffs.append(RatFunc(num, den))
+            out.append(DrinfeldModule(field, coeffs + [RatFunc.one(field)]))
+    return out
+
+
+def _brute_force_R(mod, v, rd, alpha):
+    """R_v(alpha) by trying every X in k_v: X != 0 is kept when its residual
+    image sum_{i minimal at alpha} ac(a_i) X^(q^i) lies in targets(alpha),
+    which holds 0 when alpha is in P_v or P''_v and R_v(beta) when alpha is
+    in P'_v, beta = min_i(v(a_i) + q^i alpha) in P_v; 1 is added at 0."""
+    q = mod.q
+    cost = {i: val + q**i * alpha for i, val in enumerate(rd.vals)
+            if val is not INFINITY}
+    beta = min(cost.values())
+    image = [(v.angular_component(mod.coeffs[i]), i)
+             for i, c in cost.items() if c == beta]
+    k_v = v.residue_field
+    targets = set()
+    if alpha in rd.P or alpha in rd.Ppp:
+        targets.add(k_v.zero)
+    if alpha in rd.Pp:
+        assert beta in rd.P
+        targets.update(rd.R[beta])
+    out = []
+    for X in (k_v.element(c) for c in k_v.elements()):
+        if X.val and sum((c * X**(q**i) for c, i in image), k_v.zero) in targets:
+            out.append(X)
+    if alpha == 0 and k_v.one not in out:
+        out.append(k_v.one)
+    return tuple(sorted(out, key=lambda e: e.val))
+
+
+def test_R_matches_brute_force_over_residue_field():
+    from drinheights.verify import module_pool
+    mods = ([mod for _, mod in module_pool()]
+            + _random_monic_modules(random.Random(8), 60))
+    seen = {"places": 0, "P'": 0, "P''": 0, "nonempty P'": 0}
+    for mod in mods:
+        for v in mod.bad_reduction_set():
+            assert v.residue_field.order <= 256
+            rd = mod.reduction_data(v)
+            assert set(rd.R) == set(rd.Q)
+            for alpha in rd.Q:
+                assert rd.R[alpha] == _brute_force_R(mod, v, rd, alpha), (
+                    mod, v, alpha)
+            seen["places"] += 1
+            seen["P'"] += len(rd.Pp)
+            seen["P''"] += len(rd.Ppp)
+            seen["nonempty P'"] += sum(1 for a in rd.Pp if rd.R[a])
+    assert seen["places"] >= 100 and seen["P''"] >= 3
+    assert seen["nonempty P'"] >= 20
 
 
 def test_l0_dichotomy_fuzz(psi2, car3, F3):

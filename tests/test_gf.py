@@ -5,7 +5,8 @@ import pytest
 
 from drinheights.gf import (MEMO_ORDER, ExtensionField, FieldError,
                             additive_kernel, additive_preimages, dependencies,
-                            finite_field, first_dependence, frobenius, span)
+                            finite_field, first_dependence, frobenius, solve,
+                            span)
 
 
 def test_prime_field_create():
@@ -163,6 +164,52 @@ def test_additive_kernel_matches_brute_force():
                 top = max(i for c, i in coeffs if c.val != 0)
                 if any(c.val != 0 and i == top for c, i in coeffs):
                     assert len(sols) <= q**top if top > 0 else len(sols) == 1
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+def test_solve_matches_brute_force(p, k):
+    field = finite_field(p, k)
+    rng = random.Random(100 * p + k)
+
+    def apply(rows, x):
+        out = []
+        for row in rows:
+            acc = 0
+            for a, b in zip(row, x):
+                acc = field.add(acc, field.mul(a, b))
+            out.append(acc)
+        return out
+
+    seen = {"consistent": 0, "inconsistent": 0}
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randrange(field.order) for _ in range(n)]
+                for _ in range(m)]
+        if rng.random() < 0.5:
+            # a rank-deficient A makes inconsistent right-hand sides likely
+            rows[-1] = list(rows[0])
+        rhs = [rng.randrange(field.order) for _ in range(m)]
+        x, basis = solve(rows, rhs, field, n)
+        space = list(itertools.product(field.elements(), repeat=n))
+        sols = {v for v in space if apply(rows, v) == rhs}
+        kernel = {v for v in space if apply(rows, v) == [0] * m}
+        if sols:
+            assert tuple(x) in sols
+            seen["consistent"] += 1
+        else:
+            assert x is None
+            seen["inconsistent"] += 1
+        # the basis lies in the kernel and spans all of it independently
+        assert all(tuple(b) in kernel for b in basis)
+        assert len(kernel) == field.order**len(basis)
+        combos = set()
+        for cs in itertools.product(field.elements(), repeat=len(basis)):
+            v = [0] * n
+            for c, b in zip(cs, basis):
+                v = [field.add(a, field.mul(c, e)) for a, e in zip(v, b)]
+            combos.add(tuple(v))
+        assert combos == kernel
+    assert seen["consistent"] >= 10 and seen["inconsistent"] >= 10
 
 
 def test_additive_kernel_all_zero_rejected():

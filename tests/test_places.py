@@ -92,6 +92,51 @@ def test_angular_component_never_zero():
             assert v.angular_component(y).val != 0
 
 
+def _old_residue(v, y):
+    """The residue as first defined: num mod P / den mod P at a finite
+    place; lc(num) / lc(den), or 0 for v(y) > 0, at infinity."""
+    k = v.residue_field
+    if y.is_zero():
+        return k.zero
+    if isinstance(v, FinitePlace):
+        def embed(f):
+            coeffs = list((f % v.P).coeffs)
+            return k.element(k.from_coords(coeffs + [0] * (v.degree - len(coeffs))))
+        return embed(y.num) / embed(y.den)
+    if v.valuation(y) > 0:
+        return k.zero
+    return k.element(v.field.div(y.num.lc, y.den.lc))
+
+
+def _old_angular_component(v, y):
+    """The residue of y * uniformizer^(-v(y)), as first defined."""
+    return _old_residue(v, y * v.uniformizer**(-v.valuation(y)))
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_residue_and_angular_component_match_first_definitions(p, k):
+    from drinheights.verify import rand_unit_at
+    field = finite_field(p, k)
+    rng = random.Random(10 * p + k)
+    places = [InfinitePlace(field)] + [
+        FinitePlace(rng.choice(list(irreducible_monics(field, d))))
+        for d in (1, 2, 3)]
+    for v in places:
+        # valuations of +-1000 at a place of degree 2 or 3 over F_4 or F_9
+        # mean polynomials of degree up to 3000 in schoolbook arithmetic
+        big = 1000 if k == 1 or v.degree == 1 else 200
+        for e in (0, 0, 1, -1, 2, -3, 7, -12, big, -big):
+            y = rand_unit_at(rng, v) * v.uniformizer**e
+            assert v.valuation(y) == e
+            assert v.angular_component(y) == _old_angular_component(v, y)
+            if e < 0:
+                with pytest.raises(ValueError):
+                    v.residue(y)
+            else:
+                assert v.residue(y) == _old_residue(v, y)
+        assert v.residue(RatFunc.zero(field)) == v.residue_field.zero
+
+
 def test_angular_law():
     rng = random.Random(23)
     v = InfinitePlace(F3)
