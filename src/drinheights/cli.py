@@ -25,7 +25,7 @@ from drinheights.gf import FieldError, finite_field
 from drinheights.heights import (DEFAULT_N_MAX, global_height_breakdown,
                                  height_sum, lehmer_bounds, local_height,
                                  check_t2mwg)
-from drinheights.perfect import InsepLevel, key_dichotomy_check, lehper_check
+from drinheights.perfect import InsepLevel, _lehper_at, key_dichotomy_check
 from drinheights.places import FinitePlace, InfinitePlace, INFINITY
 from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
                                  parse_ratfunc)
@@ -249,6 +249,7 @@ def _height_core(job, rep):
     mod = job.module()
     x = job.point()
     var = job.point_var
+    level = None
     if job.level > 0:
         level = InsepLevel(mod, job.level)
         work, index = level.pushed, level.index
@@ -268,11 +269,11 @@ def _height_core(job, rep):
         rep.data["local"].append(entry)
     rep.say("global height = %s", total)
     rep.put("height", _height_json(total))
-    return mod, x, parts, total
+    return mod, level, x, parts, total
 
 
 def cmd_height(job, rep):
-    mod, x, parts, total = _height_core(job, rep)
+    mod, level, x, parts, total = _height_core(job, rep)
     sub = job.data.get("substitution")
     if sub is not None and job.level == 0:
         from drinheights.heights import height_via_embedding
@@ -295,7 +296,7 @@ def cmd_height(job, rep):
                        else frac(bounds.lehper),
                        "torsion_degree": bounds.torsion_degree})
     if job.level > 0:
-        report = lehper_check(mod, job.level, x, job.n_max)
+        report = _lehper_at(level, x, parts)
         if report.torsion:
             rep.say("torsion point, annihilator b = %s",
                     report.annihilator.to_string(job.var))

@@ -190,16 +190,7 @@ class DrinfeldModule:
         """S = {v : some v(a_i) < 0}, sorted; requires monic phi_t."""
         self._require_monic()
         if self._S is None:
-            bad = set()
-            for a in self.coeffs:
-                if a.is_zero():
-                    continue
-                # only poles count, so only the denominator is factored
-                if a.den.degree > 0:
-                    _, poles = factor(a.den)
-                    bad.update(places.FinitePlace(P) for P, _ in poles)
-                if a.num.degree > a.den.degree:
-                    bad.add(places.InfinitePlace(self.field))
+            bad = {v for a in self.coeffs for v, _ in places.poles(a)}
             self._S = tuple(sorted(bad, key=lambda v: v.sort_key()))
         return self._S
 
@@ -332,15 +323,13 @@ class DrinfeldModule:
         if not places.is_constant(self.coeffs[0]):
             return 1
         mr = self.q**self.r - 1
-        div_r = {}
-        if not self.coeffs[-1].is_constant():
-            div_r = dict(support(self.coeffs[-1]))
+        div_r = dict(support(self.coeffs[-1]))
         for i in range(1, self.r):
             a = self.coeffs[i]
             if a.is_zero():
                 continue
             mi = self.q**i - 1
-            div_i = dict(support(a)) if not a.is_constant() else {}
+            div_i = dict(support(a))
             keys = set(div_i) | set(div_r)
             for v in keys:
                 if mr * div_i.get(v, 0) != mi * div_r.get(v, 0):

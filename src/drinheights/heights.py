@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
-from drinheights.places import support, is_constant
+from drinheights.places import is_constant, poles
 from drinheights.torsion import _gap_degree, annihilator_of
 
 DEFAULT_N_MAX = 32
@@ -130,11 +130,7 @@ def local_height(module, place, x, n_max=DEFAULT_N_MAX, index=1):
 
 def relevant_places(module, x):
     """Bad places plus the poles of x: everywhere else hhat_v(x) = 0."""
-    out = set(module.bad_reduction_set())
-    if not x.is_zero():
-        for v, m in support(x):
-            if m < 0:
-                out.add(v)
+    out = set(module.bad_reduction_set()) | {v for v, _ in poles(x)}
     return sorted(out, key=lambda v: v.sort_key())
 
 

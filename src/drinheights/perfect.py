@@ -186,17 +186,24 @@ def lehper_check(module, n, x, n_max=DEFAULT_N_MAX):
     Requires positive relative modular transcendence degree.  Non-torsion
     points must come out strictly above min d(v_0) / q^(4r(r+1)^2 s + 3r).
     """
-    if module.modular_trdeg() == 0:
+    return _lehper_at(InsepLevel(module, n), x, None, n_max)
+
+
+def _lehper_at(level, x, parts, n_max=DEFAULT_N_MAX):
+    """lehper_check at a level already built; `parts` is
+    global_height_breakdown(level.pushed, x, n_max, level.index) when the
+    caller has it, and is computed only for a non-torsion x otherwise."""
+    if level.module.modular_trdeg() == 0:
         raise IsotrivialModuleError(
             "the perfect-closure floor requires a non-isotrivial module: "
             "heights of x^(1/p^n) decay to 0 over the constants")
-    level = InsepLevel(module, n)
+    bound = lehmer_bounds(level.module).lehper
     b = annihilator_of(level.pushed, x)
     if b is not None:
-        return LehperReport(True, b, None, lehmer_bounds(module).lehper, None)
-    h = height_sum(global_height_breakdown(level.pushed, x, n_max,
-                                           level.index))
-    bound = lehmer_bounds(module).lehper
+        return LehperReport(True, b, None, bound, None)
+    if parts is None:
+        parts = global_height_breakdown(level.pushed, x, n_max, level.index)
+    h = height_sum(parts)
     if not h.is_exact:
         if h.lo > bound:
             return LehperReport(False, None, h, bound, h.lo - bound)

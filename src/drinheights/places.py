@@ -150,21 +150,27 @@ def valuation(place, y):
     return place.valuation(y)
 
 
+def poles(y):
+    """The (place, v(y)) pairs with v(y) < 0, sorted.
+
+    Poles come from the denominator alone: the factors of y.den, plus
+    infinity when deg num > deg den.  The numerator is never factored, nor a
+    denominator 1, and 0 = 0/1 has no poles.
+    """
+    out = []
+    if y.den.degree > 0:
+        out = [(FinitePlace(P), -m) for P, m in factor(y.den)[1]]
+    if y.num.degree > y.den.degree:
+        out.append((InfinitePlace(y.field), y.den.degree - y.num.degree))
+    return out
+
+
 def support(y):
-    """All (place, valuation) pairs with nonzero valuation, sorted."""
+    """All (place, valuation) pairs with nonzero valuation, sorted: the poles
+    of y and, with the sign flipped, the poles of 1/y."""
     if y.is_zero():
         raise ValueError("support of zero")
-    field = y.field
-    out = []
-    _, num_factors = factor(y.num)
-    for P, m in num_factors:
-        out.append((FinitePlace(P), m))
-    _, den_factors = factor(y.den)
-    for P, m in den_factors:
-        out.append((FinitePlace(P), -m))
-    vinf = y.den.degree - y.num.degree
-    if vinf != 0:
-        out.append((InfinitePlace(field), vinf))
+    out = poles(y) + [(v, -m) for v, m in poles(y.inverse())]
     out.sort(key=lambda t: t[0].sort_key())
     return out
 
@@ -253,21 +259,13 @@ def extend_places(emb, v, degree_below=None):
     if degree_below is None:
         degree_below = v.degree
     n = emb.degree
-    field = emb.field
-    if isinstance(v, FinitePlace):
-        img = v.uniformizer.subs(emb.image)
-    else:
-        img = emb.image**(-1)
-    above = []
-    _, num_factors = factor(img.num)
-    for Q, m in num_factors:
-        above.append((FinitePlace(Q), m))
-    vinf = img.den.degree - img.num.degree
-    if vinf > 0:
-        above.append((InfinitePlace(field), vinf))
+    # the places above v are the zeros of its uniformizer pushed to L,
+    # that is the poles of the inverse, with e = -(valuation there)
+    img = v.uniformizer.subs(emb.image)
     out = []
     total = 0
-    for w, e in above:
+    for w, m in poles(img.inverse()):
+        e = -m
         f_rel, rem = divmod(w.degree, v.degree)
         if rem:
             raise AssertionError("residue degree %d not divisible by %d" % (w.degree, v.degree))
@@ -275,7 +273,6 @@ def extend_places(emb, v, degree_below=None):
         out.append(PlaceExtension(v, w, e, f_rel, Fraction(f_rel) * Fraction(degree_below) / n))
     if total != n:
         raise AssertionError("defect: sum(e*f) = %d != [L:K] = %d" % (total, n))
-    out.sort(key=lambda ext: ext.above.sort_key())
     return out
 
 

@@ -52,10 +52,10 @@ def torsion_lattice(module):
     return Q, m_inf
 
 
-def in_torsion_lattice(module, y, lattice=None):
+def in_torsion_lattice(y, lattice):
     if y.is_zero():
         return True
-    Q, m_inf = lattice if lattice is not None else torsion_lattice(module)
+    Q, m_inf = lattice
     if not (Q % y.den).is_zero():
         return False
     return y.num.degree <= y.den.degree + m_inf
@@ -83,7 +83,7 @@ def _annihilator_of(module, x):
     field = module.field
     lattice = torsion_lattice(module)
     Q = lattice[0]
-    if not in_torsion_lattice(module, x, lattice):
+    if not in_torsion_lattice(x, lattice):
         return None
     m = _exponent_degree_bound(module, lattice)
     phi_t = module.phi_t
@@ -95,7 +95,7 @@ def _annihilator_of(module, x):
         for j in range(m + 1):
             if j:
                 y = phi_t(y)
-                if not in_torsion_lattice(module, y, lattice):
+                if not in_torsion_lattice(y, lattice):
                     return
             yield dict(enumerate((y.num * (Q // y.den)).coeffs))
 
@@ -236,13 +236,22 @@ def kernel_in_K(module, b):
     module._require_monic()
     if b.is_zero():
         raise ValueError("kernel of phi_0 is everything")
-    field = module.field
-    c0 = b.subs(module.coeffs[0])
-    if c0.is_zero():
+    if b.subs(module.coeffs[0]).is_zero():
         raise InseparableKernelError(
             "phi_b has constant term b(a_0) = 0, so it is inseparable "
             "(finite characteristic with t | b); its kernel in K is not "
             "computed here")
+    roots = _lattice_kernel(module, b)
+    for x in roots:
+        if not module.act(b, x).is_zero():
+            raise AssertionError("kernel solution fails verification")
+    return roots
+
+
+def _lattice_kernel(module, b):
+    """The roots in K of phi_b, b != 0, by linear algebra on the pole
+    lattice (see kernel_in_K), sorted; separable or not."""
+    field = module.field
     lattice = torsion_lattice(module)
     Q, m_inf = lattice
     m = _exponent_degree_bound(module, lattice)
@@ -260,22 +269,19 @@ def kernel_in_K(module, b):
             g = RatFunc(Poly(field, coeffs), Q)
             scaled = [g.scale(c) for c in field.elements()]
             roots = [s + gc for s in roots for gc in scaled]
-    for x in roots:
-        if not module.act(b, x).is_zero():
-            raise AssertionError("kernel solution fails verification")
     return sorted(roots, key=lambda r: r.sort_key())
 
 
 def torsion_enumerate(module):
     """The full rational torsion submodule, verified point by point.
 
-    It is the kernel in K of phi_B, B = torsion_annihilator(module).
+    It is the kernel in K of phi_B, B = torsion_annihilator(module).  phi_B
+    is inseparable whenever a_0 is a constant (t - a_0 divides B), so the
+    kernel is read off the lattice without kernel_in_K's separability gate;
+    each point is checked by the torsion decision and closure instead.
     """
     module._require_monic()
-    if not module.bad_reduction_set():
-        pts = [RatFunc.const(module.field, c) for c in module.field.elements()]
-    else:
-        pts = kernel_in_K(module, torsion_annihilator(module))
+    pts = _lattice_kernel(module, torsion_annihilator(module))
     pool = set(pts)
     phi_t = module.phi_t
     for x in pts:

@@ -324,15 +324,15 @@ def test_bad_reduction_set_is_the_poles():
 
 
 def test_bad_reduction_set_factors_only_denominators(F3, monkeypatch):
-    import drinheights.drinfeld as drinfeld
+    import drinheights.places as places
     seen = []
-    real = drinfeld.factor
+    real = places.factor
 
     def spy(f):
         seen.append(f)
         return real(f)
 
-    monkeypatch.setattr(drinfeld, "factor", spy)
+    monkeypatch.setattr(places, "factor", spy)
     a0 = parse_ratfunc(F3, "(t^5+t+2)/(t*(t^2+1))")
     mod = DrinfeldModule(F3, [a0, RatFunc.one(F3)])
     assert [v.to_string() for v in mod.bad_reduction_set()] == [

@@ -7,9 +7,9 @@ from drinheights.gf import finite_field
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, angular_component,
                                 coherent_degree, expansion, extend_places,
-                                is_constant, place_below, support)
-from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics, parse_poly,
-                                 parse_ratfunc)
+                                is_constant, place_below, poles, support)
+from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
+                                 parse_poly, parse_ratfunc)
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -135,6 +135,79 @@ def test_residue_and_angular_component_match_first_definitions(p, k):
             else:
                 assert v.residue(y) == _old_residue(v, y)
         assert v.residue(RatFunc.zero(field)) == v.residue_field.zero
+
+
+def _old_support(y):
+    """The divisor as first defined: the factors of num with +m, those of
+    den with -m, and infinity at deg den - deg num."""
+    out = [(FinitePlace(P), m) for P, m in factor(y.num)[1]]
+    out += [(FinitePlace(P), -m) for P, m in factor(y.den)[1]]
+    if y.den.degree != y.num.degree:
+        out.append((InfinitePlace(y.field), y.den.degree - y.num.degree))
+    return sorted(out, key=lambda t: t[0].sort_key())
+
+
+def _old_extend_places(emb, v):
+    """(w, e, f, d) above v as first defined: the zeros of P(image) at a
+    finite place, of 1/image at infinity."""
+    if isinstance(v, FinitePlace):
+        img = v.uniformizer.subs(emb.image)
+    else:
+        img = emb.image**(-1)
+    return [(w, e, w.degree // v.degree, Fraction(w.degree, emb.degree))
+            for w, e in _old_support(img) if e > 0]
+
+
+def _rand_ratfunc(rng, field, maxdeg):
+    elems = list(field.elements())
+
+    def poly():
+        return Poly(field, [rng.choice(elems) for _ in range(rng.randint(0, maxdeg))]
+                    + [rng.choice(elems[1:])])
+    return RatFunc(poly(), poly())
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_poles_support_extend_places_match_first_definitions(p, k, monkeypatch):
+    import drinheights.places as places_mod
+    field = finite_field(p, k)
+    rng = random.Random(31 * p + k)
+    factored = []
+
+    def spy(f):
+        factored.append(f)
+        return factor(f)
+    monkeypatch.setattr(places_mod, "factor", spy)
+    ys = [_rand_ratfunc(rng, field, 5) for _ in range(150)]
+    ys += [RatFunc.const(field, c) for c in field.elements()]
+    ys += [RatFunc.x(field), RatFunc.x(field).inverse()]
+    at_inf = set()
+    for y in ys:
+        factored.clear()
+        got = poles(y)
+        # poles come from the denominator alone, and 1 is never factored
+        assert factored == ([y.den] if y.den.degree > 0 else [])
+        if y.is_zero():
+            assert got == []
+            with pytest.raises(ValueError):
+                support(y)
+            continue
+        old = _old_support(y)
+        assert got == [(v, m) for v, m in old if m < 0]
+        assert support(y) == old
+        at_inf.update(m > 0 for v, m in old if isinstance(v, InfinitePlace))
+    assert at_inf == {True, False}  # infinity met as a zero and as a pole
+
+    for _ in range(20):
+        image = _rand_ratfunc(rng, field, 3)
+        if image.is_constant():
+            continue
+        emb = SubstitutionEmbedding(image)
+        for v in [InfinitePlace(field)] + [
+                FinitePlace(rng.choice(list(irreducible_monics(field, d))))
+                for d in (1, 2)]:
+            got = [(x.above, x.e, x.f, x.d_above) for x in extend_places(emb, v)]
+            assert got == _old_extend_places(emb, v)
 
 
 def test_angular_law():

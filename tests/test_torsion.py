@@ -277,6 +277,10 @@ def _pool_module(name):
 ] + [
     pytest.param(make_module(finite_field(*fk), *coeffs), id="-".join(coeffs))
     for fk, coeffs, _ in LATTICE_MODULES
+] + [
+    # a_0 in F_q: t - a_0 divides B, so phi_B is inseparable
+    pytest.param(make_module(finite_field(2), a0, "1/t^2", "1"),
+                 id="%s-1/t^2-1" % a0) for a0 in ("0", "1")
 ])
 def test_torsion_enumerate_matches_lattice_decision(mod):
     # the kernel of phi_B with B = prod_{k <= min(D, n)} (t^(q^k) - t) is the
