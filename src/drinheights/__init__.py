@@ -9,9 +9,8 @@ suite.
 
 from drinheights._polycore import backend_name
 from drinheights.drinfeld import DrinfeldModule, ReductionData
-from drinheights.errors import (BudgetExhaustedError, InseparableKernelError,
-                                IsotrivialModuleError, MonicizeError,
-                                NonMonicError)
+from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
+                                MonicizeError, NonMonicError)
 from drinheights.gf import (ExtensionField, FieldError, FqElem, PrimeField,
                             additive_kernel, additive_preimages, finite_field,
                             frobenius)

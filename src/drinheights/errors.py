@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these to exit codes: input problems exit 2, iteration budget
-exhaustion exits 3, property violations exit 1.
+exhaustion exits 3, property violations exit 1.  An internal check that
+fails raises AssertionError instead, never one of these input errors.
 """
 
 
@@ -11,10 +12,6 @@ class NonMonicError(ValueError):
 
 class MonicizeError(ValueError):
     """No conjugating gamma exists in K; carries the obstruction."""
-
-
-class InseparableKernelError(ValueError):
-    """phi_b has vanishing constant term, so its kernel is inseparable."""
 
 
 class IsotrivialModuleError(ValueError):

@@ -249,15 +249,12 @@ class PlaceExtension:
             self.above, self.below, self.e, self.f, self.d_above)
 
 
-def extend_places(emb, v, degree_below=None):
+def extend_places(emb, v):
     """All places of F_q(u) above v, with e, f and coherent degrees.
 
     Checks the defectless identity sum(e*f) = [L:K] and returns the
-    extensions sorted by the place upstairs.  `degree_below` overrides the
-    native degree of v (used when v itself carries a coherent degree).
+    extensions sorted by the place upstairs.
     """
-    if degree_below is None:
-        degree_below = v.degree
     n = emb.degree
     # the places above v are the zeros of its uniformizer pushed to L,
     # that is the poles of the inverse, with e = -(valuation there)
@@ -270,7 +267,7 @@ def extend_places(emb, v, degree_below=None):
         if rem:
             raise AssertionError("residue degree %d not divisible by %d" % (w.degree, v.degree))
         total += e * f_rel
-        out.append(PlaceExtension(v, w, e, f_rel, Fraction(f_rel) * Fraction(degree_below) / n))
+        out.append(PlaceExtension(v, w, e, f_rel, coherent_degree(emb, w)))
     if total != n:
         raise AssertionError("defect: sum(e*f) = %d != [L:K] = %d" % (total, n))
     return out

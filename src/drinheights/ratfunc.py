@@ -162,12 +162,7 @@ class Poly:
         return Poly(f, out)
 
     def subs(self, value):
-        """Evaluate at a Poly or RatFunc by Horner."""
-        if isinstance(value, Poly):
-            acc = Poly.zero(self.field)
-            for c in reversed(self.coeffs):
-                acc = acc * value + Poly.const(self.field, c)
-            return acc
+        """Evaluate at a RatFunc by Horner."""
         acc = RatFunc.zero(self.field)
         const = RatFunc.const
         for c in reversed(self.coeffs):

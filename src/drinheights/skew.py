@@ -46,11 +46,6 @@ class SkewPoly:
             raise ValueError("zero skew polynomial has no degree")
         return len(self.coeffs) - 1
 
-    def coeff(self, i):
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        return RatFunc.zero(self.field)
-
     def __eq__(self, other):
         return (isinstance(other, SkewPoly) and self.field == other.field
                 and self.coeffs == other.coeffs)
@@ -100,9 +95,6 @@ class SkewPoly:
             if not c.is_zero():
                 acc = acc + c * pw
         return acc
-
-    def scale(self, c):
-        return SkewPoly(self.field, [c * a for a in self.coeffs])
 
     def to_string(self, var="t"):
         if not self.coeffs:

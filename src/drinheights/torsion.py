@@ -19,7 +19,9 @@ F_q-space, which makes everything here exact linear algebra:
   denominator, for each prime power c of gcd(b, B) (same roots as b, and
   deg c <= min(D, n)); the kernel of phi_c is the space of linear
   dependencies among those numerators, read off one elimination of them
-  (gf.dependencies).
+  (gf.dependencies), and phi_c is checked to kill each one.  Separable or
+  not, phi_b is handled the same way, so torsion_enumerate is kernel_in_K
+  at b = B.
 
 The minimal annihilator of a point is kept per module, since the decision,
 the T2 check and the local height at every bad place ask for the same point.
@@ -28,7 +30,6 @@ the T2 check and the local height at every bad place ask for the same point.
 import math
 
 from drinheights import gf
-from drinheights.errors import InseparableKernelError
 from drinheights.places import FinitePlace
 from drinheights.ratfunc import Poly, RatFunc, factor
 
@@ -216,7 +217,8 @@ def torsion_annihilator(module):
 
 
 def kernel_in_K(module, b):
-    """All roots in K of the additive polynomial phi_b, as a sorted list.
+    """All roots in K of the additive polynomial phi_b, b != 0, as a sorted
+    list; separable or not.
 
     Roots are torsion, so they lie in the pole lattice; solving on a lattice
     basis e_0, ..., e_{n-1} by linear algebra over F_q is complete.  Every
@@ -229,28 +231,13 @@ def kernel_in_K(module, b):
     nor g is formed.  For each part c, phi_c is F_q-linear, so sum c_i e_i
     is a root exactly when sum c_i phi_c(e_i) = 0: its kernel is the space
     of dependencies among the images, which one elimination of their sparse
-    numerators over a common denominator yields as a basis.  The span of all
-    those bases is checked root by root with phi_b itself.  The inseparable
-    case (constant term b(a_0) = 0) is rejected.
+    numerators over a common denominator yields as a basis.  Each basis
+    vector g is checked with phi_c(g) = 0; every root returned is an
+    F_q-combination of them and c | b, so phi_b kills it.
     """
     module._require_monic()
     if b.is_zero():
         raise ValueError("kernel of phi_0 is everything")
-    if b.subs(module.coeffs[0]).is_zero():
-        raise InseparableKernelError(
-            "phi_b has constant term b(a_0) = 0, so it is inseparable "
-            "(finite characteristic with t | b); its kernel in K is not "
-            "computed here")
-    roots = _lattice_kernel(module, b)
-    for x in roots:
-        if not module.act(b, x).is_zero():
-            raise AssertionError("kernel solution fails verification")
-    return roots
-
-
-def _lattice_kernel(module, b):
-    """The roots in K of phi_b, b != 0, by linear algebra on the pole
-    lattice (see kernel_in_K), sorted; separable or not."""
     field = module.field
     lattice = torsion_lattice(module)
     Q, m_inf = lattice
@@ -267,6 +254,8 @@ def _lattice_kernel(module, b):
                     if a} for z in images)
         for coeffs in gf.dependencies(vectors, field):
             g = RatFunc(Poly(field, coeffs), Q)
+            if not module.act(part, g).is_zero():
+                raise AssertionError("kernel generator fails verification")
             scaled = [g.scale(c) for c in field.elements()]
             roots = [s + gc for s in roots for gc in scaled]
     return sorted(roots, key=lambda r: r.sort_key())
@@ -275,13 +264,11 @@ def _lattice_kernel(module, b):
 def torsion_enumerate(module):
     """The full rational torsion submodule, verified point by point.
 
-    It is the kernel in K of phi_B, B = torsion_annihilator(module).  phi_B
-    is inseparable whenever a_0 is a constant (t - a_0 divides B), so the
-    kernel is read off the lattice without kernel_in_K's separability gate;
-    each point is checked by the torsion decision and closure instead.
+    It is the kernel in K of phi_B, B = torsion_annihilator(module); each
+    point is also checked by the torsion decision and closure.
     """
     module._require_monic()
-    pts = _lattice_kernel(module, torsion_annihilator(module))
+    pts = kernel_in_K(module, torsion_annihilator(module))
     pool = set(pts)
     phi_t = module.phi_t
     for x in pts:

@@ -280,6 +280,17 @@ def test_torsion_with_constant_a0(a0, b, tmp_path, capsys):
         {"point": "1/t", "annihilator": b}]
 
 
+@pytest.mark.parametrize("a0, b", [("0", "t"), ("1", "t+1")])
+def test_kernel_inseparable(a0, b, tmp_path, capsys):
+    # b = t - a_0 has b(a_0) = 0, so phi_b is inseparable; its kernel in K
+    # is computed like any other
+    job = {"field": {"p": 2, "k": 1},
+           "module": {"coefficients": [a0, "1/t^2", "1"]}, "b": b}
+    code, out, _ = run(capsys, ["kernel", job_file(tmp_path, job), "--json"])
+    assert code == 0
+    assert json.loads(out) == {"b": b, "kernel": ["0", "1/t"]}
+
+
 def test_height_factors_point_once(tmp_path, capsys, monkeypatch):
     from drinheights import drinfeld, places, ratfunc
     factored = []

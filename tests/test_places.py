@@ -266,7 +266,9 @@ def test_extend_places_defectless_random():
 
 
 def test_tower_consistency():
-    # composing t -> u^2 with u -> w^2 matches t -> w^4, degrees multiply
+    # composing t -> u^2 with u -> w^2 matches t -> w^4: degrees multiply,
+    # so for places w2 over w1 over v the coherent degree of w2 over K is
+    # f(w2|w1) times that of w1, divided by the degree of the second step
     s1 = SubstitutionEmbedding(R(F3, "u^2", var="u"))
     s2 = SubstitutionEmbedding(R(F3, "w^2", var="w"))
     direct = s1.compose(s2)
@@ -276,8 +278,8 @@ def test_tower_consistency():
               InfinitePlace(F3)]:
         via_tower = {}
         for e1 in extend_places(s1, v):
-            for e2 in extend_places(s2, e1.above, degree_below=e1.d_above):
-                via_tower[e2.above] = e2.d_above
+            for e2 in extend_places(s2, e1.above):
+                via_tower[e2.above] = e2.f * e1.d_above / s2.degree
         via_direct = {e.above: e.d_above for e in extend_places(direct, v)}
         assert via_tower == via_direct
 

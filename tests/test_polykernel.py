@@ -207,11 +207,16 @@ def test_polycore_is_purepoly():
     assert drinheights.backend_name() == "python"
 
 
-def test_perfbench_tracer_installs_and_uninstalls():
-    # every TARGETS entry of the benchmark's tracer must resolve in the package
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    # every TARGETS entry of the benchmark's tracer must resolve in the package
+    tracing = load_tracing()
     owners = []
     for label, modname, attr, cls_name, _ in tracing.TARGETS:
         owner = importlib.import_module(modname)
@@ -232,3 +237,15 @@ def test_perfbench_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for label, owner, attr, fn in owners:
         assert getattr(owner, attr) is fn, label
+
+
+def test_perfbench_tracer_knows_every_certificate():
+    # the traced run counts local heights by certificate, and one it does
+    # not know would fail every traced run; the certificates are the
+    # module-level strings of heights
+    from drinheights import heights
+    certificates = {v for k, v in vars(heights).items()
+                    if isinstance(v, str) and not k.startswith("_")}
+    assert certificates == {heights.ESCAPED, heights.GOOD_REDUCTION,
+                            heights.TORSION, heights.EXHAUSTED}
+    assert certificates == set(load_tracing().CERTIFICATES)

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import make_module
 from drinheights.drinfeld import DrinfeldModule
-from drinheights.errors import InseparableKernelError
 from drinheights.gf import finite_field
 from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics,
                                  parse_poly, parse_ratfunc)
@@ -108,12 +107,33 @@ def test_kernel_examples(psi2, car3, F2, F3):
     assert [str(x) for x in k] == ["0"]
 
 
-def test_kernel_inseparable_rejected(F3):
-    # finite characteristic: a_0 = 0 and t | b means b(a_0) = 0
-    mod = make_module(F3, "0", "t", "1")
-    assert mod.bad_reduction_set()  # S nonempty, so the kernel is meaningful
-    with pytest.raises(InseparableKernelError):
-        kernel_in_K(mod, parse_poly(F3, "t"))
+def test_kernel_inseparable_matches_brute_force(F3):
+    # a_0 = 0, so t | b means b(a_0) = 0 and phi_b is inseparable; its kernel
+    # is still exact: phi_t(x) = x^9 - x^3/t^6 kills c/t
+    mod = make_module(F3, "0", "-1/t^6", "1")
+    points = _lattice_points(mod)
+    assert len(points) == 9
+    for b in ("t", "t^2", "t^2+t", "t^3-t"):
+        b = parse_poly(F3, b)
+        assert b.subs(mod.coeffs[0]).is_zero()
+        expect = [y for y in points if mod.act(b, y).is_zero()]
+        assert kernel_in_K(mod, b) == sorted(expect, key=lambda y: y.sort_key())
+    assert [str(x) for x in kernel_in_K(mod, parse_poly(F3, "t"))] == \
+        ["0", "1/t", "2/t"]
+
+
+def test_kernel_checks_each_generator(psi2, F2, monkeypatch):
+    # a planted fault: an elimination that also yields the lattice vector 1,
+    # which phi_t does not kill, must not pass as a root
+    import drinheights.gf as gf
+    real = gf.dependencies
+
+    def faulty(vectors, field):
+        yield [1]
+        yield from real(vectors, field)
+    monkeypatch.setattr(gf, "dependencies", faulty)
+    with pytest.raises(AssertionError, match="kernel generator"):
+        kernel_in_K(psi2, parse_poly(F2, "t"))
 
 
 def test_kernel_is_subspace(psi2, F2):
@@ -197,6 +217,9 @@ LATTICE_MODULES = [
     ((3, 1), ["t - 1/(t^2+1)^2", "1"], 1),
     ((2, 2), ["1/(t^2+t)^3", "1"], 4),
     ((2, 2), ["t", "1/t^12", "1"], 1),
+    # a_0 in F_q: t - a_0 divides B, and half of the b below are inseparable
+    ((2, 1), ["0", "1/t^2", "1"], 2),
+    ((2, 1), ["1", "1/t^2", "1"], 2),
 ]
 
 
@@ -215,8 +238,6 @@ def test_kernel_matches_lattice_brute_force(fk, coeffs, largest):
         bs = random.Random(3).sample(bs, 4) + [Poly.x(field)]
     sizes = []
     for b in bs:
-        if b.subs(mod.coeffs[0]).is_zero():
-            continue
         expect = [y for y in points if mod.act(b, y).is_zero()]
         got = kernel_in_K(mod, b)
         assert got == sorted(expect, key=lambda y: y.sort_key())
@@ -277,10 +298,6 @@ def _pool_module(name):
 ] + [
     pytest.param(make_module(finite_field(*fk), *coeffs), id="-".join(coeffs))
     for fk, coeffs, _ in LATTICE_MODULES
-] + [
-    # a_0 in F_q: t - a_0 divides B, so phi_B is inseparable
-    pytest.param(make_module(finite_field(2), a0, "1/t^2", "1"),
-                 id="%s-1/t^2-1" % a0) for a0 in ("0", "1")
 ])
 def test_torsion_enumerate_matches_lattice_decision(mod):
     # the kernel of phi_B with B = prod_{k <= min(D, n)} (t^(q^k) - t) is the
@@ -293,10 +310,10 @@ def test_torsion_enumerate_matches_lattice_decision(mod):
 
 
 def test_kernel_evaluates_prime_powers_of_degree_at_most_min_d_n(monkeypatch):
-    # kernel_in_K evaluates only the prime powers of gcd(b, B) on the
-    # lattice basis, each of degree <= m = min(D, n), whatever deg b is;
-    # phi_b itself only checks the roots it returns, which equal a
-    # brute-force search
+    # kernel_in_K evaluates only the prime powers of gcd(b, B), each of
+    # degree <= m = min(D, n), whatever deg b is: on the lattice basis and
+    # on the generators of their kernels, and never phi_b itself; the roots
+    # equal a brute-force search
     F2, F7 = finite_field(2), finite_field(7)
     cases = [(make_module(F2, "1/(t^2+t)", "1"), Poly(F2, [1, 0, 0, 1])),
              (make_module(F2, "t", "1"), Poly(F2, [1, 1, 0, 1])),
@@ -314,12 +331,9 @@ def test_kernel_evaluates_prime_powers_of_degree_at_most_min_d_n(monkeypatch):
     for mod, b in cases:
         Q, m_inf = torsion_lattice(mod)
         m = min(annihilator_bound(mod).D, Q.degree + m_inf + 1)
-        basis = {RatFunc(Poly.x(mod.field)**i, Q) for i in range(Q.degree + m_inf + 1)}
         del calls[:]
         roots = kernel_in_K(mod, b)
-        for c, x in calls:
-            if x in basis:
-                assert c.degree <= m or c == b
-                assert c != b or x in roots
+        # no b here is a prime power of degree <= m, so phi_b is never built
+        assert all(c != b and c.degree <= m for c, _ in calls)
         expect = [y for y in _lattice_points(mod) if real_act(mod, b, y).is_zero()]
         assert sorted(expect, key=lambda y: y.sort_key()) == roots
