@@ -22,7 +22,7 @@ from drinheights.perfect import (InsepLevel, insep_height, key_dichotomy_check,
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace, Place,
                                 PlaceExtension, SubstitutionEmbedding,
                                 angular_component, extend_places, is_constant,
-                                place_below, residue, support, valuation)
+                                residue, support, valuation)
 from drinheights.ratfunc import (Poly, RatFunc, factor, is_irreducible, ord_at,
                                  parse_poly, parse_ratfunc)
 from drinheights.skew import SkewPoly, skew_degree, skew_eval, skew_mul

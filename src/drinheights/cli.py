@@ -8,7 +8,8 @@ and command-specific arguments:
 
 Every number printed is an exact fraction; --json switches to a
 machine-readable report with fractions rendered as strings.  Exit codes:
-0 ok, 1 property violation, 2 input error, 3 iteration budget exhausted.
+0 ok, 1 property violation, 2 input error, 3 iteration budget exhausted,
+4 internal error (an AssertionError or RuntimeError from a self-check).
 An expression or an inseparable level whose degree may exceed
 ratfunc.MAX_DEGREE is an input error.
 """
@@ -497,6 +498,12 @@ def main(argv=None):
     except BudgetExhaustedError as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return 3
+    except (AssertionError, RuntimeError) as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        if args.as_json:
+            print(json.dumps({"error": "internal", "message": str(exc)},
+                             indent=2, sort_keys=True))
+        return 4
     rep.emit(args.as_json)
     return code
 

@@ -4,10 +4,12 @@ A module is given by the coefficients a_0..a_r of phi_t.  This module houses
 the ring-homomorphism extension phi_b, the bad-reduction set S, the per-place
 reduction data (the rationals M_v and T_v, the Newton polygon of phi_t, the
 exceptional valuation sets P_v, P'_v, P''_v, Q_v and the angular-component
-sets R_v(alpha)), monicization by a conjugation in K, and the isotriviality
-test via the relative modular transcendence degree.
+sets R_v(alpha)), the floor of the phi_t-stable balls at a place,
+monicization by a conjugation in K, and the isotriviality test via the
+relative modular transcendence degree.
 """
 
+import math
 from fractions import Fraction
 
 from drinheights import gf, places
@@ -20,6 +22,9 @@ from drinheights.skew import SkewPoly
 # every ReductionData construction runs its invariant checks; this counts
 # them so test harnesses can confirm the checks actually covered their runs
 reduction_checks_run = 0
+
+# ReductionData.floor before stable_floor fills it
+_UNSET = object()
 
 
 def _mv(vals, q, r):
@@ -63,10 +68,11 @@ class ReductionData:
 
     R maps each alpha in Q_v to a tuple of nonzero residue-field elements;
     `pair_in` is the dichotomy membership test (v(x), ac(x)) in P x R(v(x)).
+    `floor` is filled on first use by stable_floor.
     """
 
     __slots__ = ("place", "in_S", "vals", "M", "T", "newton", "P", "Pp",
-                 "Ppp", "Q", "R", "N_phi", "q", "r")
+                 "Ppp", "Q", "R", "N_phi", "q", "r", "floor")
 
     def __init__(self, place, in_S, vals, M, T, newton, P, Pp, Ppp, Q, R,
                  N_phi, q, r):
@@ -84,6 +90,7 @@ class ReductionData:
         self.N_phi = N_phi
         self.q = q
         self.r = r
+        self.floor = _UNSET
         self._check()
 
     def _check(self):
@@ -104,6 +111,63 @@ class ReductionData:
         for alpha in self.Q:
             if len(self.R[alpha]) >= q**(2 * (r + 1)):
                 raise RuntimeError("|R_v(alpha)| reaches q^(2(r+1)) on Q_v")
+
+    def stable_floor(self, phi_t):
+        """lambda*_v: the least integer lambda for which phi_t (this module's)
+        maps the ball B_lambda = {y : v(y) >= lambda} into itself, or None if
+        there is none.
+
+        An orbit that enters a stable ball is bounded there, so its local
+        height is 0.  The floor depends on the module and the place only; it
+        is computed on the first call and kept.
+        """
+        if self.floor is _UNSET:
+            self.floor = self._stable_floor(phi_t)
+        return self.floor
+
+    def _stable_floor(self, phi_t):
+        # phi_t is F_q-linear, so B_lambda is stable iff phi_t(pi^k t^j) lies
+        # in it for every k >= lambda and j < deg v (the t^j lift a basis of
+        # the residue field).  With g(k) = min_i v(a_i) + q^i k, that value
+        # is g(k) when one index attains the minimum and >= g(k) at the
+        # integer Newton breakpoints, where two do.  g(k) - k is
+        # nondecreasing, so g(lambda) >= lambda proves B_lambda stable; it
+        # holds from `top` on, and never if v(a_0) < 0.  Below `top` only a
+        # breakpoint can be stable, and below ceil(min(0, M_v)) nothing is,
+        # since there v(phi_t(pi^k)) = q^r k < k.
+        vals, place = self.vals, self.place
+        terms = [(a, self.q**i) for i, a in enumerate(vals) if a is not INFINITY]
+
+        def g(k):
+            return min(a + s * k for a, s in terms)
+
+        if vals[0] is not INFINITY and vals[0] < 0:
+            top = None
+        else:
+            top = max(-(a // (s - 1)) for a, s in terms if s > 1)
+        bottom = math.ceil(min(Fraction(0), self.M))
+        breaks = [int(-seg[2]) for seg in self.newton if seg[2].denominator == 1]
+        candidates = sorted(b for b in breaks
+                            if b >= bottom and (top is None or b < top))
+        lowest = {}
+
+        def lowest_image(k):
+            # min_j v(phi_t(pi^k t^j)), evaluated once per breakpoint
+            if k not in lowest:
+                pk, t = place.uniformizer**k, RatFunc.x(place.field)
+                lowest[k] = min(place.valuation(phi_t(pk * t**j))
+                                for j in range(place.degree))
+            return lowest[k]
+
+        # a breakpoint at or past `top` keeps every image above top > b
+        for b in candidates:
+            after = b + 1
+            while after in candidates:
+                after += 1
+            if g(after) >= b and all(lowest_image(c) >= b
+                                     for c in candidates if c >= b):
+                return b
+        return top
 
     def pair_in(self, alpha, ac, sets=None):
         """Is (alpha, ac) in P_v x R_v(alpha) (or in `sets` x R_v(alpha))?"""

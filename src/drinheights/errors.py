@@ -2,7 +2,8 @@
 
 The CLI maps these to exit codes: input problems exit 2, iteration budget
 exhaustion exits 3, property violations exit 1.  An internal check that
-fails raises AssertionError instead, never one of these input errors.
+fails raises AssertionError or RuntimeError instead, never one of these
+input errors, and exits 4.
 """
 
 

@@ -3,10 +3,11 @@
 The local height at v is -d(v) lim min{0, v(phi_{t^n}(x))} / q^(rn).  The
 limit is resolved exactly by iterating phi_t: once v(y_n) drops below
 min{0, M_v} the valuation multiplies by exactly q^r each step (so the limit
-is read off at step n); at a good-reduction place a nonnegative valuation
-certifies 0; a torsion certificate also gives 0.  If none of these fire
-within the budget, a sound shrinking interval [0, -d(v) lambda / q^(rn)] is
-returned instead of a guess.
+is read off at step n); once v(y_n) reaches the floor lambda*_v of the
+phi_t-stable balls {v(y) >= lambda} (ReductionData.stable_floor; 0 at a
+good-reduction place) the orbit is bounded and the height is 0; a torsion
+certificate also gives 0.  If none of these fire within the budget, a sound
+shrinking interval [0, -d(v) lambda / q^(rn)] is returned instead of a guess.
 
 All heights are exact Fractions; no floating point enters the computation.
 """
@@ -25,6 +26,8 @@ DEFAULT_N_MAX = 32
 DEGREE_CAP = 20000
 
 ESCAPED = "Escaped"
+# an iterate inside a phi_t-stable ball (good reduction plus integrality is
+# the lambda = 0 case); perfbench's tracer keys on this string
 GOOD_REDUCTION = "GoodReductionIntegral"
 TORSION = "TorsionCertified"
 EXHAUSTED = "IterationBudgetExhausted"
@@ -93,6 +96,12 @@ class HeightValue:
 def local_height(module, place, x, n_max=DEFAULT_N_MAX, index=1):
     """hhat_v(x), exact whenever a certificate fires within the budget.
 
+    The iterates y_n = phi_t^n(x) are walked until one escapes below
+    min{0, M_v} (Escaped, the exact limit) or lands in the stable ball
+    v(y) >= lambda*_v (GoodReductionIntegral, exactly 0); a torsion point at
+    a bad place is 0 at once.  Otherwise, at n_max steps or DEGREE_CAP, the
+    answer is the interval [0, -d(v) min{0, M_v} / q^(rn)].
+
     For a module over an extension L of K, `index` = [L:K] and the place
     counts with its coherent degree d(v) / [L:K].
     """
@@ -109,11 +118,12 @@ def local_height(module, place, x, n_max=DEFAULT_N_MAX, index=1):
             return HeightValue.exact(Fraction(0), TORSION)
 
     phi_t = module.phi_t
+    floor = rd.stable_floor(phi_t)
     y = x
     n = 0
     while True:
         val = place.valuation(y)
-        if not rd.in_S and val >= 0:
+        if floor is not None and val >= floor:
             return HeightValue.exact(Fraction(0), GOOD_REDUCTION, n)
         if val < lam:
             return HeightValue.exact(

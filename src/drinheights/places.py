@@ -273,29 +273,6 @@ def extend_places(emb, v):
     return out
 
 
-def minimal_polynomial(rho):
-    """Monic minimal polynomial over F_q of an element of a residue field."""
-    field = rho.field
-
-    def powers():
-        # the first dependence comes within field.dim + 1 powers
-        y = field.one
-        while True:
-            yield dict(enumerate(y.coords()))
-            y = y * rho
-
-    return Poly(field.base, gf.first_dependence(powers(), field.base))
-
-
-def place_below(emb, w):
-    """The place of K = F_q(t) under the place w of F_q(u)."""
-    img = emb.image
-    if w.valuation(img) < 0:
-        return InfinitePlace(emb.field)
-    rho = w.residue(img)
-    return FinitePlace(minimal_polynomial(rho))
-
-
 def coherent_degree(emb, w):
     """Coherent degree of w relative to K: f(w|v) d(v) / [L:K] = d(w) / [L:K].
 

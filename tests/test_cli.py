@@ -173,15 +173,15 @@ def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
 
 def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
     # the parser is built once; each call must see only its own flags
-    job = dict(PSI2, point="t/(t+1)", place={"kind": "infinity"})
+    job = dict(CAR3, point="1/t", place={"kind": "infinity"})
     path = job_file(tmp_path, job)
     plain = run(capsys, ["local-height", path])
-    code, out, _ = run(capsys, ["local-height", path, "--n-max", "5",
+    code, out, _ = run(capsys, ["local-height", path, "--n-max", "1",
                                 "--json"])
     assert code == 0
-    assert json.loads(out)["height"]["hi"] == "1/32"
+    assert json.loads(out)["height"]["hi"] == "1/6"
     assert run(capsys, ["local-height", path]) == plain
-    assert plain[0] == 0 and "1/32" not in plain[1]
+    assert plain[0] == 0 and "1/9" in plain[1] and "1/6" not in plain[1]
 
 
 def test_budget_exhaustion_exit_3(tmp_path, capsys, monkeypatch):
@@ -191,6 +191,30 @@ def test_budget_exhaustion_exit_3(tmp_path, capsys, monkeypatch):
     job = dict(CAR3, point="1")
     code, _, err = run(capsys, ["height", job_file(tmp_path, job)])
     assert code == 3 and "budget exhausted" in err
+
+
+def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    # a failed self-check is neither an input error (2) nor a property
+    # violation (1)
+    from drinheights.drinfeld import ReductionData
+
+    def failing_check(self):
+        raise RuntimeError("T_v must be positive at a bad place")
+    monkeypatch.setattr(ReductionData, "_check", failing_check)
+    code, out, err = run(capsys, ["reduction", job_file(tmp_path, PSI2)])
+    assert code == 4 and out == ""
+    assert "internal error: T_v must be positive" in err
+    assert "Traceback" not in err
+
+    def failing_kernel(module, b):
+        raise AssertionError("kernel generator fails verification")
+    monkeypatch.setattr(cli, "kernel_in_K", failing_kernel)
+    job = dict(CAR3, b="t")
+    code, out, err = run(capsys, ["kernel", job_file(tmp_path, job), "--json"])
+    assert code == 4
+    assert "internal error: kernel generator fails verification" in err
+    assert json.loads(out) == {"error": "internal",
+                               "message": "kernel generator fails verification"}
 
 
 def test_verify_ok(tmp_path, capsys):
@@ -239,11 +263,12 @@ def test_flat_job_schema(tmp_path, capsys):
 
 
 def test_n_max_flag(tmp_path, capsys):
-    job = dict(PSI2, point="t/(t+1)", place={"kind": "infinity"})
+    job = dict(CAR3, point="1/t", place={"kind": "infinity"})
     code, out, _ = run(capsys, ["local-height", job_file(tmp_path, job),
-                                "--n-max", "5"])
+                                "--n-max", "1"])
     assert code == 0
-    assert "[0, 1/32]" in out  # interval bound q^(-r n_max) with n_max = 5
+    # interval bound -min(0, M_v) / q^(r n_max) = (1/2) / 3 with n_max = 1
+    assert "[0, 1/6]" in out
 
 
 def test_height_high_power_carlitz(tmp_path, capsys):
@@ -319,25 +344,20 @@ def test_height_factors_point_once(tmp_path, capsys, monkeypatch):
 ])
 def test_height_over_extension_one_level_no_place_below(
         cmd, job, expect, tmp_path, capsys, monkeypatch):
-    # coherent degrees are d(w) / [L:K]: no place below is searched, and a
-    # job pushes the module to its level once
-    from drinheights import places
+    # coherent degrees are d(w) / [L:K], so no place below is searched (the
+    # search lives on only as the oracle in test_places), and a job pushes
+    # the module to its level once
     from drinheights.perfect import InsepLevel
-    below, levels = [], []
-    real_below, real_init = places.place_below, InsepLevel.__init__
-
-    def counting_below(emb, w):
-        below.append(w)
-        return real_below(emb, w)
+    levels = []
+    real_init = InsepLevel.__init__
 
     def counting_init(self, module, n):
         levels.append(n)
         real_init(self, module, n)
-    monkeypatch.setattr(places, "place_below", counting_below)
     monkeypatch.setattr(InsepLevel, "__init__", counting_init)
     code, out, _ = run(capsys, [cmd, job_file(tmp_path, job)])
     assert code == 0 and expect in out
-    assert below == [] and levels == [1]
+    assert levels == [1]
 
 
 VERIFY_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_f3_counts100_seed0.json"

@@ -197,20 +197,30 @@ def test_good_reduction_gap(tau2, F2):
         assert h.is_exact and h.value >= 1
 
 
-def test_interval_on_non_escaping_orbit(psi2, F2):
-    # t/(t+1) oscillates at v_inf without escaping or being torsion
+def test_interval_on_non_escaping_orbit(psi2, car3, F2, F3):
+    # t/(t+1) stays bounded at v_inf without escaping or being torsion: its
+    # valuation 0 lies in the stable ball v(y) >= -1, so the height is 0
     x = R(F2, "t/(t+1)")
     v = InfinitePlace(F2)
     h = local_height(psi2, v, x, n_max=6)
-    assert not h.is_exact
-    assert h.certificate == "IterationBudgetExhausted"
-    assert h.lo == 0 and h.hi == Fraction(1, 2**6)
-    # the interval shrinks geometrically with the budget
-    h2 = local_height(psi2, v, x, n_max=8)
-    assert h2.hi == Fraction(1, 2**8)
-    # globally the pole at t+1 still gives an exact positive part
-    total = global_height(psi2, x, n_max=6)
-    assert not total.is_exact and total.lo == 1
+    assert h.is_exact and h.value == 0
+    assert h.certificate == "GoodReductionIntegral" and h.step == 0
+    # independently, the orbit never drops below -1 there
+    y = x
+    for _ in range(13):
+        assert v.valuation(y) >= -1
+        y = psi2.phi_t(y)
+    # globally the pole at t+1 gives the whole height
+    assert global_height(psi2, x, n_max=6) == 1
+    # an orbit cut off by the budget still gets a sound interval, which
+    # shrinks geometrically with the budget: 1/t escapes only at step 2
+    w = InfinitePlace(F3)
+    h1 = local_height(car3, w, R(F3, "1/t"), n_max=1)
+    assert not h1.is_exact
+    assert h1.certificate == "IterationBudgetExhausted"
+    assert h1.lo == 0 and h1.hi == Fraction(1, 6)
+    h2 = local_height(car3, w, R(F3, "1/t"))
+    assert h2.is_exact and h2.value == Fraction(1, 9)
 
 
 def test_height_value_arithmetic():

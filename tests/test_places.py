@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from drinheights.gf import finite_field
+from drinheights.gf import finite_field, first_dependence
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, angular_component,
                                 coherent_degree, expansion, extend_places,
-                                is_constant, place_below, poles, support)
+                                is_constant, poles, support)
 from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
                                  parse_poly, parse_ratfunc)
 
@@ -282,6 +282,28 @@ def test_tower_consistency():
                 via_tower[e2.above] = e2.f * e1.d_above / s2.degree
         via_direct = {e.above: e.d_above for e in extend_places(direct, v)}
         assert via_tower == via_direct
+
+
+def minimal_polynomial(rho):
+    """Monic minimal polynomial over F_q of an element of a residue field."""
+    field = rho.field
+
+    def powers():
+        # the first dependence comes within field.dim + 1 powers
+        y = field.one
+        while True:
+            yield dict(enumerate(y.coords()))
+            y = y * rho
+
+    return Poly(field.base, first_dependence(powers(), field.base))
+
+
+def place_below(emb, w):
+    """The place of K = F_q(t) under the place w of F_q(u)."""
+    img = emb.image
+    if w.valuation(img) < 0:
+        return InfinitePlace(emb.field)
+    return FinitePlace(minimal_polynomial(w.residue(img)))
 
 
 def test_place_below_roundtrip():
