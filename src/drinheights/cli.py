@@ -8,7 +8,7 @@ and command-specific arguments:
 
 Every number printed is an exact fraction; --json switches to a
 machine-readable report with fractions rendered as strings.  Exit codes:
-0 ok, 1 property violation, 2 input error, 3 iteration budget exhausted,
+0 ok, 1 property violation, 2 input error, 3 degree budget exhausted,
 4 internal error (an AssertionError or RuntimeError from a self-check).
 An expression or an inseparable level whose degree may exceed
 ratfunc.MAX_DEGREE is an input error.
@@ -23,15 +23,14 @@ from drinheights import verify as verify_mod
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
 from drinheights.gf import FieldError, finite_field
-from drinheights.heights import (DEFAULT_N_MAX, global_height_breakdown,
-                                 height_sum, lehmer_bounds, local_height,
-                                 check_t2mwg)
+from drinheights.heights import (global_height_breakdown, height_sum,
+                                 lehmer_bounds, local_height, check_t2mwg)
 from drinheights.perfect import InsepLevel, _lehper_at, key_dichotomy_check
 from drinheights.places import FinitePlace, InfinitePlace, INFINITY
 from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
                                  parse_ratfunc)
-from drinheights.torsion import (annihilator_bound, annihilator_of,
-                                 kernel_in_K, torsion_enumerate)
+from drinheights.torsion import (annihilator_of, kernel_in_K,
+                                 torsion_annihilator, torsion_enumerate)
 
 
 class InputError(ValueError):
@@ -96,8 +95,8 @@ class Job:
             self.field = finite_field(p, k, modulus)
         except FieldError as exc:
             raise InputError(str(exc))
-        # a command-line flag overrides the job's entry of the same name
-        self.n_max = self._setting(args, "n_max", DEFAULT_N_MAX)
+        # a command-line flag overrides the job's entry of the same name;
+        # keys that no command reads are ignored
         self.set_level(self._setting(args, "insep_level", 0, minimum=0))
         self.seed = self._setting(args, "seed", 0)
         self.counts = self._setting(args, "counts", 500, minimum=0)
@@ -258,7 +257,7 @@ def _height_core(job, rep):
                 level.index)
     else:
         work, index = mod, 1
-    parts = global_height_breakdown(work, x, job.n_max, index)
+    parts = global_height_breakdown(work, x, index)
     total = height_sum(parts)
     rep.put("point", x.to_string(var))
     rep.put("local", [])
@@ -285,7 +284,7 @@ def cmd_height(job, rep):
             emb = SubstitutionEmbedding(image)
         except (KeyError, TypeError, ParseError, ValueError) as exc:
             raise InputError("bad substitution: %s" % exc)
-        h2 = height_via_embedding(mod, emb, x, job.n_max)
+        h2 = height_via_embedding(mod, emb, x)
         agree = (total.is_exact and h2.is_exact
                  and total.value == h2.value)
         rep.say("height via t -> %s: %s%s", image.to_string(job.ext_var), h2,
@@ -308,7 +307,7 @@ def cmd_height(job, rep):
             rep.put("lehper", {"bound": frac(report.bound),
                                "margin": frac(report.margin)})
         return 0
-    cert = check_t2mwg(mod, x, job.n_max, parts=parts)
+    cert = check_t2mwg(mod, x, parts=parts)
     if cert.kind == "constant":
         rep.say("constant point (torsion = constants since S is empty)")
         rep.put("certificate", {"kind": "constant"})
@@ -332,7 +331,7 @@ def cmd_local_height(job, rep):
     mod = job.module()
     x = job.point()
     v = job.place()
-    h = local_height(mod, v, x, job.n_max)
+    h = local_height(mod, v, x)
     rep.say("h_%s(%s) = %s  [%s]", _place_str(v, job), x.to_string(job.var),
             h, h.certificate)
     rep.put("place", _place_str(v, job))
@@ -342,19 +341,24 @@ def cmd_local_height(job, rep):
 
 def cmd_torsion(job, rep):
     mod = job.module()
-    bound = annihilator_bound(mod)
-    if bound.constants_only:
+    if not mod.bad_reduction_set():
         rep.say("S empty; torsion = F_q = {%s}",
                 ", ".join(str(c) for c in mod.field.elements()))
         rep.put("torsion", [str(c) for c in mod.field.elements()])
         rep.put("constants_only", True)
         return 0
-    rep.say("D = r N_phi |S| = %d", bound.D)
-    rep.say("b_lcm = %s (degree %d)", bound.b_lcm.to_string(job.var),
-            bound.b_lcm.degree)
-    rep.put("D", bound.D)
-    rep.put("b_lcm", bound.b_lcm.to_string(job.var))
-    points = torsion_enumerate(mod)
+    D = lehmer_bounds(mod).torsion_degree
+    B = torsion_annihilator(mod)
+    # B = prod_{k<=m} (t^(q^k) - t) and each factor holds t once: m = ord_t B
+    m = next(i for i, c in enumerate(B.coeffs) if c)
+    rep.say("D = r N_phi |S| = %d", D)
+    rep.say("m = min(D, n) = %d (n: dimension of the pole lattice)", m)
+    rep.say("B = prod_{k<=m} (t^(q^k) - t) = %s (degree %d)",
+            B.to_string(job.var), B.degree)
+    rep.put("D", D)
+    rep.put("m", m)
+    rep.put("B", B.to_string(job.var))
+    points = torsion_enumerate(mod, B)
     rep.say("torsion module (%d points):", len(points))
     rep.put("torsion", [])
     for x in points:
@@ -407,7 +411,7 @@ def cmd_insep_height(job, rep):
 def cmd_dichotomy(job, rep):
     mod = job.module()
     x = job.point()
-    report = key_dichotomy_check(mod, job.level, x, job.n_max)
+    report = key_dichotomy_check(mod, job.level, x)
     if report.branch == 1:
         rep.say("branch 1: h_%s(x) = %s >= threshold %s",
                 report.place.to_string(job.point_var), frac(report.local),
@@ -430,9 +434,8 @@ def cmd_dichotomy(job, rep):
     return 0
 
 
-def cmd_verify(job, rep, inject_mv_bug=False):
-    result = verify_mod.run_verify(seed=job.seed, count=job.counts,
-                                   inject_mv_bug=inject_mv_bug)
+def cmd_verify(job, rep):
+    result = verify_mod.run_verify(seed=job.seed, count=job.counts)
     rep.put("seed", job.seed)
     rep.put("counts", job.counts)
     rep.put("checks", [])
@@ -474,12 +477,8 @@ PARSER.add_argument("--json", action="store_true", dest="as_json",
                     help="emit a JSON report")
 PARSER.add_argument("--insep-level", type=int, default=None,
                     help="work over F_q(u) with t = u^(p^n)")
-PARSER.add_argument("--n-max", type=int, default=None,
-                    help="iteration budget (overrides the job's n_max)")
 PARSER.add_argument("--seed", type=int, default=None)
 PARSER.add_argument("--counts", type=int, default=None)
-PARSER.add_argument("--inject-mv-bug", action="store_true",
-                    help=argparse.SUPPRESS)  # harness self-test only
 
 
 def main(argv=None):
@@ -489,7 +488,7 @@ def main(argv=None):
     try:
         job = Job(load_job(args.job), args)
         if args.command == "verify":
-            code = cmd_verify(job, rep, inject_mv_bug=args.inject_mv_bug)
+            code = cmd_verify(job, rep)
         else:
             code = COMMANDS[args.command](job, rep)
     except (InputError, ParseError, FieldError, ValueError) as exc:

@@ -19,10 +19,6 @@ from drinheights.ratfunc import RatFunc, factor
 from drinheights.skew import SkewPoly
 
 
-# every ReductionData construction runs its invariant checks; this counts
-# them so test harnesses can confirm the checks actually covered their runs
-reduction_checks_run = 0
-
 # ReductionData.floor before stable_floor fills it
 _UNSET = object()
 
@@ -94,8 +90,6 @@ class ReductionData:
         self._check()
 
     def _check(self):
-        global reduction_checks_run
-        reduction_checks_run += 1
         q, r = self.q, self.r
         if self.in_S and not self.T > 0:
             raise RuntimeError("T_v must be positive at a bad place")

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these to exit codes: input problems exit 2, iteration budget
+The CLI maps these to exit codes: input problems exit 2, degree budget
 exhaustion exits 3, property violations exit 1.  An internal check that
 fails raises AssertionError or RuntimeError instead, never one of these
 input errors, and exits 4.
@@ -20,4 +20,5 @@ class IsotrivialModuleError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """The iteration budget ran out before a certificate was reached."""
+    """The degree budget (heights.DEGREE_CAP) ran out before a certificate
+    was reached."""

@@ -6,8 +6,16 @@ min{0, M_v} the valuation multiplies by exactly q^r each step (so the limit
 is read off at step n); once v(y_n) reaches the floor lambda*_v of the
 phi_t-stable balls {v(y) >= lambda} (ReductionData.stable_floor; 0 at a
 good-reduction place) the orbit is bounded and the height is 0; a torsion
-certificate also gives 0.  If none of these fire within the budget, a sound
-shrinking interval [0, -d(v) lambda / q^(rn)] is returned instead of a guess.
+certificate also gives 0.
+
+There is one budget, DEGREE_CAP on the Weil height of the iterates, and it
+ends every walk that no certificate ends first.  A torsion point is certified
+before the walk at a bad place; at a good place the floor is 0 and a torsion
+point has no pole there, so it stops at step 0.  Every other point is
+non-torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
+hhat(x) >= q^(-2r - r^2 N |S|)), and the Weil height of phi_t^n(x) grows
+like hhat(x) q^(rn) until it passes the cap.  There the answer is the sound
+interval [0, -d(v) lambda / q^(rn)] instead of a guess.
 
 All heights are exact Fractions; no floating point enters the computation.
 """
@@ -18,8 +26,6 @@ from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
 from drinheights.places import is_constant, poles
 from drinheights.torsion import _gap_degree, annihilator_of
-
-DEFAULT_N_MAX = 32
 
 # iterates beyond this degree force the sound interval fallback; the bound
 # exists to keep adversarial non-escaping orbits from eating memory
@@ -93,21 +99,21 @@ class HeightValue:
         return "HeightValue(%s, %s)" % (self, tag)
 
 
-def local_height(module, place, x, n_max=DEFAULT_N_MAX, index=1):
-    """hhat_v(x), exact whenever a certificate fires within the budget.
+def local_height(module, place, x, index=1):
+    """hhat_v(x), exact whenever a certificate fires within DEGREE_CAP.
 
     The iterates y_n = phi_t^n(x) are walked until one escapes below
     min{0, M_v} (Escaped, the exact limit) or lands in the stable ball
     v(y) >= lambda*_v (GoodReductionIntegral, exactly 0); a torsion point at
-    a bad place is 0 at once.  Otherwise, at n_max steps or DEGREE_CAP, the
-    answer is the interval [0, -d(v) min{0, M_v} / q^(rn)].
+    a bad place is 0 at once.  Otherwise the walk stops when the next iterate
+    would pass DEGREE_CAP, which every non-torsion orbit does (see the module
+    docstring), and the answer is the interval
+    [0, -d(v) min{0, M_v} / q^(rn)].
 
     For a module over an extension L of K, `index` = [L:K] and the place
     counts with its coherent degree d(v) / [L:K].
     """
     module._require_monic()
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     degree = Fraction(place.degree, index)
     rd = module.reduction_data(place)
     lam = min(Fraction(0), rd.M)
@@ -130,7 +136,7 @@ def local_height(module, place, x, n_max=DEFAULT_N_MAX, index=1):
                 degree * Fraction(-val, q**(r * n)), ESCAPED, n)
         # the next iterate has size about q^r times the current one; stop
         # before building something beyond the budget
-        if n >= n_max or y.weil_height() * q**r > DEGREE_CAP:
+        if y.weil_height() * q**r > DEGREE_CAP:
             break
         y = phi_t(y)
         n += 1
@@ -144,12 +150,12 @@ def relevant_places(module, x):
     return sorted(out, key=lambda v: v.sort_key())
 
 
-def global_height_breakdown(module, x, n_max=DEFAULT_N_MAX, index=1):
+def global_height_breakdown(module, x, index=1):
     """[(place, local height)] over the relevant places, sorted.
 
     `index` = [L:K] for a module over an extension L of K (see local_height).
     """
-    return [(v, local_height(module, v, x, n_max, index))
+    return [(v, local_height(module, v, x, index))
             for v in relevant_places(module, x)]
 
 def height_sum(parts):
@@ -159,9 +165,9 @@ def height_sum(parts):
     return total
 
 
-def global_height(module, x, n_max=DEFAULT_N_MAX):
+def global_height(module, x):
     """hhat(x) = sum of local heights; exact iff every summand is exact."""
-    return height_sum(global_height_breakdown(module, x, n_max))
+    return height_sum(global_height_breakdown(module, x))
 
 
 def weil_height(x):
@@ -224,7 +230,7 @@ class T2Certificate:
         return "T2Certificate(constant)"
 
 
-def check_t2mwg(module, x, n_max=DEFAULT_N_MAX, parts=None):
+def check_t2mwg(module, x, parts=None):
     """Certify the height-gap dichotomy for x.
 
     With S empty: x is constant or some place has hhat_v(x) >= d(v).  With S
@@ -232,7 +238,7 @@ def check_t2mwg(module, x, n_max=DEFAULT_N_MAX, parts=None):
     place has hhat_v(x) > q^(-2r - r^2 N |S|) d(v).  Budget exhaustion raises
     rather than guessing.
 
-    `parts` is global_height_breakdown(module, x, n_max) when the caller has
+    `parts` is global_height_breakdown(module, x) when the caller has
     it already; x is then neither factored nor iterated again.
     """
     module._require_monic()
@@ -240,7 +246,7 @@ def check_t2mwg(module, x, n_max=DEFAULT_N_MAX, parts=None):
     bounds = lehmer_bounds(module)
     if parts is None:
         # lazy, so that the search stops at the first witness
-        parts = ((v, local_height(module, v, x, n_max))
+        parts = ((v, local_height(module, v, x))
                  for v in relevant_places(module, x))
     if not S:
         if is_constant(x):
@@ -267,8 +273,8 @@ def check_t2mwg(module, x, n_max=DEFAULT_N_MAX, parts=None):
             return T2Certificate("witness", place=v, local=h.value, bound=bound)
     if exhausted:
         raise BudgetExhaustedError(
-            "no witness certified within n_max = %d: some local heights are "
-            "only known as intervals" % n_max)
+            "no witness certified within the degree budget DEGREE_CAP = %d: "
+            "some local heights are only known as intervals" % DEGREE_CAP)
     raise AssertionError("height gap theorem violated")  # unreachable
 
 
@@ -277,7 +283,7 @@ def pushed_module(module, emb):
     return DrinfeldModule(module.field, emb.apply_module(module.coeffs))
 
 
-def height_via_embedding(module, emb, x, n_max=DEFAULT_N_MAX):
+def height_via_embedding(module, emb, x):
     """hhat of the image of x in F_q(u), over coherent degrees relative to K.
 
     By coherence this equals global_height(module, x) whenever both resolve
@@ -286,4 +292,4 @@ def height_via_embedding(module, emb, x, n_max=DEFAULT_N_MAX):
     module._require_monic()
     pushed = pushed_module(module, emb)
     x_up = emb.apply(x)
-    return height_sum(global_height_breakdown(pushed, x_up, n_max, emb.degree))
+    return height_sum(global_height_breakdown(pushed, x_up, emb.degree))

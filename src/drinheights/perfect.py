@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from drinheights import gf
 from drinheights.errors import BudgetExhaustedError, IsotrivialModuleError
-from drinheights.heights import (DEFAULT_N_MAX, DEGREE_CAP, height_sum,
+from drinheights.heights import (DEGREE_CAP, height_sum,
                                  global_height_breakdown, lehmer_bounds,
                                  local_height, pushed_module)
 from drinheights.places import SubstitutionEmbedding, coherent_degree, expansion
@@ -50,15 +50,14 @@ class InsepLevel:
         return self.pushed.bad_reduction_set()
 
 
-def insep_height(module, n, y, n_max=DEFAULT_N_MAX):
+def insep_height(module, n, y):
     """Global height of y in F_q(u) for the module rewritten via t = u^(p^n).
 
     At n = 0 this is global_height; coherent degrees make the value
     comparable across levels.
     """
     level = InsepLevel(module, n)
-    return height_sum(global_height_breakdown(level.pushed, y, n_max,
-                                              level.index))
+    return height_sum(global_height_breakdown(level.pushed, y, level.index))
 
 
 class DichotomyReport:
@@ -97,7 +96,7 @@ def _expansion_vector(w_idx, w, y, upto):
     return vec
 
 
-def key_dichotomy_check(module, n, x, n_max=DEFAULT_N_MAX):
+def key_dichotomy_check(module, n, x):
     """Certify the key dichotomy at level n.
 
     Branch 1: some bad w has hhat_w(x) >= -d(w) M_w / q^(4r(r+1)^2|S|+2r).
@@ -121,7 +120,7 @@ def key_dichotomy_check(module, n, x, n_max=DEFAULT_N_MAX):
     for w in S:
         rd = psi.reduction_data(w)
         threshold = -coherent_degree(level.embedding, w) * rd.M / q**exponent
-        h = local_height(psi, w, x, n_max, level.index)
+        h = local_height(psi, w, x, level.index)
         if h.is_exact:
             if h.value >= threshold:
                 return DichotomyReport(level, 1, place=w, local=h.value,
@@ -180,18 +179,18 @@ class LehperReport:
             self.height, self.bound, self.margin)
 
 
-def lehper_check(module, n, x, n_max=DEFAULT_N_MAX):
+def lehper_check(module, n, x):
     """Check the uniform perfect-closure floor for one point at level n.
 
     Requires positive relative modular transcendence degree.  Non-torsion
     points must come out strictly above min d(v_0) / q^(4r(r+1)^2 s + 3r).
     """
-    return _lehper_at(InsepLevel(module, n), x, None, n_max)
+    return _lehper_at(InsepLevel(module, n), x, None)
 
 
-def _lehper_at(level, x, parts, n_max=DEFAULT_N_MAX):
+def _lehper_at(level, x, parts):
     """lehper_check at a level already built; `parts` is
-    global_height_breakdown(level.pushed, x, n_max, level.index) when the
+    global_height_breakdown(level.pushed, x, level.index) when the
     caller has it, and is computed only for a non-torsion x otherwise."""
     if level.module.modular_trdeg() == 0:
         raise IsotrivialModuleError(
@@ -202,7 +201,7 @@ def _lehper_at(level, x, parts, n_max=DEFAULT_N_MAX):
     if b is not None:
         return LehperReport(True, b, None, bound, None)
     if parts is None:
-        parts = global_height_breakdown(level.pushed, x, n_max, level.index)
+        parts = global_height_breakdown(level.pushed, x, level.index)
     h = height_sum(parts)
     if not h.is_exact:
         if h.lo > bound:

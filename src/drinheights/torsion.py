@@ -124,13 +124,12 @@ class TorsionCertificate:
         return "TorsionCertificate(non-torsion, %r)" % self.witness
 
 
-def is_torsion(module, x, n_max=None):
-    from drinheights.heights import DEFAULT_N_MAX, check_t2mwg
+def is_torsion(module, x):
+    from drinheights.heights import check_t2mwg
     b = annihilator_of(module, x)
     if b is not None:
         return TorsionCertificate(x, b, None)
-    witness = check_t2mwg(module, x, n_max if n_max is not None else DEFAULT_N_MAX)
-    return TorsionCertificate(x, None, witness)
+    return TorsionCertificate(x, None, check_t2mwg(module, x))
 
 
 class AnnihilatorBound:
@@ -261,14 +260,17 @@ def kernel_in_K(module, b):
     return sorted(roots, key=lambda r: r.sort_key())
 
 
-def torsion_enumerate(module):
+def torsion_enumerate(module, B=None):
     """The full rational torsion submodule, verified point by point.
 
-    It is the kernel in K of phi_B, B = torsion_annihilator(module); each
-    point is also checked by the torsion decision and closure.
+    It is the kernel in K of phi_B, B = torsion_annihilator(module), which is
+    computed here unless the caller has it; each point is also checked by the
+    torsion decision and closure.
     """
     module._require_monic()
-    pts = kernel_in_K(module, torsion_annihilator(module))
+    if B is None:
+        B = torsion_annihilator(module)
+    pts = kernel_in_K(module, B)
     pool = set(pts)
     phi_t = module.phi_t
     for x in pts:

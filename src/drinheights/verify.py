@@ -11,7 +11,6 @@ import math
 import random
 from fractions import Fraction
 
-from drinheights import drinfeld as drinfeld_mod
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.gf import finite_field
 from drinheights.heights import (global_height, height_via_embedding,
@@ -430,29 +429,19 @@ class VerifyResult:
         return sum(c for _, c, _ in self.rows)
 
 
-def run_verify(seed=0, count=500, inject_mv_bug=False):
-    """Run the full suite; returns a VerifyResult with one row per check.
-
-    `inject_mv_bug` flips the sign of M_v (test-only) so the harness can
-    demonstrate that a real defect is caught and reported.
-    """
+def run_verify(seed=0, count=500):
+    """Run the full suite; returns a VerifyResult with one row per check."""
     result = VerifyResult()
-    original_mv = drinfeld_mod._mv
-    if inject_mv_bug:
-        drinfeld_mod._mv = lambda vals, q, r: -original_mv(vals, q, r)
-    try:
-        for name, fn, default_cases in CHECKS:
-            cases = count * default_cases // 500 if count else 0
-            rng = random.Random(seed * 1000003 + sum(map(ord, name)))
-            message = None
-            if cases:
-                try:
-                    fn(rng, cases, module_pool())
-                except CheckFailure as exc:
-                    message = str(exc)
-                except Exception as exc:  # real defects surface as failures too
-                    message = "%s: %s" % (type(exc).__name__, exc)
-            result.rows.append((name, cases, message))
-    finally:
-        drinfeld_mod._mv = original_mv
+    for name, fn, default_cases in CHECKS:
+        cases = count * default_cases // 500 if count else 0
+        rng = random.Random(seed * 1000003 + sum(map(ord, name)))
+        message = None
+        if cases:
+            try:
+                fn(rng, cases, module_pool())
+            except CheckFailure as exc:
+                message = str(exc)
+            except Exception as exc:  # real defects surface as failures too
+                message = "%s: %s" % (type(exc).__name__, exc)
+        result.rows.append((name, cases, message))
     return result

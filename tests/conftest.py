@@ -1,11 +1,17 @@
 import pytest
 
-from drinheights import DrinfeldModule, finite_field, parse_ratfunc
+from drinheights import DrinfeldModule, drinfeld, finite_field, parse_ratfunc
 
 
 def make_module(field, *coeffs, var="t"):
     return DrinfeldModule(field,
                           [parse_ratfunc(field, c, var=var) for c in coeffs])
+
+
+def plant_mv_bug(monkeypatch):
+    """Flip the sign of M_v: a real defect that `verify` must catch."""
+    mv = drinfeld._mv
+    monkeypatch.setattr(drinfeld, "_mv", lambda vals, q, r: -mv(vals, q, r))
 
 
 @pytest.fixture(scope="session")

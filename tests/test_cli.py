@@ -1,9 +1,11 @@
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
+from conftest import plant_mv_bug
 from drinheights import cli
 from drinheights.errors import BudgetExhaustedError
 
@@ -138,7 +140,7 @@ def test_input_error_exit_2(tmp_path, capsys):
                 "module": {"coefficients": ["t", "1"]}}, []),
     ("lehmer", dict(CAR3, module={"coefficients": ["t", 1]}), []),
     ("lehmer", dict(CAR3, module=["t", "1"]), []),
-    ("height", dict(CAR3, point="1", n_max=[2]), []),
+    ("height", dict(CAR3, point="1", insep_level=[2]), []),
     ("height", dict(CAR3, point=1), []),
     ("insep-height", dict(CAR3, point="u", insep_level=1.5), []),
     ("insep-height", dict(CAR3, point="u"), ["--insep-level", "-1"]),
@@ -173,15 +175,17 @@ def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
 
 def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
     # the parser is built once; each call must see only its own flags
-    job = dict(CAR3, point="1/t", place={"kind": "infinity"})
+    job = dict(CAR3, point="1")
     path = job_file(tmp_path, job)
-    plain = run(capsys, ["local-height", path])
-    code, out, _ = run(capsys, ["local-height", path, "--n-max", "1",
+    plain = run(capsys, ["height", path])
+    code, out, _ = run(capsys, ["height", path, "--insep-level", "1",
                                 "--json"])
     assert code == 0
-    assert json.loads(out)["height"]["hi"] == "1/6"
-    assert run(capsys, ["local-height", path]) == plain
-    assert plain[0] == 0 and "1/9" in plain[1] and "1/6" not in plain[1]
+    data = json.loads(out)
+    assert data["height"]["value"] == "1/3" and "lehper" in data
+    assert run(capsys, ["height", path]) == plain
+    assert plain[0] == 0 and "global height = 1/3" in plain[1]
+    assert "inseparable level" not in plain[1] and "lehper" not in plain[1]
 
 
 def test_budget_exhaustion_exit_3(tmp_path, capsys, monkeypatch):
@@ -231,10 +235,10 @@ def test_verify_zero_cases(tmp_path, capsys):
     assert code == 0 and "0 cases run" in out
 
 
-def test_verify_injected_bug_exit_1(tmp_path, capsys):
+def test_verify_injected_bug_exit_1(tmp_path, capsys, monkeypatch):
+    plant_mv_bug(monkeypatch)
     job = dict(PSI2, seed=0, counts=30)
-    code, out, _ = run(capsys, ["verify", job_file(tmp_path, job),
-                                "--inject-mv-bug"])
+    code, out, _ = run(capsys, ["verify", job_file(tmp_path, job)])
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
 
@@ -262,13 +266,30 @@ def test_flat_job_schema(tmp_path, capsys):
     assert code == 0
 
 
-def test_n_max_flag(tmp_path, capsys):
-    job = dict(CAR3, point="1/t", place={"kind": "infinity"})
+def test_old_n_max_key_is_ignored(tmp_path, capsys):
+    # perfbench's bounded Carlitz q=2 job still carries "n_max": 12; the key
+    # is ignored and 1/(t+1) lies in the stable ball v_inf >= -1 at step 0
+    job = dict(PSI2, point="1/(t+1)", place={"kind": "infinity"}, n_max=12)
     code, out, _ = run(capsys, ["local-height", job_file(tmp_path, job),
-                                "--n-max", "1"])
+                                "--json"])
     assert code == 0
-    # interval bound -min(0, M_v) / q^(r n_max) = (1/2) / 3 with n_max = 1
-    assert "[0, 1/6]" in out
+    assert json.loads(out)["height"] == {
+        "value": "0", "certificate": "GoodReductionIntegral", "step": 0}
+
+
+def test_torsion_report_does_not_build_b_lcm(tmp_path, capsys):
+    # D = r N |S| = 2 * 2 * 4 = 16, so b_lcm would have degree
+    # 3 + 9 + ... + 3^16; the pole lattice has dimension 1, so m = 1
+    job = {"field": {"p": 3},
+           "module": {"coefficients": ["t", "1/(t*(t+1)*(t+2))", "1"]}}
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["torsion", job_file(tmp_path, job), "--json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    data = json.loads(out)
+    assert "b_lcm" not in data
+    assert (data["D"], data["m"], data["B"]) == (16, 1, "t^3+2*t")
+    assert data["torsion"] == [{"point": "0", "annihilator": "1"}]
 
 
 def test_height_high_power_carlitz(tmp_path, capsys):

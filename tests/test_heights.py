@@ -202,7 +202,7 @@ def test_interval_on_non_escaping_orbit(psi2, car3, F2, F3):
     # valuation 0 lies in the stable ball v(y) >= -1, so the height is 0
     x = R(F2, "t/(t+1)")
     v = InfinitePlace(F2)
-    h = local_height(psi2, v, x, n_max=6)
+    h = local_height(psi2, v, x)
     assert h.is_exact and h.value == 0
     assert h.certificate == "GoodReductionIntegral" and h.step == 0
     # independently, the orbit never drops below -1 there
@@ -211,14 +211,18 @@ def test_interval_on_non_escaping_orbit(psi2, car3, F2, F3):
         assert v.valuation(y) >= -1
         y = psi2.phi_t(y)
     # globally the pole at t+1 gives the whole height
-    assert global_height(psi2, x, n_max=6) == 1
-    # an orbit cut off by the budget still gets a sound interval, which
-    # shrinks geometrically with the budget: 1/t escapes only at step 2
+    assert global_height(psi2, x) == 1
+    # an orbit cut off by DEGREE_CAP still gets a sound interval: Carlitz
+    # q=3 has no stable ball at v_inf, and along the orbit of 1/t^7 the
+    # valuation falls by one a step while the degree triples, so the next
+    # iterate would pass the cap at step 7, before any escape; the bound is
+    # (1/2) / 3^7, and the exact value 1/3^8 lies inside
     w = InfinitePlace(F3)
-    h1 = local_height(car3, w, R(F3, "1/t"), n_max=1)
+    h1 = local_height(car3, w, R(F3, "1/t^7"))
     assert not h1.is_exact
-    assert h1.certificate == "IterationBudgetExhausted"
-    assert h1.lo == 0 and h1.hi == Fraction(1, 6)
+    assert h1.certificate == "IterationBudgetExhausted" and h1.step == 7
+    assert h1.lo == 0 and h1.hi == Fraction(1, 4374)
+    assert h1.lo <= Fraction(1, 6561) <= h1.hi
     h2 = local_height(car3, w, R(F3, "1/t"))
     assert h2.is_exact and h2.value == Fraction(1, 9)
 

@@ -1,3 +1,4 @@
+from conftest import plant_mv_bug
 from drinheights.verify import run_verify
 
 
@@ -20,15 +21,20 @@ def test_deterministic_given_seed():
     assert a.rows == b.rows
 
 
-def test_injected_bug_caught_with_counterexample():
-    res = run_verify(seed=0, count=40, inject_mv_bug=True)
+def test_injected_bug_caught_with_counterexample(monkeypatch):
+    plant_mv_bug(monkeypatch)
+    res = run_verify(seed=0, count=40)
     assert not res.ok
     failures = {name: msg for name, _, msg in res.rows if msg}
     assert "reduction-data" in failures
     assert "M_v < 0 iff v in S" in failures["reduction-data"]
 
 
-def test_injection_does_not_leak():
-    run_verify(seed=0, count=10, inject_mv_bug=True)
+def test_injection_does_not_leak(monkeypatch):
+    # nothing computed under the planted bug (a module's memoised reduction
+    # data, say) may survive into a later run
+    with monkeypatch.context() as patch:
+        plant_mv_bug(patch)
+        run_verify(seed=0, count=10)
     res = run_verify(seed=0, count=10)
     assert res.ok
