@@ -79,8 +79,6 @@ class Job:
         if not isinstance(data, dict):
             raise InputError("job must be a JSON object")
         self.data = data
-        self.var = data.get("var", "t")
-        self.ext_var = data.get("ext_var", "u")
         field_desc = data.get("field", data)
         if not isinstance(field_desc, dict) or "p" not in field_desc:
             raise InputError("job needs a field: {\"p\": ..., \"k\": ...}")
@@ -119,7 +117,7 @@ class Job:
 
     @property
     def point_var(self):
-        return self.ext_var if self.level > 0 else self.var
+        return "u" if self.level > 0 else "t"
 
     def module(self):
         desc = self.data.get("module", self.data)
@@ -127,20 +125,23 @@ class Job:
         if not coeffs or not isinstance(coeffs, list):
             raise InputError("job needs module coefficients")
         try:
-            parsed = [parse_ratfunc(self.field, text(c, "a coefficient"),
-                                    var=self.var)
+            parsed = [parse_ratfunc(self.field, text(c, "a coefficient"))
                       for c in coeffs]
         except ParseError as exc:
             raise InputError("bad coefficient: %s" % exc)
         return DrinfeldModule(self.field, parsed)
 
-    def point(self, key="point", var=None):
+    def at_level(self):
+        """The job's module at its inseparable level (at level 0, the
+        module itself); every command that reads the level builds it once."""
+        return InsepLevel(self.module(), self.level)
+
+    def point(self, key="point"):
         s = self.data.get(key)
         if s is None:
             raise InputError("job needs a %r entry" % key)
         try:
-            return parse_ratfunc(self.field, text(s, key),
-                                 var=var or self.point_var)
+            return parse_ratfunc(self.field, text(s, key), var=self.point_var)
         except ParseError as exc:
             raise InputError("bad point %r: %s" % (s, exc))
 
@@ -149,7 +150,7 @@ class Job:
         if s is None:
             raise InputError("job needs a %r entry" % key)
         try:
-            return parse_poly(self.field, text(s, key), var=self.var)
+            return parse_poly(self.field, text(s, key))
         except ParseError as exc:
             raise InputError("bad polynomial %r: %s" % (s, exc))
 
@@ -205,7 +206,7 @@ def _height_json(h):
 
 
 def cmd_reduction(job, rep):
-    mod = job.module()
+    mod = job.at_level().pushed
     S = mod.bad_reduction_set()
     rep.put("S", [_place_str(v, job) for v in S])
     rep.put("N_phi", mod.N_phi)
@@ -246,18 +247,12 @@ def cmd_reduction(job, rep):
 
 
 def _height_core(job, rep):
-    mod = job.module()
+    level = job.at_level()
     x = job.point()
     var = job.point_var
-    level = None
-    if job.level > 0:
-        level = InsepLevel(mod, job.level)
-        work, index = level.pushed, level.index
-        rep.say("inseparable level %d: t = %s^%d", job.level, job.ext_var,
-                level.index)
-    else:
-        work, index = mod, 1
-    parts = global_height_breakdown(work, x, index)
+    if level.n:
+        rep.say("inseparable level %d: t = u^%d", level.n, level.index)
+    parts = global_height_breakdown(level.pushed, x, level.index)
     total = height_sum(parts)
     rep.put("point", x.to_string(var))
     rep.put("local", [])
@@ -269,71 +264,70 @@ def _height_core(job, rep):
         rep.data["local"].append(entry)
     rep.say("global height = %s", total)
     rep.put("height", _height_json(total))
-    return mod, level, x, parts, total
+    return level, x, parts, total
 
 
 def cmd_height(job, rep):
-    mod, level, x, parts, total = _height_core(job, rep)
+    level, x, parts, total = _height_core(job, rep)
     sub = job.data.get("substitution")
-    if sub is not None and job.level == 0:
+    if sub is not None and level.n == 0:
         from drinheights.heights import height_via_embedding
         from drinheights.places import SubstitutionEmbedding
         try:
-            image = parse_ratfunc(job.field, sub["u_image_of_t"],
-                                  var=job.ext_var)
+            image = parse_ratfunc(job.field, sub["u_image_of_t"], var="u")
             emb = SubstitutionEmbedding(image)
         except (KeyError, TypeError, ParseError, ValueError) as exc:
             raise InputError("bad substitution: %s" % exc)
-        h2 = height_via_embedding(mod, emb, x)
+        h2 = height_via_embedding(level.module, emb, x)
         agree = (total.is_exact and h2.is_exact
                  and total.value == h2.value)
-        rep.say("height via t -> %s: %s%s", image.to_string(job.ext_var), h2,
+        rep.say("height via t -> %s: %s%s", image.to_string("u"), h2,
                 "  (agrees)" if agree else "")
         rep.put("embedding_height", _height_json(h2))
-    bounds = lehmer_bounds(mod)
+    bounds = lehmer_bounds(level.module)
     rep.put("bounds", {"sharp": frac(bounds.sharp), "weak": frac(bounds.weak),
                        "lehper": None if bounds.lehper is None
                        else frac(bounds.lehper),
                        "torsion_degree": bounds.torsion_degree})
-    if job.level > 0:
+    if level.n:
         report = _lehper_at(level, x, parts)
         if report.torsion:
             rep.say("torsion point, annihilator b = %s",
-                    report.annihilator.to_string(job.var))
-            rep.put("torsion", report.annihilator.to_string(job.var))
+                    report.annihilator.to_string())
+            rep.put("torsion", report.annihilator.to_string())
         else:
             rep.say("lehper bound %s: %s > %s: PASS", frac(report.bound),
                     total, frac(report.bound))
             rep.put("lehper", {"bound": frac(report.bound),
                                "margin": frac(report.margin)})
         return 0
-    cert = check_t2mwg(mod, x, parts=parts)
+    cert = check_t2mwg(level.module, x, parts=parts)
     if cert.kind == "constant":
         rep.say("constant point (torsion = constants since S is empty)")
         rep.put("certificate", {"kind": "constant"})
     elif cert.kind == "torsion":
         rep.say("torsion point, annihilator b = %s",
-                cert.annihilator.to_string(job.var))
+                cert.annihilator.to_string())
         rep.put("certificate", {"kind": "torsion",
-                                "b": cert.annihilator.to_string(job.var)})
+                                "b": cert.annihilator.to_string()})
     else:
         rep.say("witness %s: local height %s > bound %s: PASS",
-                cert.place.to_string(job.var), frac(cert.local),
+                cert.place.to_string(), frac(cert.local),
                 frac(cert.bound))
         rep.put("certificate", {"kind": "witness",
-                                "place": cert.place.to_string(job.var),
+                                "place": cert.place.to_string(),
                                 "local": frac(cert.local),
                                 "bound": frac(cert.bound)})
     return 0
 
 
 def cmd_local_height(job, rep):
-    mod = job.module()
+    level = job.at_level()
     x = job.point()
     v = job.place()
-    h = local_height(mod, v, x)
-    rep.say("h_%s(%s) = %s  [%s]", _place_str(v, job), x.to_string(job.var),
-            h, h.certificate)
+    h = local_height(level.pushed, v, x, level.index)
+    rep.say("h_%s(%s) = %s  [%s]", _place_str(v, job),
+            x.to_string(job.point_var), h, h.certificate)
     rep.put("place", _place_str(v, job))
     rep.put("height", _height_json(h))
     return 0
@@ -354,19 +348,18 @@ def cmd_torsion(job, rep):
     rep.say("D = r N_phi |S| = %d", D)
     rep.say("m = min(D, n) = %d (n: dimension of the pole lattice)", m)
     rep.say("B = prod_{k<=m} (t^(q^k) - t) = %s (degree %d)",
-            B.to_string(job.var), B.degree)
+            B.to_string(), B.degree)
     rep.put("D", D)
     rep.put("m", m)
-    rep.put("B", B.to_string(job.var))
+    rep.put("B", B.to_string())
     points = torsion_enumerate(mod, B)
     rep.say("torsion module (%d points):", len(points))
     rep.put("torsion", [])
     for x in points:
         b = annihilator_of(mod, x)
-        rep.say("  %s  (minimal annihilator %s)", x.to_string(job.var),
-                b.to_string(job.var))
-        rep.data["torsion"].append({"point": x.to_string(job.var),
-                                    "annihilator": b.to_string(job.var)})
+        rep.say("  %s  (minimal annihilator %s)", x.to_string(), b.to_string())
+        rep.data["torsion"].append({"point": x.to_string(),
+                                    "annihilator": b.to_string()})
     return 0
 
 
@@ -375,11 +368,11 @@ def cmd_kernel(job, rep):
     b = job.poly("b")
     roots = kernel_in_K(mod, b)
     rep.say("kernel of phi_b for b = %s: %d rational roots",
-            b.to_string(job.var), len(roots))
+            b.to_string(), len(roots))
     for x in roots:
-        rep.say("  %s", x.to_string(job.var))
-    rep.put("b", b.to_string(job.var))
-    rep.put("kernel", [x.to_string(job.var) for x in roots])
+        rep.say("  %s", x.to_string())
+    rep.put("b", b.to_string())
+    rep.put("kernel", [x.to_string() for x in roots])
     return 0
 
 
@@ -422,13 +415,13 @@ def cmd_dichotomy(job, rep):
         rep.put("threshold", frac(report.threshold))
     else:
         rep.say("branch 2: b = %s pushes x above every T_v",
-                report.b.to_string(job.var))
+                report.b.to_string())
         for v, val in report.valuations:
             rep.say("  v = %s: v(phi_b(x)) = %s > T_v = %s",
                     v.to_string(job.point_var), frac(val),
                     frac(report.level.pushed.reduction_data(v).T))
         rep.put("branch", 2)
-        rep.put("b", report.b.to_string(job.var))
+        rep.put("b", report.b.to_string())
         rep.put("valuations", [[v.to_string(job.point_var), frac(val)]
                                for v, val in report.valuations])
     return 0

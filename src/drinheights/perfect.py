@@ -14,13 +14,19 @@ from drinheights.errors import BudgetExhaustedError, IsotrivialModuleError
 from drinheights.heights import (DEGREE_CAP, height_sum,
                                  global_height_breakdown, lehmer_bounds,
                                  local_height, pushed_module)
-from drinheights.places import SubstitutionEmbedding, coherent_degree, expansion
+from drinheights.places import SubstitutionEmbedding, expansion
 from drinheights.ratfunc import Poly, RatFunc
 from drinheights.torsion import annihilator_of
 
 
 class InsepLevel:
-    """The embedding K = F_q(t) into F_q(u) with t = u^(p^n)."""
+    """The embedding K = F_q(t) into F_q(u) with t = u^(p^n).
+
+    At n = 0 the level is the module itself (`pushed is module`, index 1),
+    and the checks that a higher level runs on its pushed module are
+    theorems: S is the same set, and at a bad place some v(a_i) <= -1 with
+    i < r (a_r = 1), so T_v >= 1/q^(r-1) > 1/q^r.
+    """
 
     def __init__(self, module, n):
         module._require_monic()
@@ -28,11 +34,12 @@ class InsepLevel:
             raise ValueError("inseparable level must be >= 0")
         self.module = module
         self.n = n
-        p = module.field.char
-        self.index = p**n  # [L : K]
-        self.embedding = SubstitutionEmbedding(
-            RatFunc.from_poly(Poly.x(module.field)**self.index))
-        self.pushed = pushed_module(module, self.embedding)
+        self.index = module.field.char**n  # [L : K]
+        if n == 0:
+            self.pushed = module
+            return
+        self.pushed = pushed_module(module, SubstitutionEmbedding(
+            RatFunc.from_poly(Poly.x(module.field)**self.index)))
         self._check()
 
     def _check(self):
@@ -119,7 +126,7 @@ def key_dichotomy_check(module, n, x):
     exhausted = False
     for w in S:
         rd = psi.reduction_data(w)
-        threshold = -coherent_degree(level.embedding, w) * rd.M / q**exponent
+        threshold = -Fraction(w.degree, level.index) * rd.M / q**exponent
         h = local_height(psi, w, x, level.index)
         if h.is_exact:
             if h.value >= threshold:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import plant_mv_bug
+from conftest import make_module, plant_mv_bug
 from drinheights import cli
 from drinheights.errors import BudgetExhaustedError
 
@@ -24,6 +24,13 @@ def job_file(tmp_path, data, name="job.json"):
 
 PSI2 = {"field": {"p": 2, "k": 1}, "module": {"coefficients": ["t", "1"]}}
 CAR3 = {"field": {"p": 3, "k": 1}, "module": {"coefficients": ["t", "1"]}}
+# t + tau/(t^2+1) + tau^2 over F_3: bad at t^2+1 and at infinity
+RANK2_BAD = {"field": {"p": 3, "k": 1},
+             "module": {"coefficients": ["t", "1/(t^2+1)", "1"]}}
+# the level-1 local-height job the CI workflow also runs through the
+# installed entry point
+LOCAL_AT_LEVEL = {"field": {"p": 3}, "module": {"coefficients": ["t", "1"]},
+                  "point": "1/u", "place": {"kind": "infinity"}}
 
 
 def test_reduction_report(tmp_path, capsys):
@@ -166,6 +173,9 @@ def test_input_error_exit_2(tmp_path, capsys):
     ("insep-height", {"field": {"p": 100003},
                       "module": {"coefficients": ["t", "1"]}, "point": "u"},
      []),
+    ("height", dict(CAR3, point="t", substitution={"u_image_of_t": "1"}), []),
+    # the variables are t (and u above level 0); there is no "var" key
+    ("lehmer", dict(CAR3, var="x", module={"coefficients": ["x", "1"]}), []),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
@@ -362,6 +372,9 @@ def test_height_factors_point_once(tmp_path, capsys, monkeypatch):
      "v = v[inf]: v(phi_b(x)) = +inf > T_v = 2"),
     ("dichotomy", dict(CAR3, point="u", insep_level=1), "branch 1"),
     ("height", dict(CAR3, point="u", insep_level=1), "lehper bound"),
+    ("local-height", dict(LOCAL_AT_LEVEL, insep_level=1),
+     "h_v[inf](1/u) = 2/9"),
+    ("reduction", dict(RANK2_BAD, insep_level=1), "M_v = -1/2, T_v = 1"),
 ])
 def test_height_over_extension_one_level_no_place_below(
         cmd, job, expect, tmp_path, capsys, monkeypatch):
@@ -379,6 +392,75 @@ def test_height_over_extension_one_level_no_place_below(
     code, out, _ = run(capsys, [cmd, job_file(tmp_path, job)])
     assert code == 0 and expect in out
     assert levels == [1]
+
+
+@pytest.mark.parametrize("cmd, job", [
+    ("height", dict(CAR3, point="t^2+1")),
+    ("local-height", dict(CAR3, point="1/t", place={"kind": "infinity"})),
+    ("reduction", RANK2_BAD),
+    ("dichotomy", dict(CAR3, point="1")),
+])
+def test_level_zero_job_pushes_nothing(cmd, job, tmp_path, capsys,
+                                       monkeypatch):
+    # at level 0 the job's one InsepLevel is the module itself
+    from drinheights import perfect
+    levels, pushed = [], []
+    real_init = perfect.InsepLevel.__init__
+
+    def counting_init(self, module, n):
+        levels.append(n)
+        real_init(self, module, n)
+    monkeypatch.setattr(perfect.InsepLevel, "__init__", counting_init)
+    monkeypatch.setattr(perfect, "pushed_module",
+                        lambda module, emb: pushed.append(module))
+    code, _, _ = run(capsys, [cmd, job_file(tmp_path, job)])
+    assert code == 0
+    assert levels == [0] and pushed == []
+
+
+def test_local_height_at_level_matches_insep_height(tmp_path, capsys):
+    # local-height reads the job's level: 2/9 at v[inf], not level 0's 1/9
+    path = job_file(tmp_path, LOCAL_AT_LEVEL)
+    code, out, _ = run(capsys, ["local-height", path, "--insep-level", "1"])
+    assert code == 0
+    assert out == "h_v[inf](1/u) = 2/9  [Escaped]\n"
+    code, out, _ = run(capsys, ["insep-height", path, "--insep-level", "1",
+                                "--json"])
+    assert code == 0
+    local = {e["place"]: e["value"] for e in json.loads(out)["local"]}
+    assert local == {"v[u]": "1/3", "v[inf]": "2/9"}
+    for name, place in (("v[u]", {"kind": "finite", "P": "u"}),
+                        ("v[inf]", {"kind": "infinity"})):
+        job = dict(LOCAL_AT_LEVEL, place=place)
+        code, out, _ = run(capsys, ["local-height", job_file(tmp_path, job),
+                                    "--insep-level", "1", "--json"])
+        data = json.loads(out)
+        assert code == 0 and data["place"] == name
+        assert data["height"]["value"] == local[name]
+
+
+def test_reduction_at_level_is_the_pushed_module(tmp_path, capsys):
+    # level 0 has M = -1/6, T = 1/3 at v[t^2+1] and -1/8, 1 at v[inf]
+    from drinheights.perfect import InsepLevel
+    code, out, _ = run(capsys, ["reduction", job_file(tmp_path, RANK2_BAD),
+                                "--insep-level", "1", "--json"])
+    assert code == 0
+    places = {e["place"]: (e["M"], e["T"]) for e in json.loads(out)["places"]}
+    assert places == {"v[u^2+1]": ("-1/2", "1"), "v[inf]": ("-3/8", "3")}
+    F3 = cli.finite_field(3)
+    pushed = InsepLevel(make_module(F3, "t", "1/(t^2+1)", "1"), 1).pushed
+    for w in pushed.bad_reduction_set():
+        rd = pushed.reduction_data(w)
+        assert places[w.to_string("u")] == (str(rd.M), str(rd.T))
+
+
+def test_height_substitution(tmp_path, capsys):
+    job = dict(CAR3, point="t", substitution={"u_image_of_t": "u^2"})
+    code, out, _ = run(capsys, ["height", job_file(tmp_path, job)])
+    assert code == 0 and "height via t -> u^2: 1  (agrees)" in out
+    code, out, _ = run(capsys, ["height", job_file(tmp_path, job), "--json"])
+    assert code == 0
+    assert json.loads(out)["embedding_height"]["value"] == "1"
 
 
 VERIFY_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_f3_counts100_seed0.json"

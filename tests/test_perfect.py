@@ -38,6 +38,15 @@ def test_sharpness_decay(tau2, F2):
         assert h.is_exact and h.value == Fraction(1, 2**n)
 
 
+def test_level_zero_is_the_module(car3, monkeypatch):
+    from drinheights import perfect
+    pushed = []
+    monkeypatch.setattr(perfect, "pushed_module",
+                        lambda module, emb: pushed.append(module))
+    level = InsepLevel(car3, 0)
+    assert level.pushed is car3 and level.index == 1 and pushed == []
+
+
 def test_bad_set_size_invariant(car3, psi2, F3):
     mods = [car3, psi2, make_module(F3, "t", "1/t", "1")]
     for mod in mods:
