@@ -2,11 +2,13 @@
 
 A module is given by the coefficients a_0..a_r of phi_t.  This module houses
 the ring-homomorphism extension phi_b, the bad-reduction set S, the per-place
-reduction data (the rationals M_v and T_v, the Newton polygon of phi_t, the
-exceptional valuation sets P_v, P'_v, P''_v, Q_v and the angular-component
-sets R_v(alpha)), the floor of the phi_t-stable balls at a place,
-monicization by a conjugation in K, and the isotriviality test via the
-relative modular transcendence degree.
+reduction data, the floor of the phi_t-stable balls at a place, monicization
+by a conjugation in K, and the isotriviality test via the relative modular
+transcendence degree.  A place's reduction data holds the rationals M_v and
+T_v and the Newton polygon of phi_t, built at once, and the exceptional
+valuation sets P_v, P'_v, P''_v, Q_v and the angular-component sets
+R_v(alpha), built together on first read: only the `reduction` report and
+`verify` read them.
 """
 
 import math
@@ -21,6 +23,9 @@ from drinheights.skew import SkewPoly
 
 # ReductionData.floor before stable_floor fills it
 _UNSET = object()
+
+# the ReductionData fields built together on first read
+_RESIDUE_SETS = ("P", "Pp", "Ppp", "Q", "R")
 
 
 def _mv(vals, q, r):
@@ -62,37 +67,112 @@ def _lower_hull(points):
 class ReductionData:
     """Reduction data of a monic module at one place (see module docstring).
 
-    R maps each alpha in Q_v to a tuple of nonzero residue-field elements;
-    `pair_in` is the dichotomy membership test (v(x), ac(x)) in P x R(v(x)).
-    `floor` is filled on first use by stable_floor.
+    Built at once: the valuations `vals`, `in_S`, M_v, T_v and the Newton
+    polygon; `floor` is filled on first use by stable_floor.  Built on first
+    read of any of them, all together: the exceptional sets P, Pp, Ppp, Q
+    and R, which maps each alpha in Q_v to a tuple of nonzero residue-field
+    elements.  `pair_in` is the dichotomy membership test
+    (v(x), ac(x)) in P x R(v(x)).
     """
 
-    __slots__ = ("place", "in_S", "vals", "M", "T", "newton", "P", "Pp",
-                 "Ppp", "Q", "R", "N_phi", "q", "r", "floor")
+    __slots__ = ("place", "coeffs", "in_S", "vals", "M", "T", "newton",
+                 "N_phi", "q", "r", "floor") + _RESIDUE_SETS
 
-    def __init__(self, place, in_S, vals, M, T, newton, P, Pp, Ppp, Q, R,
-                 N_phi, q, r):
+    def __init__(self, module, place):
+        q, r = self.q, self.r = module.q, module.r
         self.place = place
-        self.in_S = in_S
-        self.vals = vals
-        self.M = M
-        self.T = T
-        self.newton = newton
-        self.P = P
-        self.Pp = Pp
-        self.Ppp = Ppp
-        self.Q = Q
-        self.R = R
-        self.N_phi = N_phi
-        self.q = q
-        self.r = r
+        self.coeffs = module.coeffs
+        self.N_phi = module.N_phi
+        self.vals = vals = tuple(place.valuation(a) for a in module.coeffs)
+        self.in_S = any(a < 0 for a in vals)  # S: some v(a_i) < 0
+        self.M = _mv(vals, q, r)
+        self.T = _tv(vals, q, r)
+        points = [(q**i, a) for i, a in enumerate(vals) if a is not INFINITY]
+        hull = _lower_hull(points)
+        self.newton = tuple(((x1, y1), (x2, y2), Fraction(y2 - y1, x2 - x1))
+                            for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
         self.floor = _UNSET
-        self._check()
+        if self.in_S and not self.T > 0:
+            raise RuntimeError("T_v must be positive at a bad place")
+
+    def __getattr__(self, name):
+        # only an unset slot reaches here: build the five residue sets,
+        # assign them together and check them
+        if name not in _RESIDUE_SETS:
+            raise AttributeError(name)
+        for attr, value in zip(_RESIDUE_SETS, self._residue_sets()):
+            setattr(self, attr, value)
+        try:
+            self._check()
+        except BaseException:
+            for attr in _RESIDUE_SETS:
+                delattr(self, attr)
+            raise
+        return getattr(self, name)
+
+    def _residue_sets(self):
+        q, r, vals, T, v = self.q, self.r, self.vals, self.T, self.place
+        slopes = [seg[2] for seg in self.newton]
+
+        def min_indices(alpha):
+            best = None
+            ids = []
+            for i in range(r + 1):
+                if vals[i] is INFINITY:
+                    continue
+                c = vals[i] + q**i * alpha
+                if best is None or c < best:
+                    best, ids = c, [i]
+                elif c == best:
+                    ids.append(i)
+            return best, ids
+
+        P = sorted({-s for s in slopes if s >= 0})
+        if q == 2 and r == 1 and self.in_S and Fraction(0) not in P:
+            P.append(Fraction(0))
+            P.sort()
+
+        # P'_v: 0 < alpha <= T with min_i(v(a_i) + q^i alpha) landing in P_v;
+        # the minimum is strictly increasing in alpha, so alpha is determined
+        # by its target and the candidate set below is exhaustive
+        pp_target = {}
+        for alpha1 in P:
+            for i in range(r + 1):
+                if vals[i] is INFINITY:
+                    continue
+                cand = Fraction(alpha1 - vals[i], q**i)
+                if 0 < cand <= T:
+                    best, _ = min_indices(cand)
+                    if best == alpha1:
+                        pp_target[cand] = alpha1
+        Pp = sorted(pp_target)
+
+        Ppp = sorted({-s for s in slopes if 0 < -s <= T})
+
+        # R_v(alpha): the nonzero X whose residual image
+        # sum_{i minimal at alpha} ac(a_i) X^(q^i) lies in targets(alpha),
+        # which holds 0 on P_v and P''_v and R_v(target) on P'_v; every
+        # target lies in P_v <= 0 < P'_v, so its R_v is already filled
+        k_v = v.residue_field
+        Q = sorted(set(P) | set(Pp) | set(Ppp))
+        R = {}
+        for alpha in Q:
+            _, ids = min_indices(alpha)
+            image = [(v.angular_component(self.coeffs[i]), i) for i in ids]
+            targets = []
+            if alpha in P or alpha in Ppp:
+                targets.append(k_v.zero)
+            if alpha in pp_target:
+                targets.extend(R[pp_target[alpha]])
+            sols = {e for target in targets
+                    for e in gf.additive_preimages(image, target) if e.val != 0}
+            if alpha == 0:
+                sols.add(k_v.one)
+            R[alpha] = tuple(sorted(sols, key=lambda e: e.val))
+        return tuple(P), tuple(Pp), tuple(Ppp), tuple(Q), R
 
     def _check(self):
         q, r = self.q, self.r
-        if self.in_S and not self.T > 0:
-            raise RuntimeError("T_v must be positive at a bad place")
         if len(self.P) > self.N_phi:
             raise RuntimeError("|P_v| exceeds N_phi")
         if len(self.Pp) > len(self.P):
@@ -260,82 +340,8 @@ class DrinfeldModule:
     def reduction_data(self, place):
         self._require_monic()
         if place not in self._rd:
-            self._rd[place] = self._reduction_data(place)
+            self._rd[place] = ReductionData(self, place)
         return self._rd[place]
-
-    def _reduction_data(self, v):
-        q, r = self.q, self.r
-        vals = tuple(v.valuation(a) for a in self.coeffs)
-        in_S = v in self.bad_reduction_set()
-        M = _mv(vals, q, r)
-        T = _tv(vals, q, r)
-
-        points = [(q**i, vals[i]) for i in range(r + 1) if vals[i] is not INFINITY]
-        hull = _lower_hull(points)
-        newton = []
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            newton.append(((x1, y1), (x2, y2), Fraction(y2 - y1, x2 - x1)))
-        slopes = [seg[2] for seg in newton]
-
-        def min_indices(alpha):
-            best = None
-            ids = []
-            for i in range(r + 1):
-                if vals[i] is INFINITY:
-                    continue
-                c = vals[i] + q**i * alpha
-                if best is None or c < best:
-                    best, ids = c, [i]
-                elif c == best:
-                    ids.append(i)
-            return best, ids
-
-        P = sorted({-s for s in slopes if s >= 0})
-        if q == 2 and r == 1 and in_S and Fraction(0) not in P:
-            P.append(Fraction(0))
-            P.sort()
-
-        # P'_v: 0 < alpha <= T with min_i(v(a_i) + q^i alpha) landing in P_v;
-        # the minimum is strictly increasing in alpha, so alpha is determined
-        # by its target and the candidate set below is exhaustive
-        pp_target = {}
-        for alpha1 in P:
-            for i in range(r + 1):
-                if vals[i] is INFINITY:
-                    continue
-                cand = Fraction(alpha1 - vals[i], q**i)
-                if 0 < cand <= T:
-                    best, _ = min_indices(cand)
-                    if best == alpha1:
-                        pp_target[cand] = alpha1
-        Pp = sorted(pp_target)
-
-        Ppp = sorted({-s for s in slopes if 0 < -s <= T})
-
-        # R_v(alpha): the nonzero X whose residual image
-        # sum_{i minimal at alpha} ac(a_i) X^(q^i) lies in targets(alpha),
-        # which holds 0 on P_v and P''_v and R_v(target) on P'_v; every
-        # target lies in P_v <= 0 < P'_v, so its R_v is already filled
-        k_v = v.residue_field
-        Q = sorted(set(P) | set(Pp) | set(Ppp))
-        R = {}
-        for alpha in Q:
-            _, ids = min_indices(alpha)
-            image = [(v.angular_component(self.coeffs[i]), i) for i in ids]
-            targets = []
-            if alpha in P or alpha in Ppp:
-                targets.append(k_v.zero)
-            if alpha in pp_target:
-                targets.extend(R[pp_target[alpha]])
-            sols = {e for target in targets
-                    for e in gf.additive_preimages(image, target) if e.val != 0}
-            if alpha == 0:
-                sols.add(k_v.one)
-            R[alpha] = tuple(sorted(sols, key=lambda e: e.val))
-
-        return ReductionData(v, in_S, vals, M, T, tuple(newton), tuple(P),
-                             tuple(Pp), tuple(Ppp), tuple(Q), R, self.N_phi,
-                             q, r)
 
     def monicize(self):
         """Conjugate to a monic module: returns (module, gamma) with

@@ -46,7 +46,8 @@ class HeightValue:
 
     def __init__(self, lo, hi, certificate, step=None):
         if lo < 0 or hi < lo:
-            raise ValueError("invalid height interval [%s, %s]" % (lo, hi))
+            # an internal guard, not an input check: cli exits 4 on it
+            raise AssertionError("invalid height interval [%s, %s]" % (lo, hi))
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         self.certificate = certificate

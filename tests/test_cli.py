@@ -231,6 +231,21 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
                                "message": "kernel generator fails verification"}
 
 
+def test_invalid_height_interval_is_internal_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # HeightValue guards the library's own intervals: one with hi < lo is a
+    # defect (exit 4), not an input error (exit 2)
+    from drinheights.heights import EXHAUSTED, HeightValue
+
+    def bad_interval(module, place, x, index=1):
+        return HeightValue.interval(1, 0, EXHAUSTED)
+    monkeypatch.setattr(cli, "local_height", bad_interval)
+    job = dict(CAR3, point="1/t", place={"kind": "infinity"})
+    code, out, err = run(capsys, ["local-height", job_file(tmp_path, job)])
+    assert code == 4 and out == ""
+    assert "internal error: invalid height interval [1, 0]" in err
+
+
 def test_verify_ok(tmp_path, capsys):
     job = {"field": {"p": 2, "k": 1}, "module": {"coefficients": ["t", "1"]},
            "seed": 0, "counts": 30}

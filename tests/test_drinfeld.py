@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_module
+from drinheights import cli, drinfeld, gf, perfect, places
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import MonicizeError, NonMonicError
 from drinheights.gf import finite_field
@@ -338,3 +340,191 @@ def test_bad_reduction_set_factors_only_denominators(F3, monkeypatch):
     assert [v.to_string() for v in mod.bad_reduction_set()] == [
         "v[t]", "v[t^2+1]", "v[inf]"]
     assert seen == [a0.den]
+
+
+def _eager_reduction_sets(mod, v):
+    """P, P', P'', Q and R at v, built as the one-pass constructor did before
+    the residue sets were built on first read; the oracle for them."""
+    q, r = mod.q, mod.r
+    vals = tuple(v.valuation(a) for a in mod.coeffs)
+    in_S = v in mod.bad_reduction_set()
+    T = drinfeld._tv(vals, q, r)
+    points = [(q**i, vals[i]) for i in range(r + 1) if vals[i] is not INFINITY]
+    hull = drinfeld._lower_hull(points)
+    slopes = [Fraction(y2 - y1, x2 - x1)
+              for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+    def min_indices(alpha):
+        best = None
+        ids = []
+        for i in range(r + 1):
+            if vals[i] is INFINITY:
+                continue
+            c = vals[i] + q**i * alpha
+            if best is None or c < best:
+                best, ids = c, [i]
+            elif c == best:
+                ids.append(i)
+        return best, ids
+
+    P = sorted({-s for s in slopes if s >= 0})
+    if q == 2 and r == 1 and in_S and Fraction(0) not in P:
+        P.append(Fraction(0))
+        P.sort()
+    pp_target = {}
+    for alpha1 in P:
+        for i in range(r + 1):
+            if vals[i] is INFINITY:
+                continue
+            cand = Fraction(alpha1 - vals[i], q**i)
+            if 0 < cand <= T:
+                best, _ = min_indices(cand)
+                if best == alpha1:
+                    pp_target[cand] = alpha1
+    Pp = sorted(pp_target)
+    Ppp = sorted({-s for s in slopes if 0 < -s <= T})
+    k_v = v.residue_field
+    Q = sorted(set(P) | set(Pp) | set(Ppp))
+    R = {}
+    for alpha in Q:
+        _, ids = min_indices(alpha)
+        image = [(v.angular_component(mod.coeffs[i]), i) for i in ids]
+        targets = []
+        if alpha in P or alpha in Ppp:
+            targets.append(k_v.zero)
+        if alpha in pp_target:
+            targets.extend(R[pp_target[alpha]])
+        sols = {e for target in targets
+                for e in gf.additive_preimages(image, target) if e.val != 0}
+        if alpha == 0:
+            sols.add(k_v.one)
+        R[alpha] = tuple(sorted(sols, key=lambda e: e.val))
+    return tuple(P), tuple(Pp), tuple(Ppp), tuple(Q), R
+
+
+def _modules_with_bad_places_of_degree_1_to_3():
+    """Rank 1 and 2 modules over F_2, F_3, F_4 and F_9, each with a pole of
+    order 1 to 3 at a place of degree 1, 2 and 3."""
+    out = []
+    for field in (finite_field(2), finite_field(3), finite_field(2, 2),
+                  finite_field(3, 2)):
+        for d in (1, 2, 3):
+            P = next(iter(irreducible_monics(field, d)))
+            for e in (1, 2, 3):
+                pole = RatFunc(Poly.one(field), P**e)
+                t, one = RatFunc.x(field), RatFunc.one(field)
+                out.append(DrinfeldModule(field, [t + pole, one]))
+                out.append(DrinfeldModule(field, [t, pole, one]))
+    return out
+
+
+def test_residue_sets_match_eager_oracle():
+    from drinheights.verify import module_pool
+    mods = ([mod for _, mod in module_pool()]
+            + _modules_with_bad_places_of_degree_1_to_3())
+    degrees = set()
+    for mod in mods:
+        for v in mod.bad_reduction_set():
+            rd = mod.reduction_data(v)
+            got = (rd.P, rd.Pp, rd.Ppp, rd.Q, rd.R)
+            assert got == _eager_reduction_sets(mod, v), (mod, v)
+            degrees.add((mod.q, v.degree))
+    assert {(q, d) for q in (2, 3, 4, 9) for d in (1, 2, 3)} <= degrees
+
+
+def test_in_S_read_off_the_valuations():
+    mods = _random_monic_modules(random.Random(9), 60)
+    assert len(mods) == 60
+    for mod in mods:
+        S = mod.bad_reduction_set()
+        good = [InfinitePlace(mod.field)] + [
+            FinitePlace(P) for d in (1, 2)
+            for P in list(irreducible_monics(mod.field, d))[:2]]
+        for v in list(S) + good:
+            assert mod.reduction_data(v).in_S == (v in S), (mod, v)
+
+
+def test_residue_sets_built_on_first_read_and_checked(monkeypatch, F3):
+    rd = make_module(F3, "t", "1").reduction_data(InfinitePlace(F3))
+    assert rd.M == Fraction(-1, 2)
+    with pytest.raises(AttributeError):
+        rd.no_such_field
+    # a failed cardinality check leaves no set behind and fails again
+    calls = []
+
+    def failing_check(self):
+        calls.append(self)
+        raise RuntimeError("|P_v| exceeds N_phi")
+    monkeypatch.setattr(drinfeld.ReductionData, "_check", failing_check)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="exceeds N_phi"):
+            rd.R
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert rd.P == (Fraction(-1, 2),) and set(rd.R) == set(rd.Q)
+
+
+def test_positive_T_checked_at_construction(monkeypatch, F3):
+    monkeypatch.setattr(drinfeld, "_tv", lambda vals, q, r: Fraction(0))
+    mod = make_module(F3, "t", "1")
+    with pytest.raises(RuntimeError, match="T_v must be positive"):
+        mod.reduction_data(InfinitePlace(F3))
+
+
+# (command, extra job keys) for every CLI job that reads no residue set
+_SET_FREE_JOBS = [
+    ("height", {"point": "1/(t^2+t+1)"}),
+    ("local-height", {"point": "1/(t^2+t+1)", "place": {"kind": "infinity"}}),
+    ("insep-height", {"point": "1/(u+1)"}),
+    ("dichotomy", {"point": "t+1"}),
+    ("torsion", {}),
+    ("kernel", {"b": "t"}),
+    ("lehmer", {}),
+]
+
+
+def test_only_reduction_builds_the_residue_sets(monkeypatch, tmp_path,
+                                                capsys):
+    from drinheights.verify import module_pool
+    calls = []
+    # dichotomy's branch 2 expands the point itself at each bad place;
+    # angular components taken there are not reduction data
+    in_expansion = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if not in_expansion:
+                calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    spy(gf, "additive_preimages")
+    spy(places.FinitePlace, "angular_component")
+    spy(places.InfinitePlace, "angular_component")
+
+    def expansion(*args):
+        in_expansion.append(True)
+        try:
+            return places.expansion(*args)
+        finally:
+            in_expansion.pop()
+    monkeypatch.setattr(perfect, "expansion", expansion)
+
+    def run(command, mod, extra):
+        job = {"field": {"p": mod.q},
+               "module": {"coefficients": [a.to_string() for a in mod.coeffs]}}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(job, **extra)))
+        code = cli.main([command, str(path), "--json"])
+        capsys.readouterr()
+        assert code == 0, (command, mod)
+
+    pool = [mod for _, mod in module_pool()]
+    for command, extra in _SET_FREE_JOBS:
+        for mod in pool:
+            run(command, mod, extra)
+    assert calls == []
+    for mod in pool:
+        run("reduction", mod, {})
+    assert "additive_preimages" in calls and "angular_component" in calls

@@ -235,7 +235,8 @@ def test_height_value_arithmetic():
     assert not s.is_exact
     with pytest.raises(Exception):
         s.value
-    with pytest.raises(ValueError):
+    # an internal guard, not an input error
+    with pytest.raises(AssertionError):
         HeightValue.interval(1, 0, "bad")
 
 
