@@ -8,10 +8,10 @@ and command-specific arguments:
 
 Every number printed is an exact fraction; --json switches to a
 machine-readable report with fractions rendered as strings.  Exit codes:
-0 ok, 1 property violation, 2 input error, 3 degree budget exhausted,
-4 internal error (an AssertionError or RuntimeError from a self-check).
-An expression or an inseparable level whose degree may exceed
-ratfunc.MAX_DEGREE is an input error.
+0 ok, 1 property violation, 2 input error (a malformed job, or a module that
+is not monic or is isotrivial where the command needs otherwise), 3 degree
+budget exhausted, 4 internal error (any other exception).  An expression or
+an inseparable level whose degree may pass ratfunc.MAX_DEGREE is malformed.
 """
 
 import argparse
@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from drinheights import verify as verify_mod
 from drinheights.drinfeld import DrinfeldModule
-from drinheights.errors import BudgetExhaustedError
+from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
+                                NonMonicError)
 from drinheights.gf import FieldError, finite_field
 from drinheights.heights import (global_height_breakdown, height_sum,
                                  lehmer_bounds, local_height, check_t2mwg)
@@ -129,7 +130,10 @@ class Job:
                       for c in coeffs]
         except ParseError as exc:
             raise InputError("bad coefficient: %s" % exc)
-        return DrinfeldModule(self.field, parsed)
+        try:
+            return DrinfeldModule(self.field, parsed)
+        except ValueError as exc:
+            raise InputError(str(exc))
 
     def at_level(self):
         """The job's module at its inseparable level (at level 0, the
@@ -221,28 +225,21 @@ def cmd_reduction(job, rep):
     rep.put("places", [])
     for v in S:
         rd = mod.reduction_data(v)
+        entry = {"place": _place_str(v, job), "M": frac(rd.M), "T": frac(rd.T),
+                 "newton_slopes": [frac(seg[2]) for seg in rd.newton]}
+        rep.data["places"].append(entry)
         rep.say("")
-        rep.say("at %s:", _place_str(v, job))
-        rep.say("  M_v = %s, T_v = %s", frac(rd.M), frac(rd.T))
-        slopes = ", ".join(frac(seg[2]) for seg in rd.newton)
-        rep.say("  newton slopes: [%s]", slopes)
-        rep.say("  P_v   = {%s}", ", ".join(frac(a) for a in rd.P))
-        rep.say("  P'_v  = {%s}", ", ".join(frac(a) for a in rd.Pp))
-        rep.say("  P''_v = {%s}", ", ".join(frac(a) for a in rd.Ppp))
-        rep.say("  Q_v   = {%s}", ", ".join(frac(a) for a in rd.Q))
-        for alpha in rd.Q:
-            rep.say("  R_v(%s) = {%s}", frac(alpha),
-                    ", ".join(str(e) for e in rd.R[alpha]))
-        rep.data["places"].append({
-            "place": _place_str(v, job),
-            "M": frac(rd.M), "T": frac(rd.T),
-            "newton_slopes": [frac(seg[2]) for seg in rd.newton],
-            "P": [frac(a) for a in rd.P],
-            "Pp": [frac(a) for a in rd.Pp],
-            "Ppp": [frac(a) for a in rd.Ppp],
-            "Q": [frac(a) for a in rd.Q],
-            "R": {frac(a): [str(e) for e in rd.R[a]] for a in rd.Q},
-        })
+        rep.say("at %s:", entry["place"])
+        rep.say("  M_v = %s, T_v = %s", entry["M"], entry["T"])
+        rep.say("  newton slopes: [%s]", ", ".join(entry["newton_slopes"]))
+        for key, name in (("P", "P_v  "), ("Pp", "P'_v "), ("Ppp", "P''_v"),
+                          ("Q", "Q_v  ")):
+            entry[key] = [frac(a) for a in getattr(rd, key)]
+            rep.say("  %s = {%s}", name, ", ".join(entry[key]))
+        entry["R"] = {s: [str(e) for e in rd.R[a]]
+                      for s, a in zip(entry["Q"], rd.Q)}
+        for s in entry["Q"]:
+            rep.say("  R_v(%s) = {%s}", s, ", ".join(entry["R"][s]))
     return 0
 
 
@@ -366,6 +363,8 @@ def cmd_torsion(job, rep):
 def cmd_kernel(job, rep):
     mod = job.module()
     b = job.poly("b")
+    if b.is_zero():
+        raise InputError("kernel of phi_0 is everything")
     roots = kernel_in_K(mod, b)
     rep.say("kernel of phi_b for b = %s: %d rational roots",
             b.to_string(), len(roots))
@@ -484,13 +483,13 @@ def main(argv=None):
             code = cmd_verify(job, rep)
         else:
             code = COMMANDS[args.command](job, rep)
-    except (InputError, ParseError, FieldError, ValueError) as exc:
+    except (InputError, NonMonicError, IsotrivialModuleError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except BudgetExhaustedError as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return 3
-    except (AssertionError, RuntimeError) as exc:
+    except Exception as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         if args.as_json:
             print(json.dumps({"error": "internal", "message": str(exc)},

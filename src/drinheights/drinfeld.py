@@ -114,19 +114,6 @@ class ReductionData:
         q, r, vals, T, v = self.q, self.r, self.vals, self.T, self.place
         slopes = [seg[2] for seg in self.newton]
 
-        def min_indices(alpha):
-            best = None
-            ids = []
-            for i in range(r + 1):
-                if vals[i] is INFINITY:
-                    continue
-                c = vals[i] + q**i * alpha
-                if best is None or c < best:
-                    best, ids = c, [i]
-                elif c == best:
-                    ids.append(i)
-            return best, ids
-
         P = sorted({-s for s in slopes if s >= 0})
         if q == 2 and r == 1 and self.in_S and Fraction(0) not in P:
             P.append(Fraction(0))
@@ -142,7 +129,7 @@ class ReductionData:
                     continue
                 cand = Fraction(alpha1 - vals[i], q**i)
                 if 0 < cand <= T:
-                    best, _ = min_indices(cand)
+                    best, _ = self.valuation_law(cand)
                     if best == alpha1:
                         pp_target[cand] = alpha1
         Pp = sorted(pp_target)
@@ -157,7 +144,7 @@ class ReductionData:
         Q = sorted(set(P) | set(Pp) | set(Ppp))
         R = {}
         for alpha in Q:
-            _, ids = min_indices(alpha)
+            _, ids = self.valuation_law(alpha)
             image = [(v.angular_component(self.coeffs[i]), i) for i in ids]
             targets = []
             if alpha in P or alpha in Ppp:
@@ -170,6 +157,20 @@ class ReductionData:
                 sols.add(k_v.one)
             R[alpha] = tuple(sorted(sols, key=lambda e: e.val))
         return tuple(P), tuple(Pp), tuple(Ppp), tuple(Q), R
+
+    def valuation_law(self, alpha):
+        """(g(alpha), the i attaining it) for g(alpha) = min_i v(a_i) + q^i
+        alpha; v(phi_t(y)) >= g(v(y)), with equality when one i attains it."""
+        best, ids = None, []
+        for i, a in enumerate(self.vals):
+            if a is INFINITY:
+                continue
+            c = a + self.q**i * alpha
+            if best is None or c < best:
+                best, ids = c, [i]
+            elif c == best:
+                ids.append(i)
+        return best, ids
 
     def _check(self):
         q, r = self.q, self.r
@@ -202,23 +203,19 @@ class ReductionData:
     def _stable_floor(self, phi_t):
         # phi_t is F_q-linear, so B_lambda is stable iff phi_t(pi^k t^j) lies
         # in it for every k >= lambda and j < deg v (the t^j lift a basis of
-        # the residue field).  With g(k) = min_i v(a_i) + q^i k, that value
-        # is g(k) when one index attains the minimum and >= g(k) at the
-        # integer Newton breakpoints, where two do.  g(k) - k is
-        # nondecreasing, so g(lambda) >= lambda proves B_lambda stable; it
-        # holds from `top` on, and never if v(a_0) < 0.  Below `top` only a
-        # breakpoint can be stable, and below ceil(min(0, M_v)) nothing is,
-        # since there v(phi_t(pi^k)) = q^r k < k.
+        # the residue field).  With g = valuation_law, that value is g(k)
+        # when one index attains the minimum and >= g(k) at the integer
+        # Newton breakpoints, where two do.  g(k) - k is nondecreasing, so
+        # g(lambda) >= lambda proves B_lambda stable; it holds from `top` on,
+        # and never if v(a_0) < 0.  Below `top` only a breakpoint can be
+        # stable, and below ceil(min(0, M_v)) nothing is, since there
+        # v(phi_t(pi^k)) = q^r k < k.
         vals, place = self.vals, self.place
-        terms = [(a, self.q**i) for i, a in enumerate(vals) if a is not INFINITY]
-
-        def g(k):
-            return min(a + s * k for a, s in terms)
-
         if vals[0] is not INFINITY and vals[0] < 0:
             top = None
         else:
-            top = max(-(a // (s - 1)) for a, s in terms if s > 1)
+            top = max(-(a // (self.q**i - 1)) for i, a in enumerate(vals)
+                      if i and a is not INFINITY)
         bottom = math.ceil(min(Fraction(0), self.M))
         breaks = [int(-seg[2]) for seg in self.newton if seg[2].denominator == 1]
         candidates = sorted(b for b in breaks
@@ -238,8 +235,8 @@ class ReductionData:
             after = b + 1
             while after in candidates:
                 after += 1
-            if g(after) >= b and all(lowest_image(c) >= b
-                                     for c in candidates if c >= b):
+            if self.valuation_law(after)[0] >= b and all(
+                    lowest_image(c) >= b for c in candidates if c >= b):
                 return b
         return top
 

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these to exit codes: input problems exit 2, degree budget
-exhaustion exits 3, property violations exit 1.  An internal check that
-fails raises AssertionError or RuntimeError instead, never one of these
-input errors, and exits 4.
+The CLI maps these to exit codes: NonMonicError and IsotrivialModuleError
+exit 2, as input errors, and degree budget exhaustion exits 3.  An internal
+check that fails raises AssertionError or RuntimeError, never one of these,
+and exits 4 like every other exception.
 """
 
 

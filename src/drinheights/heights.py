@@ -279,11 +279,6 @@ def check_t2mwg(module, x, parts=None):
     raise AssertionError("height gap theorem violated")  # unreachable
 
 
-def pushed_module(module, emb):
-    """The module over F_q(u) with coefficients pushed through t -> f(u)."""
-    return DrinfeldModule(module.field, emb.apply_module(module.coeffs))
-
-
 def height_via_embedding(module, emb, x):
     """hhat of the image of x in F_q(u), over coherent degrees relative to K.
 
@@ -291,6 +286,7 @@ def height_via_embedding(module, emb, x):
     exactly.
     """
     module._require_monic()
-    pushed = pushed_module(module, emb)
+    pushed = DrinfeldModule(module.field,
+                            [emb.apply(a) for a in module.coeffs])
     x_up = emb.apply(x)
     return height_sum(global_height_breakdown(pushed, x_up, emb.degree))

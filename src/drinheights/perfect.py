@@ -3,19 +3,21 @@ dichotomies behind the uniform perfect-closure Lehmer bound.
 
 K^(1/p^n) is realized concretely as F_q(u) with t = u^(p^n): every point is
 a rational function in u, and all place/height machinery applies verbatim
-with coherent degrees d(w) / p^n relative to K.
+with coherent degrees d(w) / p^n relative to K.  A module is pushed to a
+level by stretching exponents: a(t) becomes a(u^(p^n)) (RatFunc.spread).
 """
 
 import math
 from fractions import Fraction
 
 from drinheights import gf
+from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError, IsotrivialModuleError
 from drinheights.heights import (DEGREE_CAP, height_sum,
                                  global_height_breakdown, lehmer_bounds,
-                                 local_height, pushed_module)
-from drinheights.places import SubstitutionEmbedding, expansion
-from drinheights.ratfunc import Poly, RatFunc
+                                 local_height)
+from drinheights.places import expansion
+from drinheights.ratfunc import Poly
 from drinheights.torsion import annihilator_of
 
 
@@ -38,8 +40,8 @@ class InsepLevel:
         if n == 0:
             self.pushed = module
             return
-        self.pushed = pushed_module(module, SubstitutionEmbedding(
-            RatFunc.from_poly(Poly.x(module.field)**self.index)))
+        self.pushed = DrinfeldModule(
+            module.field, [a.spread(self.index) for a in module.coeffs])
         self._check()
 
     def _check(self):

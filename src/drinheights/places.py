@@ -221,9 +221,6 @@ class SubstitutionEmbedding:
         """Push y(t) in K to y(image(u)) in L."""
         return y.subs(self.image)
 
-    def apply_module(self, coeffs):
-        return [self.apply(a) for a in coeffs]
-
     def compose(self, other):
         """self after other ... t -> self.image(other.image)."""
         return SubstitutionEmbedding(self.image.subs(other.image))

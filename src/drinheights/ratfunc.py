@@ -169,14 +169,12 @@ class Poly:
             acc = acc * value + const(self.field, c)
         return acc
 
-    def spread(self, e):
-        """f(x^(q^e)), which equals f**(q^e) since the coefficients lie in F_q."""
-        if e == 0 or self.is_zero():
+    def spread(self, N):
+        """f(x^N); f**N when N is a power of q (coefficients in F_q)."""
+        if N == 1 or self.is_zero():
             return self
-        step = self.field.order**e
-        out = [0] * (step * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[step * i] = c
+        out = [0] * (N * (len(self.coeffs) - 1) + 1)
+        out[::N] = self.coeffs
         return Poly(self.field, out)
 
     def pth_root(self):
@@ -375,7 +373,11 @@ class RatFunc:
 
     def pow_q(self, e):
         """self**(q^e) via exponent spreading; stays reduced."""
-        return RatFunc(self.num.spread(e), self.den.spread(e), _reduced=True)
+        return self.spread(self.field.order**e)
+
+    def spread(self, N):
+        """self(x^N), reduced as it stands: F_q[x] is free over F_q[x^N]."""
+        return RatFunc(self.num.spread(N), self.den.spread(N), _reduced=True)
 
     def subs(self, value):
         """Substitute a RatFunc for the variable."""
@@ -519,6 +521,8 @@ class _Parser:
                 neg = True
             tok = self.expect("int")
             e = -tok[1] if neg else tok[1]
+            if e < 0 and base.is_zero():
+                raise ParseError("division by zero")
             _check_degree(base.weil_height() * abs(e))
             return base**e
         return base

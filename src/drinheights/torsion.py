@@ -180,7 +180,7 @@ def _carlitz_lcm(field, m):
     t = Poly.x(field)
     b = Poly.one(field)
     for k in range(1, m + 1):
-        b = b * (t.spread(k) - t)
+        b = b * (t.spread(field.order**k) - t)
     return b
 
 

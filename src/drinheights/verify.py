@@ -16,7 +16,7 @@ from drinheights.gf import finite_field
 from drinheights.heights import (global_height, height_via_embedding,
                                  local_height)
 from drinheights.perfect import insep_height
-from drinheights.places import (INFINITY, FinitePlace, InfinitePlace,
+from drinheights.places import (FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, poles, support)
 from drinheights.ratfunc import Poly, RatFunc, parse_ratfunc
 from drinheights.torsion import annihilator_of, torsion_annihilator
@@ -190,8 +190,7 @@ def check_l0_dichotomy(rng, count, modules):
     for name, mod, v, rd, x in _bad_place_cases(rng, count, modules, -4,
                                                 lambda rd: 0):
         vx = v.valuation(x)
-        naive = min(rd.vals[i] + mod.q**i * vx
-                    for i in range(mod.r + 1) if rd.vals[i] is not INFINITY)
+        naive = rd.valuation_law(vx)[0]
         vphi = v.valuation(mod.phi_t(x))
         if vphi > naive:
             if not rd.pair_in(Fraction(vx), v.angular_component(x)):

@@ -176,6 +176,17 @@ def test_input_error_exit_2(tmp_path, capsys):
     ("height", dict(CAR3, point="t", substitution={"u_image_of_t": "1"}), []),
     # the variables are t (and u above level 0); there is no "var" key
     ("lehmer", dict(CAR3, var="x", module={"coefficients": ["x", "1"]}), []),
+    # a negative power of zero is a division by zero, like 1/(t-t)
+    ("height", dict(CAR3, point="0^-1"), []),
+    ("height", dict(CAR3, point="(t-t)^-2"), []),
+    # the DrinfeldModule constructor's errors and b = 0 for kernel
+    ("lehmer", dict(CAR3, module={"coefficients": ["t"]}), []),
+    ("kernel", dict(CAR3, b="t-t"), []),
+    # properties of the job's module that a command needs
+    ("height", dict(CAR3, module={"coefficients": ["t", "2"]}, point="1"),
+     []),
+    ("height", {"field": {"p": 2}, "module": {"coefficients": ["0", "1"]},
+                "point": "u"}, ["--insep-level", "1"]),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
@@ -229,6 +240,25 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     assert "internal error: kernel generator fails verification" in err
     assert json.loads(out) == {"error": "internal",
                                "message": "kernel generator fails verification"}
+
+
+@pytest.mark.parametrize("exc", [ValueError("internal guard"),
+                                 ZeroDivisionError("internal guard")])
+def test_stray_exception_is_internal_error(exc, tmp_path, capsys,
+                                           monkeypatch):
+    # only a malformed job or a property of its module is an input error
+    # (exit 2); any other exception is a defect (exit 4), not a traceback
+    def failing(module, place, x, index=1):
+        raise exc
+    monkeypatch.setattr(cli, "local_height", failing)
+    job = job_file(tmp_path, dict(CAR3, point="1/t",
+                                  place={"kind": "infinity"}))
+    code, out, err = run(capsys, ["local-height", job])
+    assert code == 4 and out == ""
+    assert err == "internal error: internal guard\n"
+    code, out, err = run(capsys, ["local-height", job, "--json"])
+    assert code == 4
+    assert json.loads(out) == {"error": "internal", "message": "internal guard"}
 
 
 def test_invalid_height_interval_is_internal_error(tmp_path, capsys,
@@ -419,18 +449,16 @@ def test_level_zero_job_pushes_nothing(cmd, job, tmp_path, capsys,
                                        monkeypatch):
     # at level 0 the job's one InsepLevel is the module itself
     from drinheights import perfect
-    levels, pushed = [], []
+    levels = []
     real_init = perfect.InsepLevel.__init__
 
     def counting_init(self, module, n):
-        levels.append(n)
         real_init(self, module, n)
+        levels.append((n, self.pushed is module))
     monkeypatch.setattr(perfect.InsepLevel, "__init__", counting_init)
-    monkeypatch.setattr(perfect, "pushed_module",
-                        lambda module, emb: pushed.append(module))
     code, _, _ = run(capsys, [cmd, job_file(tmp_path, job)])
     assert code == 0
-    assert levels == [0] and pushed == []
+    assert levels == [(0, True)]
 
 
 def test_local_height_at_level_matches_insep_height(tmp_path, capsys):

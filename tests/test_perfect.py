@@ -38,13 +38,48 @@ def test_sharpness_decay(tau2, F2):
         assert h.is_exact and h.value == Fraction(1, 2**n)
 
 
-def test_level_zero_is_the_module(car3, monkeypatch):
-    from drinheights import perfect
-    pushed = []
-    monkeypatch.setattr(perfect, "pushed_module",
-                        lambda module, emb: pushed.append(module))
+def test_level_zero_is_the_module(car3):
     level = InsepLevel(car3, 0)
-    assert level.pushed is car3 and level.index == 1 and pushed == []
+    assert level.pushed is car3 and level.index == 1
+
+
+def _stretch_pool():
+    from drinheights.verify import module_pool
+    F4, F9 = finite_field(2, 2), finite_field(3, 2)
+    # over F_4 and F_9 a stretch by p is not a Frobenius power of F_q
+    return [mod for _, mod in module_pool()] + [
+        make_module(F4, "t", "1"),
+        make_module(F4, "3*t^2+t", "(2*t+1)/(t^2+3)", "1"),
+        make_module(F9, "t", "1/(t^3+t+2)", "1"),
+        make_module(F9, "5*t+7/(t^2+4)", "1")]
+
+
+def test_level_push_matches_horner_substitution():
+    from drinheights.places import SubstitutionEmbedding
+    for mod in _stretch_pool():
+        x = Poly.x(mod.field)
+        for n in (1, 2):
+            emb = SubstitutionEmbedding(
+                RatFunc.from_poly(x**mod.field.char**n))
+            level = InsepLevel(mod, n)
+            assert level.pushed.coeffs == tuple(emb.apply(a)
+                                                for a in mod.coeffs)
+
+
+def test_level_push_substitutes_nothing(monkeypatch):
+    from drinheights import places
+    calls = []
+
+    def spy(name):
+        return lambda *args, **kwargs: calls.append(name)
+    monkeypatch.setattr(RatFunc, "subs", spy("RatFunc.subs"))
+    monkeypatch.setattr(Poly, "subs", spy("Poly.subs"))
+    monkeypatch.setattr(places.SubstitutionEmbedding, "__init__",
+                        spy("SubstitutionEmbedding"))
+    for mod in _stretch_pool():
+        for n in (1, 2):
+            InsepLevel(mod, n)
+    assert calls == []
 
 
 def test_bad_set_size_invariant(car3, psi2, F3):

@@ -191,6 +191,43 @@ def test_pow_q_spreads():
     assert y.pow_q(2) == R(F2, "t^4/(t^4+1)")
 
 
+def test_negative_power_of_zero_is_a_parse_error():
+    for s in ("0^-1", "(t-t)^-2", "1/(0^-3)"):
+        with pytest.raises(ParseError, match="division by zero"):
+            R(F3, s)
+    assert R(F3, "0^0") == R(F3, "0^-0") == RatFunc.one(F3)
+    assert R(F3, "0^2") == RatFunc.zero(F3)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3),
+                                  (3, 2)])
+def test_spread_matches_horner_substitution(p, k):
+    # the stretch t -> u^N against the general substitution, for N = p^n
+    from drinheights.places import SubstitutionEmbedding
+    field = finite_field(p, k)
+    rng = random.Random(1000 * p + k)
+
+    def rand_poly(deg):
+        return Poly(field, [rng.randrange(field.order) for _ in range(deg + 1)])
+
+    for n in range(4):
+        N = p**n
+        image = RatFunc.from_poly(Poly.x(field)**N)
+        emb = SubstitutionEmbedding(image)
+        xs = [RatFunc.zero(field), RatFunc.one(field),
+              RatFunc.const(field, field.order - 1)]
+        for _ in range(6):
+            num, den, g = rand_poly(3), rand_poly(3), rand_poly(2)
+            if den and g:
+                # a common factor g (and a denominator that need not be
+                # monic), which the constructor reduces away
+                xs.append(RatFunc(num * g, den * g))
+        for x in xs:
+            # Horner's result is reduced, so equality shows spread's is too
+            assert x.spread(N) == emb.apply(x)
+            assert RatFunc.from_poly(x.num.spread(N)) == x.num.subs(image)
+
+
 def test_irreducible_monics_counts():
     # number of monic irreducibles of degree 2 over F_q is (q^2 - q)/2
     assert len(list(irreducible_monics(F3, 2))) == 3
