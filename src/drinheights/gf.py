@@ -11,6 +11,8 @@ extensions with base F_9), and the Frobenius used by additive polynomials is
 always x -> x^q with q the order of the *base* of the element's field.
 """
 
+import functools
+
 from drinheights import _polycore
 
 # fields larger than this are refused: every residue computation here is
@@ -19,6 +21,10 @@ ORDER_CAP = 2**31
 # an extension field up to this order keeps each product (and, in odd
 # characteristic, each sum and difference) once computed: at most order**2
 MEMO_ORDER = 256
+# each process-wide field memo keeps at most this many fields, the least
+# recently used going first: far more than a job touches, and a bound on
+# what a long-lived process holds
+FIELD_MEMO = 1024
 
 
 class FieldError(ValueError):
@@ -243,6 +249,11 @@ class ExtensionField(_Field):
     """F_{q^m} presented as base[x]/(modulus), elements packed base-q."""
 
     def __init__(self, base, modulus, gen_name="g"):
+        self._setup(base, modulus, gen_name)
+        if not _poly_is_irreducible(self.modulus, base):
+            raise FieldError("reducible modulus")
+
+    def _setup(self, base, modulus, gen_name):
         # modulus: monic coefficient list over base, degree >= 1
         modulus = _trim(list(modulus))
         m = len(modulus) - 1
@@ -252,8 +263,6 @@ class ExtensionField(_Field):
             raise FieldError("modulus must be monic")
         if base.order**m >= ORDER_CAP:
             raise FieldError("field order %d**%d exceeds the supported range" % (base.order, m))
-        if not _poly_is_irreducible(modulus, base):
-            raise FieldError("reducible modulus")
         self.base = base
         self.modulus = tuple(modulus)
         self.dim = m
@@ -465,11 +474,25 @@ def _default_modulus(base, k):
     raise FieldError("no irreducible modulus found")  # unreachable
 
 
+@functools.lru_cache(maxsize=FIELD_MEMO)
+def _proven_extension(base, modulus):
+    """base[x]/(modulus) for a tuple `modulus` already proven monic and
+    irreducible over base: the checks of ExtensionField, the order cap
+    among them, but not Rabin's test.  Memoized by (base, modulus); a
+    failed check is not, so it fails again on every call.
+    """
+    field = ExtensionField.__new__(ExtensionField)
+    field._setup(base, modulus, "g")
+    return field
+
+
 def finite_field(p, k=1, modulus=None):
     """Create F_{p^k}; `modulus` is a coefficient list over F_p (monic, deg k).
 
     Without a modulus the deterministic smallest irreducible (lexicographic in
     the coefficient counter order) is selected, so residues are reproducible.
+    Fields are memoized by (p, k, modulus mod p): equal arguments return one
+    field, built once.  A refused argument is not, and raises on every call.
     """
     # trial division only below the cap, and no p**k for a huge k
     if p < ORDER_CAP and not _is_prime(p):
@@ -478,17 +501,21 @@ def finite_field(p, k=1, modulus=None):
         raise FieldError("extension degree must be >= 1")
     if p >= ORDER_CAP or k >= ORDER_CAP.bit_length() or p**k >= ORDER_CAP:
         raise FieldError("field order %d**%d exceeds the supported range" % (p, k))
-    prime = PrimeField(p)
     if modulus is not None:
-        mod = [c % p for c in modulus]
-        if len(_trim(mod)) - 1 != k:
+        modulus = tuple(_trim([c % p for c in modulus]))
+        if len(modulus) - 1 != k:
             raise FieldError("modulus degree does not match k = %d" % k)
-        if k == 1:
-            return prime
-        return ExtensionField(prime, mod)
+    return _finite_field(p, k, modulus)
+
+
+@functools.lru_cache(maxsize=FIELD_MEMO)
+def _finite_field(p, k, modulus):
+    prime = PrimeField(p)
     if k == 1:
         return prime
-    return ExtensionField(prime, _default_modulus(prime, k))
+    if modulus is None:
+        return _proven_extension(prime, tuple(_default_modulus(prime, k)))
+    return ExtensionField(prime, modulus)
 
 
 # --- linear algebra over a finite field (small dense systems) ---
@@ -613,7 +640,7 @@ def _check_additive_args(coeffs):
         raise ValueError("no coefficients given")
     field = coeffs[0][0].field
     for c, i in coeffs:
-        if c.field is not field:
+        if c.field != field:
             raise FieldError("coefficients from different fields")
         if i < 0:
             raise ValueError("Frobenius exponent must be >= 0")
@@ -650,7 +677,7 @@ def span(field, basis):
 def additive_preimages(coeffs, target):
     """All solutions of sum_j c_j X^(q^i_j) = target in F_{q^m} (may be [])."""
     field = _check_additive_args(coeffs)
-    if target.field is not field:
+    if target.field != field:
         raise FieldError("target from a different field")
     part, basis = solve(_additive_matrix(coeffs, field), target.coords(),
                         field.base, field.dim)

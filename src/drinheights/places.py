@@ -59,13 +59,25 @@ class FinitePlace(Place):
     def __init__(self, P):
         if not (P.is_monic() and is_irreducible(P)):
             raise ValueError("finite places need a monic irreducible polynomial")
+        self._init(P)
+
+    @classmethod
+    def _of_irreducible(cls, P):
+        """The place of a P already proven monic and irreducible, such as a
+        factor from `factor`, built without testing P again."""
+        place = cls.__new__(cls)
+        place._init(P)
+        return place
+
+    def _init(self, P):
         self.P = P
         self.field = P.field
         self.degree = P.degree
         self._residue_field = None
 
     def _make_residue_field(self):
-        return gf.ExtensionField(self.field, list(self.P.coeffs))
+        # P is monic and irreducible, proven when the place was built
+        return gf._proven_extension(self.field, self.P.coeffs)
 
     @property
     def uniformizer(self):
@@ -112,7 +124,7 @@ class InfinitePlace(Place):
         self._residue_field = None
 
     def _make_residue_field(self):
-        return gf.ExtensionField(self.field, [0, 1])
+        return gf._proven_extension(self.field, (0, 1))
 
     @property
     def uniformizer(self):
@@ -159,7 +171,8 @@ def poles(y):
     """
     out = []
     if y.den.degree > 0:
-        out = [(FinitePlace(P), -m) for P, m in factor(y.den)[1]]
+        out = [(FinitePlace._of_irreducible(P), -m)
+               for P, m in factor(y.den)[1]]
     if y.num.degree > y.den.degree:
         out.append((InfinitePlace(y.field), y.den.degree - y.num.degree))
     return out

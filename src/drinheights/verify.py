@@ -17,8 +17,9 @@ from drinheights.heights import (global_height, height_via_embedding,
                                  local_height)
 from drinheights.perfect import insep_height
 from drinheights.places import (FinitePlace, InfinitePlace,
-                                SubstitutionEmbedding, poles, support)
-from drinheights.ratfunc import Poly, RatFunc, parse_ratfunc
+                                SubstitutionEmbedding, extend_places, poles,
+                                support)
+from drinheights.ratfunc import Poly, RatFunc, is_irreducible, parse_ratfunc
 from drinheights.torsion import annihilator_of, torsion_annihilator
 
 
@@ -256,7 +257,6 @@ def check_coherence(rng, count, modules):
 
 def check_extension_defect(rng, count, modules):
     """sum e f = [L:K] over random places and substitutions."""
-    from drinheights.places import extend_places
     F3 = finite_field(3)
     F2 = finite_field(2)
     images = [(F3, "u^2"), (F3, "u^3"), (F3, "(u^2+1)/u"), (F2, "u^2+u"),
@@ -265,9 +265,8 @@ def check_extension_defect(rng, count, modules):
         field, img = images[i % len(images)]
         emb = SubstitutionEmbedding(parse_ratfunc(field, img, var="u"))
         P = rand_nonzero_poly(rng, field, 3).monic()
-        from drinheights.ratfunc import is_irreducible
         if P.degree >= 1 and is_irreducible(P):
-            v = FinitePlace(P)
+            v = FinitePlace._of_irreducible(P)
         else:
             v = InfinitePlace(field)
         extend_places(emb, v)  # raises if sum(e f) != [L:K]

@@ -27,6 +27,11 @@ CAR3 = {"field": {"p": 3, "k": 1}, "module": {"coefficients": ["t", "1"]}}
 # t + tau/(t^2+1) + tau^2 over F_3: bad at t^2+1 and at infinity
 RANK2_BAD = {"field": {"p": 3, "k": 1},
              "module": {"coefficients": ["t", "1/(t^2+1)", "1"]}}
+# 2*(t+2)^2 over F_3, and x^2 - 1 = (x+1)(x-1) as the modulus of F_9; the
+# CI workflow also pipes the place into the installed entry point
+REDUCIBLE_PLACE = {"kind": "finite", "P": "2*t^2+2*t+2"}
+REDUCIBLE_MODULUS = {"field": {"p": 3, "k": 2, "modulus": [2, 0, 1]},
+                     "module": {"coefficients": ["t", "1"]}}
 # the level-1 local-height job the CI workflow also runs through the
 # installed entry point
 LOCAL_AT_LEVEL = {"field": {"p": 3}, "module": {"coefficients": ["t", "1"]},
@@ -187,11 +192,37 @@ def test_input_error_exit_2(tmp_path, capsys):
      []),
     ("height", {"field": {"p": 2}, "module": {"coefficients": ["0", "1"]},
                 "point": "u"}, ["--insep-level", "1"]),
+    # a reducible place and a reducible modulus, refused by the field and
+    # place constructors that also serve the library's own proven inputs
+    ("local-height", dict(CAR3, point="1", place=REDUCIBLE_PLACE), []),
+    ("lehmer", REDUCIBLE_MODULUS, []),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
     assert code == 2
     assert err.startswith("input error: ") and out == ""
+
+
+def test_refused_place_and_modulus_stay_refused(tmp_path, capsys):
+    # fields and residue fields are memoized for the process: a refused
+    # input must be refused again, also after the same field and place
+    # were built from valid input
+    place_job = dict(CAR3, point="1", place=REDUCIBLE_PLACE)
+    field_job = REDUCIBLE_MODULUS
+    warm = [("local-height", dict(place_job, place={"kind": "finite",
+                                                    "P": "t^2+t+2"})),
+            ("lehmer", dict(field_job, field={"p": 3, "k": 2,
+                                              "modulus": [2, 2, 1]}))]
+    for _ in range(2):
+        for command, job in warm:
+            assert run(capsys, [command, job_file(tmp_path, job)])[0] == 0
+        code, out, err = run(capsys, ["local-height",
+                                      job_file(tmp_path, place_job)])
+        assert (code, out) == (2, "")
+        assert err == ("input error: finite places need a monic irreducible "
+                       "polynomial\n")
+        code, out, err = run(capsys, ["lehmer", job_file(tmp_path, field_job)])
+        assert (code, out, err) == (2, "", "input error: reducible modulus\n")
 
 
 def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):

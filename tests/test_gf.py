@@ -42,6 +42,20 @@ def test_field_order_cap():
         finite_field(2, 40)
 
 
+def test_finite_field_memoized():
+    # one field per (p, k, modulus mod p); a refused modulus is refused on
+    # every call, never served from the memo
+    assert finite_field(3, 2) is finite_field(3, 2)
+    assert finite_field(3, 2, [2, 2, 1]) is finite_field(3, 2, [5, -1, 4])
+    other = finite_field(3, 2, [2, 2, 1])  # x^2 + 2x + 2, irreducible mod 3
+    assert other != finite_field(3, 2) and other.modulus == (2, 2, 1)
+    for _ in range(2):
+        with pytest.raises(FieldError, match="reducible modulus"):
+            finite_field(3, 2, [2, 0, 1])
+        with pytest.raises(FieldError, match="must be monic"):
+            finite_field(3, 2, [1, 0, 2])
+
+
 def _small_fields():
     F4 = finite_field(2, 2)
     F9 = finite_field(3, 2)
@@ -242,6 +256,25 @@ def test_additive_preimages_builds_one_matrix(monkeypatch):
     assert len(built) == 1
     xs = [F9.element(v) for v in F9.elements()]
     assert [e.val for e in sols] == [x.val for x in xs if x**3 + x == two]
+
+
+def test_additive_solvers_take_equal_fields_as_one():
+    # two builds of F_3[x]/(x^2+1) are one field; F_3[x]/(x^2+2x+2) is not
+    F3 = finite_field(3)
+    k1, k2 = ExtensionField(F3, [1, 0, 1]), ExtensionField(F3, [1, 0, 1])
+    assert k1 == k2 and k1 is not k2
+    g = k2.gen
+    mixed = [(k1.one, 1), (k2.one, 0)]  # X^3 + X
+    alone = [(k1.one, 1), (k1.one, 0)]
+    assert additive_kernel(mixed) == additive_kernel(alone)
+    sols = additive_preimages(mixed, g**3 + g)
+    assert sols == additive_preimages(alone, k1.gen**3 + k1.gen)
+    assert g in sols
+    other = finite_field(3, 2, [2, 2, 1])
+    with pytest.raises(FieldError, match="target from a different field"):
+        additive_preimages(alone, other.one)
+    with pytest.raises(FieldError, match="coefficients from different fields"):
+        additive_kernel([(k1.one, 1), (other.one, 0)])
 
 
 def test_additive_preimages_empty():

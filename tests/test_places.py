@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from drinheights.gf import finite_field, first_dependence
+from drinheights.gf import FieldError, finite_field, first_dependence
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, angular_component,
                                 coherent_degree, expansion, extend_places,
@@ -208,6 +208,42 @@ def test_poles_support_extend_places_match_first_definitions(p, k, monkeypatch):
                 for d in (1, 2)]:
             got = [(x.above, x.e, x.f, x.d_above) for x in extend_places(emb, v)]
             assert got == _old_extend_places(emb, v)
+
+
+def test_places_and_residue_fields_prove_nothing_twice(monkeypatch):
+    # a factor from factor() is irreducible by construction, and a residue
+    # field is built from a proven modulus; only a place from outside input
+    # runs Rabin's test
+    import drinheights.gf as gf
+    tested = []
+    rabin = gf._poly_is_irreducible
+
+    def spy(coeffs, field):
+        tested.append(list(coeffs))
+        return rabin(coeffs, field)
+    monkeypatch.setattr(gf, "_poly_is_irreducible", spy)
+    y = R(F3, "t^4/((t^2+1)*(t^3+2*t+1)^2)")
+    got = poles(y)
+    assert [(v.P, m) for v, m in got] == [(P(F3, "t^2+1"), -1),
+                                          (P(F3, "t^3+2*t+1"), -2)]
+    for v, _ in got + [(InfinitePlace(F3), None)]:
+        assert v.residue_field.order == 3**v.degree
+        assert v.angular_component(y) != 0
+    assert tested == []
+    v = FinitePlace(P(F3, "t^2+1"))
+    assert tested == [[1, 0, 1]]
+    # equal places share one residue field
+    assert v.residue_field is got[0][0].residue_field
+    assert InfinitePlace(F3).residue_field is InfinitePlace(F3).residue_field
+    with pytest.raises(ValueError, match="monic irreducible"):
+        FinitePlace(P(F3, "t^2+2"))
+
+
+def test_residue_field_above_cap_fails_on_every_use():
+    v = FinitePlace(P(F2, "t^31+t^3+1"))  # irreducible, but 2^31 elements
+    for _ in range(2):
+        with pytest.raises(FieldError, match="exceeds the supported range"):
+            v.residue_field
 
 
 def test_angular_law():

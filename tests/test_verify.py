@@ -38,3 +38,24 @@ def test_injection_does_not_leak(monkeypatch):
         run_verify(seed=0, count=10)
     res = run_verify(seed=0, count=10)
     assert res.ok
+
+
+def test_extension_defect_tests_each_place_once(monkeypatch):
+    # the check proves P irreducible before it builds the place, so the
+    # place does not run Rabin's test again
+    import random
+
+    from drinheights import places, verify
+    tested = []
+    real = verify.is_irreducible
+
+    def counting(P):
+        tested.append(P)
+        return real(P)
+
+    def tested_again(P):
+        raise AssertionError("%s tested twice" % P)
+    monkeypatch.setattr(verify, "is_irreducible", counting)
+    monkeypatch.setattr(places, "is_irreducible", tested_again)
+    verify.check_extension_defect(random.Random(0), 30, [])
+    assert len(tested) >= 10
