@@ -12,20 +12,18 @@ from drinheights.drinfeld import DrinfeldModule, ReductionData
 from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
                                 MonicizeError, NonMonicError)
 from drinheights.gf import (ExtensionField, FieldError, FqElem, PrimeField,
-                            additive_kernel, additive_preimages, finite_field,
-                            frobenius)
+                            additive_kernel, additive_preimages, finite_field)
 from drinheights.heights import (HeightValue, check_t2mwg, global_height,
                                  global_height_breakdown, height_via_embedding,
-                                 lehmer_bounds, local_height, weil_height)
+                                 lehmer_bounds, local_height)
 from drinheights.perfect import (InsepLevel, insep_height, key_dichotomy_check,
                                  lehper_check)
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace, Place,
                                 PlaceExtension, SubstitutionEmbedding,
-                                angular_component, extend_places, is_constant,
-                                residue, support, valuation)
+                                extend_places, support)
 from drinheights.ratfunc import (Poly, RatFunc, factor, is_irreducible, ord_at,
                                  parse_poly, parse_ratfunc)
-from drinheights.skew import SkewPoly, skew_degree, skew_eval, skew_mul
+from drinheights.skew import SkewPoly, skew_degree
 from drinheights.torsion import (annihilator_bound, annihilator_of,
                                  is_torsion, kernel_in_K, torsion_enumerate)
 

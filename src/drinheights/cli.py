@@ -31,7 +31,8 @@ from drinheights.places import FinitePlace, InfinitePlace, INFINITY
 from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
                                  parse_ratfunc)
 from drinheights.torsion import (annihilator_of, kernel_in_K,
-                                 torsion_annihilator, torsion_enumerate)
+                                 torsion_annihilator, torsion_enumerate,
+                                 torsion_lattice)
 
 
 class InputError(ValueError):
@@ -338,16 +339,14 @@ def cmd_torsion(job, rep):
         rep.put("torsion", [str(c) for c in mod.field.elements()])
         rep.put("constants_only", True)
         return 0
-    D = lehmer_bounds(mod).torsion_degree
+    lattice = torsion_lattice(mod)
     B = torsion_annihilator(mod)
-    # B = prod_{k<=m} (t^(q^k) - t) and each factor holds t once: m = ord_t B
-    m = next(i for i, c in enumerate(B.coeffs) if c)
-    rep.say("D = r N_phi |S| = %d", D)
-    rep.say("m = min(D, n) = %d (n: dimension of the pole lattice)", m)
+    rep.say("D = r N_phi |S| = %d", lattice.D)
+    rep.say("m = min(D, n) = %d (n: dimension of the pole lattice)", lattice.m)
     rep.say("B = prod_{k<=m} (t^(q^k) - t) = %s (degree %d)",
             B.to_string(), B.degree)
-    rep.put("D", D)
-    rep.put("m", m)
+    rep.put("D", lattice.D)
+    rep.put("m", lattice.m)
     rep.put("B", B.to_string())
     points = torsion_enumerate(mod, B)
     rep.say("torsion module (%d points):", len(points))

@@ -187,8 +187,8 @@ class ReductionData:
             if len(self.R[alpha]) >= q**(2 * (r + 1)):
                 raise RuntimeError("|R_v(alpha)| reaches q^(2(r+1)) on Q_v")
 
-    def stable_floor(self, phi_t):
-        """lambda*_v: the least integer lambda for which phi_t (this module's)
+    def stable_floor(self):
+        """lambda*_v: the least integer lambda for which the module's phi_t
         maps the ball B_lambda = {y : v(y) >= lambda} into itself, or None if
         there is none.
 
@@ -197,10 +197,10 @@ class ReductionData:
         is computed on the first call and kept.
         """
         if self.floor is _UNSET:
-            self.floor = self._stable_floor(phi_t)
+            self.floor = self._stable_floor()
         return self.floor
 
-    def _stable_floor(self, phi_t):
+    def _stable_floor(self):
         # phi_t is F_q-linear, so B_lambda is stable iff phi_t(pi^k t^j) lies
         # in it for every k >= lambda and j < deg v (the t^j lift a basis of
         # the residue field).  With g = valuation_law, that value is g(k)
@@ -211,6 +211,7 @@ class ReductionData:
         # stable, and below ceil(min(0, M_v)) nothing is, since there
         # v(phi_t(pi^k)) = q^r k < k.
         vals, place = self.vals, self.place
+        phi_t = SkewPoly(place.field, self.coeffs)
         if vals[0] is not INFINITY and vals[0] < 0:
             top = None
         else:
@@ -266,6 +267,7 @@ class DrinfeldModule:
         self._S = None
         self._rd = {}
         self._annihilators = {}  # torsion.annihilator_of, by point
+        self._lattice = None  # torsion.torsion_lattice
 
     @property
     def is_monic(self):
@@ -381,7 +383,7 @@ class DrinfeldModule:
         identity (q^r-1) div(a_i) = (q^i-1) div(a_r), which says
         a_i^(q^r-1)/a_r^(q^i-1) is constant.
         """
-        if not places.is_constant(self.coeffs[0]):
+        if not self.coeffs[0].is_constant():
             return 1
         mr = self.q**self.r - 1
         div_r = dict(support(self.coeffs[-1]))

@@ -31,7 +31,9 @@ class FieldError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=FIELD_MEMO)
 def _is_prime(n):
+    """Trial division, memoized: a field asked for again runs none."""
     if n < 2:
         return False
     d = 2
@@ -248,12 +250,12 @@ class PrimeField(_Field):
 class ExtensionField(_Field):
     """F_{q^m} presented as base[x]/(modulus), elements packed base-q."""
 
-    def __init__(self, base, modulus, gen_name="g"):
-        self._setup(base, modulus, gen_name)
+    def __init__(self, base, modulus):
+        self._setup(base, modulus)
         if not _poly_is_irreducible(self.modulus, base):
             raise FieldError("reducible modulus")
 
-    def _setup(self, base, modulus, gen_name):
+    def _setup(self, base, modulus):
         # modulus: monic coefficient list over base, degree >= 1
         modulus = _trim(list(modulus))
         m = len(modulus) - 1
@@ -268,7 +270,6 @@ class ExtensionField(_Field):
         self.dim = m
         self.char = base.char
         self.order = base.order**m
-        self.gen_name = gen_name
         small = self.order <= MEMO_ORDER
         self._products = {} if small else None
         self._sums = {} if small and self.char != 2 else None
@@ -358,7 +359,7 @@ class ExtensionField(_Field):
                 terms.append(str(c))
             else:
                 head = "" if c == 1 else str(c) + "*"
-                terms.append(head + (self.gen_name if i == 1 else "%s^%d" % (self.gen_name, i)))
+                terms.append(head + ("g" if i == 1 else "g^%d" % i))
         return "+".join(terms) if terms else "0"
 
     # generic dense polynomial ops over this field
@@ -459,19 +460,25 @@ def _poly_is_irreducible(coeffs, field):
     return True
 
 
-def _default_modulus(base, k):
-    """First irreducible monic of degree k over base, in counter order."""
-    q = base.order
-    for idx in range(q**k):
+def monic_coeffs(field, degree):
+    """The coefficient lists, constant term first, of all monic polynomials
+    of the given degree over field, in counter order: the i-th holds the
+    base-q digits of i below its leading 1."""
+    q = field.order
+    for idx in range(q**degree):
         coeffs = []
         v = idx
-        for _ in range(k):
+        for _ in range(degree):
             v, r = divmod(v, q)
             coeffs.append(r)
         coeffs.append(1)
-        if _poly_is_irreducible(coeffs, base):
-            return coeffs
-    raise FieldError("no irreducible modulus found")  # unreachable
+        yield coeffs
+
+
+def _default_modulus(base, k):
+    """First irreducible monic of degree k over base, in counter order."""
+    return next(c for c in monic_coeffs(base, k)
+                if _poly_is_irreducible(c, base))
 
 
 @functools.lru_cache(maxsize=FIELD_MEMO)
@@ -482,7 +489,7 @@ def _proven_extension(base, modulus):
     failed check is not, so it fails again on every call.
     """
     field = ExtensionField.__new__(ExtensionField)
-    field._setup(base, modulus, "g")
+    field._setup(base, modulus)
     return field
 
 
@@ -686,8 +693,3 @@ def additive_preimages(coeffs, target):
     x0 = field.element(field.from_coords(part))
     kernel = [field.element(field.from_coords(v)) for v in basis]
     return sorted((x0 + k for k in span(field, kernel)), key=lambda e: e.val)
-
-
-def frobenius(a, e=1):
-    """a**(q**e) for a in F_{q^m}, with q the order of the field's base."""
-    return a.frobenius(e)

@@ -8,11 +8,14 @@ phi_t-stable balls {v(y) >= lambda} (ReductionData.stable_floor; 0 at a
 good-reduction place) the orbit is bounded and the height is 0; a torsion
 certificate also gives 0.
 
-There is one budget, DEGREE_CAP on the Weil height of the iterates, and it
-ends every walk that no certificate ends first.  A torsion point is certified
-before the walk at a bad place; at a good place the floor is 0 and a torsion
-point has no pole there, so it stops at step 0.  Every other point is
-non-torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
+There is one budget, DEGREE_CAP on the Weil height of the iterates, and one
+rule applies it (next_iterate_fits, which the key dichotomy's walk also
+reads): a walk builds phi_t(y) only while h(y) q^r is within the cap.  The
+iterate built may still pass the cap by at most the largest coefficient
+height, and the rule ends every walk that no certificate ends first.  A
+torsion point is certified before the walk at a bad place; at a good place
+the floor is 0 and a torsion point has no pole there, so it stops at step
+0.  Every other point is non-torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
 hhat(x) >= q^(-2r - r^2 N |S|)), and the Weil height of phi_t^n(x) grows
 like hhat(x) q^(rn) until it passes the cap.  There the answer is the sound
 interval [0, -d(v) lambda / q^(rn)] instead of a guess.
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
-from drinheights.places import is_constant, poles
+from drinheights.places import poles
 from drinheights.torsion import _gap_degree, annihilator_of
 
 # iterates beyond this degree force the sound interval fallback; the bound
@@ -56,10 +59,6 @@ class HeightValue:
     @classmethod
     def exact(cls, value, certificate, step=None):
         return cls(value, value, certificate, step)
-
-    @classmethod
-    def interval(cls, lo, hi, certificate, step=None):
-        return cls(lo, hi, certificate, step)
 
     @property
     def is_exact(self):
@@ -100,6 +99,13 @@ class HeightValue:
         return "HeightValue(%s, %s)" % (self, tag)
 
 
+def next_iterate_fits(module, y):
+    """Is h(y) q^r within DEGREE_CAP?  A walk builds phi_t(y) only then.
+    The iterate's height is at most h(y) q^r plus the largest coefficient
+    height, so it may pass the cap by that much."""
+    return y.weil_height() * module.q**module.r <= DEGREE_CAP
+
+
 def local_height(module, place, x, index=1):
     """hhat_v(x), exact whenever a certificate fires within DEGREE_CAP.
 
@@ -125,7 +131,7 @@ def local_height(module, place, x, index=1):
             return HeightValue.exact(Fraction(0), TORSION)
 
     phi_t = module.phi_t
-    floor = rd.stable_floor(phi_t)
+    floor = rd.stable_floor()
     y = x
     n = 0
     while True:
@@ -135,13 +141,11 @@ def local_height(module, place, x, index=1):
         if val < lam:
             return HeightValue.exact(
                 degree * Fraction(-val, q**(r * n)), ESCAPED, n)
-        # the next iterate has size about q^r times the current one; stop
-        # before building something beyond the budget
-        if y.weil_height() * q**r > DEGREE_CAP:
+        if not next_iterate_fits(module, y):
             break
         y = phi_t(y)
         n += 1
-    return HeightValue.interval(
+    return HeightValue(
         Fraction(0), degree * Fraction(-lam) / q**(r * n), EXHAUSTED, n)
 
 
@@ -169,11 +173,6 @@ def height_sum(parts):
 def global_height(module, x):
     """hhat(x) = sum of local heights; exact iff every summand is exact."""
     return height_sum(global_height_breakdown(module, x))
-
-
-def weil_height(x):
-    """The S-free height -sum d(v) min{0, v(x)} = max(deg num, deg den)."""
-    return x.weil_height()
 
 
 class LehmerBounds:
@@ -250,7 +249,7 @@ def check_t2mwg(module, x, parts=None):
         parts = ((v, local_height(module, v, x))
                  for v in relevant_places(module, x))
     if not S:
-        if is_constant(x):
+        if x.is_constant():
             return T2Certificate("constant")
         # the relevant places are the poles of x, and each local height
         # there escapes at step 0 with value -v(x) d(v) >= d(v)

@@ -13,9 +13,9 @@ from fractions import Fraction
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError, IsotrivialModuleError
-from drinheights.heights import (DEGREE_CAP, height_sum,
-                                 global_height_breakdown, lehmer_bounds,
-                                 local_height)
+from drinheights.heights import (height_sum, global_height_breakdown,
+                                 lehmer_bounds, local_height,
+                                 next_iterate_fits)
 from drinheights.places import expansion
 from drinheights.ratfunc import Poly
 from drinheights.torsion import annihilator_of
@@ -54,9 +54,6 @@ class InsepLevel:
             T = self.pushed.reduction_data(w).T
             if not T >= Fraction(self.index, q**r):
                 raise AssertionError("T_v < [L:K]/q^r at a bad place")
-
-    def bad_places(self):
-        return self.pushed.bad_reduction_set()
 
 
 def insep_height(module, n, y):
@@ -117,7 +114,7 @@ def key_dichotomy_check(module, n, x):
     psi = level.pushed
     field = module.field
     q, r = module.q, module.r
-    S = level.bad_places()
+    S = psi.bad_reduction_set()
     if not S:
         one = Poly.one(field)
         return DichotomyReport(level, 2, b=one, valuations=[])
@@ -144,11 +141,11 @@ def key_dichotomy_check(module, n, x):
         y = x
         for j in range(B + 1):
             if j:
-                y = phi_t(y)
-                if y.weil_height() > DEGREE_CAP:
+                if not next_iterate_fits(psi, y):
                     raise BudgetExhaustedError(
                         "iterates outgrew the degree budget before a "
                         "branch-2 certificate appeared")
+                y = phi_t(y)
             vec = {}
             for w_idx, (w, upto) in enumerate(uptos):
                 vec.update(_expansion_vector(w_idx, w, y, upto))

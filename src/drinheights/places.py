@@ -158,10 +158,6 @@ class InfinitePlace(Place):
         return "v[inf]"
 
 
-def valuation(place, y):
-    return place.valuation(y)
-
-
 def poles(y):
     """The (place, v(y)) pairs with v(y) < 0, sorted.
 
@@ -186,19 +182,6 @@ def support(y):
     out = poles(y) + [(v, -m) for v, m in poles(y.inverse())]
     out.sort(key=lambda t: t[0].sort_key())
     return out
-
-
-def is_constant(y):
-    """True iff y lies in F_q (zero or valuation 0 everywhere)."""
-    return y.is_zero() or y.is_constant()
-
-
-def angular_component(place, y):
-    return place.angular_component(y)
-
-
-def residue(place, y):
-    return place.residue(y)
 
 
 def expansion(place, y, upto):
@@ -233,10 +216,6 @@ class SubstitutionEmbedding:
     def apply(self, y):
         """Push y(t) in K to y(image(u)) in L."""
         return y.subs(self.image)
-
-    def compose(self, other):
-        """self after other ... t -> self.image(other.image)."""
-        return SubstitutionEmbedding(self.image.subs(other.image))
 
     def __repr__(self):
         return "Embedding(t -> %s)" % self.image.to_string("u")

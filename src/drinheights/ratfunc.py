@@ -10,6 +10,8 @@ finite places of F_q(t).
 
 import random
 
+from drinheights.gf import _poly_is_irreducible, monic_coeffs
+
 NEG_INF = float("-inf")
 # the largest Weil height an expression may reach while it is parsed: a few
 # bytes such as "t^100000000" must not ask for a huge power (a height job on
@@ -417,16 +419,21 @@ class ParseError(ValueError):
     pass
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(s):
+    # digits are ASCII 0-9 only: str.isdigit() also accepts digits such as
+    # superscripts that int() refuses, and other scripts' digits
     tokens = []
     i = 0
     while i < len(s):
         c = s[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c in _DIGITS:
             j = i
-            while j < len(s) and s[j].isdigit():
+            while j < len(s) and s[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(s[i:j]), i))
             i = j
@@ -546,8 +553,15 @@ class _Parser:
 
 
 def parse_ratfunc(field, s, var="t"):
-    """Parse strings like "t^2+2*t+1" or "(t^2+1)/t^3" into a RatFunc."""
-    return _Parser(field, var, s).parse()
+    """Parse strings like "t^2+2*t+1" or "(t^2+1)/t^3" into a RatFunc.
+
+    The parser descends once per parenthesis, so nesting deeper than the
+    interpreter's recursion limit allows is refused as a ParseError.
+    """
+    try:
+        return _Parser(field, var, s).parse()
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
 
 
 def parse_poly(field, s, var="t"):
@@ -560,7 +574,6 @@ def parse_poly(field, s, var="t"):
 # --- factorization ---
 
 def is_irreducible(f):
-    from drinheights.gf import _poly_is_irreducible
     return _poly_is_irreducible(list(f.coeffs), f.field)
 
 
@@ -720,15 +733,7 @@ def ord_at(f, P):
 
 def monic_polys(field, degree):
     """All monic polynomials of the given degree, in counter order."""
-    q = field.order
-    for idx in range(q**degree):
-        coeffs = []
-        v = idx
-        for _ in range(degree):
-            v, r = divmod(v, q)
-            coeffs.append(r)
-        coeffs.append(1)
-        yield Poly(field, coeffs)
+    return (Poly(field, c) for c in monic_coeffs(field, degree))
 
 
 def irreducible_monics(field, degree):

@@ -119,14 +119,6 @@ class SkewPoly:
         return "SkewPoly(%s)" % self.to_string()
 
 
-def skew_mul(f, g):
-    return f * g
-
-
-def skew_eval(f, y):
-    return f(y)
-
-
 def skew_degree(f):
     """(tau-degree n, additive degree q^n) of a nonzero skew polynomial."""
     n = f.tau_degree

@@ -23,8 +23,10 @@ F_q-space, which makes everything here exact linear algebra:
   not, phi_b is handled the same way, so torsion_enumerate is kernel_in_K
   at b = B.
 
-The minimal annihilator of a point is kept per module, since the decision,
-the T2 check and the local height at every bad place ask for the same point.
+The pole lattice with D and m is built once per module (torsion_lattice),
+and the minimal annihilator of a point is kept per module too, since the
+decision, the T2 check and the local height at every bad place ask for the
+same point.
 """
 
 import math
@@ -34,32 +36,51 @@ from drinheights.places import FinitePlace
 from drinheights.ratfunc import Poly, RatFunc, factor
 
 
-def torsion_lattice(module):
-    """(Q, m_inf): torsion points are n(t)/Q with deg n <= deg Q + m_inf.
+class TorsionLattice:
+    """The pole lattice of a monic module and the torsion bounds it carries.
 
-    Q collects P^m over the finite bad places, m = floor(-min{0, M_v}); m_inf
-    is the matching bound at infinity (0 when infinity has good reduction).
+    Torsion points are n(t)/Q with deg n <= deg Q + m_inf: Q collects P^e
+    over the finite bad places, e = floor(-min{0, M_v}), and m_inf is the
+    matching bound at infinity (0 when infinity has good reduction).  The
+    lattice has F_q-dimension n = deg Q + m_inf + 1.  D = r N |S| bounds the
+    degree of every minimal annihilator (height gap theorem), and
+    m = min(D, n) bounds the annihilator of all rational torsion
+    (torsion_annihilator); with S empty the torsion is F_q, killed by
+    t - phi_t(1), and m = n = 1.  `y in lattice` is membership.
     """
+
+    __slots__ = ("Q", "m_inf", "n", "D", "m")
+
+    def __init__(self, module):
+        Q = Poly.one(module.field)
+        m_inf = 0
+        S = module.bad_reduction_set()
+        for v in S:
+            e = math.floor(-min(0, module.reduction_data(v).M))
+            if isinstance(v, FinitePlace):
+                Q = Q * v.P**e
+            else:
+                m_inf = e
+        self.Q = Q
+        self.m_inf = m_inf
+        self.n = Q.degree + m_inf + 1
+        self.D = _gap_degree(module, S)
+        self.m = min(self.D, self.n) if S else self.n
+
+    def __contains__(self, y):
+        if y.is_zero():
+            return True
+        if not (self.Q % y.den).is_zero():
+            return False
+        return y.num.degree <= y.den.degree + self.m_inf
+
+
+def torsion_lattice(module):
+    """The module's TorsionLattice, built on first use and kept on it."""
     module._require_monic()
-    Q = Poly.one(module.field)
-    m_inf = 0
-    for v in module.bad_reduction_set():
-        lam = min(0, module.reduction_data(v).M)
-        m = math.floor(-lam)
-        if isinstance(v, FinitePlace):
-            Q = Q * v.P**m
-        else:
-            m_inf = m
-    return Q, m_inf
-
-
-def in_torsion_lattice(y, lattice):
-    if y.is_zero():
-        return True
-    Q, m_inf = lattice
-    if not (Q % y.den).is_zero():
-        return False
-    return y.num.degree <= y.den.degree + m_inf
+    if module._lattice is None:
+        module._lattice = TorsionLattice(module)
+    return module._lattice
 
 
 def annihilator_of(module, x):
@@ -83,20 +104,19 @@ def annihilator_of(module, x):
 def _annihilator_of(module, x):
     field = module.field
     lattice = torsion_lattice(module)
-    Q = lattice[0]
-    if not in_torsion_lattice(x, lattice):
+    if x not in lattice:
         return None
-    m = _exponent_degree_bound(module, lattice)
+    Q = lattice.Q
     phi_t = module.phi_t
 
     def coordinates():
         # numerators over the common denominator Q; leaving the lattice
         # proves non-torsion and ends the sequence
         y = x
-        for j in range(m + 1):
+        for j in range(lattice.m + 1):
             if j:
                 y = phi_t(y)
-                if not in_torsion_lattice(y, lattice):
+                if y not in lattice:
                     return
             yield dict(enumerate((y.num * (Q // y.den)).coeffs))
 
@@ -184,18 +204,6 @@ def _carlitz_lcm(field, m):
     return b
 
 
-def _exponent_degree_bound(module, lattice):
-    """m = min(D, n): the annihilator of all rational torsion has degree <= m.
-
-    See torsion_annihilator.  With S empty the torsion is F_q, killed by
-    t - phi_t(1), and m = n = 1.
-    """
-    Q, m_inf = lattice
-    n = Q.degree + m_inf + 1
-    S = module.bad_reduction_set()
-    return min(_gap_degree(module, S), n) if S else n
-
-
 def torsion_annihilator(module):
     """B = prod_{k=1}^{m} (t^(q^k) - t) with m = min(D, n); phi_B kills all
     rational torsion.
@@ -210,9 +218,7 @@ def torsion_annihilator(module):
     (annihilator_bound), hence d_k | B and phi_B(T) = 0.  Conversely every
     root of phi_B in K is torsion, so T is exactly the kernel of phi_B in K.
     """
-    module._require_monic()
-    m = _exponent_degree_bound(module, torsion_lattice(module))
-    return _carlitz_lcm(module.field, m)
+    return _carlitz_lcm(module.field, torsion_lattice(module).m)
 
 
 def kernel_in_K(module, b):
@@ -239,10 +245,9 @@ def kernel_in_K(module, b):
         raise ValueError("kernel of phi_0 is everything")
     field = module.field
     lattice = torsion_lattice(module)
-    Q, m_inf = lattice
-    m = _exponent_degree_bound(module, lattice)
+    Q, m = lattice.Q, lattice.m
     parts = [P**min(e, m // P.degree) for P, e in factor(b)[1] if P.degree <= m]
-    basis = [RatFunc(Poly.x(field)**i, Q) for i in range(Q.degree + m_inf + 1)]
+    basis = [RatFunc(Poly.x(field)**i, Q) for i in range(lattice.n)]
     roots = [RatFunc.zero(field)]
     for part in parts:
         images = [module.act(part, e) for e in basis]

@@ -38,6 +38,12 @@ LOCAL_AT_LEVEL = {"field": {"p": 3}, "module": {"coefficients": ["t", "1"]},
                   "point": "1/u", "place": {"kind": "infinity"}}
 
 
+def nested(depth):
+    """t inside `depth` pairs of parentheses; the CI workflow also pipes
+    nested(300) into the installed entry point."""
+    return "(" * depth + "t" + ")" * depth
+
+
 def test_reduction_report(tmp_path, capsys):
     code, out, _ = run(capsys, ["reduction", job_file(tmp_path, PSI2)])
     assert code == 0
@@ -196,6 +202,14 @@ def test_input_error_exit_2(tmp_path, capsys):
     # place constructors that also serve the library's own proven inputs
     ("local-height", dict(CAR3, point="1", place=REDUCIBLE_PLACE), []),
     ("lehmer", REDUCIBLE_MODULUS, []),
+    # nesting past the parser's recursion depth, and digits other than
+    # ASCII 0-9, which int() refuses or reads as another digit
+    ("height", dict(CAR3, point=nested(300)), []),
+    ("height", dict(CAR3, point=nested(5000)), []),
+    ("lehmer", dict(CAR3, module={"coefficients": [nested(300), "1"]}), []),
+    ("lehmer", dict(CAR3, module={"coefficients": [nested(5000), "1"]}), []),
+    ("height", dict(CAR3, point="t^\u00b2"), []),
+    ("height", dict(CAR3, point="\u0663*t"), []),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
@@ -299,7 +313,7 @@ def test_invalid_height_interval_is_internal_error(tmp_path, capsys,
     from drinheights.heights import EXHAUSTED, HeightValue
 
     def bad_interval(module, place, x, index=1):
-        return HeightValue.interval(1, 0, EXHAUSTED)
+        return HeightValue(1, 0, EXHAUSTED)
     monkeypatch.setattr(cli, "local_height", bad_interval)
     job = dict(CAR3, point="1/t", place={"kind": "infinity"})
     code, out, err = run(capsys, ["local-height", job_file(tmp_path, job)])

@@ -5,8 +5,7 @@ import pytest
 
 from drinheights.gf import (MEMO_ORDER, ExtensionField, FieldError,
                             additive_kernel, additive_preimages, dependencies,
-                            finite_field, first_dependence, frobenius, solve,
-                            span)
+                            finite_field, first_dependence, solve, span)
 
 
 def test_prime_field_create():
@@ -56,6 +55,22 @@ def test_finite_field_memoized():
             finite_field(3, 2, [1, 0, 2])
 
 
+def test_repeated_field_runs_no_trial_division():
+    # primality answers are memoized: a field asked for again, or refused
+    # again, costs no trial division, and p >= ORDER_CAP costs none at all
+    import drinheights.gf as gf
+    gf._is_prime.cache_clear()
+    p = 2**31 - 1
+    for _ in range(3):
+        assert finite_field(p).order == p
+        with pytest.raises(FieldError, match="p = 2146654199 is not prime"):
+            finite_field(46327 * 46337)
+        with pytest.raises(FieldError, match="exceeds the supported range"):
+            finite_field(2**31 + 11)
+    info = gf._is_prime.cache_info()
+    assert info.misses == 2 and info.currsize == 2
+
+
 def _small_fields():
     F4 = finite_field(2, 2)
     F9 = finite_field(3, 2)
@@ -94,13 +109,13 @@ def test_large_field_arithmetic_not_memoized():
 def test_frobenius_fixes_one():
     F9 = finite_field(3, 2)
     for e in range(5):
-        assert frobenius(F9.one, e) == F9.one
+        assert F9.one.frobenius(e) == F9.one
 
 
 def test_frobenius_f4_generator():
     F4 = finite_field(2, 2)
     g = F4.gen
-    assert frobenius(g, 1) == g * g == g + 1
+    assert g.frobenius(1) == g * g == g + 1
 
 
 def test_frobenius_power_m_is_identity():
@@ -109,7 +124,7 @@ def test_frobenius_power_m_is_identity():
     k = ExtensionField(F4, [F4.gen.val, 1, 1])  # x^2 + x + g over F_4
     for _ in range(20):
         a = k.element(rng.randrange(k.order))
-        assert frobenius(a, k.dim) == a
+        assert a.frobenius(k.dim) == a
 
 
 def test_frobenius_is_field_homomorphism():
@@ -119,8 +134,8 @@ def test_frobenius_is_field_homomorphism():
         a = F9.element(rng.randrange(9))
         b = F9.element(rng.randrange(9))
         for e in (1, 2, 3):
-            assert frobenius(a + b, e) == frobenius(a, e) + frobenius(b, e)
-            assert frobenius(a * b, e) == frobenius(a, e) * frobenius(b, e)
+            assert (a + b).frobenius(e) == a.frobenius(e) + b.frobenius(e)
+            assert (a * b).frobenius(e) == a.frobenius(e) * b.frobenius(e)
 
 
 def test_additive_kernel_x_plus_x2_over_f2():

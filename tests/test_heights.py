@@ -5,11 +5,10 @@ import pytest
 
 from conftest import make_module
 from drinheights.errors import NonMonicError
-from drinheights.gf import finite_field
 from drinheights.heights import (HeightValue, check_t2mwg, global_height,
                                  global_height_breakdown, height_sum,
                                  height_via_embedding, lehmer_bounds,
-                                 local_height, weil_height)
+                                 local_height)
 from drinheights.places import (FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, support)
 from drinheights.ratfunc import Poly, RatFunc, parse_poly, parse_ratfunc
@@ -65,13 +64,6 @@ def test_nonmonic_rejected(F3):
     m = make_module(F3, "t", "t")
     with pytest.raises(NonMonicError):
         global_height(m, RatFunc.one(F3))
-
-
-def test_weil_height_examples(F3):
-    F7 = finite_field(7)
-    assert weil_height(RatFunc.x(F3)) == 1
-    assert weil_height(R(F3, "1/t^2")) == 2
-    assert weil_height(RatFunc.const(F7, 5)) == 0
 
 
 def test_lehmer_bounds_examples(car3, psi2, tau2):
@@ -229,7 +221,7 @@ def test_interval_on_non_escaping_orbit(psi2, car3, F2, F3):
 
 def test_height_value_arithmetic():
     a = HeightValue.exact(Fraction(1, 3), "Escaped", 1)
-    b = HeightValue.interval(0, Fraction(1, 8), "IterationBudgetExhausted")
+    b = HeightValue(0, Fraction(1, 8), "IterationBudgetExhausted")
     s = a + b
     assert s.lo == Fraction(1, 3) and s.hi == Fraction(1, 3) + Fraction(1, 8)
     assert not s.is_exact
@@ -237,7 +229,7 @@ def test_height_value_arithmetic():
         s.value
     # an internal guard, not an input error
     with pytest.raises(AssertionError):
-        HeightValue.interval(1, 0, "bad")
+        HeightValue(1, 0, "bad")
 
 
 def _certificate_fields(cert):

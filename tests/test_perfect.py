@@ -88,7 +88,7 @@ def test_bad_set_size_invariant(car3, psi2, F3):
         s0 = len(mod.bad_reduction_set())
         for n in range(3):
             level = InsepLevel(mod, n)
-            assert len(level.bad_places()) == s0
+            assert len(level.pushed.bad_reduction_set()) == s0
 
 
 def test_tv_growth(car3):
@@ -96,7 +96,7 @@ def test_tv_growth(car3):
     p = car3.field.char
     for n in range(3):
         level = InsepLevel(car3, n)
-        for w in level.bad_places():
+        for w in level.pushed.bad_reduction_set():
             T = level.pushed.reduction_data(w).T
             assert T >= Fraction(p**n, q**r)
 

@@ -5,9 +5,8 @@ import pytest
 
 from drinheights.gf import FieldError, finite_field, first_dependence
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace,
-                                SubstitutionEmbedding, angular_component,
-                                coherent_degree, expansion, extend_places,
-                                is_constant, poles, support)
+                                SubstitutionEmbedding, coherent_degree,
+                                expansion, extend_places, poles, support)
 from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
                                  parse_poly, parse_ratfunc)
 
@@ -213,15 +212,17 @@ def test_poles_support_extend_places_match_first_definitions(p, k, monkeypatch):
 def test_places_and_residue_fields_prove_nothing_twice(monkeypatch):
     # a factor from factor() is irreducible by construction, and a residue
     # field is built from a proven modulus; only a place from outside input
-    # runs Rabin's test
+    # runs Rabin's test, which fields (gf) and places (ratfunc) call
     import drinheights.gf as gf
+    import drinheights.ratfunc as ratfunc
     tested = []
     rabin = gf._poly_is_irreducible
 
     def spy(coeffs, field):
         tested.append(list(coeffs))
         return rabin(coeffs, field)
-    monkeypatch.setattr(gf, "_poly_is_irreducible", spy)
+    for module in (gf, ratfunc):
+        monkeypatch.setattr(module, "_poly_is_irreducible", spy)
     y = R(F3, "t^4/((t^2+1)*(t^3+2*t+1)^2)")
     got = poles(y)
     assert [(v.P, m) for v, m in got] == [(P(F3, "t^2+1"), -1),
@@ -307,8 +308,7 @@ def test_tower_consistency():
     # f(w2|w1) times that of w1, divided by the degree of the second step
     s1 = SubstitutionEmbedding(R(F3, "u^2", var="u"))
     s2 = SubstitutionEmbedding(R(F3, "w^2", var="w"))
-    direct = s1.compose(s2)
-    assert direct.image == R(F3, "w^4", var="w")
+    direct = SubstitutionEmbedding(R(F3, "w^4", var="w"))
     for v in [FinitePlace(P(F3, "t")), FinitePlace(P(F3, "t+1")),
               FinitePlace(P(F3, "t+2")), FinitePlace(P(F3, "t^2+1")),
               InfinitePlace(F3)]:
@@ -358,10 +358,10 @@ def test_place_below_roundtrip():
 
 
 def test_is_constant():
-    assert is_constant(RatFunc.one(F3))
-    assert not is_constant(R(F3, "t"))
-    assert is_constant(R(F3, "(t+1)/(t+1)"))
-    assert is_constant(RatFunc.zero(F3))
+    assert RatFunc.one(F3).is_constant()
+    assert not R(F3, "t").is_constant()
+    assert R(F3, "(t+1)/(t+1)").is_constant()
+    assert RatFunc.zero(F3).is_constant()
 
 
 def test_expansion_reconstructs():

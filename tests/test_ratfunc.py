@@ -184,6 +184,17 @@ def test_parse_errors():
         parse_poly(F3, "1/t")
 
 
+def test_deep_nesting_and_non_ascii_digits_are_parse_errors():
+    assert R(F3, "(" * 100 + "t" + ")" * 100) == RatFunc.x(F3)
+    for depth in (300, 5000):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            R(F3, "(" * depth + "t" + ")" * depth)
+    # superscript two, Arabic-Indic three, fullwidth one
+    for s in ("t^\u00b2", "\u0663*t", "\uff11"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            R(F3, s)
+
+
 def test_pow_q_spreads():
     x = R(F3, "t+1")
     assert x.pow_q(1) == R(F3, "t^3+1")
@@ -238,6 +249,7 @@ def test_weil_height():
     assert R(F3, "t").weil_height() == 1
     assert R(F3, "1/t^2").weil_height() == 2
     assert RatFunc.zero(F3).weil_height() == 0
+    assert RatFunc.const(finite_field(7), 5).weil_height() == 0
 
 
 # --- multiplicities: factor() against sympy, ord_at against repeated division

@@ -25,7 +25,7 @@ def count_phi_calls(monkeypatch):
 
 
 def stable_floor(mod, v):
-    return mod.reduction_data(v).stable_floor(mod.phi_t)
+    return mod.reduction_data(v).stable_floor()
 
 
 def test_fixed_floors(F2, F3, psi2, car3):

@@ -6,11 +6,13 @@ import pytest
 from conftest import make_module
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.gf import finite_field
+from drinheights.heights import lehmer_bounds
 from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics,
                                  parse_poly, parse_ratfunc)
 from drinheights.torsion import (annihilator_bound, annihilator_of,
                                  is_torsion, kernel_in_K, torsion_annihilator,
                                  torsion_enumerate, torsion_lattice)
+from drinheights.verify import module_pool
 
 
 def R(field, s, var="t"):
@@ -193,11 +195,36 @@ def test_torsion_decision_matches_blcm_kill(psi2, car3):
 
 
 def test_torsion_lattice_bounds(psi2, F2):
-    Q, m_inf = torsion_lattice(psi2)
-    assert Q.is_one() and m_inf == 1
+    lattice = torsion_lattice(psi2)
+    assert lattice.Q.is_one() and lattice.m_inf == 1 and lattice.n == 2
     # every torsion point respects the pole bound
     for x in torsion_enumerate(psi2):
         assert x.den.is_one() and (x.is_zero() or x.num.degree <= 1)
+
+
+LATTICE_BOUND_MODULES = [
+    ((2, 2), ["1/(t^2+t)^3", "1"]),  # D = 2 < n = 3
+    ((2, 2), ["t", "1/t^12", "1"]),  # n = 2 < D = 8
+    ((3, 2), ["1/(t^2+t)^8", "1"]),  # D = 2 < n = 3
+    ((3, 2), ["t", "1/t^72", "1"]),  # n = 2 < D = 8
+]
+
+
+@pytest.mark.parametrize("mod", [
+    pytest.param(mod, id=name) for name, mod in module_pool()
+] + [
+    pytest.param(make_module(finite_field(*fk), *coeffs), id="-".join(coeffs))
+    for fk, coeffs in LATTICE_BOUND_MODULES
+])
+def test_torsion_lattice_holds_d_and_m(mod):
+    # one lattice per module, and its D and m are the bounds the Lehmer
+    # report and B = prod_{k <= m} (t^(q^k) - t) carry: each factor of B
+    # holds t once, so m is the t-adic order of B
+    lattice = torsion_lattice(mod)
+    assert torsion_lattice(mod) is lattice
+    assert lattice.D == lehmer_bounds(mod).torsion_degree
+    B = torsion_annihilator(mod)
+    assert lattice.m == next(i for i, c in enumerate(B.coeffs) if c)
 
 
 def test_annihilator_degree_within_bound(psi2):
@@ -227,10 +254,9 @@ LATTICE_MODULES = [
 def test_kernel_matches_lattice_brute_force(fk, coeffs, largest):
     field = finite_field(*fk)
     mod = make_module(field, *coeffs)
-    Q, m_inf = torsion_lattice(mod)
+    Q = torsion_lattice(mod).Q
     assert not Q.is_one()
-    points = [RatFunc(Poly(field, c), Q) for c in
-              itertools.product(field.elements(), repeat=Q.degree + m_inf + 1)]
+    points = _lattice_points(mod)
     # every monic b of degree 1 and 2 over F_2, F_3; a sample over F_4
     bs = [Poly(field, list(c) + [1]) for d in (1, 2)
           for c in itertools.product(field.elements(), repeat=d)]
@@ -283,13 +309,12 @@ UNENUMERABLE_AT_B_LCM = ["rank2-two-bad", "rank2-deg2-bad", "rank2-q2",
 
 
 def _lattice_points(mod):
-    Q, m_inf = torsion_lattice(mod)
-    return [RatFunc(Poly(mod.field, c), Q) for c in
-            itertools.product(mod.field.elements(), repeat=Q.degree + m_inf + 1)]
+    lattice = torsion_lattice(mod)
+    return [RatFunc(Poly(mod.field, c), lattice.Q) for c in
+            itertools.product(mod.field.elements(), repeat=lattice.n)]
 
 
 def _pool_module(name):
-    from drinheights.verify import module_pool
     return dict(module_pool())[name]
 
 
@@ -329,8 +354,8 @@ def test_kernel_evaluates_prime_powers_of_degree_at_most_min_d_n(monkeypatch):
         return real_act(self, b, x)
     monkeypatch.setattr(DrinfeldModule, "act", spying_act)
     for mod, b in cases:
-        Q, m_inf = torsion_lattice(mod)
-        m = min(annihilator_bound(mod).D, Q.degree + m_inf + 1)
+        m = torsion_lattice(mod).m
+        assert m == min(annihilator_bound(mod).D, torsion_lattice(mod).n)
         del calls[:]
         roots = kernel_in_K(mod, b)
         # no b here is a prime power of degree <= m, so phi_b is never built
