@@ -22,7 +22,7 @@ from fractions import Fraction
 from drinheights import verify as verify_mod
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
-                                NonMonicError)
+                                NonMonicError, quote)
 from drinheights.gf import FieldError, finite_field
 from drinheights.heights import (global_height_breakdown, height_sum,
                                  lehmer_bounds, local_height, check_t2mwg)
@@ -31,8 +31,7 @@ from drinheights.places import FinitePlace, InfinitePlace, INFINITY
 from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
                                  parse_ratfunc)
 from drinheights.torsion import (annihilator_of, kernel_in_K,
-                                 torsion_annihilator, torsion_enumerate,
-                                 torsion_lattice)
+                                 torsion_enumerate, torsion_lattice)
 
 
 class InputError(ValueError):
@@ -59,10 +58,10 @@ def integer(value, key, minimum=None):
     """A JSON integer (not a bool) of at least `minimum`, or an InputError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError("%s must be an integer, not %s"
-                         % (key, json.dumps(value)))
+                         % (key, quote(json.dumps(value), str)))
     if minimum is not None and value < minimum:
-        raise InputError("%s must be at least %d, not %d"
-                         % (key, minimum, value))
+        raise InputError("%s must be at least %d, not %s"
+                         % (key, minimum, quote(str(value), str)))
     return value
 
 
@@ -70,7 +69,7 @@ def text(value, what):
     """A JSON string, or an InputError naming `what`."""
     if not isinstance(value, str):
         raise InputError("%s must be a string, not %s"
-                         % (what, json.dumps(value)))
+                         % (what, quote(json.dumps(value), str)))
     return value
 
 
@@ -113,8 +112,9 @@ class Job:
         p >= 2, every level past the bit length of MAX_DEGREE is above)."""
         p = self.field.char
         if p ** min(level, MAX_DEGREE.bit_length()) > MAX_DEGREE:
-            raise InputError("insep_level %d: p^%d exceeds the cap "
-                             "MAX_DEGREE = %d" % (level, level, MAX_DEGREE))
+            shown = quote(str(level), str)
+            raise InputError("insep_level %s: p^%s exceeds the cap "
+                             "MAX_DEGREE = %d" % (shown, shown, MAX_DEGREE))
         self.level = level
 
     @property
@@ -148,7 +148,7 @@ class Job:
         try:
             return parse_ratfunc(self.field, text(s, key), var=self.point_var)
         except ParseError as exc:
-            raise InputError("bad point %r: %s" % (s, exc))
+            raise InputError("bad point %s: %s" % (quote(s), exc))
 
     def poly(self, key):
         s = self.data.get(key)
@@ -157,7 +157,7 @@ class Job:
         try:
             return parse_poly(self.field, text(s, key))
         except ParseError as exc:
-            raise InputError("bad polynomial %r: %s" % (s, exc))
+            raise InputError("bad polynomial %s: %s" % (quote(s), exc))
 
     def place(self):
         desc = self.data.get("place")
@@ -340,7 +340,7 @@ def cmd_torsion(job, rep):
         rep.put("constants_only", True)
         return 0
     lattice = torsion_lattice(mod)
-    B = torsion_annihilator(mod)
+    B = lattice.B
     rep.say("D = r N_phi |S| = %d", lattice.D)
     rep.say("m = min(D, n) = %d (n: dimension of the pole lattice)", lattice.m)
     rep.say("B = prod_{k<=m} (t^(q^k) - t) = %s (degree %d)",
@@ -348,7 +348,7 @@ def cmd_torsion(job, rep):
     rep.put("D", lattice.D)
     rep.put("m", lattice.m)
     rep.put("B", B.to_string())
-    points = torsion_enumerate(mod, B)
+    points = torsion_enumerate(mod)
     rep.say("torsion module (%d points):", len(points))
     rep.put("torsion", [])
     for x in points:

@@ -12,7 +12,9 @@ R_v(alpha), built together on first read: only the `reduction` report and
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from drinheights import gf, places
 from drinheights.errors import MonicizeError, NonMonicError
@@ -21,11 +23,8 @@ from drinheights.ratfunc import RatFunc, factor
 from drinheights.skew import SkewPoly
 
 
-# ReductionData.floor before stable_floor fills it
-_UNSET = object()
-
-# the ReductionData fields built together on first read
-_RESIDUE_SETS = ("P", "Pp", "Ppp", "Q", "R")
+# the exceptional sets of ReductionData, built together on first read
+_ResidueSets = namedtuple("ResidueSets", "P Pp Ppp Q R")
 
 
 def _mv(vals, q, r):
@@ -68,15 +67,11 @@ class ReductionData:
     """Reduction data of a monic module at one place (see module docstring).
 
     Built at once: the valuations `vals`, `in_S`, M_v, T_v and the Newton
-    polygon; `floor` is filled on first use by stable_floor.  Built on first
-    read of any of them, all together: the exceptional sets P, Pp, Ppp, Q
-    and R, which maps each alpha in Q_v to a tuple of nonzero residue-field
-    elements.  `pair_in` is the dichotomy membership test
-    (v(x), ac(x)) in P x R(v(x)).
+    polygon.  Built on first read and kept: `stable_floor`, and the
+    exceptional sets P, Pp, Ppp, Q and R, all five together (R maps each
+    alpha in Q_v to a tuple of nonzero residue-field elements).  `pair_in`
+    is the dichotomy membership test (v(x), ac(x)) in P x R(v(x)).
     """
-
-    __slots__ = ("place", "coeffs", "in_S", "vals", "M", "T", "newton",
-                 "N_phi", "q", "r", "floor") + _RESIDUE_SETS
 
     def __init__(self, module, place):
         q, r = self.q, self.r = module.q, module.r
@@ -91,26 +86,19 @@ class ReductionData:
         hull = _lower_hull(points)
         self.newton = tuple(((x1, y1), (x2, y2), Fraction(y2 - y1, x2 - x1))
                             for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
-        self.floor = _UNSET
         if self.in_S and not self.T > 0:
             raise RuntimeError("T_v must be positive at a bad place")
 
-    def __getattr__(self, name):
-        # only an unset slot reaches here: build the five residue sets,
-        # assign them together and check them
-        if name not in _RESIDUE_SETS:
-            raise AttributeError(name)
-        for attr, value in zip(_RESIDUE_SETS, self._residue_sets()):
-            setattr(self, attr, value)
-        try:
-            self._check()
-        except BaseException:
-            for attr in _RESIDUE_SETS:
-                delattr(self, attr)
-            raise
-        return getattr(self, name)
+    P = property(lambda self: self._residue_sets.P)
+    Pp = property(lambda self: self._residue_sets.Pp)
+    Ppp = property(lambda self: self._residue_sets.Ppp)
+    Q = property(lambda self: self._residue_sets.Q)
+    R = property(lambda self: self._residue_sets.R)
 
+    @cached_property
     def _residue_sets(self):
+        """The five exceptional sets, built together and checked; a failed
+        check keeps nothing, so the next read fails again."""
         q, r, vals, T, v = self.q, self.r, self.vals, self.T, self.place
         slopes = [seg[2] for seg in self.newton]
 
@@ -156,7 +144,9 @@ class ReductionData:
             if alpha == 0:
                 sols.add(k_v.one)
             R[alpha] = tuple(sorted(sols, key=lambda e: e.val))
-        return tuple(P), tuple(Pp), tuple(Ppp), tuple(Q), R
+        sets = _ResidueSets(tuple(P), tuple(Pp), tuple(Ppp), tuple(Q), R)
+        self._check(sets)
+        return sets
 
     def valuation_law(self, alpha):
         """(g(alpha), the i attaining it) for g(alpha) = min_i v(a_i) + q^i
@@ -172,21 +162,22 @@ class ReductionData:
                 ids.append(i)
         return best, ids
 
-    def _check(self):
+    def _check(self, sets):
         q, r = self.q, self.r
-        if len(self.P) > self.N_phi:
+        if len(sets.P) > self.N_phi:
             raise RuntimeError("|P_v| exceeds N_phi")
-        if len(self.Pp) > len(self.P):
+        if len(sets.Pp) > len(sets.P):
             raise RuntimeError("|P'_v| exceeds |P_v|")
-        if len(self.Q) > 2 * (r + 1):
+        if len(sets.Q) > 2 * (r + 1):
             raise RuntimeError("|Q_v| exceeds 2(r+1)")
-        for alpha in self.P:
-            if len(self.R[alpha]) > q**r:
+        for alpha in sets.P:
+            if len(sets.R[alpha]) > q**r:
                 raise RuntimeError("|R_v(alpha)| exceeds q^r on P_v")
-        for alpha in self.Q:
-            if len(self.R[alpha]) >= q**(2 * (r + 1)):
+        for alpha in sets.Q:
+            if len(sets.R[alpha]) >= q**(2 * (r + 1)):
                 raise RuntimeError("|R_v(alpha)| reaches q^(2(r+1)) on Q_v")
 
+    @cached_property
     def stable_floor(self):
         """lambda*_v: the least integer lambda for which the module's phi_t
         maps the ball B_lambda = {y : v(y) >= lambda} into itself, or None if
@@ -194,13 +185,8 @@ class ReductionData:
 
         An orbit that enters a stable ball is bounded there, so its local
         height is 0.  The floor depends on the module and the place only; it
-        is computed on the first call and kept.
+        is computed on the first read and kept.
         """
-        if self.floor is _UNSET:
-            self.floor = self._stable_floor()
-        return self.floor
-
-    def _stable_floor(self):
         # phi_t is F_q-linear, so B_lambda is stable iff phi_t(pi^k t^j) lies
         # in it for every k >= lambda and j < deg v (the t^j lift a basis of
         # the residue field).  With g = valuation_law, that value is g(k)
@@ -243,10 +229,11 @@ class ReductionData:
 
     def pair_in(self, alpha, ac, sets=None):
         """Is (alpha, ac) in P_v x R_v(alpha) (or in `sets` x R_v(alpha))?"""
-        pool = self.P if sets is None else sets
+        residue = self._residue_sets
+        pool = residue.P if sets is None else sets
         if alpha not in pool:
             return False
-        return ac in self.R[Fraction(alpha)]
+        return ac in residue.R[Fraction(alpha)]
 
 
 class DrinfeldModule:
@@ -264,7 +251,6 @@ class DrinfeldModule:
         self.coeffs = tuple(coeffs)
         self.r = len(coeffs) - 1
         self.q = field.order
-        self._S = None
         self._rd = {}
         self._annihilators = {}  # torsion.annihilator_of, by point
         self._lattice = None  # torsion.torsion_lattice
@@ -326,10 +312,12 @@ class DrinfeldModule:
     def bad_reduction_set(self):
         """S = {v : some v(a_i) < 0}, sorted; requires monic phi_t."""
         self._require_monic()
-        if self._S is None:
-            bad = {v for a in self.coeffs for v, _ in places.poles(a)}
-            self._S = tuple(sorted(bad, key=lambda v: v.sort_key()))
-        return self._S
+        return self._bad_places
+
+    @cached_property
+    def _bad_places(self):
+        bad = {v for a in self.coeffs for v, _ in places.poles(a)}
+        return tuple(sorted(bad, key=lambda v: v.sort_key()))
 
     @property
     def N_phi(self):

@@ -1,10 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and `quote`, the one way an
+error message shows the input it refuses.
 
 The CLI maps these to exit codes: NonMonicError and IsotrivialModuleError
 exit 2, as input errors, and degree budget exhaustion exits 3.  An internal
 check that fails raises AssertionError or RuntimeError, never one of these,
 and exits 4 like every other exception.
 """
+
+# an error message shows at most this many characters of a refused input
+QUOTE_CHARS = 60
+
+
+def quote(text, render=repr):
+    """render(text) for an error message; a text longer than QUOTE_CHARS is
+    cut to its first QUOTE_CHARS characters, and its length is said."""
+    if len(text) <= QUOTE_CHARS:
+        return render(text)
+    return "%s (first %d of %d characters)" % (
+        render(text[:QUOTE_CHARS]), QUOTE_CHARS, len(text))
 
 
 class NonMonicError(ValueError):

@@ -12,8 +12,10 @@ always x -> x^q with q the order of the *base* of the element's field.
 """
 
 import functools
+import operator
 
 from drinheights import _polycore
+from drinheights.errors import quote
 
 # fields larger than this are refused: every residue computation here is
 # desk-scale and silent overflow of packed encodings must never happen
@@ -271,9 +273,15 @@ class ExtensionField(_Field):
         self.char = base.char
         self.order = base.order**m
         small = self.order <= MEMO_ORDER
-        self._products = {} if small else None
-        self._sums = {} if small and self.char != 2 else None
-        self._differences = {} if small and self.char != 2 else None
+        if self.char == 2:
+            # the encoding is the bit vector of the coordinates over F_2 at
+            # every level of a tower, so a sum is an exclusive or
+            self.add = self.sub = operator.xor
+        elif small:
+            self.add = functools.cache(self.add)
+            self.sub = functools.cache(self.sub)
+        if small:
+            self.mul = functools.cache(self.mul)
 
     def _key(self):
         return ("ext", self.base._key(), self.modulus)
@@ -300,42 +308,20 @@ class ExtensionField(_Field):
             a = a * q + c
         return a
 
-    def _memoized(self, memo, op, a, b):
-        if memo is None:
-            return op(a, b)
-        key = a * self.order + b
-        c = memo.get(key)
-        if c is None:
-            c = memo[key] = op(a, b)
-        return c
-
-    # in characteristic 2 the encoding is the bit vector of the coordinates
-    # over F_2 at every level of a tower, so a sum is an exclusive or
+    # coordinate arithmetic; _setup replaces add and sub by an exclusive or
+    # in characteristic 2, and memoizes the rest in a small field
     def add(self, a, b):
-        if self.char == 2:
-            return a ^ b
-        return self._memoized(self._sums, self._add, a, b)
-
-    def sub(self, a, b):
-        if self.char == 2:
-            return a ^ b
-        return self._memoized(self._differences, self._sub, a, b)
-
-    def mul(self, a, b):
-        return self._memoized(self._products, self._mul, a, b)
-
-    def _add(self, a, b):
         ca, cb = self.coords(a), self.coords(b)
         return self.from_coords([self.base.add(x, y) for x, y in zip(ca, cb)])
 
-    def _sub(self, a, b):
+    def sub(self, a, b):
         ca, cb = self.coords(a), self.coords(b)
         return self.from_coords([self.base.sub(x, y) for x, y in zip(ca, cb)])
 
     def neg(self, a):
         return self.from_coords([self.base.neg(x) for x in self.coords(a)])
 
-    def _mul(self, a, b):
+    def mul(self, a, b):
         prod = self.base.poly_mul(_trim(self.coords(a)), _trim(self.coords(b)))
         _, rem = self.base.poly_divmod(prod, list(self.modulus))
         return self.from_coords(rem + [0] * (self.dim - len(rem)))
@@ -507,7 +493,8 @@ def finite_field(p, k=1, modulus=None):
     if k < 1:
         raise FieldError("extension degree must be >= 1")
     if p >= ORDER_CAP or k >= ORDER_CAP.bit_length() or p**k >= ORDER_CAP:
-        raise FieldError("field order %d**%d exceeds the supported range" % (p, k))
+        raise FieldError("field order %s**%s exceeds the supported range"
+                         % (quote(str(p), str), quote(str(k), str)))
     if modulus is not None:
         modulus = tuple(_trim([c % p for c in modulus]))
         if len(modulus) - 1 != k:

@@ -4,9 +4,9 @@ The local height at v is -d(v) lim min{0, v(phi_{t^n}(x))} / q^(rn).  The
 limit is resolved exactly by iterating phi_t: once v(y_n) drops below
 min{0, M_v} the valuation multiplies by exactly q^r each step (so the limit
 is read off at step n); once v(y_n) reaches the floor lambda*_v of the
-phi_t-stable balls {v(y) >= lambda} (ReductionData.stable_floor; 0 at a
-good-reduction place) the orbit is bounded and the height is 0; a torsion
-certificate also gives 0.
+phi_t-stable balls {v(y) >= lambda} (ReductionData.stable_floor, built
+once per place; 0 at a good-reduction place) the orbit is bounded and the
+height is 0; a torsion certificate also gives 0.
 
 There is one budget, DEGREE_CAP on the Weil height of the iterates, and one
 rule applies it (next_iterate_fits, which the key dichotomy's walk also
@@ -72,12 +72,8 @@ class HeightValue:
         return self.lo
 
     def __add__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
         cert = self.certificate if self.certificate == other.certificate else "Sum"
         return HeightValue(self.lo + other.lo, self.hi + other.hi, cert)
-
-    __radd__ = __add__
 
     def __eq__(self, other):
         if isinstance(other, HeightValue):
@@ -131,7 +127,7 @@ def local_height(module, place, x, index=1):
             return HeightValue.exact(Fraction(0), TORSION)
 
     phi_t = module.phi_t
-    floor = rd.stable_floor()
+    floor = rd.stable_floor
     y = x
     n = 0
     while True:

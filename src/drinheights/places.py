@@ -12,6 +12,7 @@ valuations are ints and coherent degrees are Fractions.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from drinheights import gf
 from drinheights.ratfunc import (Poly, RatFunc, _divide_out, factor,
@@ -25,23 +26,6 @@ class Place:
 
     def valuation(self, y):
         raise NotImplementedError
-
-    @property
-    def residue_field(self):
-        if self._residue_field is None:
-            self._residue_field = self._make_residue_field()
-        return self._residue_field
-
-    def residue(self, y):
-        """The image of y in the residue field; y must have no pole here."""
-        if y.is_zero():
-            return self.residue_field.zero
-        v = self.valuation(y)
-        if v < 0:
-            raise ValueError("residue of a function with a pole at %s" % self)
-        if v > 0:
-            return self.residue_field.zero
-        return self.angular_component(y)
 
     def angular_component(self, y):
         """Residue of y * uniformizer^(-v(y)); never zero for y != 0."""
@@ -73,9 +57,9 @@ class FinitePlace(Place):
         self.P = P
         self.field = P.field
         self.degree = P.degree
-        self._residue_field = None
 
-    def _make_residue_field(self):
+    @cached_property
+    def residue_field(self):
         # P is monic and irreducible, proven when the place was built
         return gf._proven_extension(self.field, self.P.coeffs)
 
@@ -121,9 +105,9 @@ class InfinitePlace(Place):
     def __init__(self, field):
         self.field = field
         self.degree = 1
-        self._residue_field = None
 
-    def _make_residue_field(self):
+    @cached_property
+    def residue_field(self):
         return gf._proven_extension(self.field, (0, 1))
 
     @property

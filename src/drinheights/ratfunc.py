@@ -10,6 +10,7 @@ finite places of F_q(t).
 
 import random
 
+from drinheights.errors import quote
 from drinheights.gf import _poly_is_irreducible, monic_coeffs
 
 NEG_INF = float("-inf")
@@ -542,8 +543,8 @@ class _Parser:
             return RatFunc.const(self.field, tok[1] % self.field.order)
         if tok[0] == "name":
             if tok[1] != self.var:
-                raise ParseError("unknown symbol %r at position %d (variable is %r)"
-                                 % (tok[1], tok[2], self.var))
+                raise ParseError("unknown symbol %s at position %d (variable is %r)"
+                                 % (quote(tok[1]), tok[2], self.var))
             return RatFunc.x(self.field)
         if tok[0] == "(":
             value = self.sum()
@@ -567,7 +568,7 @@ def parse_ratfunc(field, s, var="t"):
 def parse_poly(field, s, var="t"):
     r = parse_ratfunc(field, s, var)
     if not r.is_polynomial():
-        raise ParseError("%r is not a polynomial" % s)
+        raise ParseError("%s is not a polynomial" % quote(s))
     return r.num
 
 

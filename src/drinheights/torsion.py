@@ -23,13 +23,14 @@ F_q-space, which makes everything here exact linear algebra:
   not, phi_b is handled the same way, so torsion_enumerate is kernel_in_K
   at b = B.
 
-The pole lattice with D and m is built once per module (torsion_lattice),
-and the minimal annihilator of a point is kept per module too, since the
-decision, the T2 check and the local height at every bad place ask for the
-same point.
+The pole lattice with D, m and B is built once per module
+(torsion_lattice), and the minimal annihilator of a point is kept per
+module too, since the decision, the T2 check and the local height at every
+bad place ask for the same point.
 """
 
 import math
+from functools import cached_property
 
 from drinheights import gf
 from drinheights.places import FinitePlace
@@ -46,12 +47,12 @@ class TorsionLattice:
     degree of every minimal annihilator (height gap theorem), and
     m = min(D, n) bounds the annihilator of all rational torsion
     (torsion_annihilator); with S empty the torsion is F_q, killed by
-    t - phi_t(1), and m = n = 1.  `y in lattice` is membership.
+    t - phi_t(1), and m = n = 1.  `y in lattice` is membership, and B,
+    built on first read, is torsion_annihilator.
     """
 
-    __slots__ = ("Q", "m_inf", "n", "D", "m")
-
     def __init__(self, module):
+        self.field = module.field
         Q = Poly.one(module.field)
         m_inf = 0
         S = module.bad_reduction_set()
@@ -66,6 +67,10 @@ class TorsionLattice:
         self.n = Q.degree + m_inf + 1
         self.D = _gap_degree(module, S)
         self.m = min(self.D, self.n) if S else self.n
+
+    @cached_property
+    def B(self):
+        return _carlitz_lcm(self.field, self.m)
 
     def __contains__(self, y):
         if y.is_zero():
@@ -218,7 +223,7 @@ def torsion_annihilator(module):
     (annihilator_bound), hence d_k | B and phi_B(T) = 0.  Conversely every
     root of phi_B in K is torsion, so T is exactly the kernel of phi_B in K.
     """
-    return _carlitz_lcm(module.field, torsion_lattice(module).m)
+    return torsion_lattice(module).B
 
 
 def kernel_in_K(module, b):
@@ -265,17 +270,14 @@ def kernel_in_K(module, b):
     return sorted(roots, key=lambda r: r.sort_key())
 
 
-def torsion_enumerate(module, B=None):
+def torsion_enumerate(module):
     """The full rational torsion submodule, verified point by point.
 
-    It is the kernel in K of phi_B, B = torsion_annihilator(module), which is
-    computed here unless the caller has it; each point is also checked by the
-    torsion decision and closure.
+    It is the kernel in K of phi_B, B = torsion_annihilator(module); each
+    point is also checked by the torsion decision and closure.
     """
     module._require_monic()
-    if B is None:
-        B = torsion_annihilator(module)
-    pts = kernel_in_K(module, B)
+    pts = kernel_in_K(module, torsion_annihilator(module))
     pool = set(pts)
     phi_t = module.phi_t
     for x in pts:

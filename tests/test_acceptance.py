@@ -170,9 +170,9 @@ def test_criterion_8_cardinality_bounds(monkeypatch):
         runs = []
         check = drinfeld_mod.ReductionData._check
 
-        def counted(self):
+        def counted(self, sets):
             runs.append(self)
-            return check(self)
+            return check(self, sets)
         monkeypatch.setattr(drinfeld_mod.ReductionData, "_check", counted)
         V.check_reduction_data(random.Random(801), 500, V.module_pool())
         assert runs

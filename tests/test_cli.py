@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_module, plant_mv_bug
 from drinheights import cli
-from drinheights.errors import BudgetExhaustedError
+from drinheights.errors import QUOTE_CHARS, BudgetExhaustedError, quote
 
 
 def run(capsys, args):
@@ -38,9 +38,13 @@ LOCAL_AT_LEVEL = {"field": {"p": 3}, "module": {"coefficients": ["t", "1"]},
                   "point": "1/u", "place": {"kind": "infinity"}}
 
 
+# 1/t + 4999 t's: not a polynomial, and 10001 characters long
+LONG_SUM = "1/t" + "+t" * 4999
+
+
 def nested(depth):
     """t inside `depth` pairs of parentheses; the CI workflow also pipes
-    nested(300) into the installed entry point."""
+    nested(300) and nested(5000) into the installed entry point."""
     return "(" * depth + "t" + ")" * depth
 
 
@@ -210,11 +214,27 @@ def test_input_error_exit_2(tmp_path, capsys):
     ("lehmer", dict(CAR3, module={"coefficients": [nested(5000), "1"]}), []),
     ("height", dict(CAR3, point="t^\u00b2"), []),
     ("height", dict(CAR3, point="\u0663*t"), []),
+    # long refused inputs are quoted by a prefix and their length only
+    ("kernel", dict(CAR3, b=LONG_SUM), []),
+    ("lehmer", dict(CAR3, field={"p": list(range(3000))}), []),
+    ("local-height", dict(CAR3, point="1",
+                          place={"kind": "finite", "P": LONG_SUM}), []),
+    ("dichotomy", dict(CAR3, point="u", insep_level=10**4000), []),
+    ("verify", dict(CAR3, counts=-10**4000), []),
+    ("lehmer", dict(CAR3, field={"p": 10**4000}), []),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
     assert code == 2
     assert err.startswith("input error: ") and out == ""
+    assert len(err.encode()) < 300
+
+
+def test_quote_cuts_long_inputs_only():
+    assert quote("t +") == "'t +'" and quote("[1]", str) == "[1]"
+    assert quote("x" * QUOTE_CHARS) == repr("x" * QUOTE_CHARS)
+    assert quote(LONG_SUM) == "%r (first %d of 10001 characters)" % (
+        LONG_SUM[:QUOTE_CHARS], QUOTE_CHARS)
 
 
 def test_refused_place_and_modulus_stay_refused(tmp_path, capsys):
@@ -268,7 +288,7 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     # violation (1)
     from drinheights.drinfeld import ReductionData
 
-    def failing_check(self):
+    def failing_check(self, sets):
         raise RuntimeError("T_v must be positive at a bad place")
     monkeypatch.setattr(ReductionData, "_check", failing_check)
     code, out, err = run(capsys, ["reduction", job_file(tmp_path, PSI2)])

@@ -452,7 +452,7 @@ def test_residue_sets_built_on_first_read_and_checked(monkeypatch, F3):
     # a failed cardinality check leaves no set behind and fails again
     calls = []
 
-    def failing_check(self):
+    def failing_check(self, sets):
         calls.append(self)
         raise RuntimeError("|P_v| exceeds N_phi")
     monkeypatch.setattr(drinfeld.ReductionData, "_check", failing_check)
@@ -462,6 +462,24 @@ def test_residue_sets_built_on_first_read_and_checked(monkeypatch, F3):
     assert len(calls) == 2
     monkeypatch.undo()
     assert rd.P == (Fraction(-1, 2),) and set(rd.R) == set(rd.Q)
+
+
+def test_residue_sets_and_bad_set_built_once(monkeypatch, F3):
+    solved = []
+    real = gf.additive_preimages
+
+    def spy(image, target):
+        solved.append(target)
+        return real(image, target)
+    monkeypatch.setattr(gf, "additive_preimages", spy)
+    mod = make_module(F3, "t", "1/(t^2+1)", "1")
+    assert mod.bad_reduction_set() is mod.bad_reduction_set()
+    rd = mod.reduction_data(FinitePlace(parse_poly(F3, "t^2+1")))
+    R = rd.R
+    assert solved
+    del solved[:]
+    assert rd.R is R and rd.pair_in(rd.P[0], rd.R[rd.P[0]][0])
+    assert solved == []
 
 
 def test_positive_T_checked_at_construction(monkeypatch, F3):

@@ -57,15 +57,6 @@ def test_sum_formula_random():
         assert sum(p.degree * v for p, v in support(y)) == 0
 
 
-def test_residue_examples():
-    vq = FinitePlace(P(F3, "u^2+1", var="u"))
-    assert vq.residue(RatFunc.x(F3)) == vq.residue_field.gen
-    assert InfinitePlace(F3).residue(R(F3, "(t+1)/t")).val == 1
-    assert FinitePlace(P(F2, "t")).residue(R(F2, "t+1")).val == 1
-    with pytest.raises(ValueError):
-        InfinitePlace(F3).residue(R(F3, "t"))
-
-
 def test_angular_component_examples():
     assert InfinitePlace(F3).angular_component(R(F3, "t^2+1")).val == 1
     assert FinitePlace(P(F2, "t")).angular_component(R(F2, "t^2+t")).val == 1
@@ -114,6 +105,9 @@ def _old_angular_component(v, y):
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_residue_and_angular_component_match_first_definitions(p, k):
+    """The angular component agrees with the residue map and the angular
+    component as first defined (the places keep no residue map of their
+    own)."""
     from drinheights.verify import rand_unit_at
     field = finite_field(p, k)
     rng = random.Random(10 * p + k)
@@ -128,12 +122,6 @@ def test_residue_and_angular_component_match_first_definitions(p, k):
             y = rand_unit_at(rng, v) * v.uniformizer**e
             assert v.valuation(y) == e
             assert v.angular_component(y) == _old_angular_component(v, y)
-            if e < 0:
-                with pytest.raises(ValueError):
-                    v.residue(y)
-            else:
-                assert v.residue(y) == _old_residue(v, y)
-        assert v.residue(RatFunc.zero(field)) == v.residue_field.zero
 
 
 def _old_support(y):
@@ -240,6 +228,20 @@ def test_places_and_residue_fields_prove_nothing_twice(monkeypatch):
         FinitePlace(P(F3, "t^2+2"))
 
 
+def test_residue_field_built_once_per_place(monkeypatch):
+    import drinheights.gf as gf
+    built = []
+    real = gf._proven_extension
+
+    def spy(base, modulus):
+        built.append(modulus)
+        return real(base, modulus)
+    monkeypatch.setattr(gf, "_proven_extension", spy)
+    for v in (FinitePlace(P(F3, "t^2+1")), InfinitePlace(F3)):
+        assert v.residue_field is v.residue_field
+    assert len(built) == 2
+
+
 def test_residue_field_above_cap_fails_on_every_use():
     v = FinitePlace(P(F2, "t^31+t^3+1"))  # irreducible, but 2^31 elements
     for _ in range(2):
@@ -339,7 +341,7 @@ def place_below(emb, w):
     img = emb.image
     if w.valuation(img) < 0:
         return InfinitePlace(emb.field)
-    return FinitePlace(minimal_polynomial(w.residue(img)))
+    return FinitePlace(minimal_polynomial(_old_residue(w, img)))
 
 
 def test_place_below_roundtrip():

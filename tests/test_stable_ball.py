@@ -25,7 +25,7 @@ def count_phi_calls(monkeypatch):
 
 
 def stable_floor(mod, v):
-    return mod.reduction_data(v).stable_floor()
+    return mod.reduction_data(v).stable_floor
 
 
 def test_fixed_floors(F2, F3, psi2, car3):
@@ -125,8 +125,10 @@ def test_floor_matches_brute_force_oracle(monkeypatch):
         for v in _candidate_places(rng, mod):
             del calls[:]
             floor = stable_floor(mod, v)
-            assert stable_floor(mod, v) == floor  # kept, not recomputed
             assert len(calls) <= mod.r * v.degree
+            built = len(calls)
+            assert stable_floor(mod, v) == floor  # kept, not recomputed
+            assert len(calls) == built
             assert floor == _oracle_floor(mod, v), (mod, v)
             checked += 1
             if floor is None:

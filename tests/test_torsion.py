@@ -224,6 +224,7 @@ def test_torsion_lattice_holds_d_and_m(mod):
     assert torsion_lattice(mod) is lattice
     assert lattice.D == lehmer_bounds(mod).torsion_degree
     B = torsion_annihilator(mod)
+    assert torsion_annihilator(mod) is B is lattice.B
     assert lattice.m == next(i for i, c in enumerate(B.coeffs) if c)
 
 
