@@ -15,6 +15,7 @@ an inseparable level whose degree may pass ratfunc.MAX_DEGREE is malformed.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -23,10 +24,10 @@ from drinheights import verify as verify_mod
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
                                 NonMonicError, quote)
-from drinheights.gf import FieldError, finite_field
+from drinheights.gf import FIELD_MEMO, FieldError, finite_field
 from drinheights.heights import (global_height_breakdown, height_sum,
                                  lehmer_bounds, local_height, check_t2mwg)
-from drinheights.perfect import InsepLevel, _lehper_at, key_dichotomy_check
+from drinheights.perfect import _lehper_at, insep_level, key_dichotomy_check
 from drinheights.places import FinitePlace, InfinitePlace, INFINITY
 from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
                                  parse_ratfunc)
@@ -45,13 +46,16 @@ def frac(x):
 
 
 def load_job(path):
+    """The job's JSON value.  A file that cannot be opened or decoded, and
+    JSON that Python refuses to read (an integer past its digit limit,
+    nesting past the recursion limit), are input errors."""
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError("cannot read job: %s" % exc)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError("cannot read job: %s" % quote(str(exc), str))
 
 
 def integer(value, key, minimum=None):
@@ -126,20 +130,13 @@ class Job:
         coeffs = desc.get("coefficients") if isinstance(desc, dict) else None
         if not coeffs or not isinstance(coeffs, list):
             raise InputError("job needs module coefficients")
-        try:
-            parsed = [parse_ratfunc(self.field, text(c, "a coefficient"))
-                      for c in coeffs]
-        except ParseError as exc:
-            raise InputError("bad coefficient: %s" % exc)
-        try:
-            return DrinfeldModule(self.field, parsed)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        return _module(self.field,
+                       tuple(text(c, "a coefficient") for c in coeffs))
 
     def at_level(self):
         """The job's module at its inseparable level (at level 0, the
-        module itself); every command that reads the level builds it once."""
-        return InsepLevel(self.module(), self.level)
+        module itself), kept on the module like everything it derives."""
+        return insep_level(self.module(), self.level)
 
     def point(self, key="point"):
         s = self.data.get(key)
@@ -176,6 +173,25 @@ class Job:
             except ValueError as exc:
                 raise InputError(str(exc))
         raise InputError("place kind must be \"finite\" or \"infinity\"")
+
+
+@functools.lru_cache(maxsize=FIELD_MEMO)
+def _module(field, coeffs):
+    """The module over `field` whose coefficients are the texts `coeffs`.
+
+    Memoized by (field, coeffs) for the process, so each job on a module
+    seen before reuses all it keeps: S, reduction data, residue sets,
+    lattice and levels.  Refused input keeps nothing and is refused again
+    on every call.
+    """
+    try:
+        parsed = [parse_ratfunc(field, c) for c in coeffs]
+    except ParseError as exc:
+        raise InputError("bad coefficient: %s" % exc)
+    try:
+        return DrinfeldModule(field, parsed)
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 class Report:

@@ -12,7 +12,7 @@ R_v(alpha), built together on first read: only the `reduction` report and
 """
 
 import math
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -251,9 +251,12 @@ class DrinfeldModule:
         self.coeffs = tuple(coeffs)
         self.r = len(coeffs) - 1
         self.q = field.order
-        self._rd = {}
-        self._annihilators = {}  # torsion.annihilator_of, by point
+        # a module may serve many jobs (cli interns it), so the memos by
+        # place and by point keep at most gf.FIELD_MEMO entries (gf.lru_get)
+        self._rd = OrderedDict()
+        self._annihilators = OrderedDict()  # torsion.annihilator_of
         self._lattice = None  # torsion.torsion_lattice
+        self._levels = {}  # perfect.insep_level, by n
 
     @property
     def is_monic(self):
@@ -326,9 +329,7 @@ class DrinfeldModule:
 
     def reduction_data(self, place):
         self._require_monic()
-        if place not in self._rd:
-            self._rd[place] = ReductionData(self, place)
-        return self._rd[place]
+        return gf.lru_get(self._rd, place, lambda: ReductionData(self, place))
 
     def monicize(self):
         """Conjugate to a monic module: returns (module, gamma) with

@@ -33,6 +33,21 @@ class FieldError(ValueError):
     pass
 
 
+def lru_get(memo, key, build):
+    """memo[key], or build() kept there: `memo` is an OrderedDict of at most
+    FIELD_MEMO entries, the least recently used going first, for a value per
+    key on an object that may live as long as the process.  A build that
+    raises keeps nothing."""
+    try:
+        memo.move_to_end(key)
+        return memo[key]
+    except KeyError:  # absent, or evicted by another thread since
+        value = memo[key] = build()
+        if len(memo) > FIELD_MEMO:
+            memo.popitem(last=False)
+        return value
+
+
 @functools.lru_cache(maxsize=FIELD_MEMO)
 def _is_prime(n):
     """Trial division, memoized: a field asked for again runs none."""

@@ -56,13 +56,23 @@ class InsepLevel:
                 raise AssertionError("T_v < [L:K]/q^r at a bad place")
 
 
+def insep_level(module, n):
+    """The module's InsepLevel at n, built on first use and kept on it, so
+    its pushed module and every value that one keeps serve each later
+    call; a refused level keeps nothing."""
+    levels = module._levels
+    if n not in levels:
+        levels[n] = InsepLevel(module, n)
+    return levels[n]
+
+
 def insep_height(module, n, y):
     """Global height of y in F_q(u) for the module rewritten via t = u^(p^n).
 
     At n = 0 this is global_height; coherent degrees make the value
     comparable across levels.
     """
-    level = InsepLevel(module, n)
+    level = insep_level(module, n)
     return height_sum(global_height_breakdown(level.pushed, y, level.index))
 
 
@@ -110,7 +120,7 @@ def key_dichotomy_check(module, n, x):
     bad w; found by eliminating the uniformizer-expansion conditions of the
     iterates of x, exactly as the span argument in the proof.
     """
-    level = InsepLevel(module, n)
+    level = insep_level(module, n)
     psi = level.pushed
     field = module.field
     q, r = module.q, module.r
@@ -191,7 +201,7 @@ def lehper_check(module, n, x):
     Requires positive relative modular transcendence degree.  Non-torsion
     points must come out strictly above min d(v_0) / q^(4r(r+1)^2 s + 3r).
     """
-    return _lehper_at(InsepLevel(module, n), x, None)
+    return _lehper_at(insep_level(module, n), x, None)
 
 
 def _lehper_at(level, x, parts):

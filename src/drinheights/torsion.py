@@ -97,13 +97,12 @@ def annihilator_of(module, x):
     which n + 1 iterates are dependent; with S empty the lattice is F_q and
     n = 1.  The first dependence is the minimal monic annihilator since the
     annihilator ideal of x is principal.  Answers are kept per module and
-    point.
+    point, at most gf.FIELD_MEMO of them, the least recently used going
+    first: a module may outlive its job.
     """
     module._require_monic()
-    memo = module._annihilators
-    if x not in memo:
-        memo[x] = _annihilator_of(module, x)
-    return memo[x]
+    return gf.lru_get(module._annihilators, x,
+                      lambda: _annihilator_of(module, x))
 
 
 def _annihilator_of(module, x):

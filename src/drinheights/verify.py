@@ -337,15 +337,14 @@ def check_isotrivial_decay(rng, count, modules):
 def check_lehper_floor(rng, count, modules):
     """Carlitz q=3 non-torsion points at levels <= 2 beat the uniform floor."""
     from drinheights.heights import lehmer_bounds
-    from drinheights.perfect import InsepLevel
+    from drinheights.perfect import insep_level
     F3 = finite_field(3)
     mod = DrinfeldModule(F3, [parse_ratfunc(F3, "t"), parse_ratfunc(F3, "1")])
     bound = lehmer_bounds(mod).lehper
-    levels = {n: InsepLevel(mod, n) for n in (0, 1, 2)}
     done = 0
     while done < count:
         n = rng.randint(0, 2)
-        level = levels[n]
+        level = insep_level(mod, n)
         y = rand_nonzero_ratfunc(rng, F3, 3)
         if annihilator_of(level.pushed, y) is not None:
             continue

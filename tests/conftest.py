@@ -1,6 +1,7 @@
 import pytest
 
-from drinheights import DrinfeldModule, drinfeld, finite_field, parse_ratfunc
+from drinheights import (DrinfeldModule, cli, drinfeld, finite_field,
+                         parse_ratfunc)
 
 
 def make_module(field, *coeffs, var="t"):
@@ -12,6 +13,13 @@ def plant_mv_bug(monkeypatch):
     """Flip the sign of M_v: a real defect that `verify` must catch."""
     mv = drinfeld._mv
     monkeypatch.setattr(drinfeld, "_mv", lambda vals, q, r: -mv(vals, q, r))
+
+
+@pytest.fixture(autouse=True)
+def fresh_cli_modules():
+    """Each test starts with no interned CLI module, so a test that patches
+    ReductionData or counts builds sees modules built under its patch."""
+    cli._module.cache_clear()
 
 
 @pytest.fixture(scope="session")

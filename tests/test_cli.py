@@ -222,11 +222,39 @@ def test_input_error_exit_2(tmp_path, capsys):
     ("dichotomy", dict(CAR3, point="u", insep_level=10**4000), []),
     ("verify", dict(CAR3, counts=-10**4000), []),
     ("lehmer", dict(CAR3, field={"p": 10**4000}), []),
+    # refused before the module memo, which cannot hash a list
+    ("lehmer", dict(CAR3, module={"coefficients": ["t", ["1"]]}), []),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
     assert code == 2
     assert err.startswith("input error: ") and out == ""
+    assert len(err.encode()) < 300
+
+
+# job text that json.load refuses: an integer past Python's int-to-string
+# digit limit (the CI workflow also pipes this one into the installed entry
+# point), nesting past the recursion limit, and a byte that is not UTF-8
+DIGITS_JOB = '{"field": {"p": 1%s}}' % ("0" * 5000)
+
+
+@pytest.mark.parametrize("stdin, content", [
+    (DIGITS_JOB, None),
+    ("[" * 100000, None),
+    (None, b"\xff"),
+], ids=["digits", "nesting", "not-utf8"])
+def test_unreadable_job_exit_2(stdin, content, tmp_path, capsys,
+                               monkeypatch):
+    if stdin is None:
+        source = tmp_path / "job.json"
+        source.write_bytes(content)
+        source = str(source)
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        source = "-"
+    code, out, err = run(capsys, ["lehmer", source])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot read job: ")
     assert len(err.encode()) < 300
 
 
@@ -238,25 +266,73 @@ def test_quote_cuts_long_inputs_only():
 
 
 def test_refused_place_and_modulus_stay_refused(tmp_path, capsys):
-    # fields and residue fields are memoized for the process: a refused
-    # input must be refused again, also after the same field and place
-    # were built from valid input
+    # fields, residue fields and modules are memoized for the process: a
+    # refused input must be refused again, also after the same field, place
+    # and module were built from valid input
     place_job = dict(CAR3, point="1", place=REDUCIBLE_PLACE)
-    field_job = REDUCIBLE_MODULUS
     warm = [("local-height", dict(place_job, place={"kind": "finite",
                                                     "P": "t^2+t+2"})),
-            ("lehmer", dict(field_job, field={"p": 3, "k": 2,
-                                              "modulus": [2, 2, 1]}))]
+            ("lehmer", dict(REDUCIBLE_MODULUS, field={"p": 3, "k": 2,
+                                                      "modulus": [2, 2, 1]}))]
+    refused = [
+        ("local-height", place_job,
+         "finite places need a monic irreducible polynomial"),
+        ("lehmer", REDUCIBLE_MODULUS, "reducible modulus"),
+        ("lehmer", dict(CAR3, module={"coefficients": ["t"]}),
+         "phi_t must involve tau: need r >= 1"),
+        ("lehmer", dict(CAR3, module={"coefficients": ["t +", "1"]}),
+         "bad coefficient: unexpected token at position 3"),
+    ]
     for _ in range(2):
         for command, job in warm:
             assert run(capsys, [command, job_file(tmp_path, job)])[0] == 0
-        code, out, err = run(capsys, ["local-height",
-                                      job_file(tmp_path, place_job)])
-        assert (code, out) == (2, "")
-        assert err == ("input error: finite places need a monic irreducible "
-                       "polynomial\n")
-        code, out, err = run(capsys, ["lehmer", job_file(tmp_path, field_job)])
-        assert (code, out, err) == (2, "", "input error: reducible modulus\n")
+        for command, job, message in refused:
+            code, out, err = run(capsys, [command, job_file(tmp_path, job)])
+            assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+
+def test_repeated_jobs_reuse_the_module(tmp_path, capsys, monkeypatch):
+    # a job on a module seen before in the process builds nothing the
+    # module keeps: no module, level or reduction data, no residue-set
+    # check, and it parses only its point; its report is byte for byte the
+    # first run's
+    from drinheights import drinfeld, perfect
+    jobs = [("reduction", RANK2_BAD, []),
+            ("height", dict(RANK2_BAD, point="(t^2+1)/t"), []),
+            ("height", dict(RANK2_BAD, point="(t^2+1)/t"), ["--json"]),
+            ("insep-height", dict(RANK2_BAD, point="1/(u+1)"),
+             ["--insep-level", "1"])]
+    argvs = [[cmd, job_file(tmp_path, job, "job%d.json" % i)] + flags
+             for i, (cmd, job, flags) in enumerate(jobs)]
+    built, parsed = [], []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            built.append("%s.%s" % (owner.__name__, name))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    spy(drinfeld.DrinfeldModule, "__init__")
+    spy(perfect.InsepLevel, "__init__")
+    spy(drinfeld.ReductionData, "__init__")
+    spy(drinfeld.ReductionData, "_check")
+    real_parse = cli.parse_ratfunc
+
+    def parse(field, s, **kwargs):
+        parsed.append(s)
+        return real_parse(field, s, **kwargs)
+    monkeypatch.setattr(cli, "parse_ratfunc", parse)
+
+    first = [run(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0] * len(jobs)
+    assert set(built) == {"DrinfeldModule.__init__", "InsepLevel.__init__",
+                          "ReductionData.__init__", "ReductionData._check"}
+    assert set(RANK2_BAD["module"]["coefficients"]) <= set(parsed)
+    del built[:], parsed[:]
+    assert [run(capsys, argv) for argv in argvs] == first
+    assert built == []
+    assert parsed == ["(t^2+1)/t", "(t^2+1)/t", "1/(u+1)"]
 
 
 def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):

@@ -482,6 +482,21 @@ def test_residue_sets_and_bad_set_built_once(monkeypatch, F3):
     assert solved == []
 
 
+def test_reduction_data_memo_is_bounded(monkeypatch, F3):
+    # reduction data is kept for the gf.FIELD_MEMO places used last: a
+    # module may serve every job of a process
+    monkeypatch.setattr(gf, "FIELD_MEMO", 2)
+    mod = make_module(F3, "t", "1")
+    inf, v0, v1 = (InfinitePlace(F3), FinitePlace(parse_poly(F3, "t")),
+                   FinitePlace(parse_poly(F3, "t+1")))
+    rd = mod.reduction_data(inf)
+    mod.reduction_data(v0)
+    assert mod.reduction_data(inf) is rd
+    mod.reduction_data(v1)
+    assert list(mod._rd) == [inf, v1]
+    assert mod.reduction_data(inf) is rd
+
+
 def test_positive_T_checked_at_construction(monkeypatch, F3):
     monkeypatch.setattr(drinfeld, "_tv", lambda vals, q, r: Fraction(0))
     mod = make_module(F3, "t", "1")

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_module
-from drinheights.errors import IsotrivialModuleError
+from drinheights.errors import IsotrivialModuleError, NonMonicError
 from drinheights.gf import finite_field
-from drinheights.perfect import (InsepLevel, insep_height,
+from drinheights.perfect import (InsepLevel, insep_height, insep_level,
                                  key_dichotomy_check, lehper_check)
 from drinheights.heights import global_height, lehmer_bounds
 from drinheights.places import InfinitePlace
@@ -41,6 +41,20 @@ def test_sharpness_decay(tau2, F2):
 def test_level_zero_is_the_module(car3):
     level = InsepLevel(car3, 0)
     assert level.pushed is car3 and level.index == 1
+
+
+def test_level_kept_on_the_module(F3):
+    # one level per (module, n); a refused level keeps nothing
+    mod = make_module(F3, "t", "1/(t^2+1)", "1")
+    levels = [insep_level(mod, n) for n in range(3)]
+    assert all(insep_level(mod, n) is level for n, level in enumerate(levels))
+    assert levels[0].pushed is mod and levels[1].pushed is not mod
+    for _ in range(2):
+        with pytest.raises(ValueError, match=">= 0"):
+            insep_level(mod, -1)
+        with pytest.raises(NonMonicError):
+            insep_level(make_module(F3, "t", "2"), 1)
+    assert sorted(mod._levels) == [0, 1, 2]
 
 
 def _stretch_pool():

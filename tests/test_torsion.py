@@ -228,6 +228,22 @@ def test_torsion_lattice_holds_d_and_m(mod):
     assert lattice.m == next(i for i, c in enumerate(B.coeffs) if c)
 
 
+def test_annihilator_memo_is_bounded(F2):
+    # a module may serve every job of a process, so it keeps the answers
+    # for at most FIELD_MEMO points, the least recently used going first
+    from drinheights.gf import FIELD_MEMO
+    mod = make_module(F2, "t", "1")
+    t = RatFunc.x(F2)
+    points = [t**k for k in range(FIELD_MEMO + 10)]
+    for x in points:
+        annihilator_of(mod, x)
+    memo = mod._annihilators
+    assert len(memo) == FIELD_MEMO
+    assert list(memo) == points[10:]
+    assert annihilator_of(mod, points[10]) is None and memo[points[10]] is None
+    assert list(memo)[-1] == points[10]
+
+
 def test_annihilator_degree_within_bound(psi2):
     bound = annihilator_bound(psi2)
     for x in torsion_enumerate(psi2):
