@@ -12,7 +12,8 @@ from drinheights.drinfeld import DrinfeldModule, ReductionData
 from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
                                 MonicizeError, NonMonicError)
 from drinheights.gf import (ExtensionField, FieldError, FqElem, PrimeField,
-                            additive_kernel, additive_preimages, finite_field)
+                            ResidueFieldError, additive_kernel,
+                            additive_preimages, finite_field)
 from drinheights.heights import (HeightValue, check_t2mwg, global_height,
                                  global_height_breakdown, height_via_embedding,
                                  lehmer_bounds, local_height)

@@ -11,7 +11,7 @@ machine-readable report with fractions rendered as strings.  Exit codes:
 0 ok, 1 property violation, 2 input error (a malformed job, or a module that
 is not monic or is isotrivial where the command needs otherwise), 3 degree
 budget exhausted, 4 internal error (any other exception).  An expression or
-an inseparable level whose degree may pass ratfunc.MAX_DEGREE is malformed.
+a push to F_q(u) whose degree may pass ratfunc.MAX_DEGREE is malformed.
 """
 
 import argparse
@@ -24,7 +24,8 @@ from drinheights import verify as verify_mod
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
                                 NonMonicError, quote)
-from drinheights.gf import FIELD_MEMO, FieldError, finite_field
+from drinheights.gf import (FIELD_MEMO, FieldError, ResidueFieldError,
+                            finite_field)
 from drinheights.heights import (global_height_breakdown, height_sum,
                                  lehmer_bounds, local_height, check_t2mwg)
 from drinheights.perfect import _lehper_at, insep_level, key_dichotomy_check
@@ -69,6 +70,18 @@ def integer(value, key, minimum=None):
     return value
 
 
+def check_push(what, multiplier, *pushed):
+    """The push rule: a push to F_q(u) (a level t = u^(p^n), a substitution
+    t -> f(u)) multiplies every degree by `multiplier` (p^n, or h(f)), so it
+    is refused, before anything is pushed, when multiplier times the largest
+    of h(t) = 1 and the heights of the `pushed` a_i and point passes
+    MAX_DEGREE."""
+    top = max([1] + [y.weil_height() for y in pushed])
+    if multiplier * top > MAX_DEGREE:
+        raise InputError("%s takes degree %d past the cap MAX_DEGREE = %d"
+                         % (what, top, MAX_DEGREE))
+
+
 def text(value, what):
     """A JSON string, or an InputError naming `what`."""
     if not isinstance(value, str):
@@ -110,15 +123,13 @@ class Job:
             value = self.data.get(key, default)
         return integer(value, key, minimum)
 
-    def set_level(self, level):
-        """Work over F_q(u) with t = u^(p^level), a substitution that
-        multiplies every degree by p^level; refuse it above MAX_DEGREE (as
-        p >= 2, every level past the bit length of MAX_DEGREE is above)."""
-        p = self.field.char
-        if p ** min(level, MAX_DEGREE.bit_length()) > MAX_DEGREE:
-            shown = quote(str(level), str)
-            raise InputError("insep_level %s: p^%s exceeds the cap "
-                             "MAX_DEGREE = %d" % (shown, shown, MAX_DEGREE))
+    def set_level(self, level, *pushed):
+        """Work over F_q(u) with t = u^(p^level) under the push rule; p^level
+        is not formed past the bit length of MAX_DEGREE, which breaks it."""
+        shown = quote(str(level), str)
+        check_push("insep_level %s (degrees times p^%s)" % (shown, shown),
+                   self.field.char ** min(level, MAX_DEGREE.bit_length()),
+                   *pushed)
         self.level = level
 
     @property
@@ -133,10 +144,13 @@ class Job:
         return _module(self.field,
                        tuple(text(c, "a coefficient") for c in coeffs))
 
-    def at_level(self):
+    def at_level(self, *points):
         """The job's module at its inseparable level (at level 0, the
-        module itself), kept on the module like everything it derives."""
-        return insep_level(self.module(), self.level)
+        module itself), once the push rule holds for it and the points."""
+        mod = self.module()
+        if self.level:
+            self.set_level(self.level, *mod.coeffs, *points)
+        return insep_level(mod, self.level)
 
     def point(self, key="point"):
         s = self.data.get(key)
@@ -180,9 +194,9 @@ def _module(field, coeffs):
     """The module over `field` whose coefficients are the texts `coeffs`.
 
     Memoized by (field, coeffs) for the process, so each job on a module
-    seen before reuses all it keeps: S, reduction data, residue sets,
-    lattice and levels.  Refused input keeps nothing and is refused again
-    on every call.
+    seen before reuses all that is kept for it: S, reduction data, residue
+    sets, lattice and levels.  Refused input keeps nothing and is refused
+    again on every call.
     """
     try:
         parsed = [parse_ratfunc(field, c) for c in coeffs]
@@ -261,8 +275,8 @@ def cmd_reduction(job, rep):
 
 
 def _height_core(job, rep):
-    level = job.at_level()
     x = job.point()
+    level = job.at_level(x)
     var = job.point_var
     if level.n:
         rep.say("inseparable level %d: t = u^%d", level.n, level.index)
@@ -292,6 +306,9 @@ def cmd_height(job, rep):
             emb = SubstitutionEmbedding(image)
         except (KeyError, TypeError, ParseError, ValueError) as exc:
             raise InputError("bad substitution: %s" % exc)
+        check_push("substitution t -> %s (degrees times %d)"
+                   % (quote(sub["u_image_of_t"]), emb.degree), emb.degree,
+                   *level.module.coeffs, x)
         h2 = height_via_embedding(level.module, emb, x)
         agree = (total.is_exact and h2.is_exact
                  and total.value == h2.value)
@@ -336,8 +353,8 @@ def cmd_height(job, rep):
 
 
 def cmd_local_height(job, rep):
-    level = job.at_level()
     x = job.point()
+    level = job.at_level(x)
     v = job.place()
     h = local_height(level.pushed, v, x, level.index)
     rep.say("h_%s(%s) = %s  [%s]", _place_str(v, job),
@@ -416,9 +433,9 @@ def cmd_insep_height(job, rep):
 
 
 def cmd_dichotomy(job, rep):
-    mod = job.module()
     x = job.point()
-    report = key_dichotomy_check(mod, job.level, x)
+    level = job.at_level(x)
+    report = key_dichotomy_check(level.module, level.n, x)
     if report.branch == 1:
         rep.say("branch 1: h_%s(x) = %s >= threshold %s",
                 report.place.to_string(job.point_var), frac(report.local),
@@ -498,7 +515,8 @@ def main(argv=None):
             code = cmd_verify(job, rep)
         else:
             code = COMMANDS[args.command](job, rep)
-    except (InputError, NonMonicError, IsotrivialModuleError) as exc:
+    except (InputError, NonMonicError, IsotrivialModuleError,
+            ResidueFieldError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except BudgetExhaustedError as exc:

@@ -12,9 +12,9 @@ R_v(alpha), built together on first read: only the `reduction` report and
 """
 
 import math
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from drinheights import gf, places
 from drinheights.errors import MonicizeError, NonMonicError
@@ -237,7 +237,8 @@ class ReductionData:
 
 
 class DrinfeldModule:
-    """phi with phi_t = sum a_i tau^i over K = F_q(t), a_r != 0, r >= 1."""
+    """phi with phi_t = sum a_i tau^i over K = F_q(t), a_r != 0, r >= 1;
+    compared and hashed by identity, so a memo key finds one in O(1)."""
 
     def __init__(self, field, coeffs):
         coeffs = list(coeffs)
@@ -251,12 +252,6 @@ class DrinfeldModule:
         self.coeffs = tuple(coeffs)
         self.r = len(coeffs) - 1
         self.q = field.order
-        # a module may serve many jobs (cli interns it), so the memos by
-        # place and by point keep at most gf.FIELD_MEMO entries (gf.lru_get)
-        self._rd = OrderedDict()
-        self._annihilators = OrderedDict()  # torsion.annihilator_of
-        self._lattice = None  # torsion.torsion_lattice
-        self._levels = {}  # perfect.insep_level, by n
 
     @property
     def is_monic(self):
@@ -265,13 +260,6 @@ class DrinfeldModule:
     @property
     def phi_t(self):
         return SkewPoly(self.field, self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, DrinfeldModule) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         return "DrinfeldModule(phi_t = %s)" % self.phi_t.to_string()
@@ -327,9 +315,11 @@ class DrinfeldModule:
         """1 + r for every q = 2, r = 1 module (the L5' special case), else r."""
         return 2 if (self.q == 2 and self.r == 1) else self.r
 
+    @lru_cache(maxsize=gf.FIELD_MEMO)
     def reduction_data(self, place):
+        """Reduction data at `place`, once per (module, place); needs monic."""
         self._require_monic()
-        return gf.lru_get(self._rd, place, lambda: ReductionData(self, place))
+        return ReductionData(self, place)
 
     def monicize(self):
         """Conjugate to a monic module: returns (module, gamma) with

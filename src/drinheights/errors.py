@@ -2,9 +2,9 @@
 error message shows the input it refuses.
 
 The CLI maps these to exit codes: NonMonicError and IsotrivialModuleError
-exit 2, as input errors, and degree budget exhaustion exits 3.  An internal
-check that fails raises AssertionError or RuntimeError, never one of these,
-and exits 4 like every other exception.
+exit 2, as input errors (so does gf.ResidueFieldError), and degree budget
+exhaustion exits 3.  An internal check that fails raises AssertionError or
+RuntimeError, never one of these, and exits 4 like every other exception.
 """
 
 # an error message shows at most this many characters of a refused input

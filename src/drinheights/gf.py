@@ -23,9 +23,9 @@ ORDER_CAP = 2**31
 # an extension field up to this order keeps each product (and, in odd
 # characteristic, each sum and difference) once computed: at most order**2
 MEMO_ORDER = 256
-# each process-wide field memo keeps at most this many fields, the least
-# recently used going first: far more than a job touches, and a bound on
-# what a long-lived process holds
+# each process-wide memo (fields, modules, values per module) keeps at most
+# this many entries, the least recently used going first: far more than a
+# job touches, and a bound on what a long-lived process holds
 FIELD_MEMO = 1024
 
 
@@ -33,19 +33,8 @@ class FieldError(ValueError):
     pass
 
 
-def lru_get(memo, key, build):
-    """memo[key], or build() kept there: `memo` is an OrderedDict of at most
-    FIELD_MEMO entries, the least recently used going first, for a value per
-    key on an object that may live as long as the process.  A build that
-    raises keeps nothing."""
-    try:
-        memo.move_to_end(key)
-        return memo[key]
-    except KeyError:  # absent, or evicted by another thread since
-        value = memo[key] = build()
-        if len(memo) > FIELD_MEMO:
-            memo.popitem(last=False)
-        return value
+class ResidueFieldError(FieldError):
+    """A place the input needs has a residue field past ORDER_CAP."""
 
 
 @functools.lru_cache(maxsize=FIELD_MEMO)

@@ -9,6 +9,7 @@ level by stretching exponents: a(t) becomes a(u^(p^n)) (RatFunc.spread).
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
@@ -56,14 +57,12 @@ class InsepLevel:
                 raise AssertionError("T_v < [L:K]/q^r at a bad place")
 
 
+@lru_cache(maxsize=gf.FIELD_MEMO)
 def insep_level(module, n):
-    """The module's InsepLevel at n, built on first use and kept on it, so
-    its pushed module and every value that one keeps serve each later
-    call; a refused level keeps nothing."""
-    levels = module._levels
-    if n not in levels:
-        levels[n] = InsepLevel(module, n)
-    return levels[n]
+    """The module's InsepLevel at n, built once per (module, n), so its
+    pushed module and every value kept for that one serve each later call;
+    a refused level keeps nothing."""
+    return InsepLevel(module, n)
 
 
 def insep_height(module, n, y):

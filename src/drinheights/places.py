@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from drinheights import gf
+from drinheights.errors import quote
 from drinheights.ratfunc import (Poly, RatFunc, _divide_out, factor,
                                  is_irreducible, ord_at)
 
@@ -60,8 +61,15 @@ class FinitePlace(Place):
 
     @cached_property
     def residue_field(self):
-        # P is monic and irreducible, proven when the place was built
-        return gf._proven_extension(self.field, self.P.coeffs)
+        # P is proven monic and irreducible, so only the order cap refuses
+        try:
+            return gf._proven_extension(self.field, self.P.coeffs)
+        except gf.FieldError:
+            raise gf.ResidueFieldError(
+                "the residue field at %s has order %d^%d, which exceeds the "
+                "supported range (below 2^%d)" % (
+                    quote(self.to_string(), str), self.field.order,
+                    self.degree, gf.ORDER_CAP.bit_length() - 1)) from None
 
     @property
     def uniformizer(self):

@@ -24,13 +24,13 @@ F_q-space, which makes everything here exact linear algebra:
   at b = B.
 
 The pole lattice with D, m and B is built once per module
-(torsion_lattice), and the minimal annihilator of a point is kept per
-module too, since the decision, the T2 check and the local height at every
-bad place ask for the same point.
+(torsion_lattice), and the minimal annihilator is kept per (module, point),
+since the decision, the T2 check and the local height at every bad place
+ask for the same point; both memos hold at most gf.FIELD_MEMO entries.
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from drinheights import gf
 from drinheights.places import FinitePlace
@@ -80,14 +80,13 @@ class TorsionLattice:
         return y.num.degree <= y.den.degree + self.m_inf
 
 
+@lru_cache(maxsize=gf.FIELD_MEMO)
 def torsion_lattice(module):
-    """The module's TorsionLattice, built on first use and kept on it."""
-    module._require_monic()
-    if module._lattice is None:
-        module._lattice = TorsionLattice(module)
-    return module._lattice
+    """The module's TorsionLattice, once per module; requires monic phi_t."""
+    return TorsionLattice(module)
 
 
+@lru_cache(maxsize=gf.FIELD_MEMO)
 def annihilator_of(module, x):
     """Minimal monic annihilator b with phi_b(x) = 0, or None if non-torsion.
 
@@ -96,18 +95,12 @@ def annihilator_of(module, x):
     of the height gap theorem) and n the dimension of the pole lattice, in
     which n + 1 iterates are dependent; with S empty the lattice is F_q and
     n = 1.  The first dependence is the minimal monic annihilator since the
-    annihilator ideal of x is principal.  Answers are kept per module and
-    point, at most gf.FIELD_MEMO of them, the least recently used going
-    first: a module may outlive its job.
+    annihilator ideal of x is principal.  Answers are kept by (module,
+    point), at most gf.FIELD_MEMO of them, the least recently used going
+    first.
     """
-    module._require_monic()
-    return gf.lru_get(module._annihilators, x,
-                      lambda: _annihilator_of(module, x))
-
-
-def _annihilator_of(module, x):
     field = module.field
-    lattice = torsion_lattice(module)
+    lattice = torsion_lattice(module)  # requires monic phi_t
     if x not in lattice:
         return None
     Q = lattice.Q

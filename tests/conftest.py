@@ -1,7 +1,12 @@
 import pytest
 
 from drinheights import (DrinfeldModule, cli, drinfeld, finite_field,
-                         parse_ratfunc)
+                         parse_ratfunc, perfect, torsion)
+
+# every process-wide memo keyed by a module, or by a module and a key
+MODULE_MEMOS = (cli._module, DrinfeldModule.reduction_data,
+                torsion.torsion_lattice, torsion.annihilator_of,
+                perfect.insep_level)
 
 
 def make_module(field, *coeffs, var="t"):
@@ -17,9 +22,11 @@ def plant_mv_bug(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_cli_modules():
-    """Each test starts with no interned CLI module, so a test that patches
-    ReductionData or counts builds sees modules built under its patch."""
-    cli._module.cache_clear()
+    """Each test starts with no interned CLI module and nothing kept for
+    any module, so a test that patches ReductionData or counts builds sees
+    values built under its patch."""
+    for memo in MODULE_MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 from conftest import make_module, plant_mv_bug
 from drinheights import cli
 from drinheights.errors import QUOTE_CHARS, BudgetExhaustedError, quote
+from drinheights.gf import FieldError
 
 
 def run(capsys, args):
@@ -36,6 +37,11 @@ REDUCIBLE_MODULUS = {"field": {"p": 3, "k": 2, "modulus": [2, 0, 1]},
 # installed entry point
 LOCAL_AT_LEVEL = {"field": {"p": 3}, "module": {"coefficients": ["t", "1"]},
                   "point": "1/u", "place": {"kind": "infinity"}}
+# bad at a place of degree 20 over F_3, whose residue field (3^20 elements)
+# is past gf.ORDER_CAP; the CI workflow also pipes it into the installed
+# entry point
+BIG_PLACE = {"field": {"p": 3}, "module": {
+    "coefficients": ["t", "(t^3+2*t+1)/(t^100+t+2)", "1"]}}
 
 
 # 1/t + 4999 t's: not a polynomial, and 10001 characters long
@@ -224,11 +230,57 @@ def test_input_error_exit_2(tmp_path, capsys):
     ("lehmer", dict(CAR3, field={"p": 10**4000}), []),
     # refused before the module memo, which cannot hash a list
     ("lehmer", dict(CAR3, module={"coefficients": ["t", ["1"]]}), []),
+    # a residue field past gf.ORDER_CAP, read by the reduction report and by
+    # the dichotomy's branch 2 (every bad-place walk ends in an interval)
+    ("reduction", BIG_PLACE, []),
+    ("dichotomy", dict(BIG_PLACE, point="(t^2300+1)/(t^2300+2)"), []),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
     assert code == 2
     assert err.startswith("input error: ") and out == ""
+    assert len(err.encode()) < 300
+
+
+# pushes to F_q(u) that would take a degree past MAX_DEGREE: by the level's
+# index p^n (on a coefficient, on the point) or by the substitution's h(f)
+PUSHES = [
+    ("height", {"field": {"p": 3},
+                "module": {"coefficients": ["t", "1/t^1000", "1"]},
+                "point": "u"}, ["--insep-level", "10"]),
+    ("reduction", {"field": {"p": 3},
+                   "module": {"coefficients": ["t", "1/(t^2+1)^100", "1"]}},
+     ["--insep-level", "8"]),
+    ("insep-height", dict(CAR3, point="u^40000"), ["--insep-level", "1"]),
+    ("height", dict(CAR3, point="t^1000",
+                    substitution={"u_image_of_t": "u^1000"}), []),
+    ("height", dict(CAR3, point="t^50001",
+                    substitution={"u_image_of_t": "u^2"}), []),
+]
+
+
+@pytest.mark.parametrize("command, job, flags", PUSHES)
+def test_push_past_max_degree_refused_before_pushing(command, job, flags,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    # the push rule: a push that multiplies degrees by m is refused when
+    # m * max(h(t), h(point), h(a_i)) passes MAX_DEGREE, before any level
+    # above 0 is built and before the substitution is applied
+    from drinheights import perfect, places
+    real = perfect.InsepLevel.__init__
+
+    def level(self, module, n):
+        if n:
+            raise AssertionError("pushed to level %d" % n)
+        real(self, module, n)
+
+    def substitute(self, y):
+        raise AssertionError("pushed along the substitution")
+    monkeypatch.setattr(perfect.InsepLevel, "__init__", level)
+    monkeypatch.setattr(places.SubstitutionEmbedding, "apply", substitute)
+    code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and "MAX_DEGREE = 100000" in err
     assert len(err.encode()) < 300
 
 
@@ -384,7 +436,8 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("exc", [ValueError("internal guard"),
-                                 ZeroDivisionError("internal guard")])
+                                 ZeroDivisionError("internal guard"),
+                                 FieldError("internal guard")])
 def test_stray_exception_is_internal_error(exc, tmp_path, capsys,
                                            monkeypatch):
     # only a malformed job or a property of its module is an input error

@@ -483,18 +483,44 @@ def test_residue_sets_and_bad_set_built_once(monkeypatch, F3):
 
 
 def test_reduction_data_memo_is_bounded(monkeypatch, F3):
-    # reduction data is kept for the gf.FIELD_MEMO places used last: a
-    # module may serve every job of a process
-    monkeypatch.setattr(gf, "FIELD_MEMO", 2)
-    mod = make_module(F3, "t", "1")
-    inf, v0, v1 = (InfinitePlace(F3), FinitePlace(parse_poly(F3, "t")),
-                   FinitePlace(parse_poly(F3, "t+1")))
-    rd = mod.reduction_data(inf)
-    mod.reduction_data(v0)
-    assert mod.reduction_data(inf) is rd
-    mod.reduction_data(v1)
-    assert list(mod._rd) == [inf, v1]
-    assert mod.reduction_data(inf) is rd
+    # reduction data is kept for the gf.FIELD_MEMO (module, place) pairs
+    # used last, across all modules of the process, the least recently used
+    # going first; modules key by identity, and a refused call keeps nothing
+    memo = DrinfeldModule.reduction_data
+    built = []
+    real = drinfeld.ReductionData.__init__
+
+    def spy(self, module, place):
+        built.append((module, place))
+        real(self, module, place)
+    monkeypatch.setattr(drinfeld.ReductionData, "__init__", spy)
+    inf = InfinitePlace(F3)
+    for _ in range(2):
+        with pytest.raises(NonMonicError):
+            make_module(F3, "t", "2").reduction_data(inf)
+    assert memo.cache_info().currsize == 0
+    mods = [make_module(F3, a, "1")
+            for a in ("t", "t+1", "t+2", "2*t", "2*t+1", "t^2")]
+    places = [inf] + [FinitePlace(P) for d in range(1, 7)
+                      for P in irreducible_monics(F3, d)]
+    keys = [(mod, v) for mod in mods for v in places][:gf.FIELD_MEMO + 10]
+    assert len(keys) == gf.FIELD_MEMO + 10
+    for mod, v in keys[:gf.FIELD_MEMO]:
+        mod.reduction_data(v)
+    rd = mods[0].reduction_data(inf)  # now the most recently used
+    for mod, v in keys[gf.FIELD_MEMO:]:
+        mod.reduction_data(v)
+    assert memo.cache_info().currsize == gf.FIELD_MEMO
+    assert built == keys
+    del built[:]
+    assert mods[0].reduction_data(inf) is rd
+    for mod, v in keys[11:]:
+        mod.reduction_data(v)
+    assert built == []
+    for mod, v in keys[1:11]:
+        mod.reduction_data(v)
+    assert built == keys[1:11]
+    assert make_module(F3, "t", "1").reduction_data(inf) is not rd
 
 
 def test_positive_T_checked_at_construction(monkeypatch, F3):

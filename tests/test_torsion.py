@@ -229,19 +229,36 @@ def test_torsion_lattice_holds_d_and_m(mod):
 
 
 def test_annihilator_memo_is_bounded(F2):
-    # a module may serve every job of a process, so it keeps the answers
-    # for at most FIELD_MEMO points, the least recently used going first
+    # a module may serve every job of a process, so the answers are kept
+    # for at most FIELD_MEMO (module, point) pairs across all modules, the
+    # least recently used going first; a refused call keeps nothing
     from drinheights.gf import FIELD_MEMO
-    mod = make_module(F2, "t", "1")
+    from drinheights.errors import NonMonicError
     t = RatFunc.x(F2)
-    points = [t**k for k in range(FIELD_MEMO + 10)]
-    for x in points:
-        annihilator_of(mod, x)
-    memo = mod._annihilators
-    assert len(memo) == FIELD_MEMO
-    assert list(memo) == points[10:]
-    assert annihilator_of(mod, points[10]) is None and memo[points[10]] is None
-    assert list(memo)[-1] == points[10]
+    for _ in range(2):
+        with pytest.raises(NonMonicError):
+            annihilator_of(make_module(F2, "t", "t"), t)
+    assert annihilator_of.cache_info().currsize == 0
+    mods = [make_module(F2, a, "1") for a in ("t", "t+1", "t^2")]
+    keys = [(mods[k % 3], t**k) for k in range(FIELD_MEMO + 10)]
+
+    def misses():  # since the refused calls, which count as misses
+        return annihilator_of.cache_info().misses - 2
+    for key in keys[:FIELD_MEMO]:
+        annihilator_of(*key)
+    # a hit: (psi2, 1) is now the most recently used
+    assert annihilator_of(*keys[0]) == parse_poly(F2, "t^2+t")
+    for key in keys[FIELD_MEMO:]:
+        annihilator_of(*key)
+    assert annihilator_of.cache_info().currsize == FIELD_MEMO
+    assert misses() == len(keys)
+    for key in [keys[0]] + keys[11:]:
+        annihilator_of(*key)
+    assert misses() == len(keys)
+    for key in keys[1:11]:
+        annihilator_of(*key)
+    assert misses() == len(keys) + 10
+    assert annihilator_of(mods[0], t**FIELD_MEMO) is None
 
 
 def test_annihilator_degree_within_bound(psi2):
@@ -302,23 +319,25 @@ def test_kernel_heavy_psi_closed_form(g, b):
 
 
 def test_annihilator_computed_once_per_point(F3, monkeypatch):
-    import drinheights.torsion as torsion
-    computed = []
-    real = torsion._annihilator_of
+    from drinheights import gf
+    eliminated = []
+    real = gf.first_dependence
 
-    def counting(module, x):
-        computed.append(x)
-        return real(module, x)
-    monkeypatch.setattr(torsion, "_annihilator_of", counting)
-    mod = make_module(F3, "t", "1")  # a fresh module starts with no answers
-    # the decision, the T2 check and the local height at v_inf all ask
+    def counting(vectors, field):
+        eliminated.append(field)
+        return real(vectors, field)
+    monkeypatch.setattr(gf, "first_dependence", counting)
+    mod = make_module(F3, "t", "1")  # a fresh module has no answers kept
+    # the decision, the T2 check and the local height at v_inf all ask;
+    # one elimination answers them all
     x = RatFunc.one(F3)
     cert = is_torsion(mod, x)
     assert not cert.torsion and cert.witness.kind == "witness"
-    assert computed == [x]
+    info = annihilator_of.cache_info()
+    assert (info.misses, len(eliminated)) == (1, 1) and info.hits >= 1
     assert annihilator_of(mod, RatFunc.zero(F3)) == Poly.one(F3)
     assert annihilator_of(mod, RatFunc.zero(F3)) == Poly.one(F3)
-    assert computed == [x, RatFunc.zero(F3)]
+    assert (annihilator_of.cache_info().misses, len(eliminated)) == (2, 2)
 
 
 UNENUMERABLE_AT_B_LCM = ["rank2-two-bad", "rank2-deg2-bad", "rank2-q2",
