@@ -2,28 +2,35 @@
 
 Torsion points can only have poles inside the bad set S, with order at most
 floor(-min{0, M_v}) at each v in S (a deeper pole escapes under phi_t and
-forces a positive local height).  That pole lattice is a finite-dimensional
+forces a positive local height).  That pole lattice L is a finite-dimensional
 F_q-space, which makes everything here exact linear algebra:
 
 * the torsion decision finds the first F_q-linear dependence among the
   first min(D, n) + 1 iterates of x, D = r N |S| and n the dimension of the
   lattice (leaving the lattice proves non-torsion early);
+* a point of L is torsion exactly when its phi_t-orbit stays in L: such an
+  orbit spans a finite F_q[t]-module, and a torsion point's orbit is
+  torsion.  So the rational torsion T(K) is the largest phi_t-stable
+  subspace of L.  It is found once per module: apply phi_t once to each
+  basis vector of L; then, from W = L, keep the combinations in W whose
+  image lies back in W (one elimination over a common denominator,
+  gf.dependencies; the image of a combination is that combination of the
+  images), and repeat until the dimension stops falling, at most n + 1
+  rounds.  The last round gives A, the matrix of phi_t on T(K), and its
+  minimal polynomial mu, the exponent of T(K);
+* every root of phi_b in K is torsion, so ker phi_b in K is the kernel of
+  b(A) on T(K), and b(A) = (b mod mu)(A): nothing factors b, and phi_b is
+  never built.  torsion_enumerate is the F_q-span of T(K)'s basis;
 * every rational torsion point is killed by b_lcm, the lcm of all monic
   polynomials of degree <= D = r N |S|, which is Carlitz's closed form
-  prod_{k=1}^{D} (t^(q^k) - t);
-* the torsion module lies in the pole lattice, so its annihilator also has
-  degree <= n = dim of the lattice, and B = prod_{k=1}^{min(D, n)}
-  (t^(q^k) - t) kills it too (torsion_annihilator); B is usually far
-  smaller than b_lcm;
-* kernel_in_K writes phi_c of each lattice basis element over one common
-  denominator, for each prime power c of gcd(b, B) (same roots as b, and
-  deg c <= min(D, n)); the kernel of phi_c is the space of linear
-  dependencies among those numerators, read off one elimination of them
-  (gf.dependencies), and phi_c is checked to kill each one.  Separable or
-  not, phi_b is handled the same way, so torsion_enumerate is kernel_in_K
-  at b = B.
+  prod_{k=1}^{D} (t^(q^k) - t), and by B = prod_{k=1}^{min(D, n)}
+  (t^(q^k) - t) (torsion_annihilator), usually far smaller.
 
-The pole lattice with D, m and B is built once per module
+Each answer is checked by evaluating phi_t on points of T(K), whose iterates
+stay in L: phi_mu kills each basis vector of T(K) (deg mu <= min(D, n)), and
+phi_{b mod mu} kills each kernel generator.
+
+The pole lattice with D, m, B, T(K) and A is built once per module
 (torsion_lattice), and the minimal annihilator is kept per (module, point),
 since the decision, the T2 check and the local height at every bad place
 ask for the same point; both memos hold at most gf.FIELD_MEMO entries.
@@ -34,11 +41,12 @@ from functools import cached_property, lru_cache
 
 from drinheights import gf
 from drinheights.places import FinitePlace
-from drinheights.ratfunc import Poly, RatFunc, factor
+from drinheights.ratfunc import Poly, RatFunc
 
 
 class TorsionLattice:
-    """The pole lattice of a monic module and the torsion bounds it carries.
+    """The pole lattice of a monic module, the torsion bounds it carries and
+    the rational torsion inside it.
 
     Torsion points are n(t)/Q with deg n <= deg Q + m_inf: Q collects P^e
     over the finite bad places, e = floor(-min{0, M_v}), and m_inf is the
@@ -47,11 +55,12 @@ class TorsionLattice:
     degree of every minimal annihilator (height gap theorem), and
     m = min(D, n) bounds the annihilator of all rational torsion
     (torsion_annihilator); with S empty the torsion is F_q, killed by
-    t - phi_t(1), and m = n = 1.  `y in lattice` is membership, and B,
-    built on first read, is torsion_annihilator.
+    t - phi_t(1), and m = n = 1.  `y in lattice` is membership; B
+    (torsion_annihilator), `torsion` and `points` are built on first read.
     """
 
     def __init__(self, module):
+        self.module = module
         self.field = module.field
         Q = Poly.one(module.field)
         m_inf = 0
@@ -72,12 +81,108 @@ class TorsionLattice:
     def B(self):
         return _carlitz_lcm(self.field, self.m)
 
+    @cached_property
+    def torsion(self):
+        """(den, basis, powers, mu): the rational torsion T(K), the largest
+        phi_t-stable subspace of the lattice, and phi_t on it.
+
+        basis holds sparse numerators over den of an F_q-basis w_0, ...,
+        w_{k-1} of T(K); powers[l][j] is A^l w_j in that basis, for
+        l <= deg mu, with A the matrix of phi_t on T(K); mu is the minimal
+        polynomial of A, the exponent of T(K).  phi_t is applied once to
+        each basis vector of the lattice, and W = {w : phi_t(w) in W} is
+        found by F_q-linear algebra on those images.  phi_mu is checked to
+        kill each w_j, and deg mu <= m.
+        """
+        module, field, Q = self.module, self.field, self.Q
+        monomials = [Poly.x(field)**i for i in range(self.n)]
+        images = [module.phi_t(RatFunc(e, Q)) for e in monomials]
+        den = Q
+        for z in images:
+            den = den * (z.den // den.gcd(z.den))
+        W = [dict(enumerate((e * (den // Q)).coeffs)) for e in monomials]
+        Z = [dict(enumerate((z.num * (den // z.den)).coeffs)) for z in images]
+        for _ in range(self.n + 1):
+            # W' = {sum c_j w_j : sum c_j phi_t(w_j) in W}, read off the
+            # dependencies among w_0, ..., w_{k-1}, phi_t(w_0), ...,
+            # phi_t(w_{k-1}); the w_j are independent, so each dependency
+            # gives one basis vector of W', and W' = W when all k do
+            k = len(W)
+            deps = [c + [0] * (2 * k - len(c))
+                    for c in gf.dependencies(W + Z, field)]
+            if len(deps) == k:
+                break
+            W, Z = ([_combine(zip(c[k:], V), field) for c in deps]
+                    for V in (W, Z))
+        else:
+            raise AssertionError("kernel generator fails verification: "
+                                 "no phi_t-stable subspace in n + 1 rounds")
+        # the j-th dependency says phi_t(w_j) = -sum_i c_i w_i
+        A = [{i: field.neg(a) for i, a in enumerate(c[:k]) if a} for c in deps]
+        powers = []
+
+        def flattened():  # I, A, A^2, ... as vectors, until they are dependent
+            cols = [{j: 1} for j in range(k)]
+            while True:
+                powers.append(cols)
+                yield {(i, j): a for j, col in enumerate(cols)
+                       for i, a in col.items()}
+                cols = [_combine(((a, A[i]) for i, a in col.items()), field)
+                        for col in cols]
+        mu = Poly(field, gf.first_dependence(flattened(), field))
+        if mu.degree > self.m or any(
+                not module.act(mu, RatFunc(_poly(field, w), den)).is_zero()
+                for w in W):
+            raise AssertionError("kernel generator fails verification")
+        return den, W, powers, mu
+
+    @cached_property
+    def points(self):
+        """T(K), sorted: the F_q-span of the torsion basis, each point
+        checked once by the torsion decision and phi_t closure."""
+        den, basis, _, _ = self.torsion
+        points = _span(self.field, den, basis)
+        pool = set(points)
+        for x in points:
+            if annihilator_of(self.module, x) is None:
+                raise AssertionError(
+                    "enumerated point fails the torsion decision")
+            if self.module.phi_t(x) not in pool:
+                raise AssertionError("torsion module not closed under phi_t")
+        return tuple(points)
+
     def __contains__(self, y):
         if y.is_zero():
             return True
         if not (self.Q % y.den).is_zero():
             return False
         return y.num.degree <= y.den.degree + self.m_inf
+
+
+def _poly(field, vec):
+    return Poly(field, [vec.get(i, 0)
+                        for i in range(max(vec, default=-1) + 1)])
+
+
+def _combine(terms, field):
+    """sum a v over the pairs (a, v), each v a sparse vector {key: entry}."""
+    out = {}
+    for a, v in terms:
+        if a:
+            for key, x in v.items():
+                out[key] = field.add(out.get(key, 0), field.mul(a, x))
+    return out
+
+
+def _span(field, den, gens):
+    """The F_q-span of the points g/den, g in gens (sparse numerators),
+    sorted."""
+    nums = [{}]
+    for g in gens:
+        nums = [_combine(((1, s), (c, g)), field)
+                for s in nums for c in field.elements()]
+    return sorted((RatFunc(_poly(field, v), den) for v in nums),
+                  key=lambda r: r.sort_key())
 
 
 @lru_cache(maxsize=gf.FIELD_MEMO)
@@ -222,62 +327,41 @@ def kernel_in_K(module, b):
     """All roots in K of the additive polynomial phi_b, b != 0, as a sorted
     list; separable or not.
 
-    Roots are torsion, so they lie in the pole lattice; solving on a lattice
-    basis e_0, ..., e_{n-1} by linear algebra over F_q is complete.  Every
-    root is also killed by B = torsion_annihilator(module), so phi_b has the
-    same roots in K as phi_g with g = gcd(b, B), and ker phi_g is the direct
-    sum of the ker phi_{P^e} over the prime powers P^e exactly dividing g.
-    B holds each monic irreducible P of degree d <= m = min(D, n) to the
-    power floor(m / d) and no other, so these are P^min(e, floor(m / d)) for
-    P^e exactly dividing b and d <= m; each has degree <= m, and neither B
-    nor g is formed.  For each part c, phi_c is F_q-linear, so sum c_i e_i
-    is a root exactly when sum c_i phi_c(e_i) = 0: its kernel is the space
-    of dependencies among the images, which one elimination of their sparse
-    numerators over a common denominator yields as a basis.  Each basis
-    vector g is checked with phi_c(g) = 0; every root returned is an
-    F_q-combination of them and c | b, so phi_b kills it.
+    Every root is torsion, and T(K) is the largest phi_t-stable subspace of
+    the pole lattice (TorsionLattice.torsion), on which phi_t acts by the
+    matrix A with minimal polynomial mu.  phi_b is F_q-linear and acts on
+    T(K) by b(A) = (b mod mu)(A), so the roots are the kernel of that
+    matrix, read off one elimination of its columns (gf.dependencies) as a
+    basis.  Nothing factors b, and phi_b is never built: b mod mu has
+    degree < deg mu <= min(D, n).  Each basis vector g is checked with
+    phi_{b mod mu}(g) = 0; since phi_mu kills T(K), phi_b(g) = 0, and every
+    root returned is an F_q-combination of them.
     """
     module._require_monic()
     if b.is_zero():
         raise ValueError("kernel of phi_0 is everything")
     field = module.field
-    lattice = torsion_lattice(module)
-    Q, m = lattice.Q, lattice.m
-    parts = [P**min(e, m // P.degree) for P, e in factor(b)[1] if P.degree <= m]
-    basis = [RatFunc(Poly.x(field)**i, Q) for i in range(lattice.n)]
-    roots = [RatFunc.zero(field)]
-    for part in parts:
-        images = [module.act(part, e) for e in basis]
-        den = Poly.one(field)
-        for z in images:
-            den = den * (z.den // den.gcd(z.den))
-        vectors = ({i: a for i, a in enumerate((z.num * (den // z.den)).coeffs)
-                    if a} for z in images)
-        for coeffs in gf.dependencies(vectors, field):
-            g = RatFunc(Poly(field, coeffs), Q)
-            if not module.act(part, g).is_zero():
-                raise AssertionError("kernel generator fails verification")
-            scaled = [g.scale(c) for c in field.elements()]
-            roots = [s + gc for s in roots for gc in scaled]
-    return sorted(roots, key=lambda r: r.sort_key())
+    den, basis, powers, mu = torsion_lattice(module).torsion
+    rem = b % mu
+    # column j of rem(A): phi_rem(w_j) = sum_l rem_l A^l w_j
+    columns = [_combine(zip(rem.coeffs, (P[j] for P in powers)), field)
+               for j in range(len(basis))]
+    gens = []
+    for c in gf.dependencies(columns, field):
+        g = _combine(zip(c, basis), field)
+        if not module.act(rem, RatFunc(_poly(field, g), den)).is_zero():
+            raise AssertionError("kernel generator fails verification")
+        gens.append(g)
+    return _span(field, den, gens)
 
 
 def torsion_enumerate(module):
-    """The full rational torsion submodule, verified point by point.
+    """The full rational torsion submodule T(K), sorted, built and verified
+    once per module (TorsionLattice.points).
 
-    It is the kernel in K of phi_B, B = torsion_annihilator(module); each
-    point is also checked by the torsion decision and closure.
+    T(K) is the kernel in K of phi_B, B = torsion_annihilator(module), and
+    the largest phi_t-stable subspace of the pole lattice; each point is
+    also checked by the torsion decision and closure under phi_t.
     """
     module._require_monic()
-    pts = kernel_in_K(module, torsion_annihilator(module))
-    pool = set(pts)
-    phi_t = module.phi_t
-    for x in pts:
-        if annihilator_of(module, x) is None:
-            raise AssertionError("enumerated point fails the torsion decision")
-        for y in pts:
-            if x + y not in pool:
-                raise AssertionError("torsion module not closed under addition")
-        if phi_t(x) not in pool:
-            raise AssertionError("torsion module not closed under phi_t")
-    return sorted(pool, key=lambda r: r.sort_key())
+    return list(torsion_lattice(module).points)

@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -539,6 +543,98 @@ def test_torsion_report_does_not_build_b_lcm(tmp_path, capsys):
     assert "b_lcm" not in data
     assert (data["D"], data["m"], data["B"]) == (16, 1, "t^3+2*t")
     assert data["torsion"] == [{"point": "0", "annihilator": "1"}]
+
+
+# torsion jobs whose cost grows with deg b or deg B, and not with the
+# answer, if a kernel factors b (or B) and applies phi_c to the lattice
+# basis for each prime power c: each must finish in seconds
+SLOW_TORSION_JOBS = [
+    ("torsion", {"field": {"p": 2},
+                 "module": {"coefficients": ["t", "1/t^20", "1"]}},
+     {"m": 8, "torsion": [{"point": "0", "annihilator": "1"}]}),
+    ("torsion", {"field": {"p": 2},
+                 "module": {"coefficients": ["t+1/t^40", "1"]}},
+     {"m": 4, "torsion": [
+         {"point": "0", "annihilator": "1"},
+         {"point": "1", "annihilator": "t^2+t"},
+         {"point": "(t^41+1)/t^40", "annihilator": "t"},
+         {"point": "(t^41+t^40+1)/t^40", "annihilator": "t+1"}]}),
+    ("kernel", dict(PSI2, b="t^600+t^2+t"), {"kernel": ["0", "t"]}),
+]
+
+
+@pytest.mark.parametrize("command, job, expect", SLOW_TORSION_JOBS,
+                         ids=["n11", "enumerate", "kernel-deg-600"])
+def test_torsion_jobs_finish_in_seconds(command, job, expect):
+    # a fresh interpreter, so nothing is kept from other tests, and a
+    # timeout, so a slow build fails instead of hanging
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "drinheights.cli", command, "-", "--json"],
+        input=json.dumps(job), capture_output=True, text=True, env=env,
+        timeout=60)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert {key: data[key] for key in expect} == expect
+
+
+def _decimal_unlimited(n):
+    """str(n) with Python's int-to-string digit limit lifted for the call
+    (3.10 has no limit)."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return str(n)
+    finally:
+        set_limit(old)
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(0), Fraction(-7, 3), Fraction(10**600), Fraction(10**600 - 1),
+    Fraction(-1, 10**1200), Fraction(3**14550 + 1, 2**20000),
+    Fraction(-(10**4400 + 12345)),
+])
+def test_frac_prints_any_exact_fraction(x):
+    num, den = x.numerator, x.denominator
+    expect = _decimal_unlimited(num)
+    if den != 1:
+        expect += "/" + _decimal_unlimited(den)
+    assert cli.frac(x) == expect
+
+
+# S = {v[t], v[t+1], v_inf}: the perfect-closure floor is 1/3^14550, whose
+# denominator has 6943 digits; the CI workflow also pipes it into the
+# installed entry point
+RANK10 = {"field": {"p": 3}, "module": {"coefficients": [
+    "t", "1/t", "1/(t+1)", "0", "0", "0", "0", "0", "0", "0", "1"]}}
+
+
+def test_floor_of_any_size_is_printed(tmp_path, capsys, monkeypatch):
+    floor = "1/" + _decimal_unlimited(3**14550)
+    code, out, _ = run(capsys, ["lehmer", job_file(tmp_path, RANK10)])
+    assert code == 0
+    assert "perfect-closure floor = %s\n" % floor in out
+    code, out, _ = run(capsys, ["lehmer", job_file(tmp_path, RANK10),
+                                "--json"])
+    assert code == 0 and json.loads(out)["lehper"] == floor
+    job = dict(RANK10, point="1")
+    code, out, _ = run(capsys, ["height", job_file(tmp_path, job), "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["bounds"]["lehper"] == floor
+    assert data["height"]["value"] == "1/19683"
+    code, out, _ = run(capsys, ["height", job_file(tmp_path, job)])
+    assert code == 0 and "global height = 1/19683\n" in out
+    # the digit limit still holds for the input
+    monkeypatch.setattr("sys.stdin", io.StringIO(DIGITS_JOB))
+    code, _, err = run(capsys, ["lehmer", "-"])
+    assert code == 2 and err.startswith("input error: cannot read job: ")
 
 
 def test_height_high_power_carlitz(tmp_path, capsys):

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from conftest import make_module
+from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.gf import finite_field
 from drinheights.heights import lehmer_bounds
-from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics,
+from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
                                  parse_poly, parse_ratfunc)
 from drinheights.torsion import (annihilator_bound, annihilator_of,
                                  is_torsion, kernel_in_K, torsion_annihilator,
@@ -359,6 +360,10 @@ def _pool_module(name):
 ] + [
     pytest.param(make_module(finite_field(*fk), *coeffs), id="-".join(coeffs))
     for fk, coeffs, _ in LATTICE_MODULES
+] + [
+    # n = 11 and m = 8: 2048 lattice points, and T(K) = 0
+    pytest.param(make_module(finite_field(2), "t", "1/t^20", "1"),
+                 id="t-1/t^20-1"),
 ])
 def test_torsion_enumerate_matches_lattice_decision(mod):
     # the kernel of phi_B with B = prod_{k <= min(D, n)} (t^(q^k) - t) is the
@@ -371,10 +376,10 @@ def test_torsion_enumerate_matches_lattice_decision(mod):
 
 
 def test_kernel_evaluates_prime_powers_of_degree_at_most_min_d_n(monkeypatch):
-    # kernel_in_K evaluates only the prime powers of gcd(b, B), each of
-    # degree <= m = min(D, n), whatever deg b is: on the lattice basis and
-    # on the generators of their kernels, and never phi_b itself; the roots
-    # equal a brute-force search
+    # kernel_in_K evaluates phi_c only for c of degree <= m = min(D, n),
+    # whatever deg b is: mu on the basis of T(K) and b mod mu on the
+    # generators of the kernel, and never phi_b itself; the roots equal a
+    # brute-force search
     F2, F7 = finite_field(2), finite_field(7)
     cases = [(make_module(F2, "1/(t^2+t)", "1"), Poly(F2, [1, 0, 0, 1])),
              (make_module(F2, "t", "1"), Poly(F2, [1, 1, 0, 1])),
@@ -394,7 +399,61 @@ def test_kernel_evaluates_prime_powers_of_degree_at_most_min_d_n(monkeypatch):
         assert m == min(annihilator_bound(mod).D, torsion_lattice(mod).n)
         del calls[:]
         roots = kernel_in_K(mod, b)
-        # no b here is a prime power of degree <= m, so phi_b is never built
+        # every b here has degree > deg mu, so phi_b is never built
         assert all(c != b and c.degree <= m for c, _ in calls)
         expect = [y for y in _lattice_points(mod) if real_act(mod, b, y).is_zero()]
         assert sorted(expect, key=lambda y: y.sort_key()) == roots
+
+
+def _prime_power_kernel(module, b):
+    """The oracle: ker phi_b in K as the direct sum of the ker phi_c over the
+    prime powers c = P^min(e, floor(m / deg P)) exactly dividing gcd(b, B),
+    each solved by eliminating phi_c of the lattice basis."""
+    field = module.field
+    lattice = torsion_lattice(module)
+    Q, m = lattice.Q, lattice.m
+    parts = [P**min(e, m // P.degree) for P, e in factor(b)[1] if P.degree <= m]
+    basis = [RatFunc(Poly.x(field)**i, Q) for i in range(lattice.n)]
+    roots = [RatFunc.zero(field)]
+    for part in parts:
+        images = [module.act(part, e) for e in basis]
+        den = Poly.one(field)
+        for z in images:
+            den = den * (z.den // den.gcd(z.den))
+        vectors = ({i: a for i, a in enumerate((z.num * (den // z.den)).coeffs)
+                    if a} for z in images)
+        for coeffs in gf.dependencies(vectors, field):
+            g = RatFunc(Poly(field, coeffs), Q)
+            assert module.act(part, g).is_zero()
+            scaled = [g.scale(c) for c in field.elements()]
+            roots = [s + gc for s in roots for gc in scaled]
+    return sorted(roots, key=lambda r: r.sort_key())
+
+
+# the lattice modules, and more over F_5 and F_9
+ORACLE_MODULES = [(fk, coeffs) for fk, coeffs, _ in LATTICE_MODULES] + [
+    ((5, 1), ["-1/(t^2+t)^4", "1"]),  # c/(t^2+t) is t-torsion
+    ((5, 1), ["t", "1/(t+1)^2", "1"]),
+    ((3, 2), ["-1/(t^2+t)^8", "1"]),
+    ((3, 2), ["-t^8", "1"]),  # c t is t-torsion
+    ((3, 2), ["0", "1/t^2", "1"]),
+]
+
+
+@pytest.mark.parametrize("mod", [
+    pytest.param(mod, id=name) for name, mod in module_pool()
+] + [
+    pytest.param(make_module(finite_field(*fk), *coeffs),
+                 id="%d^%d:%s" % (fk + ("-".join(coeffs),)))
+    for fk, coeffs in ORACLE_MODULES
+])
+def test_kernel_matches_prime_power_oracle(mod):
+    # the kernel read off T(K) and mu equals the kernel solved prime power
+    # by prime power, for t, t + 1, random b of degree <= 4 and B
+    rng = random.Random(str(mod.coeffs))
+    field, q = mod.field, mod.field.order
+    bs = [Poly(field, [rng.randrange(q) for _ in range(rng.randint(0, 4))]
+               + [1]) for _ in range(6)]
+    bs = [Poly.x(field), Poly(field, [1, 1])] + bs + [torsion_annihilator(mod)]
+    for b in bs:
+        assert kernel_in_K(mod, b) == _prime_power_kernel(mod, b)
