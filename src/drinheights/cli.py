@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from drinheights import verify as verify_mod
 from drinheights.drinfeld import DrinfeldModule
@@ -26,10 +25,10 @@ from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
                                 NonMonicError, quote)
 from drinheights.gf import (FIELD_MEMO, FieldError, ResidueFieldError,
                             finite_field)
-from drinheights.heights import (global_height_breakdown, height_sum,
+from drinheights.heights import (frac, global_height_breakdown, height_sum,
                                  lehmer_bounds, local_height, check_t2mwg)
 from drinheights.perfect import _lehper_at, insep_level, key_dichotomy_check
-from drinheights.places import FinitePlace, InfinitePlace, INFINITY
+from drinheights.places import FinitePlace, InfinitePlace
 from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
                                  parse_ratfunc)
 from drinheights.torsion import (annihilator_of, kernel_in_K,
@@ -38,46 +37,6 @@ from drinheights.torsion import (annihilator_of, kernel_in_K,
 
 class InputError(ValueError):
     pass
-
-
-def frac(x):
-    """x exactly, as "a/b" or "a", however many digits a and b have.
-
-    str() comes first; a numerator or denominator past Python's
-    int-to-string digit limit is written out by blocks instead, and the
-    limit itself is left as it is (load_job relies on it).
-    """
-    if x is INFINITY:
-        return "+inf"
-    x = Fraction(x)
-    try:
-        return str(x)
-    except ValueError:
-        pass
-    num = _decimal(x.numerator)
-    return num if x.denominator == 1 else num + "/" + _decimal(x.denominator)
-
-
-# str() converts any int of at most 640 digits (the limit's threshold), so
-# blocks of 600 digits never meet the limit
-_BLOCK_DIGITS = 600
-
-
-def _decimal(n):
-    """The decimal digits of the int n, _BLOCK_DIGITS at a time."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    block = 10**_BLOCK_DIGITS
-    parts = []
-    while n >= block:
-        n, low = divmod(n, block)
-        parts.append(str(low).zfill(_BLOCK_DIGITS))
-    parts.append(str(n))
-    return "".join(reversed(parts))
-
-
-def _height_str(h):
-    return frac(h.lo) if h.is_exact else "[%s, %s]" % (frac(h.lo), frac(h.hi))
 
 
 def load_job(path):
@@ -320,11 +279,11 @@ def _height_core(job, rep):
     rep.put("local", [])
     for v, h in parts:
         rep.say("  h_%s(%s) = %s  [%s]", v.to_string(var), x.to_string(var),
-                _height_str(h), h.certificate)
+                h, h.certificate)
         entry = {"place": v.to_string(var)}
         entry.update(_height_json(h))
         rep.data["local"].append(entry)
-    rep.say("global height = %s", _height_str(total))
+    rep.say("global height = %s", total)
     rep.put("height", _height_json(total))
     return level, x, parts, total
 
@@ -346,8 +305,7 @@ def cmd_height(job, rep):
         h2 = height_via_embedding(level.module, emb, x)
         agree = (total.is_exact and h2.is_exact
                  and total.value == h2.value)
-        rep.say("height via t -> %s: %s%s", image.to_string("u"),
-                _height_str(h2),
+        rep.say("height via t -> %s: %s%s", image.to_string("u"), h2,
                 "  (agrees)" if agree else "")
         rep.put("embedding_height", _height_json(h2))
     bounds = lehmer_bounds(level.module)
@@ -363,7 +321,7 @@ def cmd_height(job, rep):
             rep.put("torsion", report.annihilator.to_string())
         else:
             rep.say("lehper bound %s: %s > %s: PASS", frac(report.bound),
-                    _height_str(total), frac(report.bound))
+                    total, frac(report.bound))
             rep.put("lehper", {"bound": frac(report.bound),
                                "margin": frac(report.margin)})
         return 0
@@ -393,7 +351,7 @@ def cmd_local_height(job, rep):
     v = job.place()
     h = local_height(level.pushed, v, x, level.index)
     rep.say("h_%s(%s) = %s  [%s]", _place_str(v, job),
-            x.to_string(job.point_var), _height_str(h), h.certificate)
+            x.to_string(job.point_var), h, h.certificate)
     rep.put("place", _place_str(v, job))
     rep.put("height", _height_json(h))
     return 0

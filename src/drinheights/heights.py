@@ -20,14 +20,15 @@ hhat(x) >= q^(-2r - r^2 N |S|)), and the Weil height of phi_t^n(x) grows
 like hhat(x) q^(rn) until it passes the cap.  There the answer is the sound
 interval [0, -d(v) lambda / q^(rn)] instead of a guess.
 
-All heights are exact Fractions; no floating point enters the computation.
+All heights are exact Fractions; no floating point enters the computation,
+and every one is printed in full (frac).
 """
 
 from fractions import Fraction
 
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
-from drinheights.places import poles
+from drinheights.places import INFINITY, poles
 from drinheights.torsion import _gap_degree, annihilator_of
 
 # iterates beyond this degree force the sound interval fallback; the bound
@@ -41,6 +42,42 @@ GOOD_REDUCTION = "GoodReductionIntegral"
 TORSION = "TorsionCertified"
 EXHAUSTED = "IterationBudgetExhausted"
 
+# str() converts any int of at most 640 digits (the threshold of Python's
+# int-to-string digit limit), so blocks of 600 digits never meet the limit
+_BLOCK_DIGITS = 600
+
+
+def frac(x):
+    """x exactly, as "a/b" or "a", however many digits a and b have; "+inf"
+    for places.INFINITY.
+
+    str() comes first; a numerator or denominator past Python's
+    int-to-string digit limit is written out by blocks instead, and the
+    limit itself is left as it is (the CLI's job reader relies on it).
+    """
+    if x is INFINITY:
+        return "+inf"
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    num = _decimal(x.numerator)
+    return num if x.denominator == 1 else num + "/" + _decimal(x.denominator)
+
+
+def _decimal(n):
+    """The decimal digits of the int n, _BLOCK_DIGITS at a time."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    block = 10**_BLOCK_DIGITS
+    parts = []
+    while n >= block:
+        n, low = divmod(n, block)
+        parts.append(str(low).zfill(_BLOCK_DIGITS))
+    parts.append(str(n))
+    return "".join(reversed(parts))
+
 
 class HeightValue:
     """Exact rational height, or a certified interval [lo, hi]."""
@@ -50,7 +87,8 @@ class HeightValue:
     def __init__(self, lo, hi, certificate, step=None):
         if lo < 0 or hi < lo:
             # an internal guard, not an input check: cli exits 4 on it
-            raise AssertionError("invalid height interval [%s, %s]" % (lo, hi))
+            raise AssertionError("invalid height interval [%s, %s]"
+                                 % (frac(lo), frac(hi)))
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         self.certificate = certificate
@@ -68,7 +106,8 @@ class HeightValue:
     def value(self):
         if not self.is_exact:
             raise BudgetExhaustedError(
-                "height only known to lie in [%s, %s]" % (self.lo, self.hi))
+                "height only known to lie in [%s, %s]"
+                % (frac(self.lo), frac(self.hi)))
         return self.lo
 
     def __add__(self, other):
@@ -87,8 +126,8 @@ class HeightValue:
 
     def __str__(self):
         if self.is_exact:
-            return str(self.lo)
-        return "[%s, %s]" % (self.lo, self.hi)
+            return frac(self.lo)
+        return "[%s, %s]" % (frac(self.lo), frac(self.hi))
 
     def __repr__(self):
         tag = self.certificate if self.step is None else "%s(%s)" % (self.certificate, self.step)
@@ -192,8 +231,10 @@ class LehmerBounds:
             self.lehper = None
 
     def __repr__(self):
+        lehper = None if self.lehper is None else frac(self.lehper)
         return ("LehmerBounds(sharp=%s, weak=%s, lehper=%s, torsion_degree=%d)"
-                % (self.sharp, self.weak, self.lehper, self.torsion_degree))
+                % (frac(self.sharp), frac(self.weak), lehper,
+                   self.torsion_degree))
 
 
 def lehmer_bounds(module):
@@ -220,7 +261,7 @@ class T2Certificate:
     def __repr__(self):
         if self.kind == "witness":
             return "T2Certificate(witness at %r: %s > %s)" % (
-                self.place, self.local, self.bound)
+                self.place, frac(self.local), frac(self.bound))
         if self.kind == "torsion":
             return "T2Certificate(torsion, b = %s)" % self.annihilator
         return "T2Certificate(constant)"

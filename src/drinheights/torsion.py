@@ -115,8 +115,10 @@ class TorsionLattice:
             W, Z = ([_combine(zip(c[k:], V), field) for c in deps]
                     for V in (W, Z))
         else:
-            raise AssertionError("kernel generator fails verification: "
-                                 "no phi_t-stable subspace in n + 1 rounds")
+            # T(K) is where every kernel generator comes from
+            raise AssertionError(
+                "phi_t-stable subspace does not settle in n + 1 rounds, "
+                "so no kernel generator or torsion point can be verified")
         # the j-th dependency says phi_t(w_j) = -sum_i c_i w_i
         A = [{i: field.neg(a) for i, a in enumerate(c[:k]) if a} for c in deps]
         powers = []
@@ -133,7 +135,9 @@ class TorsionLattice:
         if mu.degree > self.m or any(
                 not module.act(mu, RatFunc(_poly(field, w), den)).is_zero()
                 for w in W):
-            raise AssertionError("kernel generator fails verification")
+            raise AssertionError("minimal polynomial of phi_t on T(K) fails "
+                                 "verification: deg mu > m or phi_mu does "
+                                 "not kill a basis vector")
         return den, W, powers, mu
 
     @cached_property

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from drinheights import (DrinfeldModule, cli, drinfeld, finite_field,
@@ -12,6 +14,20 @@ MODULE_MEMOS = (cli._module, DrinfeldModule.reduction_data,
 def make_module(field, *coeffs, var="t"):
     return DrinfeldModule(field,
                           [parse_ratfunc(field, c, var=var) for c in coeffs])
+
+
+def decimal_unlimited(n):
+    """str(n) with Python's int-to-string digit limit lifted for the call
+    (3.10 has no limit)."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return str(n)
+    finally:
+        set_limit(old)
 
 
 def plant_mv_bug(monkeypatch):

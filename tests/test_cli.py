@@ -5,11 +5,10 @@ import pathlib
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
-from conftest import make_module, plant_mv_bug
+from conftest import decimal_unlimited, make_module, plant_mv_bug
 from drinheights import cli
 from drinheights.errors import QUOTE_CHARS, BudgetExhaustedError, quote
 from drinheights.gf import FieldError
@@ -581,33 +580,6 @@ def test_torsion_jobs_finish_in_seconds(command, job, expect):
     assert {key: data[key] for key in expect} == expect
 
 
-def _decimal_unlimited(n):
-    """str(n) with Python's int-to-string digit limit lifted for the call
-    (3.10 has no limit)."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return str(n)
-    old = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        return str(n)
-    finally:
-        set_limit(old)
-
-
-@pytest.mark.parametrize("x", [
-    Fraction(0), Fraction(-7, 3), Fraction(10**600), Fraction(10**600 - 1),
-    Fraction(-1, 10**1200), Fraction(3**14550 + 1, 2**20000),
-    Fraction(-(10**4400 + 12345)),
-])
-def test_frac_prints_any_exact_fraction(x):
-    num, den = x.numerator, x.denominator
-    expect = _decimal_unlimited(num)
-    if den != 1:
-        expect += "/" + _decimal_unlimited(den)
-    assert cli.frac(x) == expect
-
-
 # S = {v[t], v[t+1], v_inf}: the perfect-closure floor is 1/3^14550, whose
 # denominator has 6943 digits; the CI workflow also pipes it into the
 # installed entry point
@@ -616,7 +588,7 @@ RANK10 = {"field": {"p": 3}, "module": {"coefficients": [
 
 
 def test_floor_of_any_size_is_printed(tmp_path, capsys, monkeypatch):
-    floor = "1/" + _decimal_unlimited(3**14550)
+    floor = "1/" + decimal_unlimited(3**14550)
     code, out, _ = run(capsys, ["lehmer", job_file(tmp_path, RANK10)])
     assert code == 0
     assert "perfect-closure floor = %s\n" % floor in out

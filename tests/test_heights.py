@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_module
-from drinheights.errors import NonMonicError
-from drinheights.heights import (HeightValue, check_t2mwg, global_height,
+from conftest import decimal_unlimited, make_module
+from drinheights.errors import BudgetExhaustedError, NonMonicError
+from drinheights.heights import (HeightValue, check_t2mwg, frac, global_height,
                                  global_height_breakdown, height_sum,
                                  height_via_embedding, lehmer_bounds,
                                  local_height)
@@ -64,6 +64,35 @@ def test_nonmonic_rejected(F3):
     m = make_module(F3, "t", "t")
     with pytest.raises(NonMonicError):
         global_height(m, RatFunc.one(F3))
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(0), Fraction(-7, 3), Fraction(10**600), Fraction(10**600 - 1),
+    Fraction(-1, 10**1200), Fraction(3**14550 + 1, 2**20000),
+    Fraction(-(10**4400 + 12345)),
+])
+def test_frac_prints_any_exact_fraction(x):
+    num, den = x.numerator, x.denominator
+    expect = decimal_unlimited(num)
+    if den != 1:
+        expect += "/" + decimal_unlimited(den)
+    assert frac(x) == expect
+
+
+def test_bounds_and_heights_of_any_size_print_in_full(F3):
+    # S = {v[t], v[t+1], v_inf}: the perfect-closure floor is 1/3^14550,
+    # past str()'s digit limit
+    mod = make_module(F3, "t", "1/t", "1/(t+1)", *["0"] * 7, "1")
+    bounds = lehmer_bounds(mod)
+    floor = "1/" + decimal_unlimited(3**14550)
+    assert ", lehper=%s, " % floor in repr(bounds)
+    h = HeightValue.exact(bounds.lehper, "Floor")
+    assert str(h) == floor
+    assert repr(h) == "HeightValue(%s, Floor)" % floor
+    wide = HeightValue(bounds.lehper, 1, "Interval")
+    assert str(wide) == "[%s, 1]" % floor
+    with pytest.raises(BudgetExhaustedError, match="lie in \\[%s, 1\\]" % floor):
+        wide.value
 
 
 def test_lehmer_bounds_examples(car3, psi2, tau2):

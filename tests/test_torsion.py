@@ -139,6 +139,33 @@ def test_kernel_checks_each_generator(psi2, F2, monkeypatch):
         kernel_in_K(psi2, parse_poly(F2, "t"))
 
 
+def test_kernel_generator_check_runs_after_the_torsion_build(psi2, F2,
+                                                             monkeypatch):
+    # with T(K) built, a planted elimination that yields the basis vector
+    # w_0, which phi_1 does not kill, must fail the per-generator check
+    torsion_lattice(psi2).torsion
+    real = gf.dependencies
+
+    def faulty(vectors, field):
+        yield [1]
+        yield from real(vectors, field)
+    monkeypatch.setattr(gf, "dependencies", faulty)
+    with pytest.raises(AssertionError, match="kernel generator fails"):
+        kernel_in_K(psi2, Poly.one(F2))
+
+
+@pytest.mark.parametrize("dependence", [
+    [1],                 # mu = 1 leaves every nonzero basis vector alive
+    [0] * 8 + [1, 1],    # mu = t^7 (t^2 + t) kills T(K), but m = 2
+], ids=["phi-mu-check", "degree-check"])
+def test_torsion_build_checks_mu(psi2, F2, monkeypatch, dependence):
+    monkeypatch.setattr(gf, "first_dependence", lambda vectors, field:
+                        dependence)
+    assert torsion_lattice(psi2).m == 2
+    with pytest.raises(AssertionError, match="minimal polynomial"):
+        kernel_in_K(psi2, parse_poly(F2, "t"))
+
+
 def test_kernel_is_subspace(psi2, F2):
     pts = kernel_in_K(psi2, parse_poly(F2, "t^2+t"))
     pool = set(pts)
