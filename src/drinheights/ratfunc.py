@@ -6,12 +6,17 @@ first.  A :class:`RatFunc` is always reduced with a monic denominator, and 0
 is represented as 0/1.  Factorization into irreducibles (squarefree split +
 distinct degree + Cantor-Zassenhaus equal degree) is the engine behind the
 finite places of F_q(t).
+
+Text such as "(t^2+1)/t^3" is parsed by :func:`parse_ratfunc`, which
+evaluates on plain coefficient lists through the field's kernels, not
+through Poly and RatFunc objects, and reduces once per expression, at the
+end.
 """
 
 import random
 
 from drinheights.errors import quote
-from drinheights.gf import _poly_is_irreducible, monic_coeffs
+from drinheights.gf import _poly_is_irreducible, _trim, monic_coeffs
 
 NEG_INF = float("-inf")
 # the largest Weil height an expression may reach while it is parsed: a few
@@ -365,7 +370,11 @@ class RatFunc:
         if e < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den**(-e), self.num**(-e))
+            # gcd(num, den) = 1 gives gcd(den^k, num^k) = 1: only the new
+            # denominator's leading coefficient needs making 1
+            num, den = self.den**(-e), self.num**(-e)
+            inv = self.field.inv(den.lc)
+            return RatFunc(num.scale(inv), den.scale(inv), _reduced=True)
         return RatFunc(self.num**e, self.den**e, _reduced=True) if e != 1 else self
 
     def scale(self, c):
@@ -421,6 +430,10 @@ class ParseError(ValueError):
 
 
 _DIGITS = frozenset("0123456789")
+# parentheses may nest this many levels deep: the descent takes three stack
+# frames per level, 600 at the bound, under the interpreter's default
+# recursion limit of 1000
+MAX_NESTING = 200
 
 
 def _tokenize(s):
@@ -436,7 +449,13 @@ def _tokenize(s):
             j = i
             while j < len(s) and s[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(s[i:j]), i))
+            try:
+                value = int(s[i:j])
+            except ValueError:
+                # past Python's int-to-string digit limit
+                raise ParseError("integer literal %s at position %d has too "
+                                 "many digits" % (quote(s[i:j]), i)) from None
+            tokens.append(("int", value, i))
             i = j
         elif c.isalpha() or c == "_":
             j = i
@@ -461,12 +480,40 @@ def _check_degree(bound):
                          % (bound, MAX_DEGREE))
 
 
+# A parsed value is a pair (num, den) of trimmed coefficient lists, den
+# nonzero, not reduced; zero is always ([], [1]).  The bounds below take
+# len - 1 as the degree, so a zero numerator counts as degree -1, not -inf:
+# a term that holds it stays below the term deg den + deg den' >= 0 of the
+# same max, which is then what it would be with -inf.
+
+_ZERO = ([], [1])
+
+
+def _weil(value):
+    num, den = value
+    return max(len(num), len(den)) - 1 if num else 0
+
+
+def _sum_bound(a, b):
+    # a/b +- c/d = (a d +- c b) / (b d) before reduction
+    (an, ad), (bn, bd) = a, b
+    return max(len(an) + len(bd), len(bn) + len(ad), len(ad) + len(bd)) - 2
+
+
+def _product_bound(a, b):
+    return _weil(a) + _weil(b)
+
+
 class _Parser:
+    """Recursive descent over the token list; each method returns the value
+    of what it read as an unreduced (num, den) pair."""
+
     def __init__(self, field, var, s):
         self.field = field
         self.var = var
         self.tokens = _tokenize(s)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -487,82 +534,161 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("trailing input at position %d" % tok[2])
-        return value
+        return self._ratfunc(value)
+
+    def _ratfunc(self, value):
+        # the one reduction, which a denominator 1 does not need
+        num, den = value
+        field = self.field
+        return RatFunc(Poly(field, num), Poly(field, den), _reduced=den == [1])
+
+    # --- list kernels ---
+
+    def _add(self, a, b):
+        f = self.field
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = f.add(out[i], c)
+        return _trim(out)
+
+    def _scale(self, a, c):
+        f = self.field
+        return [f.mul(c, x) for x in a]
+
+    def _mul(self, a, b):
+        if len(a) == 1:
+            return b if a[0] == 1 else self._scale(b, a[0])
+        if len(b) == 1:
+            return a if b[0] == 1 else self._scale(a, b[0])
+        return self.field.poly_mul(a, b)
+
+    def _pow(self, a, e):
+        if e == 0:
+            return [1]
+        if not a:
+            return a
+        if not any(a[:-1]):
+            # a monomial c*t^j, such as t itself, is written out directly
+            return [0] * ((len(a) - 1) * e) + [self.field.pow_(a[-1], e)]
+        result = None
+        while e:
+            if e & 1:
+                result = a if result is None else self._mul(result, a)
+            e >>= 1
+            if e:
+                a = self._mul(a, a)
+        return result
+
+    def _reduce(self, value):
+        x = self._ratfunc(value)
+        return list(x.num.coeffs), list(x.den.coeffs)
+
+    def _fit(self, bound, a, b):
+        """The operands a and b, within MAX_DEGREE by bound.  Unreduced
+        operands bound their result at least as high as reduced ones, so
+        only when they pass the cap are they reduced, and the step refused
+        if it still passes."""
+        if bound(a, b) <= MAX_DEGREE:
+            return a, b
+        a, b = self._reduce(a), self._reduce(b)
+        _check_degree(bound(a, b))
+        return a, b
+
+    # --- grammar ---
 
     def sum(self):
         if self.peek()[0] == "-":
             self.next()
-            value = -self.product()
+            num, den = self.product()
+            f = self.field
+            value = ([f.neg(c) for c in num], den)
         else:
             value = self.product()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+        while (op := self.peek()[0]) in ("+", "-"):
+            self.next()
             rhs = self.product()
-            # a/b +- c/d = (a d +- c b) / (b d) before reduction
-            _check_degree(max(value.num.degree + rhs.den.degree,
-                              rhs.num.degree + value.den.degree,
-                              value.den.degree + rhs.den.degree))
-            value = value + rhs if op == "+" else value - rhs
+            (an, ad), (bn, bd) = self._fit(_sum_bound, value, rhs)
+            if op == "-":
+                f = self.field
+                bn = [f.neg(c) for c in bn]
+            if ad == bd:
+                num, den = self._add(an, bn), ad
+            else:
+                num = self._add(self._mul(an, bd), self._mul(bn, ad))
+                den = self._mul(ad, bd)
+            value = (num, den) if num else _ZERO
         return value
 
     def product(self):
         value = self.power()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
+        while (op := self.peek()[0]) in ("*", "/"):
+            self.next()
             rhs = self.power()
-            _check_degree(value.weil_height() + rhs.weil_height())
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
+            (an, ad), (bn, bd) = self._fit(_product_bound, value, rhs)
+            if op == "/":
+                if not bn:
                     raise ParseError("division by zero")
-                value = value / rhs
+                bn, bd = bd, bn
+            value = (self._mul(an, bn), self._mul(ad, bd)) if an and bn else _ZERO
         return value
 
     def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            neg = False
-            if self.peek()[0] == "-":
-                self.next()
-                neg = True
-            tok = self.expect("int")
-            e = -tok[1] if neg else tok[1]
-            if e < 0 and base.is_zero():
-                raise ParseError("division by zero")
-            _check_degree(base.weil_height() * abs(e))
-            return base**e
-        return base
-
-    def atom(self):
+        # the atom is read here, not in a method of its own, so that a
+        # parenthesis level takes three frames: sum, product, power
         tok = self.next()
         if tok[0] == "int":
             # literals are canonical encodings 0..q-1 (for prime fields this
             # is the usual residue 0..p-1)
-            return RatFunc.const(self.field, tok[1] % self.field.order)
-        if tok[0] == "name":
+            c = tok[1] % self.field.order
+            base = ([c], [1]) if c else _ZERO
+        elif tok[0] == "name":
             if tok[1] != self.var:
                 raise ParseError("unknown symbol %s at position %d (variable is %r)"
                                  % (quote(tok[1]), tok[2], self.var))
-            return RatFunc.x(self.field)
-        if tok[0] == "(":
-            value = self.sum()
+            base = ([0, 1], [1])
+        elif tok[0] == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("nested too deeply")
+            base = self.sum()
             self.expect(")")
-            return value
-        raise ParseError("unexpected token at position %d" % tok[2])
+            self.depth -= 1
+        else:
+            raise ParseError("unexpected token at position %d" % tok[2])
+        if self.peek()[0] != "^":
+            return base
+        self.next()
+        neg = self.peek()[0] == "-"
+        if neg:
+            self.next()
+        e = self.expect("int")[1]
+        if neg and e and not base[0]:
+            raise ParseError("division by zero")
+        # the one-operand case of _fit
+        if _weil(base) * e > MAX_DEGREE:
+            base = self._reduce(base)
+            _check_degree(_weil(base) * e)
+        num, den = base
+        if neg:
+            num, den = den, num
+        return self._pow(num, e), self._pow(den, e)
 
 
 def parse_ratfunc(field, s, var="t"):
     """Parse strings like "t^2+2*t+1" or "(t^2+1)/t^3" into a RatFunc.
 
-    The parser descends once per parenthesis, so nesting deeper than the
-    interpreter's recursion limit allows is refused as a ParseError.
+    Each subexpression is evaluated as an unreduced pair of coefficient
+    lists (num, den) through the field's kernels: a power of t is written
+    out, a constant factor scales, and a sum over one denominator adds the
+    numerators.  The result is reduced once, at the end, and not at all
+    when its denominator is 1.  Every degree check of MAX_DEGREE reads the
+    reduced operands' bound (see _Parser._fit), so the cap refuses exactly
+    what it would refuse if every step were reduced.  Parentheses nested
+    more than MAX_NESTING levels deep are refused.
     """
-    try:
-        return _Parser(field, var, s).parse()
-    except RecursionError:
-        raise ParseError("nested too deeply") from None
+    return _Parser(field, var, s).parse()
 
 
 def parse_poly(field, s, var="t"):

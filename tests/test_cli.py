@@ -49,6 +49,9 @@ BIG_PLACE = {"field": {"p": 3}, "module": {
 
 # 1/t + 4999 t's: not a polynomial, and 10001 characters long
 LONG_SUM = "1/t" + "+t" * 4999
+# 5000 digits, past Python's int-to-string limit; the CI workflow also pipes
+# it into the installed entry point as a point
+LONG_LITERAL = "1" * 5000
 
 
 def nested(depth):
@@ -215,7 +218,7 @@ def test_input_error_exit_2(tmp_path, capsys):
     # place constructors that also serve the library's own proven inputs
     ("local-height", dict(CAR3, point="1", place=REDUCIBLE_PLACE), []),
     ("lehmer", REDUCIBLE_MODULUS, []),
-    # nesting past the parser's recursion depth, and digits other than
+    # nesting past ratfunc.MAX_NESTING, and digits other than
     # ASCII 0-9, which int() refuses or reads as another digit
     ("height", dict(CAR3, point=nested(300)), []),
     ("height", dict(CAR3, point=nested(5000)), []),
@@ -237,6 +240,15 @@ def test_input_error_exit_2(tmp_path, capsys):
     # the dichotomy's branch 2 (every bad-place walk ends in an interval)
     ("reduction", BIG_PLACE, []),
     ("dichotomy", dict(BIG_PLACE, point="(t^2300+1)/(t^2300+2)"), []),
+    # integer literals past Python's int-to-string digit limit, which int()
+    # refuses: in a point, a coefficient, b and a place P
+    ("height", dict(CAR3, point=LONG_LITERAL), []),
+    ("height", dict(CAR3, point="t^" + LONG_LITERAL), []),
+    ("lehmer", dict(CAR3, module={"coefficients": ["t+" + LONG_LITERAL, "1"]}),
+     []),
+    ("kernel", dict(CAR3, b="t+" + "2" * 5000), []),
+    ("local-height", dict(CAR3, point="1", place={
+        "kind": "finite", "P": "t+" + LONG_LITERAL}), []),
 ])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from drinheights.errors import quote
 from drinheights.gf import finite_field
-from drinheights.ratfunc import (ParseError, Poly, RatFunc, _divide_out,
-                                 factor, is_irreducible, irreducible_monics,
+from drinheights.ratfunc import (MAX_DEGREE, ParseError, Poly, RatFunc,
+                                 _check_degree, _divide_out, _tokenize, factor,
+                                 is_irreducible, irreducible_monics,
                                  monic_polys, ord_at, parse_poly,
                                  parse_ratfunc)
 
@@ -195,6 +197,25 @@ def test_deep_nesting_and_non_ascii_digits_are_parse_errors():
             R(F3, s)
 
 
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2)])
+def test_negative_power_matches_reducing_constructor(p, k):
+    field = finite_field(p, k)
+    rng = random.Random(40 + p + k)
+    for _ in range(150):
+        num = Poly(field, [rng.randrange(field.order)
+                           for _ in range(rng.randint(1, 5))])
+        den = Poly(field, [rng.randrange(field.order)
+                           for _ in range(rng.randint(1, 5))])
+        if not num or not den:
+            continue
+        x = RatFunc(num, den)
+        for e in (1, 2, 3, 5):
+            got = x**-e
+            want = RatFunc(x.den**e, x.num**e)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got.den.is_monic()
+
+
 def test_pow_q_spreads():
     x = R(F3, "t+1")
     assert x.pow_q(1) == R(F3, "t^3+1")
@@ -208,6 +229,187 @@ def test_negative_power_of_zero_is_a_parse_error():
             R(F3, s)
     assert R(F3, "0^0") == R(F3, "0^-0") == RatFunc.one(F3)
     assert R(F3, "0^2") == RatFunc.zero(F3)
+
+
+# --- the parser against the first one, which evaluated through RatFunc
+# arithmetic (each step reduced) and is kept here as the oracle
+
+class _OracleParser:
+    def __init__(self, field, var, s):
+        self.field = field
+        self.var = var
+        self.tokens = _tokenize(s)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError("expected %r at position %d" % (kind, tok[2]))
+        return tok
+
+    def parse(self):
+        value = self.sum()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError("trailing input at position %d" % tok[2])
+        return value
+
+    def sum(self):
+        if self.peek()[0] == "-":
+            self.next()
+            value = -self.product()
+        else:
+            value = self.product()
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
+            rhs = self.product()
+            _check_degree(max(value.num.degree + rhs.den.degree,
+                              rhs.num.degree + value.den.degree,
+                              value.den.degree + rhs.den.degree))
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def product(self):
+        value = self.power()
+        while self.peek()[0] in ("*", "/"):
+            op = self.next()[0]
+            rhs = self.power()
+            _check_degree(value.weil_height() + rhs.weil_height())
+            if op == "*":
+                value = value * rhs
+            else:
+                if rhs.is_zero():
+                    raise ParseError("division by zero")
+                value = value / rhs
+        return value
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.next()
+            neg = False
+            if self.peek()[0] == "-":
+                self.next()
+                neg = True
+            tok = self.expect("int")
+            e = -tok[1] if neg else tok[1]
+            if e < 0 and base.is_zero():
+                raise ParseError("division by zero")
+            _check_degree(base.weil_height() * abs(e))
+            return base**e
+        return base
+
+    def atom(self):
+        tok = self.next()
+        if tok[0] == "int":
+            return RatFunc.const(self.field, tok[1] % self.field.order)
+        if tok[0] == "name":
+            if tok[1] != self.var:
+                raise ParseError("unknown symbol %s at position %d (variable is %r)"
+                                 % (quote(tok[1]), tok[2], self.var))
+            return RatFunc.x(self.field)
+        if tok[0] == "(":
+            value = self.sum()
+            self.expect(")")
+            return value
+        raise ParseError("unexpected token at position %d" % tok[2])
+
+
+def _outcome(parse, field, s):
+    try:
+        return parse(field, s)
+    except ParseError as exc:
+        return "ParseError: %s" % exc
+
+
+def _oracle_parse(field, s):
+    return _OracleParser(field, "t", s).parse()
+
+
+def _random_expression(rng, q, depth):
+    """A random expression over + - * / ^, with negative exponents, nested
+    parentheses, literals past q and subexpressions that are zero."""
+    def atom():
+        roll = rng.random()
+        if depth > 0 and roll < 0.3:
+            return "(%s)" % _random_expression(rng, q, depth - 1)
+        if roll < 0.4:
+            return rng.choice(["(t-t)", "0", str(q), "(%d*t-%d*t)" % (q, q)])
+        if roll < 0.7:
+            return str(rng.randrange(1, 2 * q + 2))
+        return "t"
+
+    def power():
+        a = atom()
+        if rng.random() < 0.3:
+            a += "^" + rng.choice(["-", ""]) + str(rng.randrange(0, 5))
+        return a
+
+    def product():
+        out = power()
+        for _ in range(rng.randrange(3)):
+            out += rng.choice("*/") + power()
+        return out
+
+    out = rng.choice(["-", ""]) + product()
+    for _ in range(rng.randrange(3)):
+        out += rng.choice("+-") + product()
+    return out
+
+
+# each is accepted or refused by the cap on the reduced operands, while the
+# unreduced ones bound the step past MAX_DEGREE; the monomial ones stay cheap
+# over F_4 and F_9, whose kernels are schoolbook
+CAP_CASES = [
+    "(t^2/t^2)^60000", "(t^2/t)^60000", "(t^2/t)^100001", "(t^3/t)^50001",
+    "(t^50000/t^50000)^3", "(t^99999-t^99999+1)^100000",
+    "(t^60000/t^60000)*t^60000", "t^60000/t^60000+t^60000/(t+1)",
+    "t^60000/t^10000+t^50000/t^50000", "t^60000/t^10000-t^50000/t^50000",
+    "t^50000/t^50000*t^99999", "t^99999/(t^50000/t^50000)",
+    "t^99999/(t^50000-t^50000)", "(t^40000/t^40000+1)^-70000",
+    "t^100000", "t^100001", "(t/t)^100001", "t^-100000",
+    "1/t^50000+1/t^50001", "1/t^50000-1/t^50000",
+]
+CAP_CASES_PRIME = [
+    "((t+1)^50000/(t+1)^50000)^3",
+    "(t+1)^50000/(t+1)^49999+t^99999",
+    "t^50001/(t+1)^50000+1/(t+2)^50000",
+]
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_parser_matches_ratfunc_arithmetic_oracle(p, k):
+    field = finite_field(p, k)
+    rng = random.Random(500 + 10 * p + k)
+    cases = [_random_expression(rng, field.order, 3) for _ in range(400)]
+    cases += CAP_CASES + (CAP_CASES_PRIME if k == 1 else [])
+    refused = 0
+    for s in cases:
+        want = _outcome(_oracle_parse, field, s)
+        assert _outcome(parse_ratfunc, field, s) == want, s
+        refused += isinstance(want, str)
+    # both kinds of outcome are exercised
+    assert 20 < refused < len(cases) - 100
+
+
+def test_degree_cap_reads_reduced_operands():
+    # accepted: the reduced base has height 0 (an unreduced one would pass
+    # the cap: 3 * 50000, and 100000 * 99999 when t^99999 is not cancelled)
+    for s in ("((t+1)^50000/(t+1)^50000)^3", "(t^99999-t^99999+1)^100000"):
+        x = R(F3, s)
+        assert x == RatFunc.one(F3) and x.weil_height() == 0
+    for s in ("(t^60000/t^60000)*t^60000", "t^60000/t^60000+t^60000/(t+1)"):
+        with pytest.raises(ParseError, match="degree up to 120000 exceeds "
+                                             "the cap MAX_DEGREE = %d" % MAX_DEGREE):
+            R(F3, s)
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3),
