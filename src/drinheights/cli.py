@@ -7,17 +7,25 @@ and command-specific arguments:
      "point": "1"}
 
 Every number printed is an exact fraction; --json switches to a
-machine-readable report with fractions rendered as strings.  Exit codes:
+machine-readable report with fractions rendered as strings, byte for byte
+json.dumps(report, indent=2, sort_keys=True), written by _json without
+json's pure-Python indenting encoder.  Only the report that is printed is
+formatted: the text lines are not built under --json.  Exit codes:
 0 ok, 1 property violation, 2 input error (a malformed job, or a module that
 is not monic or is isotrivial where the command needs otherwise), 3 degree
 budget exhausted, 4 internal error (any other exception).  An expression or
 a push to F_q(u) whose degree may pass ratfunc.MAX_DEGREE is malformed.
+
+main parses each distinct argv once per process (_args), so a caller that
+runs many jobs in one process with the same flags pays argparse once; the
+Namespace it returns is shared by those calls and only read.
 """
 
 import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from drinheights import verify as verify_mod
 from drinheights.drinfeld import DrinfeldModule
@@ -202,23 +210,58 @@ def _module(field, coeffs):
 
 
 class Report:
-    """Accumulates text lines and a JSON dict in one pass."""
+    """The report of one job: a JSON dict, and under text output the lines
+    to print."""
 
-    def __init__(self):
+    def __init__(self, as_json):
+        self.as_json = as_json
         self.lines = []
         self.data = {}
 
     def say(self, fmt, *args):
+        if self.as_json:
+            return
         self.lines.append(fmt % args if args else fmt)
 
     def put(self, key, value):
         self.data[key] = value
 
-    def emit(self, as_json):
-        if as_json:
-            print(json.dumps(self.data, indent=2, sort_keys=True))
-        else:
-            print("\n".join(self.lines))
+    def emit(self):
+        print(_json(self.data) if self.as_json else "\n".join(self.lines))
+
+
+def _json(value, pad="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    strings, None, bools, ints, floats, lists, tuples and string-keyed
+    dicts; anything else raises TypeError.  json runs its C encoder only
+    without indent, so this writer replaces its pure-Python one."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            [_json(v, inner) for v in value]) + pad + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(value[k], inner)
+             for k in sorted(value)]) + pad + "}")
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
 
 
 def _place_str(v, job):
@@ -482,7 +525,7 @@ COMMANDS = {
 }
 
 
-# built once: each parse_args call returns a fresh namespace
+# built once; _args parses each distinct argv with it once
 PARSER = argparse.ArgumentParser(
     prog="drinheights",
     description="Exact heights, reduction data and torsion bounds for "
@@ -498,10 +541,18 @@ PARSER.add_argument("--seed", type=int, default=None)
 PARSER.add_argument("--counts", type=int, default=None)
 
 
-def main(argv=None):
-    args = PARSER.parse_args(argv)
+@functools.lru_cache(maxsize=FIELD_MEMO)
+def _args(argv):
+    """PARSER's Namespace for the tuple `argv`.  A refused argv, or --help,
+    raises SystemExit, which is not kept, so its message prints on every
+    call."""
+    return PARSER.parse_args(argv)
 
-    rep = Report()
+
+def main(argv=None):
+    args = _args(tuple(sys.argv[1:] if argv is None else argv))
+
+    rep = Report(args.as_json)
     try:
         job = Job(load_job(args.job), args)
         if args.command == "verify":
@@ -518,10 +569,9 @@ def main(argv=None):
     except Exception as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         if args.as_json:
-            print(json.dumps({"error": "internal", "message": str(exc)},
-                             indent=2, sort_keys=True))
+            print(_json({"error": "internal", "message": str(exc)}))
         return 4
-    rep.emit(args.as_json)
+    rep.emit()
     return code
 
 

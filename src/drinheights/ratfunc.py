@@ -452,9 +452,10 @@ def _tokenize(s):
             try:
                 value = int(s[i:j])
             except ValueError:
-                # past Python's int-to-string digit limit
-                raise ParseError("integer literal %s at position %d has too "
-                                 "many digits" % (quote(s[i:j]), i)) from None
+                # past Python's int-to-string digit limit; named by its
+                # length, since the caller quotes the whole input
+                raise ParseError("integer literal of %d digits at position %d "
+                                 "has too many digits" % (j - i, i)) from None
             tokens.append(("int", value, i))
             i = j
         elif c.isalpha() or c == "_":

@@ -257,6 +257,18 @@ def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     assert len(err.encode()) < 300
 
 
+def test_long_literal_is_quoted_once(tmp_path, capsys):
+    # the point is quoted by the CLI; the parser names the literal by its
+    # length, so the 5000 digits are not quoted a second time
+    job = job_file(tmp_path, dict(CAR3, point=LONG_LITERAL))
+    code, out, err = run(capsys, ["height", job])
+    assert code == 2 and out == ""
+    assert err.count(quote(LONG_LITERAL)) == 1
+    assert "integer literal of 5000 digits at position 0 has too many " \
+        "digits" in err
+    assert len(err.encode()) < 200
+
+
 # pushes to F_q(u) that would take a degree past MAX_DEGREE: by the level's
 # index p^n (on a coefficient, on the point) or by the substitution's h(f)
 PUSHES = [
@@ -417,6 +429,45 @@ def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
     assert "inseparable level" not in plain[1] and "lehper" not in plain[1]
 
 
+def test_each_distinct_argv_is_parsed_once(tmp_path, capsys):
+    # argv is parsed once per process; a repeated argv is a memo hit and
+    # keeps its own settings, not those of the call before it
+    path = job_file(tmp_path, dict(CAR3, point="1"))
+    leveled = ["height", path, "--insep-level", "1", "--json"]
+    plain = ["height", path, "--json"]
+    first = [run(capsys, argv) for argv in (leveled, plain)]
+    reports = [json.loads(out) for _, out, _ in first]
+    assert [r["height"]["value"] for r in reports] == ["1/3", "1/3"]
+    assert "lehper" in reports[0] and "lehper" not in reports[1]
+    before = cli._args.cache_info()
+    assert [run(capsys, argv) for argv in (leveled, plain)] == first
+    after = cli._args.cache_info()
+    assert (after.hits - before.hits, after.misses) == (2, before.misses)
+
+
+def test_refused_argv_is_refused_on_every_call(capsys):
+    # SystemExit is not kept by the argv memo: the usage message and the
+    # exit code come back on each call
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["no-such-command", "-"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: drinheights") and "invalid choice" in err
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: drinheights")
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["drinheights", "lehmer",
+                                     job_file(tmp_path, CAR3), "--json"])
+    code, out, _ = run(capsys, None)
+    assert code == 0 and json.loads(out)["sharp"] == "1/27"
+
+
 def test_budget_exhaustion_exit_3(tmp_path, capsys, monkeypatch):
     def boom(*a, **k):
         raise BudgetExhaustedError("no certificate in budget")
@@ -513,6 +564,50 @@ def test_reports_are_deterministic(tmp_path, capsys):
     code1, out1, _ = run(capsys, ["height", path, "--json"])
     code2, out2, _ = run(capsys, ["height", path, "--json"])
     assert code1 == code2 == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("value", [
+    {"a": 1, "b": [1, 2, (3, 4)], "c": {"z": None, "y": True}, "d": False},
+    ["\u00e9t\u00e9", "\u2203x", "quote \" backslash \\ slash /",
+     "\x00\x1f\t\n\r\x7f", "\U0001d53d_q(t)"],
+    {"empty list": [], "empty dict": {}, "empty tuple": (),
+     "nested": [[[]], [{}], {"k": [{"j": ()}]}]},
+    [0, -1, 10**40, -(3**200), 1.5, -0.0, 1e300, float("inf")],
+    "1/3", None, True, 7, (), [], {},
+    {"\u00e9": 1, "Z": 2, "a": 3, "": 4, " ": 5},
+])
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), 1j,
+                                   [{"ok": [frozenset()]}]])
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+@pytest.mark.parametrize("command, job, flags", [
+    ("reduction", RANK2_BAD, []),
+    ("height", dict(CAR3, point="(t^2+1)/t",
+                    substitution={"u_image_of_t": "u^2"}), []),
+    ("height", dict(CAR3, point="u"), ["--insep-level", "1"]),
+    ("local-height", LOCAL_AT_LEVEL, ["--insep-level", "1"]),
+    ("torsion", PSI2, []),
+    ("kernel", dict(PSI2, b="t^2+t"), []),
+    ("lehmer", CAR3, []),
+    ("insep-height", dict(CAR3, point="1/(u+1)"), []),
+    ("dichotomy", dict(PSI2, point="t"), []),
+    ("verify", dict(PSI2, seed=0, counts=5), []),
+])
+def test_json_report_is_json_dumps_indent_2(command, job, flags, tmp_path,
+                                            capsys):
+    code, out, _ = run(capsys, [command, job_file(tmp_path, job), "--json"]
+                       + flags)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_stdin_job(capsys, monkeypatch):
