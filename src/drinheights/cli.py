@@ -34,9 +34,11 @@ from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
 from drinheights.gf import (FIELD_MEMO, FieldError, ResidueFieldError,
                             finite_field)
 from drinheights.heights import (frac, global_height_breakdown, height_sum,
-                                 lehmer_bounds, local_height, check_t2mwg)
+                                 height_via_embedding, lehmer_bounds,
+                                 local_height, check_t2mwg)
 from drinheights.perfect import _lehper_at, insep_level, key_dichotomy_check
-from drinheights.places import FinitePlace, InfinitePlace
+from drinheights.places import (FinitePlace, InfinitePlace,
+                                SubstitutionEmbedding)
 from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
                                  parse_ratfunc)
 from drinheights.torsion import (annihilator_of, kernel_in_K,
@@ -335,8 +337,6 @@ def cmd_height(job, rep):
     level, x, parts, total = _height_core(job, rep)
     sub = job.data.get("substitution")
     if sub is not None and level.n == 0:
-        from drinheights.heights import height_via_embedding
-        from drinheights.places import SubstitutionEmbedding
         try:
             image = parse_ratfunc(job.field, sub["u_image_of_t"], var="u")
             emb = SubstitutionEmbedding(image)
@@ -409,14 +409,25 @@ def cmd_torsion(job, rep):
         rep.put("constants_only", True)
         return 0
     lattice = torsion_lattice(mod)
-    B = lattice.B
     rep.say("D = r N_phi |S| = %d", lattice.D)
     rep.say("m = min(D, n) = %d (n: dimension of the pole lattice)", lattice.m)
-    rep.say("B = prod_{k<=m} (t^(q^k) - t) = %s (degree %d)",
-            B.to_string(), B.degree)
     rep.put("D", lattice.D)
     rep.put("m", lattice.m)
-    rep.put("B", B.to_string())
+    # deg B = q + q^2 + ... + q^m, summed until it passes the cap: B is
+    # expanded for this report alone, and only within MAX_DEGREE
+    q, deg, k = mod.field.order, 0, 0
+    while k < lattice.m and deg <= MAX_DEGREE:
+        k += 1
+        deg += q**k
+    if deg <= MAX_DEGREE:
+        B = lattice.B
+        rep.say("B = prod_{k<=m} (t^(q^k) - t) = %s (degree %d)",
+                B.to_string(), B.degree)
+        rep.put("B", B.to_string())
+    else:
+        rep.say("B = prod_{k<=m} (t^(q^k) - t) (degree > MAX_DEGREE = %d, "
+                "not expanded)", MAX_DEGREE)
+        rep.put("B", None)
     points = torsion_enumerate(mod)
     rep.say("torsion module (%d points):", len(points))
     rep.put("torsion", [])

@@ -7,10 +7,10 @@ is represented as 0/1.  Factorization into irreducibles (squarefree split +
 distinct degree + Cantor-Zassenhaus equal degree) is the engine behind the
 finite places of F_q(t).
 
-Text such as "(t^2+1)/t^3" is parsed by :func:`parse_ratfunc`, which
-evaluates on plain coefficient lists through the field's kernels, not
-through Poly and RatFunc objects, and reduces once per expression, at the
-end.
+Poly's arithmetic and the parser share one set of kernels on coefficient
+lists (_add, _neg, _scale, _mul, _pow).  Text such as "(t^2+1)/t^3" is
+parsed by :func:`parse_ratfunc`, which evaluates on plain coefficient lists
+through those kernels and reduces once per expression, at the end.
 """
 
 import random
@@ -23,6 +23,58 @@ NEG_INF = float("-inf")
 # bytes such as "t^100000000" must not ask for a huge power (a height job on
 # t^100000 takes about a second)
 MAX_DEGREE = 100_000
+
+
+# --- kernels on coefficient sequences ---
+# Poly's operators and the parser share these.  Each takes the field and
+# trimmed lists or tuples of coefficients and returns a list, or one of its
+# arguments as it stands; only _add can leave zeros on top.
+
+def _add(field, a, b):
+    """a + b, untrimmed: the top coefficients may cancel."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = field.add(out[i], c)
+    return out
+
+
+def _neg(field, a):
+    return [field.neg(c) for c in a]
+
+
+def _scale(field, a, c):
+    """c * a for the field element with encoding c."""
+    return [field.mul(c, x) for x in a] if c else []
+
+
+def _mul(field, a, b):
+    """a * b: a factor 1 gives the other factor, another constant scales."""
+    if len(a) == 1:
+        return b if a[0] == 1 else _scale(field, b, a[0])
+    if len(b) == 1:
+        return a if b[0] == 1 else _scale(field, a, b[0])
+    return field.poly_mul(a, b)
+
+
+def _pow(field, a, e):
+    """a**e for e >= 0: a monomial c*t^j, such as t itself, is written out,
+    anything else is squared and multiplied."""
+    if e == 0:
+        return [1]
+    if not a:
+        return a
+    if not any(a[:-1]):
+        return [0] * ((len(a) - 1) * e) + [field.pow_(a[-1], e)]
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else _mul(field, result, a)
+        e >>= 1
+        if e:
+            a = _mul(field, a, a)
+    return result
 
 
 class Poly:
@@ -89,46 +141,30 @@ class Poly:
         return (len(self.coeffs), self.coeffs)
 
     def __add__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        return Poly(self.field, _add(self.field, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         f = self.field
-        out = [f.neg(c) for c in other.coeffs]
-        if len(out) < len(self.coeffs):
-            out.extend([0] * (len(self.coeffs) - len(out)))
-        for i, c in enumerate(self.coeffs):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        return Poly(f, _add(f, self.coeffs, _neg(f, other.coeffs)))
 
     def __neg__(self):
-        return Poly(self.field, [self.field.neg(c) for c in self.coeffs])
+        return Poly(self.field, _neg(self.field, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.field.char
-            return self.scale(c)
+            return self.scale(other % self.field.char)
         # Poly is immutable, so a factor 1 can hand back the other factor
         if self.coeffs == (1,):
             return other
         if other.coeffs == (1,):
             return self
-        return Poly(self.field, self.field.poly_mul(list(self.coeffs), list(other.coeffs)))
+        return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, c):
         """Multiply by the field element with encoding c."""
-        if c == 0:
-            return Poly.zero(self.field)
-        f = self.field
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
+        return Poly(self.field, _scale(self.field, self.coeffs, c))
 
     def __divmod__(self, other):
         q, r = self.field.poly_divmod(list(self.coeffs), list(other.coeffs))
@@ -143,15 +179,7 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return Poly(self.field, _pow(self.field, self.coeffs, e))
 
     def gcd(self, other):
         return Poly(self.field, self.field.poly_gcd(list(self.coeffs), list(other.coeffs)))
@@ -362,19 +390,14 @@ class RatFunc:
 
     def __truediv__(self, other):
         if isinstance(other, int):
-            c = pow(other % self.field.char, -1, self.field.char)
-            return self.scale(c)
+            return self.scale(self.field.inv(other % self.field.char))
         return self * other.inverse()
 
     def __pow__(self, e):
         if e < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            # gcd(num, den) = 1 gives gcd(den^k, num^k) = 1: only the new
-            # denominator's leading coefficient needs making 1
-            num, den = self.den**(-e), self.num**(-e)
-            inv = self.field.inv(den.lc)
-            return RatFunc(num.scale(inv), den.scale(inv), _reduced=True)
+            # the inverse is reduced with a monic denominator, and so are
+            # its powers
+            return self.inverse()**-e
         return RatFunc(self.num**e, self.den**e, _reduced=True) if e != 1 else self
 
     def scale(self, c):
@@ -543,45 +566,6 @@ class _Parser:
         field = self.field
         return RatFunc(Poly(field, num), Poly(field, den), _reduced=den == [1])
 
-    # --- list kernels ---
-
-    def _add(self, a, b):
-        f = self.field
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return _trim(out)
-
-    def _scale(self, a, c):
-        f = self.field
-        return [f.mul(c, x) for x in a]
-
-    def _mul(self, a, b):
-        if len(a) == 1:
-            return b if a[0] == 1 else self._scale(b, a[0])
-        if len(b) == 1:
-            return a if b[0] == 1 else self._scale(a, b[0])
-        return self.field.poly_mul(a, b)
-
-    def _pow(self, a, e):
-        if e == 0:
-            return [1]
-        if not a:
-            return a
-        if not any(a[:-1]):
-            # a monomial c*t^j, such as t itself, is written out directly
-            return [0] * ((len(a) - 1) * e) + [self.field.pow_(a[-1], e)]
-        result = None
-        while e:
-            if e & 1:
-                result = a if result is None else self._mul(result, a)
-            e >>= 1
-            if e:
-                a = self._mul(a, a)
-        return result
-
     def _reduce(self, value):
         x = self._ratfunc(value)
         return list(x.num.coeffs), list(x.den.coeffs)
@@ -600,11 +584,11 @@ class _Parser:
     # --- grammar ---
 
     def sum(self):
+        f = self.field
         if self.peek()[0] == "-":
             self.next()
             num, den = self.product()
-            f = self.field
-            value = ([f.neg(c) for c in num], den)
+            value = (_neg(f, num), den)
         else:
             value = self.product()
         while (op := self.peek()[0]) in ("+", "-"):
@@ -612,17 +596,17 @@ class _Parser:
             rhs = self.product()
             (an, ad), (bn, bd) = self._fit(_sum_bound, value, rhs)
             if op == "-":
-                f = self.field
-                bn = [f.neg(c) for c in bn]
+                bn = _neg(f, bn)
             if ad == bd:
-                num, den = self._add(an, bn), ad
+                num, den = _trim(_add(f, an, bn)), ad
             else:
-                num = self._add(self._mul(an, bd), self._mul(bn, ad))
-                den = self._mul(ad, bd)
+                num = _trim(_add(f, _mul(f, an, bd), _mul(f, bn, ad)))
+                den = _mul(f, ad, bd)
             value = (num, den) if num else _ZERO
         return value
 
     def product(self):
+        f = self.field
         value = self.power()
         while (op := self.peek()[0]) in ("*", "/"):
             self.next()
@@ -632,7 +616,7 @@ class _Parser:
                 if not bn:
                     raise ParseError("division by zero")
                 bn, bd = bd, bn
-            value = (self._mul(an, bn), self._mul(ad, bd)) if an and bn else _ZERO
+            value = (_mul(f, an, bn), _mul(f, ad, bd)) if an and bn else _ZERO
         return value
 
     def power(self):
@@ -674,19 +658,19 @@ class _Parser:
         num, den = base
         if neg:
             num, den = den, num
-        return self._pow(num, e), self._pow(den, e)
+        return _pow(self.field, num, e), _pow(self.field, den, e)
 
 
 def parse_ratfunc(field, s, var="t"):
     """Parse strings like "t^2+2*t+1" or "(t^2+1)/t^3" into a RatFunc.
 
     Each subexpression is evaluated as an unreduced pair of coefficient
-    lists (num, den) through the field's kernels: a power of t is written
-    out, a constant factor scales, and a sum over one denominator adds the
-    numerators.  The result is reduced once, at the end, and not at all
-    when its denominator is 1.  Every degree check of MAX_DEGREE reads the
-    reduced operands' bound (see _Parser._fit), so the cap refuses exactly
-    what it would refuse if every step were reduced.  Parentheses nested
+    lists (num, den) through the list kernels that Poly shares: a power of
+    t is written out, a constant factor scales, and a sum over one
+    denominator adds the numerators.  The result is reduced once, at the
+    end, and not at all when its denominator is 1.  Every degree check of
+    MAX_DEGREE reads the reduced operands' bound (see _Parser._fit), so the
+    cap refuses exactly what it would refuse if every step were reduced.  Parentheses nested
     more than MAX_NESTING levels deep are refused.
     """
     return _Parser(field, var, s).parse()

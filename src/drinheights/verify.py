@@ -13,9 +13,10 @@ from fractions import Fraction
 
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.gf import finite_field
-from drinheights.heights import (global_height, height_via_embedding,
-                                 local_height)
-from drinheights.perfect import insep_height
+from drinheights.heights import (global_height, global_height_breakdown,
+                                 height_sum, height_via_embedding,
+                                 lehmer_bounds, local_height)
+from drinheights.perfect import insep_height, insep_level
 from drinheights.places import (FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, extend_places, poles,
                                 support)
@@ -336,8 +337,6 @@ def check_isotrivial_decay(rng, count, modules):
 
 def check_lehper_floor(rng, count, modules):
     """Carlitz q=3 non-torsion points at levels <= 2 beat the uniform floor."""
-    from drinheights.heights import lehmer_bounds
-    from drinheights.perfect import insep_level
     F3 = finite_field(3)
     mod = DrinfeldModule(F3, [parse_ratfunc(F3, "t"), parse_ratfunc(F3, "1")])
     bound = lehmer_bounds(mod).lehper
@@ -349,7 +348,6 @@ def check_lehper_floor(rng, count, modules):
         if annihilator_of(level.pushed, y) is not None:
             continue
         done += 1
-        from drinheights.heights import global_height_breakdown, height_sum
         h = height_sum(global_height_breakdown(level.pushed, y,
                                                index=level.index))
         if not h.is_exact:

@@ -666,11 +666,16 @@ SLOW_TORSION_JOBS = [
          {"point": "(t^41+1)/t^40", "annihilator": "t"},
          {"point": "(t^41+t^40+1)/t^40", "annihilator": "t+1"}]}),
     ("kernel", dict(PSI2, b="t^600+t^2+t"), {"kernel": ["0", "t"]}),
+    # m = 9 over F_9: deg B = 9 + 81 + ... + 9^9 = 435848049, not expanded
+    ("torsion", {"field": {"p": 3, "k": 2},
+                 "module": {"coefficients": ["t", "1/(t*(t+1))^300", "1"]}},
+     {"m": 9, "B": None, "torsion": [{"point": "0", "annihilator": "1"}]}),
 ]
 
 
 @pytest.mark.parametrize("command, job, expect", SLOW_TORSION_JOBS,
-                         ids=["n11", "enumerate", "kernel-deg-600"])
+                         ids=["n11", "enumerate", "kernel-deg-600",
+                              "B-past-cap"])
 def test_torsion_jobs_finish_in_seconds(command, job, expect):
     # a fresh interpreter, so nothing is kept from other tests, and a
     # timeout, so a slow build fails instead of hanging
@@ -685,6 +690,31 @@ def test_torsion_jobs_finish_in_seconds(command, job, expect):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert {key: data[key] for key in expect} == expect
+
+
+@pytest.mark.parametrize("pole, m, degree", [(56, 10, 88572),
+                                              (61, 11, None)])
+def test_torsion_report_expands_B_within_the_cap(tmp_path, capsys, pole, m,
+                                                 degree):
+    # over F_3, deg B = 3 + 9 + ... + 3^m is 88572 at m = 10 and 265719,
+    # past MAX_DEGREE, at m = 11
+    job = job_file(tmp_path, {"field": {"p": 3}, "module": {
+        "coefficients": ["t", "1/(t*(t+1)^%d)" % pole, "1"]}})
+    code, out, _ = run(capsys, ["torsion", job])
+    assert code == 0
+    assert "m = min(D, n) = %d " % m in out
+    if degree is None:
+        assert ("B = prod_{k<=m} (t^(q^k) - t) (degree > MAX_DEGREE = "
+                "100000, not expanded)\n") in out
+    else:
+        assert "= t^%d+" % degree in out
+        assert "(degree %d)\n" % degree in out
+    code, out, _ = run(capsys, ["torsion", job, "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["m"] == m
+    assert (data["B"] is None) == (degree is None)
+    assert data["torsion"] == [{"point": "0", "annihilator": "1"}]
 
 
 # S = {v[t], v[t+1], v_inf}: the perfect-closure floor is 1/3^14550, whose

@@ -197,10 +197,11 @@ def test_deep_nesting_and_non_ascii_digits_are_parse_errors():
             R(F3, s)
 
 
-@pytest.mark.parametrize("p, k", [(3, 1), (2, 2)])
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (2, 1), (3, 2)])
 def test_negative_power_matches_reducing_constructor(p, k):
     field = finite_field(p, k)
     rng = random.Random(40 + p + k)
+    xs = []
     for _ in range(150):
         num = Poly(field, [rng.randrange(field.order)
                            for _ in range(rng.randint(1, 5))])
@@ -208,12 +209,97 @@ def test_negative_power_matches_reducing_constructor(p, k):
                            for _ in range(rng.randint(1, 5))])
         if not num or not den:
             continue
-        x = RatFunc(num, den)
+        xs.append(RatFunc(num, den))
+    # constants, c*t^j and their inverses, with the largest c
+    c = field.order - 1
+    xs += [RatFunc.const(field, c), R(field, "%d*t^3" % c),
+           R(field, "1/(%d*t^2)" % c), R(field, "%d*t/(t+1)" % c)]
+    for x in xs:
         for e in (1, 2, 3, 5):
             got = x**-e
             want = RatFunc(x.den**e, x.num**e)
             assert (got.num, got.den) == (want.num, want.den)
             assert got.den.is_monic()
+    with pytest.raises(ZeroDivisionError):
+        RatFunc.zero(field)**-1
+
+
+# --- Poly's arithmetic against schoolbook definitions on coefficient lists,
+# through the field's element operations alone
+
+def school_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def school_add(field, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return school_trim([field.add(x, y) for x, y in zip(a, b)])
+
+
+def school_neg(field, a):
+    return [field.neg(x) for x in a]
+
+
+def school_mul(field, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return school_trim(out)
+
+
+def school_pow(field, a, e):
+    out = [1]
+    for _ in range(e):
+        out = school_mul(field, out, a)
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_poly_arithmetic_matches_schoolbook(p, k):
+    field = finite_field(p, k)
+    q = field.order
+    rng = random.Random(70 + q)
+    # zero, 1, every other constant, monomials c*t^j (c != 1 where the
+    # field has one), and dense polynomials with a nonzero top
+    pool = [[], [1]] + [[c] for c in range(2, q)]
+    for j in (1, 2, 5):
+        pool.append([0] * j + [q - 1])
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        pool.append([rng.randrange(q) for _ in range(n - 1)]
+                    + [rng.randrange(1, q)])
+    for a in pool:
+        f = Poly(field, a)
+        assert (-f).coeffs == tuple(school_neg(field, a))
+        assert (f + (-f)).coeffs == ()
+        for c in range(q):
+            assert f.scale(c).coeffs == tuple(school_mul(field, [c], a))
+        for b in rng.sample(pool, 12) + [[], [1], a]:
+            g = Poly(field, b)
+            assert (f + g).coeffs == tuple(school_add(field, a, b))
+            assert (f - g).coeffs == tuple(
+                school_add(field, a, school_neg(field, b)))
+            assert (f * g).coeffs == tuple(school_mul(field, a, b))
+        top = 50 if sum(map(bool, a)) <= 1 else 6
+        for e in range(top + 1):
+            assert (f**e).coeffs == tuple(school_pow(field, a, e))
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 2)])
+def test_division_by_an_integer(p, k):
+    field = finite_field(p, k)
+    x = R(field, "(t^2+1)/(t+2)")
+    for c in (0, p, 2 * p):
+        with pytest.raises(ZeroDivisionError):
+            x / c
+    for c in (2, p + 2, -1):
+        assert x / c == x * RatFunc.const(field, c % p).inverse()
+        assert (x / c) * c == x
 
 
 def test_pow_q_spreads():
