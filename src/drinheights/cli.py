@@ -281,20 +281,23 @@ def _height_json(h):
 def cmd_reduction(job, rep):
     mod = job.at_level().pushed
     S = mod.bad_reduction_set()
-    rep.put("S", [_place_str(v, job) for v in S])
+    names = [_place_str(v, job) for v in S]
+    rep.put("S", names)
     rep.put("N_phi", mod.N_phi)
-    rep.say("bad reduction set S: %s",
-            "{" + ", ".join("%s (degree %d)" % (_place_str(v, job), v.degree)
-                            for v in S) + "}" if S else "empty")
+    if not rep.as_json:
+        rep.say("bad reduction set S: %s",
+                "{" + ", ".join("%s (degree %d)" % (name, v.degree)
+                                for name, v in zip(names, S)) + "}"
+                if S else "empty")
     rep.say("N_phi = %d, r = %d, q = %d", mod.N_phi, mod.r, mod.q)
     if not S:
         rep.say("S empty; torsion = F_q (the constants)")
         rep.put("torsion", "constants")
         return 0
     rep.put("places", [])
-    for v in S:
+    for name, v in zip(names, S):
         rd = mod.reduction_data(v)
-        entry = {"place": _place_str(v, job), "M": frac(rd.M), "T": frac(rd.T),
+        entry = {"place": name, "M": frac(rd.M), "T": frac(rd.T),
                  "newton_slopes": [frac(seg[2]) for seg in rd.newton]}
         rep.data["places"].append(entry)
         rep.say("")
@@ -320,12 +323,13 @@ def _height_core(job, rep):
         rep.say("inseparable level %d: t = u^%d", level.n, level.index)
     parts = global_height_breakdown(level.pushed, x, level.index)
     total = height_sum(parts)
-    rep.put("point", x.to_string(var))
+    point = x.to_string(var)
+    rep.put("point", point)
     rep.put("local", [])
     for v, h in parts:
-        rep.say("  h_%s(%s) = %s  [%s]", v.to_string(var), x.to_string(var),
-                h, h.certificate)
-        entry = {"place": v.to_string(var)}
+        place = v.to_string(var)
+        rep.say("  h_%s(%s) = %s  [%s]", place, point, h, h.certificate)
+        entry = {"place": place}
         entry.update(_height_json(h))
         rep.data["local"].append(entry)
     rep.say("global height = %s", total)
@@ -346,10 +350,11 @@ def cmd_height(job, rep):
                    % (quote(sub["u_image_of_t"]), emb.degree), emb.degree,
                    *level.module.coeffs, x)
         h2 = height_via_embedding(level.module, emb, x)
-        agree = (total.is_exact and h2.is_exact
-                 and total.value == h2.value)
-        rep.say("height via t -> %s: %s%s", image.to_string("u"), h2,
-                "  (agrees)" if agree else "")
+        if not rep.as_json:
+            agree = (total.is_exact and h2.is_exact
+                     and total.value == h2.value)
+            rep.say("height via t -> %s: %s%s", image.to_string("u"), h2,
+                    "  (agrees)" if agree else "")
         rep.put("embedding_height", _height_json(h2))
     bounds = lehmer_bounds(level.module)
     rep.put("bounds", {"sharp": frac(bounds.sharp), "weak": frac(bounds.weak),
@@ -359,32 +364,28 @@ def cmd_height(job, rep):
     if level.n:
         report = _lehper_at(level, x, parts)
         if report.torsion:
-            rep.say("torsion point, annihilator b = %s",
-                    report.annihilator.to_string())
-            rep.put("torsion", report.annihilator.to_string())
+            b = report.annihilator.to_string()
+            rep.say("torsion point, annihilator b = %s", b)
+            rep.put("torsion", b)
         else:
-            rep.say("lehper bound %s: %s > %s: PASS", frac(report.bound),
-                    total, frac(report.bound))
-            rep.put("lehper", {"bound": frac(report.bound),
-                               "margin": frac(report.margin)})
+            bound = frac(report.bound)
+            rep.say("lehper bound %s: %s > %s: PASS", bound, total, bound)
+            rep.put("lehper", {"bound": bound, "margin": frac(report.margin)})
         return 0
     cert = check_t2mwg(level.module, x, parts=parts)
     if cert.kind == "constant":
         rep.say("constant point (torsion = constants since S is empty)")
         rep.put("certificate", {"kind": "constant"})
     elif cert.kind == "torsion":
-        rep.say("torsion point, annihilator b = %s",
-                cert.annihilator.to_string())
-        rep.put("certificate", {"kind": "torsion",
-                                "b": cert.annihilator.to_string()})
+        b = cert.annihilator.to_string()
+        rep.say("torsion point, annihilator b = %s", b)
+        rep.put("certificate", {"kind": "torsion", "b": b})
     else:
+        entry = {"kind": "witness", "place": cert.place.to_string(),
+                 "local": frac(cert.local), "bound": frac(cert.bound)}
         rep.say("witness %s: local height %s > bound %s: PASS",
-                cert.place.to_string(), frac(cert.local),
-                frac(cert.bound))
-        rep.put("certificate", {"kind": "witness",
-                                "place": cert.place.to_string(),
-                                "local": frac(cert.local),
-                                "bound": frac(cert.bound)})
+                entry["place"], entry["local"], entry["bound"])
+        rep.put("certificate", entry)
     return 0
 
 
@@ -393,9 +394,11 @@ def cmd_local_height(job, rep):
     level = job.at_level(x)
     v = job.place()
     h = local_height(level.pushed, v, x, level.index)
-    rep.say("h_%s(%s) = %s  [%s]", _place_str(v, job),
-            x.to_string(job.point_var), h, h.certificate)
-    rep.put("place", _place_str(v, job))
+    place = _place_str(v, job)
+    if not rep.as_json:
+        rep.say("h_%s(%s) = %s  [%s]", place, x.to_string(job.point_var), h,
+                h.certificate)
+    rep.put("place", place)
     rep.put("height", _height_json(h))
     return 0
 
@@ -403,9 +406,9 @@ def cmd_local_height(job, rep):
 def cmd_torsion(job, rep):
     mod = job.module()
     if not mod.bad_reduction_set():
-        rep.say("S empty; torsion = F_q = {%s}",
-                ", ".join(str(c) for c in mod.field.elements()))
-        rep.put("torsion", [str(c) for c in mod.field.elements()])
+        elements = [str(c) for c in mod.field.elements()]
+        rep.say("S empty; torsion = F_q = {%s}", ", ".join(elements))
+        rep.put("torsion", elements)
         rep.put("constants_only", True)
         return 0
     lattice = torsion_lattice(mod)
@@ -432,10 +435,11 @@ def cmd_torsion(job, rep):
     rep.say("torsion module (%d points):", len(points))
     rep.put("torsion", [])
     for x in points:
-        b = annihilator_of(mod, x)
-        rep.say("  %s  (minimal annihilator %s)", x.to_string(), b.to_string())
-        rep.data["torsion"].append({"point": x.to_string(),
-                                    "annihilator": b.to_string()})
+        entry = {"point": x.to_string(),
+                 "annihilator": annihilator_of(mod, x).to_string()}
+        rep.say("  %s  (minimal annihilator %s)", entry["point"],
+                entry["annihilator"])
+        rep.data["torsion"].append(entry)
     return 0
 
 
@@ -444,13 +448,13 @@ def cmd_kernel(job, rep):
     b = job.poly("b")
     if b.is_zero():
         raise InputError("kernel of phi_0 is everything")
-    roots = kernel_in_K(mod, b)
-    rep.say("kernel of phi_b for b = %s: %d rational roots",
-            b.to_string(), len(roots))
+    roots = [x.to_string() for x in kernel_in_K(mod, b)]
+    b = b.to_string()
+    rep.say("kernel of phi_b for b = %s: %d rational roots", b, len(roots))
     for x in roots:
-        rep.say("  %s", x.to_string())
-    rep.put("b", b.to_string())
-    rep.put("kernel", [x.to_string() for x in roots])
+        rep.say("  %s", x)
+    rep.put("b", b)
+    rep.put("kernel", roots)
     return 0
 
 
@@ -484,24 +488,26 @@ def cmd_dichotomy(job, rep):
     level = job.at_level(x)
     report = key_dichotomy_check(level.module, level.n, x)
     if report.branch == 1:
-        rep.say("branch 1: h_%s(x) = %s >= threshold %s",
-                report.place.to_string(job.point_var), frac(report.local),
-                frac(report.threshold))
+        place = report.place.to_string(job.point_var)
+        local, threshold = frac(report.local), frac(report.threshold)
+        rep.say("branch 1: h_%s(x) = %s >= threshold %s", place, local,
+                threshold)
         rep.put("branch", 1)
-        rep.put("place", report.place.to_string(job.point_var))
-        rep.put("local", frac(report.local))
-        rep.put("threshold", frac(report.threshold))
+        rep.put("place", place)
+        rep.put("local", local)
+        rep.put("threshold", threshold)
     else:
-        rep.say("branch 2: b = %s pushes x above every T_v",
-                report.b.to_string())
-        for v, val in report.valuations:
-            rep.say("  v = %s: v(phi_b(x)) = %s > T_v = %s",
-                    v.to_string(job.point_var), frac(val),
-                    frac(report.level.pushed.reduction_data(v).T))
+        b = report.b.to_string()
+        rows = [[v.to_string(job.point_var), frac(val)]
+                for v, val in report.valuations]
+        if not rep.as_json:
+            rep.say("branch 2: b = %s pushes x above every T_v", b)
+            for (v, _), (place, val) in zip(report.valuations, rows):
+                rep.say("  v = %s: v(phi_b(x)) = %s > T_v = %s", place, val,
+                        frac(report.level.pushed.reduction_data(v).T))
         rep.put("branch", 2)
-        rep.put("b", report.b.to_string())
-        rep.put("valuations", [[v.to_string(job.point_var), frac(val)]
-                               for v, val in report.valuations])
+        rep.put("b", b)
+        rep.put("valuations", rows)
     return 0
 
 

@@ -1,34 +1,54 @@
 """Canonical local and global heights for a monic Drinfeld module.
 
-The local height at v is -d(v) lim min{0, v(phi_{t^n}(x))} / q^(rn).  The
-limit is resolved exactly by iterating phi_t: once v(y_n) drops below
-min{0, M_v} the valuation multiplies by exactly q^r each step (so the limit
-is read off at step n); once v(y_n) reaches the floor lambda*_v of the
-phi_t-stable balls {v(y) >= lambda} (ReductionData.stable_floor, built
-once per place; 0 at a good-reduction place) the orbit is bounded and the
-height is 0; a torsion certificate also gives 0.
+The local height at v is -d(v) lim min{0, v(phi_{t^n}(x))} / q^(rn).
+
+At a place v outside the bad set S it is read off in closed form:
+hhat_v(x) = d(v) max(0, -v(x)), certified at step 0 (_good_height).  There
+every v(a_i) >= 0 and a_r = 1, so min{0, M_v} = 0 and the stable floor
+lambda*_v is 0: the walk below would stop at once, escaping when v(x) < 0
+and in the stable ball otherwise.  So no reduction data is built and
+nothing is iterated at a good place.
+
+At a place of S the limit is resolved exactly by iterating phi_t: once
+v(y_n) drops below min{0, M_v} the valuation multiplies by exactly q^r each
+step (so the limit is read off at step n); once v(y_n) reaches the floor
+lambda*_v of the phi_t-stable balls {v(y) >= lambda}
+(ReductionData.stable_floor, built once per place) the orbit is bounded and
+the height is 0; a torsion certificate also gives 0.
 
 There is one budget, DEGREE_CAP on the Weil height of the iterates, and one
 rule applies it (next_iterate_fits, which the key dichotomy's walk also
 reads): a walk builds phi_t(y) only while h(y) q^r is within the cap.  The
 iterate built may still pass the cap by at most the largest coefficient
 height, and the rule ends every walk that no certificate ends first.  A
-torsion point is certified before the walk at a bad place; at a good place
-the floor is 0 and a torsion point has no pole there, so it stops at step
-0.  Every other point is non-torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
+torsion point is certified before the walk.  Every other point is
+non-torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
 hhat(x) >= q^(-2r - r^2 N |S|)), and the Weil height of phi_t^n(x) grows
 like hhat(x) q^(rn) until it passes the cap.  There the answer is the sound
 interval [0, -d(v) lambda / q^(rn)] instead of a guess.
 
-All heights are exact Fractions; no floating point enters the computation,
-and every one is printed in full (frac).
+The global height sums the local heights over S and the poles of x
+outside S; everywhere else hhat_v(x) = 0.  The good poles are the factors
+of den', the denominator of x with every finite place of S divided out,
+and infinity when it is outside S and deg num > deg den.  The per-place
+breakdown (global_height_breakdown) factors den' alone, never the whole
+denominator; the total (global_height) factors nothing, since the good
+poles add up to (deg den' + [inf not in S] max(0, deg num - deg den)) / [L:K].
+
+Heights are exact: each bound is an int or a Fraction, never a float
+(HeightValue refuses one).  A value that is an integer by construction
+stays an int: 0, and a good place's closed form at index 1.  Every other
+value, and every total (height_sum and global_height start from
+Fraction(0)), is a Fraction, so a total divided by an int stays exact.
+Every height is printed in full (frac).
 """
 
 from fractions import Fraction
 
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
-from drinheights.places import INFINITY, poles
+from drinheights.places import INFINITY, InfinitePlace, poles
+from drinheights.ratfunc import Poly, RatFunc, _divide_out
 from drinheights.torsion import _gap_degree, annihilator_of
 
 # iterates beyond this degree force the sound interval fallback; the bound
@@ -57,7 +77,8 @@ def frac(x):
     """
     if x is INFINITY:
         return "+inf"
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     try:
         return str(x)
     except ValueError:
@@ -80,17 +101,23 @@ def _decimal(n):
 
 
 class HeightValue:
-    """Exact rational height, or a certified interval [lo, hi]."""
+    """Exact rational height, or a certified interval [lo, hi]; lo and hi
+    are ints or Fractions, kept as given."""
 
     __slots__ = ("lo", "hi", "certificate", "step")
 
     def __init__(self, lo, hi, certificate, step=None):
+        # internal guards, not input checks: cli exits 4 on them; a float
+        # here is an int / int division somewhere
+        if not (isinstance(lo, (int, Fraction))
+                and isinstance(hi, (int, Fraction))):
+            raise AssertionError("height bounds %r, %r are not exact"
+                                 % (lo, hi))
         if lo < 0 or hi < lo:
-            # an internal guard, not an input check: cli exits 4 on it
             raise AssertionError("invalid height interval [%s, %s]"
                                  % (frac(lo), frac(hi)))
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
+        self.lo = lo
+        self.hi = hi
         self.certificate = certificate
         self.step = step
 
@@ -144,26 +171,27 @@ def next_iterate_fits(module, y):
 def local_height(module, place, x, index=1):
     """hhat_v(x), exact whenever a certificate fires within DEGREE_CAP.
 
-    The iterates y_n = phi_t^n(x) are walked until one escapes below
-    min{0, M_v} (Escaped, the exact limit) or lands in the stable ball
-    v(y) >= lambda*_v (GoodReductionIntegral, exactly 0); a torsion point at
-    a bad place is 0 at once.  Otherwise the walk stops when the next iterate
-    would pass DEGREE_CAP, which every non-torsion orbit does (see the module
-    docstring), and the answer is the interval
+    Outside S the closed form decides at step 0 (_good_height).  At a place
+    of S a torsion point is 0 at once; otherwise the iterates
+    y_n = phi_t^n(x) are walked until one escapes below min{0, M_v}
+    (Escaped, the exact limit) or lands in the stable ball v(y) >= lambda*_v
+    (GoodReductionIntegral, exactly 0), or until the next iterate would pass
+    DEGREE_CAP, which every non-torsion orbit does (see the module
+    docstring); the answer is then the interval
     [0, -d(v) min{0, M_v} / q^(rn)].
 
     For a module over an extension L of K, `index` = [L:K] and the place
     counts with its coherent degree d(v) / [L:K].
     """
-    module._require_monic()
-    degree = Fraction(place.degree, index)
+    if place not in module.bad_reduction_set():
+        return _good_height(place, place.valuation(x), index)
+    degree = place.degree if index == 1 else Fraction(place.degree, index)
     rd = module.reduction_data(place)
-    lam = min(Fraction(0), rd.M)
+    lam = min(0, rd.M)
     q, r = module.q, module.r
 
-    if rd.in_S:
-        if annihilator_of(module, x) is not None:
-            return HeightValue.exact(Fraction(0), TORSION)
+    if annihilator_of(module, x) is not None:
+        return HeightValue.exact(0, TORSION)
 
     phi_t = module.phi_t
     floor = rd.stable_floor
@@ -172,7 +200,7 @@ def local_height(module, place, x, index=1):
     while True:
         val = place.valuation(y)
         if floor is not None and val >= floor:
-            return HeightValue.exact(Fraction(0), GOOD_REDUCTION, n)
+            return HeightValue.exact(0, GOOD_REDUCTION, n)
         if val < lam:
             return HeightValue.exact(
                 degree * Fraction(-val, q**(r * n)), ESCAPED, n)
@@ -180,23 +208,54 @@ def local_height(module, place, x, index=1):
             break
         y = phi_t(y)
         n += 1
-    return HeightValue(
-        Fraction(0), degree * Fraction(-lam) / q**(r * n), EXHAUSTED, n)
+    return HeightValue(0, degree * Fraction(-lam) / q**(r * n), EXHAUSTED, n)
 
 
-def relevant_places(module, x):
-    """Bad places plus the poles of x: everywhere else hhat_v(x) = 0."""
-    out = set(module.bad_reduction_set()) | {v for v, _ in poles(x)}
-    return sorted(out, key=lambda v: v.sort_key())
+def _good_height(place, val, index):
+    """hhat_v(x) at a place v outside S, given val = v(x): d(v) max(0, -val)
+    / [L:K] at step 0, an int at index 1 (see the module docstring)."""
+    if val >= 0:
+        return HeightValue.exact(0, GOOD_REDUCTION, 0)
+    value = place.degree * -val
+    return HeightValue.exact(value if index == 1 else Fraction(value, index),
+                             ESCAPED, 0)
+
+
+def _outside(S, x):
+    """(den', infinity in S): den' is x.den with every finite place of S
+    divided out, so its factors are the finite poles of x outside S."""
+    den, inf_bad = x.den, False
+    for v in S:
+        if isinstance(v, InfinitePlace):
+            inf_bad = True
+        else:
+            den = _divide_out(den, v.P)[1]
+    return den, inf_bad
+
+
+def _local_heights(module, x, index):
+    """(place, hhat_v(x)) over S and the poles of x outside S, sorted; a
+    place of S is walked only when the iteration reaches it."""
+    S = module.bad_reduction_set()
+    den, inf_bad = _outside(S, x)
+    at = [(v, None) for v in S]
+    at += poles(RatFunc(Poly.one(x.field), den, _reduced=True))
+    if not inf_bad and x.num.degree > x.den.degree:
+        at.append((InfinitePlace(x.field), x.den.degree - x.num.degree))
+    at.sort(key=lambda pair: pair[0].sort_key())
+    for v, val in at:
+        yield v, (local_height(module, v, x, index) if val is None
+                  else _good_height(v, val, index))
 
 
 def global_height_breakdown(module, x, index=1):
-    """[(place, local height)] over the relevant places, sorted.
+    """[(place, local height)] over S and the poles of x outside S, sorted:
+    everywhere else hhat_v(x) = 0.  Only den' is factored (_outside).
 
     `index` = [L:K] for a module over an extension L of K (see local_height).
     """
-    return [(v, local_height(module, v, x, index))
-            for v in relevant_places(module, x)]
+    return list(_local_heights(module, x, index))
+
 
 def height_sum(parts):
     total = HeightValue.exact(Fraction(0), "Sum")
@@ -205,9 +264,20 @@ def height_sum(parts):
     return total
 
 
-def global_height(module, x):
-    """hhat(x) = sum of local heights; exact iff every summand is exact."""
-    return height_sum(global_height_breakdown(module, x))
+def global_height(module, x, index=1):
+    """hhat(x) = sum of local heights; exact iff every summand is exact.
+
+    Equal to height_sum(global_height_breakdown(module, x, index)), without
+    factoring: the good poles add up to deg den' plus, when infinity is
+    outside S, max(0, deg num - deg den), over [L:K].
+    """
+    S = module.bad_reduction_set()
+    den, inf_bad = _outside(S, x)
+    good = den.degree
+    if not inf_bad:
+        good += max(0, x.num.degree - x.den.degree)
+    total = height_sum((v, local_height(module, v, x, index)) for v in S)
+    return total + HeightValue.exact(Fraction(good, index), "Sum")
 
 
 class LehmerBounds:
@@ -283,13 +353,12 @@ def check_t2mwg(module, x, parts=None):
     bounds = lehmer_bounds(module)
     if parts is None:
         # lazy, so that the search stops at the first witness
-        parts = ((v, local_height(module, v, x))
-                 for v in relevant_places(module, x))
+        parts = _local_heights(module, x, 1)
     if not S:
         if x.is_constant():
             return T2Certificate("constant")
-        # the relevant places are the poles of x, and each local height
-        # there escapes at step 0 with value -v(x) d(v) >= d(v)
+        # the places are the poles of x, all good, and each local height
+        # there is the closed form -v(x) d(v) >= d(v)
         v, h = next(iter(parts))
         return T2Certificate("witness", place=v, local=h.value,
                              bound=Fraction(v.degree))
@@ -324,5 +393,4 @@ def height_via_embedding(module, emb, x):
     module._require_monic()
     pushed = DrinfeldModule(module.field,
                             [emb.apply(a) for a in module.coeffs])
-    x_up = emb.apply(x)
-    return height_sum(global_height_breakdown(pushed, x_up, emb.degree))
+    return global_height(pushed, emb.apply(x), emb.degree)

@@ -14,9 +14,8 @@ from functools import lru_cache
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError, IsotrivialModuleError
-from drinheights.heights import (height_sum, global_height_breakdown,
-                                 lehmer_bounds, local_height,
-                                 next_iterate_fits)
+from drinheights.heights import (global_height, height_sum, lehmer_bounds,
+                                 local_height, next_iterate_fits)
 from drinheights.places import expansion
 from drinheights.ratfunc import Poly
 from drinheights.torsion import annihilator_of
@@ -69,10 +68,10 @@ def insep_height(module, n, y):
     """Global height of y in F_q(u) for the module rewritten via t = u^(p^n).
 
     At n = 0 this is global_height; coherent degrees make the value
-    comparable across levels.
+    comparable across levels.  Nothing is factored (see global_height).
     """
     level = insep_level(module, n)
-    return height_sum(global_height_breakdown(level.pushed, y, level.index))
+    return global_height(level.pushed, y, level.index)
 
 
 class DichotomyReport:
@@ -206,7 +205,7 @@ def lehper_check(module, n, x):
 def _lehper_at(level, x, parts):
     """lehper_check at a level already built; `parts` is
     global_height_breakdown(level.pushed, x, level.index) when the
-    caller has it, and is computed only for a non-torsion x otherwise."""
+    caller has it, and only the total is computed otherwise."""
     if level.module.modular_trdeg() == 0:
         raise IsotrivialModuleError(
             "the perfect-closure floor requires a non-isotrivial module: "
@@ -216,8 +215,9 @@ def _lehper_at(level, x, parts):
     if b is not None:
         return LehperReport(True, b, None, bound, None)
     if parts is None:
-        parts = global_height_breakdown(level.pushed, x, level.index)
-    h = height_sum(parts)
+        h = global_height(level.pushed, x, level.index)
+    else:
+        h = height_sum(parts)
     if not h.is_exact:
         if h.lo > bound:
             return LehperReport(False, None, h, bound, h.lo - bound)

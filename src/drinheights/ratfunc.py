@@ -167,7 +167,7 @@ class Poly:
         return Poly(self.field, _scale(self.field, self.coeffs, c))
 
     def __divmod__(self, other):
-        q, r = self.field.poly_divmod(list(self.coeffs), list(other.coeffs))
+        q, r = self.field.poly_divmod(self.coeffs, other.coeffs)
         return Poly(self.field, q), Poly(self.field, r)
 
     def __floordiv__(self, other):
@@ -182,7 +182,7 @@ class Poly:
         return Poly(self.field, _pow(self.field, self.coeffs, e))
 
     def gcd(self, other):
-        return Poly(self.field, self.field.poly_gcd(list(self.coeffs), list(other.coeffs)))
+        return Poly(self.field, self.field.poly_gcd(self.coeffs, other.coeffs))
 
     def monic(self):
         if self.is_zero() or self.is_monic():

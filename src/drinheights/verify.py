@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.gf import finite_field
-from drinheights.heights import (global_height, global_height_breakdown,
-                                 height_sum, height_via_embedding,
+from drinheights.heights import (global_height, height_via_embedding,
                                  lehmer_bounds, local_height)
 from drinheights.perfect import insep_height, insep_level
 from drinheights.places import (FinitePlace, InfinitePlace,
@@ -348,8 +347,7 @@ def check_lehper_floor(rng, count, modules):
         if annihilator_of(level.pushed, y) is not None:
             continue
         done += 1
-        h = height_sum(global_height_breakdown(level.pushed, y,
-                                               index=level.index))
+        h = global_height(level.pushed, y, level.index)
         if not h.is_exact:
             _fail("lehper floor: unresolved height at level %d for y = %s", n, y)
         if not h.value > bound:

@@ -809,6 +809,59 @@ def test_height_factors_point_once(tmp_path, capsys, monkeypatch):
     assert factored.count(x.den) == 1
 
 
+def test_no_reduction_data_at_a_good_place(tmp_path, capsys, monkeypatch):
+    # S = {v[t^2+1], v[inf]}; the poles v[t] and v[t+1] are good, so their
+    # local heights are the closed form d(v) max(0, -v(x)) with no walk
+    from drinheights.drinfeld import ReductionData
+    built = set()
+    real_init = ReductionData.__init__
+
+    def spy(self, module, place):
+        built.add(place.to_string())
+        real_init(self, module, place)
+    monkeypatch.setattr(ReductionData, "__init__", spy)
+    job = dict(RANK2_BAD, point="(t^2+1)^2/(t^3*(t+1)^2)")
+    code, out, _ = run(capsys, ["height", job_file(tmp_path, job), "--json"])
+    assert code == 0
+    local = {e["place"]: e for e in json.loads(out)["local"]}
+    assert list(local) == ["v[t]", "v[t+1]", "v[t^2+1]", "v[inf]"]
+    assert local["v[t]"] == {"place": "v[t]", "value": "3",
+                             "certificate": "Escaped", "step": 0}
+    assert local["v[t+1]"] == {"place": "v[t+1]", "value": "2",
+                               "certificate": "Escaped", "step": 0}
+    job["place"] = {"kind": "finite", "P": "t+2"}
+    code, out, _ = run(capsys, ["local-height", job_file(tmp_path, job),
+                                "--json"])
+    assert code == 0
+    assert json.loads(out)["height"] == {
+        "value": "0", "certificate": "GoodReductionIntegral", "step": 0}
+    assert built == {"v[t^2+1]", "v[inf]"}
+
+
+def test_height_json_stringifies_its_point_once(tmp_path, capsys,
+                                                monkeypatch):
+    # the point is printed once in the JSON report; the text lines that
+    # repeat it per place are not built under --json
+    from drinheights.ratfunc import RatFunc, parse_ratfunc
+    x = parse_ratfunc(cli.finite_field(3), "(t^2+1)^5/(t+1)^3")
+    expect = x.to_string()
+    calls = []
+    real = RatFunc.to_string
+
+    def spy(self, var="t"):
+        if self == x:
+            calls.append(var)
+        return real(self, var)
+    monkeypatch.setattr(RatFunc, "to_string", spy)
+    job = dict(CAR3, point="(t^2+1)^5/(t+1)^3")
+    code, out, _ = run(capsys, ["height", job_file(tmp_path, job), "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["point"] == expect
+    assert len(report["local"]) == 2
+    assert calls == ["t"]
+
+
 @pytest.mark.parametrize("cmd, job, expect", [
     ("insep-height", dict(CAR3, point="u", insep_level=1),
      "global height = 4/9"),

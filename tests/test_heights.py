@@ -1,18 +1,26 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import decimal_unlimited, make_module
 from drinheights.errors import BudgetExhaustedError, NonMonicError
-from drinheights.heights import (HeightValue, check_t2mwg, frac, global_height,
-                                 global_height_breakdown, height_sum,
-                                 height_via_embedding, lehmer_bounds,
-                                 local_height)
+from drinheights.gf import finite_field
+from drinheights.heights import (DEGREE_CAP, HeightValue, check_t2mwg, frac,
+                                 global_height, global_height_breakdown,
+                                 height_sum, height_via_embedding,
+                                 lehmer_bounds, local_height)
+from drinheights.perfect import insep_height, insep_level
 from drinheights.places import (FinitePlace, InfinitePlace,
-                                SubstitutionEmbedding, support)
-from drinheights.ratfunc import Poly, RatFunc, parse_poly, parse_ratfunc
-from drinheights.torsion import torsion_enumerate
+                                SubstitutionEmbedding, poles, support)
+from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
+                                 ord_at, parse_poly, parse_ratfunc)
+from drinheights.torsion import annihilator_of, torsion_enumerate
+from drinheights.verify import module_pool, rand_ratfunc
 
 
 def R(field, s, var="t"):
@@ -69,7 +77,8 @@ def test_nonmonic_rejected(F3):
 @pytest.mark.parametrize("x", [
     Fraction(0), Fraction(-7, 3), Fraction(10**600), Fraction(10**600 - 1),
     Fraction(-1, 10**1200), Fraction(3**14550 + 1, 2**20000),
-    Fraction(-(10**4400 + 12345)),
+    Fraction(-(10**4400 + 12345)), 0, 7,
+    pytest.param(10**4400 + 1, id="int-4401-digits"),
 ])
 def test_frac_prints_any_exact_fraction(x):
     num, den = x.numerator, x.denominator
@@ -259,6 +268,9 @@ def test_height_value_arithmetic():
     # an internal guard, not an input error
     with pytest.raises(AssertionError):
         HeightValue(1, 0, "bad")
+    # a float bound is an int / int division somewhere
+    with pytest.raises(AssertionError):
+        HeightValue(0.5, 0.5, "bad")
 
 
 def _certificate_fields(cert):
@@ -287,3 +299,142 @@ def test_check_t2mwg_reuses_breakdown(psi2, car3, tau2, F2, F3):
                 # S empty: the first pole v carries hhat_v(x) = -v(x) d(v)
                 v, m = next((v, m) for v, m in support(x) if m < 0)
                 assert alone[2:] == (v, -m * v.degree, v.degree)
+
+
+def walk_oracle(module, place, x, index=1):
+    """local_height as it was before the closed form outside S: the walk at
+    every place, reading the reduction data even where it is good."""
+    module._require_monic()
+    degree = Fraction(place.degree, index)
+    rd = module.reduction_data(place)
+    lam = min(Fraction(0), rd.M)
+    q, r = module.q, module.r
+    if rd.in_S and annihilator_of(module, x) is not None:
+        return HeightValue.exact(Fraction(0), "TorsionCertified")
+    floor = rd.stable_floor
+    y, n = x, 0
+    while True:
+        val = place.valuation(y)
+        if floor is not None and val >= floor:
+            return HeightValue.exact(Fraction(0), "GoodReductionIntegral", n)
+        if val < lam:
+            return HeightValue.exact(degree * Fraction(-val, q**(r * n)),
+                                     "Escaped", n)
+        if y.weil_height() * q**r > DEGREE_CAP:
+            break
+        y = module.phi_t(y)
+        n += 1
+    return HeightValue(Fraction(0), degree * Fraction(-lam) / q**(r * n),
+                       "IterationBudgetExhausted", n)
+
+
+def breakdown_oracle(module, x, index=1):
+    """The walk at S and at every pole of x, the whole denominator factored."""
+    at = set(module.bad_reduction_set()) | {v for v, _ in poles(x)}
+    return [(v, walk_oracle(module, v, x, index))
+            for v in sorted(at, key=lambda v: v.sort_key())]
+
+
+def _fields(h):
+    return (h.lo, h.hi, h.certificate, h.step)
+
+
+def _oracle_pool():
+    # over F_9 rank 1 only: a rank-2 walk over F_9 runs the schoolbook
+    # F_9[x] kernel up to DEGREE_CAP and takes about a minute
+    F4, F9 = finite_field(2, 2), finite_field(3, 2)
+    return [mod for _, mod in module_pool()] + [
+        make_module(F4, "t", "1"),
+        make_module(F4, "3*t^2+t", "(2*t+1)/(t^2+3)", "1"),
+        make_module(F9, "t", "1"),
+        make_module(F9, "5*t+7/(t^2+4)", "1")]
+
+
+def _oracle_points(rng, module):
+    """Seeded points, with poles at places of S and outside it."""
+    field = module.field
+    S = module.bad_reduction_set()
+    # 1/t^7: an interval at v_inf for Carlitz and others, where the walk
+    # meets DEGREE_CAP before it escapes
+    pts = [RatFunc.zero(field), RatFunc.one(field),
+           RatFunc(Poly.one(field), Poly.x(field)**7)]
+    pts += [rand_ratfunc(rng, field, 2) for _ in range(5)]
+    for v in S:
+        if isinstance(v, FinitePlace):
+            # a double pole at v, a pole at t+1, and v_inf(x) = 0, which
+            # keeps a walk at infinity short
+            den = v.P * v.P * (Poly.x(field) + Poly.one(field))
+            num = Poly(field, [rng.randrange(field.order)
+                               for _ in range(den.degree)] + [1])
+            pts.append(RatFunc(num, den))
+    return pts
+
+
+def _oracle_places(module, x):
+    """S, the poles of x, a zero of x, one place of degree <= 2 where x is
+    a unit, and infinity."""
+    field = module.field
+    at = set(module.bad_reduction_set()) | {v for v, _ in poles(x)}
+    at.add(InfinitePlace(field))
+    if not x.is_zero() and x.num.degree > 0:
+        at.add(FinitePlace(factor(x.num)[1][0][0]))
+    for d in (1, 2):
+        P = next((P for P in irreducible_monics(field, d)
+                  if x.is_zero() or (ord_at(x.num, P) == 0
+                                     and ord_at(x.den, P) == 0)), None)
+        if P is not None:
+            at.add(FinitePlace(P))
+            break
+    return sorted(at, key=lambda v: v.sort_key())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_closed_form_matches_walk_oracle(n):
+    # at index p^n, through the pushed module of the level
+    rng = random.Random(2500 + n)
+    for mod in _oracle_pool():
+        level = insep_level(mod, n)
+        psi, index = level.pushed, level.index
+        S = psi.bad_reduction_set()
+        for x in _oracle_points(rng, psi):
+            for v in _oracle_places(psi, x):
+                h = local_height(psi, v, x, index)
+                assert _fields(h) == _fields(walk_oracle(psi, v, x, index)), \
+                    (psi, v, x)
+                if v not in S and index == 1:
+                    assert type(h.lo) is int
+            parts = global_height_breakdown(psi, x, index)
+            want = breakdown_oracle(psi, x, index)
+            assert [v for v, _ in parts] == [v for v, _ in want]
+            assert [_fields(h) for _, h in parts] == \
+                [_fields(h) for _, h in want], (psi, x)
+            total = global_height(psi, x, index)
+            assert _fields(total) == _fields(height_sum(want)) == \
+                _fields(height_sum(parts)), (psi, x)
+            for h in (total, height_sum(parts)):
+                assert type(h.lo) is Fraction and type(h.hi) is Fraction
+            assert _fields(insep_height(mod, n, x)) == _fields(total)
+
+
+def test_total_of_a_long_denominator_factors_nothing():
+    # at 1/(t^2000+t+2) the good pole carries 2000, read off the degree of
+    # the denominator: no factoring (cubic in the degree); the walk at
+    # v_inf in S stops at DEGREE_CAP with the interval [0, 1/18]
+    code = ("import time\n"
+            "from drinheights import DrinfeldModule, finite_field, "
+            "global_height, parse_ratfunc\n"
+            "F3 = finite_field(3)\n"
+            "mod = DrinfeldModule(F3, [parse_ratfunc(F3, 't'), "
+            "parse_ratfunc(F3, '1')])\n"
+            "x = parse_ratfunc(F3, '1/(t^2000+t+2)')\n"
+            "start = time.perf_counter()\n"
+            "h = global_height(mod, x)\n"
+            "print(time.perf_counter() - start, h.lo, h.hi)\n")
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True).stdout
+    seconds, lo, hi = out.split()
+    assert (lo, hi) == ("2000", "36001/18")
+    assert float(seconds) < 2
