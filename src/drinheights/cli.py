@@ -155,23 +155,26 @@ class Job:
             self.set_level(self.level, *mod.coeffs, *points)
         return insep_level(mod, self.level)
 
-    def point(self, key="point"):
-        s = self.data.get(key)
-        if s is None:
-            raise InputError("job needs a %r entry" % key)
+    def expression(self, key, kind, parse, var, within=None):
+        """The job's entry `key`, or the entry `key` of its object `within`:
+        a string that `parse` reads in `var` as a `kind`.  An entry that is
+        absent, not a string or unreadable is an InputError naming it."""
+        if within is None:
+            s = self.data.get(key)
+            if s is None:
+                raise InputError("job needs a %r entry" % key)
+            name = key
+        else:
+            # an absent entry of an object reads as null
+            s = self.data[within].get(key)
+            name = "%s %s" % (within, key)
         try:
-            return parse_ratfunc(self.field, text(s, key), var=self.point_var)
+            return parse(self.field, text(s, name), var=var)
         except ParseError as exc:
-            raise InputError("bad point %s: %s" % (quote(s), exc))
+            raise InputError("bad %s %s: %s" % (kind, quote(s), exc))
 
-    def poly(self, key):
-        s = self.data.get(key)
-        if s is None:
-            raise InputError("job needs a %r entry" % key)
-        try:
-            return parse_poly(self.field, text(s, key))
-        except ParseError as exc:
-            raise InputError("bad polynomial %s: %s" % (quote(s), exc))
+    def point(self):
+        return self.expression("point", "point", parse_ratfunc, self.point_var)
 
     def place(self):
         desc = self.data.get("place")
@@ -180,16 +183,25 @@ class Job:
         if desc.get("kind") == "infinity":
             return InfinitePlace(self.field)
         if desc.get("kind") == "finite":
-            try:
-                P = parse_poly(self.field, text(desc["P"], "place P"),
-                               var=self.point_var)
-            except (KeyError, ParseError) as exc:
-                raise InputError("bad place: %s" % exc)
+            P = self.expression("P", "place", parse_poly, self.point_var,
+                                within="place")
             try:
                 return FinitePlace(P.monic())
             except ValueError as exc:
                 raise InputError(str(exc))
         raise InputError("place kind must be \"finite\" or \"infinity\"")
+
+    def substitution(self):
+        """The image f(u) of t under the job's substitution t -> f(u), or
+        None when the job has none."""
+        sub = self.data.get("substitution")
+        if sub is None:
+            return None
+        if not isinstance(sub, dict):
+            raise InputError("substitution must be a JSON object, not %s"
+                             % quote(json.dumps(sub), str))
+        return self.expression("u_image_of_t", "substitution", parse_ratfunc,
+                               "u", within="substitution")
 
 
 @functools.lru_cache(maxsize=FIELD_MEMO)
@@ -339,16 +351,15 @@ def _height_core(job, rep):
 
 def cmd_height(job, rep):
     level, x, parts, total = _height_core(job, rep)
-    sub = job.data.get("substitution")
-    if sub is not None and level.n == 0:
+    image = job.substitution() if level.n == 0 else None
+    if image is not None:
         try:
-            image = parse_ratfunc(job.field, sub["u_image_of_t"], var="u")
             emb = SubstitutionEmbedding(image)
-        except (KeyError, TypeError, ParseError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError("bad substitution: %s" % exc)
         check_push("substitution t -> %s (degrees times %d)"
-                   % (quote(sub["u_image_of_t"]), emb.degree), emb.degree,
-                   *level.module.coeffs, x)
+                   % (quote(job.data["substitution"]["u_image_of_t"]),
+                      emb.degree), emb.degree, *level.module.coeffs, x)
         h2 = height_via_embedding(level.module, emb, x)
         if not rep.as_json:
             agree = (total.is_exact and h2.is_exact
@@ -416,12 +427,10 @@ def cmd_torsion(job, rep):
     rep.say("m = min(D, n) = %d (n: dimension of the pole lattice)", lattice.m)
     rep.put("D", lattice.D)
     rep.put("m", lattice.m)
-    # deg B = q + q^2 + ... + q^m, summed until it passes the cap: B is
-    # expanded for this report alone, and only within MAX_DEGREE
-    q, deg, k = mod.field.order, 0, 0
-    while k < lattice.m and deg <= MAX_DEGREE:
-        k += 1
-        deg += q**k
+    # deg B = q + q^2 + ... + q^m: B is expanded for this report alone,
+    # and only within MAX_DEGREE
+    q = mod.field.order
+    deg = q * (q**lattice.m - 1) // (q - 1)
     if deg <= MAX_DEGREE:
         B = lattice.B
         rep.say("B = prod_{k<=m} (t^(q^k) - t) = %s (degree %d)",
@@ -445,7 +454,7 @@ def cmd_torsion(job, rep):
 
 def cmd_kernel(job, rep):
     mod = job.module()
-    b = job.poly("b")
+    b = job.expression("b", "polynomial", parse_poly, "t")
     if b.is_zero():
         raise InputError("kernel of phi_0 is everything")
     roots = [x.to_string() for x in kernel_in_K(mod, b)]

@@ -9,6 +9,14 @@ ints throughout the package.
 Extensions can be towered (e.g. residue fields of places over F_9 are
 extensions with base F_9), and the Frobenius used by additive polynomials is
 always x -> x^q with q the order of the *base* of the element's field.
+
+Linear algebra has one eliminator, :func:`dependencies`.  It takes sparse
+vectors {key: coefficient} and yields, for each vector that reduces against
+those before it, the unique dependency that is 1 there and 0 at every other
+reducing vector.  Torsion and the key dichotomy feed it their own vectors;
+:func:`solve` and :func:`rref` feed it the columns of a dense matrix: the
+pivots are the columns that do not reduce, the dependency of a free column
+is its kernel vector, and that of the right-hand side is (-x, 1).
 """
 
 import functools
@@ -55,6 +63,21 @@ def _trim(c):
     while n and c[n - 1] == 0:
         n -= 1
     return c[:n]
+
+
+def poly_str(coeffs, var):
+    """sum c_i var^i, highest power first, without zero terms: "2*g^2+1"."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            xpow = var if i == 1 else "%s^%d" % (var, i)
+            terms.append(xpow if c == 1 else "%d*%s" % (c, xpow))
+    return "+".join(terms) or "0"
 
 
 class FqElem:
@@ -339,18 +362,7 @@ class ExtensionField(_Field):
         return self.pow_(a, self.base.order**(e % self.dim))
 
     def elem_str(self, a):
-        coords = self.coords(a)
-        terms = []
-        for i in range(self.dim - 1, -1, -1):
-            c = coords[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c) + "*"
-                terms.append(head + ("g" if i == 1 else "g^%d" % i))
-        return "+".join(terms) if terms else "0"
+        return poly_str(self.coords(a), "g")
 
     # generic dense polynomial ops over this field
     def poly_mul(self, a, b):
@@ -516,32 +528,7 @@ def _finite_field(p, k, modulus):
     return ExtensionField(prime, modulus)
 
 
-# --- linear algebra over a finite field (small dense systems) ---
-
-def rref(rows, field, ncols):
-    """Row-reduce in place; returns (reduced rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
+# --- linear algebra over a finite field ---
 
 def dependencies(vectors, field):
     """The linear dependencies in a sequence of sparse vectors over field.
@@ -591,30 +578,37 @@ def first_dependence(vectors, field):
     return next(dependencies(vectors, field), None)
 
 
+def _columns(rows, ncols):
+    """The first ncols columns of dense rows as sparse vectors {row: entry}."""
+    return ({i: row[k] for i, row in enumerate(rows)} for k in range(ncols))
+
+
+def rref(rows, field, ncols):
+    """(reduced rows, pivot columns) of the reduced echelon form of the first
+    ncols columns of dense rows: the row of pivot p holds -c[p] at each later
+    column whose dependency is c.
+    """
+    deps = {len(c) - 1: c
+            for c in dependencies(_columns(rows, ncols), field)}
+    pivots = [k for k in range(ncols) if k not in deps]
+    return [[field.neg(deps[k][p]) if k > p and k in deps else int(k == p)
+             for k in range(ncols)] for p in pivots], pivots
+
+
 def solve(rows, rhs, field, ncols):
     """(x, basis): one solution x of A x = rhs, or None if the system is
-    inconsistent, and a basis of the kernel {x : A x = 0}, both read off one
-    row reduction of [A | rhs].
+    inconsistent, and a basis of the kernel {x : A x = 0}, both read off the
+    dependencies of the columns of [A | rhs]: that of a free column k, padded
+    with zeros, is 1 at k and 0 at the other free columns, and that of rhs is
+    (-x, 1), x being 0 at every free column.
     """
-    reduced, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)],
-                           field, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        # the last row says 0 = 1; the rows above it are the reduced A
-        x = None
-        reduced, pivots = reduced[:-1], pivots[:-1]
-    else:
-        x = [0] * ncols
-        for row, pc in zip(reduced, pivots):
-            x[pc] = row[ncols]
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = 1
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = field.neg(row[fc])
-        basis.append(vec)
+    x, basis = None, []
+    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for c in dependencies(_columns(augmented, ncols + 1), field):
+        if len(c) > ncols:
+            x = [field.neg(a) for a in c[:ncols]]
+        else:
+            basis.append(c + [0] * (ncols - len(c)))
     return x, basis
 
 

@@ -16,7 +16,8 @@ through those kernels and reduces once per expression, at the end.
 import random
 
 from drinheights.errors import quote
-from drinheights.gf import _poly_is_irreducible, _trim, monic_coeffs
+from drinheights.gf import (_poly_is_irreducible, _trim, monic_coeffs,
+                            poly_str)
 
 NEG_INF = float("-inf")
 # the largest Weil height an expression may reach while it is parsed: a few
@@ -224,19 +225,7 @@ class Poly:
         return Poly(f, out)
 
     def to_string(self, var="t"):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                xpow = var if i == 1 else "%s^%d" % (var, i)
-                terms.append(xpow if c == 1 else "%d*%s" % (c, xpow))
-        return "+".join(terms)
+        return poly_str(self.coeffs, var)
 
     def __str__(self):
         return self.to_string()

@@ -160,6 +160,22 @@ def test_input_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+# entries of the wrong type (or absent from their object), each refused by
+# a message that names the entry and says what it must be
+ENTRY_ERRORS = [
+    ("height", dict(CAR3, point="1", substitution={"u_image_of_t": [1]}),
+     "substitution u_image_of_t must be a string, not [1]"),
+    ("height", dict(CAR3, point="1", substitution=5),
+     "substitution must be a JSON object, not 5"),
+    ("height", dict(CAR3, point="1", substitution={}),
+     "substitution u_image_of_t must be a string, not null"),
+    ("height", dict(CAR3, point="1", substitution={"u_image_of_t": 5}),
+     "substitution u_image_of_t must be a string, not 5"),
+    ("local-height", dict(CAR3, point="1", place={"kind": "finite"}),
+     "place P must be a string, not null"),
+]
+
+
 @pytest.mark.parametrize("command, job, flags", [
     ("lehmer", {"field": {"p": 3, "k": None},
                 "module": {"coefficients": ["t", "1"]}}, []),
@@ -249,12 +265,13 @@ def test_input_error_exit_2(tmp_path, capsys):
     ("kernel", dict(CAR3, b="t+" + "2" * 5000), []),
     ("local-height", dict(CAR3, point="1", place={
         "kind": "finite", "P": "t+" + LONG_LITERAL}), []),
-])
+] + [(command, job, []) for command, job, _ in ENTRY_ERRORS])
 def test_malformed_job_exit_2(tmp_path, capsys, command, job, flags):
     code, out, err = run(capsys, [command, job_file(tmp_path, job)] + flags)
     assert code == 2
     assert err.startswith("input error: ") and out == ""
     assert len(err.encode()) < 300
+    assert all(says in err for _, other, says in ENTRY_ERRORS if other == job)
 
 
 def test_long_literal_is_quoted_once(tmp_path, capsys):

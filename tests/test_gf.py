@@ -4,8 +4,9 @@ import random
 import pytest
 
 from drinheights.gf import (MEMO_ORDER, ExtensionField, FieldError,
-                            additive_kernel, additive_preimages, dependencies,
-                            finite_field, first_dependence, solve, span)
+                            _proven_extension, additive_kernel,
+                            additive_preimages, dependencies, finite_field,
+                            first_dependence, rref, solve, span)
 
 
 def test_prime_field_create():
@@ -195,7 +196,7 @@ def test_additive_kernel_matches_brute_force():
                     assert len(sols) <= q**top if top > 0 else len(sols) == 1
 
 
-@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_solve_matches_brute_force(p, k):
     field = finite_field(p, k)
     rng = random.Random(100 * p + k)
@@ -239,6 +240,115 @@ def test_solve_matches_brute_force(p, k):
             combos.add(tuple(v))
         assert combos == kernel
     assert seen["consistent"] >= 10 and seen["inconsistent"] >= 10
+
+
+def _gauss_jordan_rref(rows, field, ncols):
+    """The dense Gauss-Jordan row reduction that gf.rref replaced: the
+    oracle for the rref and solve now read off gf.dependencies."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [field.sub(x, field.mul(c, y))
+                           for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def _gauss_jordan_solve(rows, rhs, field, ncols):
+    """solve as it was read off _gauss_jordan_rref of [A | rhs]."""
+    reduced, pivots = _gauss_jordan_rref(
+        [list(r) + [b] for r, b in zip(rows, rhs)], field, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        x = None
+        reduced, pivots = reduced[:-1], pivots[:-1]
+    else:
+        x = [0] * ncols
+        for row, pc in zip(reduced, pivots):
+            x[pc] = row[ncols]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = field.neg(row[fc])
+        basis.append(vec)
+    return x, basis
+
+
+# F_81 as a tower: F_9[x]/(x^2 + x + g), g the generator of F_9
+F81_OVER_F9 = _proven_extension(finite_field(3, 2), (3, 1, 1))
+
+
+@pytest.mark.parametrize("field", [
+    finite_field(2), finite_field(3), finite_field(2, 2), finite_field(3, 2),
+    finite_field(5, 2), finite_field(3, 3), F81_OVER_F9], ids=repr)
+def test_rref_and_solve_match_gauss_jordan(field):
+    # 0-5 rows and 0-5 columns, half the entries 0, a duplicated row in 40 %
+    # of the systems and a zero right-hand side in a fifth of them
+    rng = random.Random(field.order)
+    seen = set()
+    for _ in range(400):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [[rng.choice([0, rng.randrange(field.order)]) for _ in range(n)]
+                for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:
+            rows[-1] = list(rows[rng.randrange(m - 1)])
+        rhs = ([0] * m if rng.random() < 0.2
+               else [rng.choice([0, rng.randrange(field.order)])
+                     for _ in range(m)])
+        assert rref(rows, field, n) == _gauss_jordan_rref(rows, field, n)
+        x, basis = solve(rows, rhs, field, n)
+        assert (x, basis) == _gauss_jordan_solve(rows, rhs, field, n)
+        rank = len(rref(rows, field, n)[1])
+        seen |= {"no rows" if m == 0 else "no columns" if n == 0 else
+                 "tall" if m > n else "square or wide",
+                 "zero rhs" if not any(rhs) else "rhs",
+                 "inconsistent" if x is None else "consistent",
+                 "rank-deficient" if rank < min(m, n) else "full rank"}
+    assert seen == {"no rows", "no columns", "tall", "square or wide",
+                    "zero rhs", "rhs", "inconsistent", "consistent",
+                    "rank-deficient", "full rank"}
+
+
+def _coefficient_loop_str(field, a):
+    """ExtensionField.elem_str as its own loop, before gf.poly_str."""
+    coords = field.coords(a)
+    terms = []
+    for i in range(field.dim - 1, -1, -1):
+        c = coords[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            head = "" if c == 1 else str(c) + "*"
+            terms.append(head + ("g" if i == 1 else "g^%d" % i))
+    return "+".join(terms) if terms else "0"
+
+
+@pytest.mark.parametrize("field", [
+    finite_field(2, 2), finite_field(2, 3), finite_field(3, 2),
+    finite_field(5, 2), finite_field(3, 3), F81_OVER_F9], ids=repr)
+def test_elem_str_matches_coefficient_loop(field):
+    for a in field.elements():
+        assert field.elem_str(a) == _coefficient_loop_str(field, a)
 
 
 def test_additive_kernel_all_zero_rejected():
