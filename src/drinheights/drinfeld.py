@@ -66,8 +66,8 @@ def _lower_hull(points):
 class ReductionData:
     """Reduction data of a monic module at one place (see module docstring).
 
-    Built at once: the valuations `vals`, `in_S`, M_v, T_v and the Newton
-    polygon.  Built on first read and kept: `stable_floor`, and the
+    Built at once: the valuations `vals` (module.coefficient_valuations),
+    `in_S`, M_v, T_v and the Newton polygon.  Built on first read and kept: `stable_floor`, and the
     exceptional sets P, Pp, Ppp, Q and R, all five together (R maps each
     alpha in Q_v to a tuple of nonzero residue-field elements).  `pair_in`
     is the dichotomy membership test (v(x), ac(x)) in P x R(v(x)).
@@ -78,7 +78,7 @@ class ReductionData:
         self.place = place
         self.coeffs = module.coeffs
         self.N_phi = module.N_phi
-        self.vals = vals = tuple(place.valuation(a) for a in module.coeffs)
+        self.vals = vals = module.coefficient_valuations(place)
         self.in_S = any(a < 0 for a in vals)  # S: some v(a_i) < 0
         self.M = _mv(vals, q, r)
         self.T = _tv(vals, q, r)
@@ -304,6 +304,10 @@ class DrinfeldModule:
         """S = {v : some v(a_i) < 0}, sorted; requires monic phi_t."""
         self._require_monic()
         return self._bad_places
+
+    def coefficient_valuations(self, place):
+        """(v(a_0), ..., v(a_r)) at `place`, for its ReductionData."""
+        return tuple(place.valuation(a) for a in self.coeffs)
 
     @cached_property
     def _bad_places(self):

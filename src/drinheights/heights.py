@@ -14,7 +14,11 @@ v(y_n) drops below min{0, M_v} the valuation multiplies by exactly q^r each
 step (so the limit is read off at step n); once v(y_n) reaches the floor
 lambda*_v of the phi_t-stable balls {v(y) >= lambda}
 (ReductionData.stable_floor, built once per place) the orbit is bounded and
-the height is 0; a torsion certificate also gives 0.
+the height is 0; a torsion certificate also gives 0.  The certificates are
+read in the order that builds least: v(x) first, and a point that escapes
+at step 0 has hhat_v(x) = -d(v) v(x) > 0, so it is not torsion and the
+floor (>= ceil(min{0, M_v})) cannot stop it; then the torsion decision,
+then the stable floor and the walk.
 
 There is one budget, DEGREE_CAP on the Weil height of the iterates, and one
 rule applies it (next_iterate_fits, which the key dichotomy's walk also
@@ -34,6 +38,9 @@ and infinity when it is outside S and deg num > deg den.  The per-place
 breakdown (global_height_breakdown) factors den' alone, never the whole
 denominator; the total (global_height) factors nothing, since the good
 poles add up to (deg den' + [inf not in S] max(0, deg num - deg den)) / [L:K].
+Dividing a finite place v of S out of den finds e_v, its multiplicity
+there; x is reduced, so v(x) = -e_v when e_v > 0, and that value is
+handed to the walk at v rather than found by dividing again.
 
 Heights are exact: each bound is an int or a Fraction, never a float
 (HeightValue refuses one).  A value that is an integer by construction
@@ -44,7 +51,9 @@ Every height is printed in full (frac).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
+from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError
 from drinheights.places import INFINITY, InfinitePlace, poles
@@ -168,37 +177,41 @@ def next_iterate_fits(module, y):
     return y.weil_height() * module.q**module.r <= DEGREE_CAP
 
 
-def local_height(module, place, x, index=1):
+def local_height(module, place, x, index=1, val=None):
     """hhat_v(x), exact whenever a certificate fires within DEGREE_CAP.
 
     Outside S the closed form decides at step 0 (_good_height).  At a place
-    of S a torsion point is 0 at once; otherwise the iterates
-    y_n = phi_t^n(x) are walked until one escapes below min{0, M_v}
-    (Escaped, the exact limit) or lands in the stable ball v(y) >= lambda*_v
-    (GoodReductionIntegral, exactly 0), or until the next iterate would pass
-    DEGREE_CAP, which every non-torsion orbit does (see the module
-    docstring); the answer is then the interval
-    [0, -d(v) min{0, M_v} / q^(rn)].
+    of S a point with v(x) < min{0, M_v} escapes at step 0; otherwise a
+    torsion point is 0 at once, and the iterates y_n = phi_t^n(x) are walked
+    until one escapes below min{0, M_v} (Escaped, the exact limit) or lands
+    in the stable ball v(y) >= lambda*_v (GoodReductionIntegral, exactly 0),
+    or until the next iterate would pass DEGREE_CAP, which every
+    non-torsion orbit does (see the module docstring); the answer is then
+    the interval [0, -d(v) min{0, M_v} / q^(rn)].
 
     For a module over an extension L of K, `index` = [L:K] and the place
-    counts with its coherent degree d(v) / [L:K].
+    counts with its coherent degree d(v) / [L:K].  `val` is v(x) when the
+    caller has it already.
     """
+    if val is None:
+        val = place.valuation(x)
     if place not in module.bad_reduction_set():
-        return _good_height(place, place.valuation(x), index)
+        return _good_height(place, val, index)
     degree = place.degree if index == 1 else Fraction(place.degree, index)
     rd = module.reduction_data(place)
     lam = min(0, rd.M)
-    q, r = module.q, module.r
+    if val < lam:
+        return HeightValue.exact(degree * Fraction(-val), ESCAPED, 0)
 
     if annihilator_of(module, x) is not None:
         return HeightValue.exact(0, TORSION)
 
+    q, r = module.q, module.r
     phi_t = module.phi_t
     floor = rd.stable_floor
     y = x
     n = 0
     while True:
-        val = place.valuation(y)
         if floor is not None and val >= floor:
             return HeightValue.exact(0, GOOD_REDUCTION, n)
         if val < lam:
@@ -208,6 +221,7 @@ def local_height(module, place, x, index=1):
             break
         y = phi_t(y)
         n += 1
+        val = place.valuation(y)
     return HeightValue(0, degree * Fraction(-lam) / q**(r * n), EXHAUSTED, n)
 
 
@@ -222,30 +236,34 @@ def _good_height(place, val, index):
 
 
 def _outside(S, x):
-    """(den', infinity in S): den' is x.den with every finite place of S
-    divided out, so its factors are the finite poles of x outside S."""
-    den, inf_bad = x.den, False
+    """(den', infinity in S, pole orders): den' is x.den with every finite
+    place of S divided out, so its factors are the finite poles of x outside
+    S; the pole orders map each finite place v of S with e_v > 0 to
+    v(x) = -e_v (x is reduced)."""
+    den, inf_bad, orders = x.den, False, {}
     for v in S:
         if isinstance(v, InfinitePlace):
             inf_bad = True
         else:
-            den = _divide_out(den, v.P)[1]
-    return den, inf_bad
+            e, den = _divide_out(den, v.P)
+            if e:
+                orders[v] = -e
+    return den, inf_bad, orders
 
 
 def _local_heights(module, x, index):
     """(place, hhat_v(x)) over S and the poles of x outside S, sorted; a
     place of S is walked only when the iteration reaches it."""
     S = module.bad_reduction_set()
-    den, inf_bad = _outside(S, x)
+    den, inf_bad, orders = _outside(S, x)
     at = [(v, None) for v in S]
     at += poles(RatFunc(Poly.one(x.field), den, _reduced=True))
     if not inf_bad and x.num.degree > x.den.degree:
         at.append((InfinitePlace(x.field), x.den.degree - x.num.degree))
     at.sort(key=lambda pair: pair[0].sort_key())
     for v, val in at:
-        yield v, (local_height(module, v, x, index) if val is None
-                  else _good_height(v, val, index))
+        yield v, (local_height(module, v, x, index, orders.get(v))
+                  if val is None else _good_height(v, val, index))
 
 
 def global_height_breakdown(module, x, index=1):
@@ -272,11 +290,12 @@ def global_height(module, x, index=1):
     outside S, max(0, deg num - deg den), over [L:K].
     """
     S = module.bad_reduction_set()
-    den, inf_bad = _outside(S, x)
+    den, inf_bad, orders = _outside(S, x)
     good = den.degree
     if not inf_bad:
         good += max(0, x.num.degree - x.den.degree)
-    total = height_sum((v, local_height(module, v, x, index)) for v in S)
+    total = height_sum((v, local_height(module, v, x, index, orders.get(v)))
+                       for v in S)
     return total + HeightValue.exact(Fraction(good, index), "Sum")
 
 
@@ -307,7 +326,10 @@ class LehmerBounds:
                    self.torsion_degree))
 
 
+@lru_cache(maxsize=gf.FIELD_MEMO)
 def lehmer_bounds(module):
+    """The module's LehmerBounds, built once per module; a non-monic module
+    raises on every call, since a raising call keeps nothing."""
     module._require_monic()
     return LehmerBounds(module)
 
@@ -343,7 +365,8 @@ def check_t2mwg(module, x, parts=None):
     With S empty: x is constant or some place has hhat_v(x) >= d(v).  With S
     nonempty: x is torsion with an annihilator of degree <= r N |S|, or some
     place has hhat_v(x) > q^(-2r - r^2 N |S|) d(v).  Budget exhaustion raises
-    rather than guessing.
+    rather than guessing.  The witness is looked for first: it proves
+    hhat(x) > 0, so x is not torsion and the torsion decision is skipped.
 
     `parts` is global_height_breakdown(module, x) when the caller has
     it already; x is then neither factored nor iterated again.
@@ -363,12 +386,6 @@ def check_t2mwg(module, x, parts=None):
         return T2Certificate("witness", place=v, local=h.value,
                              bound=Fraction(v.degree))
 
-    b = annihilator_of(module, x)
-    if b is not None:
-        if b.degree > bounds.torsion_degree:
-            raise AssertionError("annihilator degree above the r N |S| bound")
-        return T2Certificate("torsion", annihilator=b)
-
     exhausted = False
     for v, h in parts:
         if not h.is_exact:
@@ -377,6 +394,12 @@ def check_t2mwg(module, x, parts=None):
         bound = bounds.sharp * v.degree
         if h.value > bound:
             return T2Certificate("witness", place=v, local=h.value, bound=bound)
+
+    b = annihilator_of(module, x)
+    if b is not None:
+        if b.degree > bounds.torsion_degree:
+            raise AssertionError("annihilator degree above the r N |S| bound")
+        return T2Certificate("torsion", annihilator=b)
     if exhausted:
         raise BudgetExhaustedError(
             "no witness certified within the degree budget DEGREE_CAP = %d: "

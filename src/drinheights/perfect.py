@@ -5,29 +5,75 @@ K^(1/p^n) is realized concretely as F_q(u) with t = u^(p^n): every point is
 a rational function in u, and all place/height machinery applies verbatim
 with coherent degrees d(w) / p^n relative to K.  A module is pushed to a
 level by stretching exponents: a(t) becomes a(u^(p^n)) (RatFunc.spread).
+
+The extension is purely inseparable, so each place v of K has exactly one
+place w above it, and w(a(u^(p^n))) = p^n v(a).  The pushed module reads its
+bad set S and the valuations of its coefficients off the module below
+(_PushedModule): nothing stretched is factored or divided.
 """
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError, IsotrivialModuleError
 from drinheights.heights import (global_height, height_sum, lehmer_bounds,
                                  local_height, next_iterate_fits)
-from drinheights.places import expansion
+from drinheights.places import INFINITY, FinitePlace, InfinitePlace, expansion
 from drinheights.ratfunc import Poly
 from drinheights.torsion import annihilator_of
+
+
+class _PushedModule(DrinfeldModule):
+    """phi_t with coefficients a_i(u^(p^n)), the a_i those of `below`.
+
+    The place above v[P], P = sum c_i t^i, is v[P'] with
+    P' = sum c_i^(p^-n) u^i, since P'(u)^(p^n) = P(u^(p^n)); over a prime
+    field P' = P.  Infinity lies over infinity.  A valuation upstairs is
+    p^n times the one below, and +inf stays +inf.
+    """
+
+    def __init__(self, below, n):
+        index = below.field.char**n
+        super().__init__(below.field, [a.spread(index) for a in below.coeffs])
+        self.below = below
+        self.index = index
+        self.n = n
+
+    def _twist(self, place, e):
+        """The finite place whose polynomial has place's coefficients raised
+        to the e-th power; infinity is itself."""
+        if isinstance(place, InfinitePlace):
+            return place
+        field = self.field
+        return FinitePlace._of_irreducible(
+            Poly(field, [field.pow_(c, e) for c in place.P.coeffs]))
+
+    @cached_property
+    def _bad_places(self):
+        # c^((q/p)^n) is the p^n-th root of c in F_q: its p^n-th power is
+        # c^(q^n) = c (the exponent is absolute, not relative to a base)
+        root = (self.q // self.field.char)**self.n
+        above = [self._twist(v, root) for v in self.below.bad_reduction_set()]
+        return tuple(sorted(above, key=lambda v: v.sort_key()))
+
+    def coefficient_valuations(self, place):
+        vals = self.below.coefficient_valuations(
+            self._twist(place, self.index))
+        return tuple(v if v is INFINITY else self.index * v for v in vals)
 
 
 class InsepLevel:
     """The embedding K = F_q(t) into F_q(u) with t = u^(p^n).
 
-    At n = 0 the level is the module itself (`pushed is module`, index 1),
-    and the checks that a higher level runs on its pushed module are
-    theorems: S is the same set, and at a bad place some v(a_i) <= -1 with
-    i < r (a_r = 1), so T_v >= 1/q^(r-1) > 1/q^r.
+    At n = 0 the level is the module itself (`pushed is module`, index 1).
+    At n > 0 the pushed module reads S and its valuations off the module
+    (_PushedModule), so |S| is the same by construction, and the check
+    T_v >= [L:K]/q^r that the level runs is a theorem: at a bad place some
+    v(a_i) <= -1 with i < r (a_r = 1), so T_v >= 1/q^(r-1) > 1/q^r below,
+    and T_w = p^n T_v above.
     """
 
     def __init__(self, module, n):
@@ -40,17 +86,12 @@ class InsepLevel:
         if n == 0:
             self.pushed = module
             return
-        self.pushed = DrinfeldModule(
-            module.field, [a.spread(self.index) for a in module.coeffs])
+        self.pushed = _PushedModule(module, n)
         self._check()
 
     def _check(self):
-        S0 = self.module.bad_reduction_set()
-        S = self.pushed.bad_reduction_set()
-        if len(S) != len(S0):
-            raise AssertionError("purely inseparable extension changed |S|")
         q, r = self.module.q, self.module.r
-        for w in S:
+        for w in self.pushed.bad_reduction_set():
             T = self.pushed.reduction_data(w).T
             if not T >= Fraction(self.index, q**r):
                 raise AssertionError("T_v < [L:K]/q^r at a bad place")

@@ -773,16 +773,25 @@ def factor(f):
     """Factor a nonzero Poly: returns (unit encoding, [(irreducible monic, mult)]).
 
     The factor list is sorted; splitting randomness is seeded per call, so the
-    whole computation is reproducible.
+    whole computation is reproducible.  A linear f is its own factor, and
+    the generator is built only for the first distinct-degree block that
+    holds more than one factor: only splits draw from it.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     unit = f.lc
     f = f.monic()
-    rng = random.Random(0x5EED ^ hash(f.coeffs) & 0xFFFFFFFF)
+    if f.degree == 1:
+        return unit, [(f, 1)]
+    rng = None
     out = []
     for sqf, mult in _squarefree_decomposition(f).items():
         for prod, d in _distinct_degree(sqf):
+            if prod.degree == d:
+                out.append((prod, mult))
+                continue
+            if rng is None:
+                rng = random.Random(0x5EED ^ hash(f.coeffs) & 0xFFFFFFFF)
             for irr in _equal_degree(prod, d, rng):
                 out.append((irr, mult))
     out.sort(key=lambda t: t[0].sort_key())

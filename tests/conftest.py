@@ -3,12 +3,12 @@ import sys
 import pytest
 
 from drinheights import (DrinfeldModule, cli, drinfeld, finite_field,
-                         parse_ratfunc, perfect, torsion)
+                         heights, parse_ratfunc, perfect, torsion)
 
 # every process-wide memo keyed by a module, or by a module and a key
 MODULE_MEMOS = (cli._module, DrinfeldModule.reduction_data,
                 torsion.torsion_lattice, torsion.annihilator_of,
-                perfect.insep_level)
+                perfect.insep_level, heights.lehmer_bounds)
 
 
 def make_module(field, *coeffs, var="t"):

@@ -72,6 +72,13 @@ def test_nonmonic_rejected(F3):
     m = make_module(F3, "t", "t")
     with pytest.raises(NonMonicError):
         global_height(m, RatFunc.one(F3))
+    # the bounds are kept per module, and a refused module keeps nothing
+    for _ in range(2):
+        with pytest.raises(NonMonicError):
+            lehmer_bounds(m)
+    assert lehmer_bounds.cache_info().currsize == 0
+    mod = make_module(F3, "t", "1")
+    assert lehmer_bounds(mod) is lehmer_bounds(mod)
 
 
 @pytest.mark.parametrize("x", [
@@ -414,6 +421,134 @@ def test_closed_form_matches_walk_oracle(n):
             for h in (total, height_sum(parts)):
                 assert type(h.lo) is Fraction and type(h.hi) is Fraction
             assert _fields(insep_height(mod, n, x)) == _fields(total)
+
+
+def t2mwg_oracle(module, x, parts):
+    """check_t2mwg as it was before the witness scan came first: the S-empty
+    branch, then the torsion decision, then the witness scan, on `parts`,
+    the oracle breakdown.  The certificate's fields, or the name of the
+    error."""
+    module._require_monic()
+    S = module.bad_reduction_set()
+    if not S:
+        if x.is_constant():
+            return ("constant", None, None, None, None)
+        v, h = parts[0]
+        return ("witness", None, v, h.value, Fraction(v.degree))
+    b = annihilator_of(module, x)
+    if b is not None:
+        return ("torsion", b, None, None, None)
+    sharp = lehmer_bounds(module).sharp
+    exhausted = False
+    for v, h in parts:
+        if not h.is_exact:
+            exhausted = True
+            continue
+        if h.value > sharp * v.degree:
+            return ("witness", None, v, h.value, sharp * v.degree)
+    assert exhausted, "height gap theorem violated"
+    return "BudgetExhaustedError"
+
+
+def _t2_outcome(module, x, parts=None):
+    try:
+        return _certificate_fields(check_t2mwg(module, x, parts=parts))
+    except BudgetExhaustedError:
+        return "BudgetExhaustedError"
+
+
+def _order_cases(n, rng):
+    """(pushed module, point) at level n: seeded pool points, the torsion
+    points of Carlitz q = 2 and of psi_t = 2 t^2 + tau over F_3 (T(K) =
+    F_3 t), and the bounded orbits 1/t, 1/(t+1), t/(t+1) of Carlitz q = 2,
+    the last two pushed to u."""
+    F2, F3 = finite_field(2), finite_field(3)
+    for mod in _oracle_pool():
+        psi = insep_level(mod, n).pushed
+        for x in _oracle_points(rng, psi):
+            yield psi, x
+    for mod in (make_module(F2, "t", "1"), make_module(F3, "2*t^2", "1")):
+        index = mod.field.char**n
+        psi = insep_level(mod, n).pushed
+        points = [x.spread(index) for x in torsion_enumerate(mod)]
+        if mod.field is F2:
+            points += [R(F2, s).spread(index)
+                       for s in ("1/t", "1/(t+1)", "t/(t+1)")]
+        for x in points:
+            yield psi, x
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_certificate_order_matches_oracles(n):
+    # step-0 escapes before the torsion decision, and the witness scan
+    # before it in check_t2mwg, give the oracles' answers and certificates
+    rng = random.Random(2800 + n)
+    kinds = set()
+    for psi, x in _order_cases(n, rng):
+        want = breakdown_oracle(psi, x)
+        parts = global_height_breakdown(psi, x)
+        assert [(v, _fields(h)) for v, h in parts] == \
+            [(v, _fields(h)) for v, h in want], (psi, x)
+        outcome = t2mwg_oracle(psi, x, want)
+        assert _t2_outcome(psi, x) == outcome, (psi, x)
+        assert _t2_outcome(psi, x, parts) == outcome, (psi, x)
+        kinds.add(outcome[0] if isinstance(outcome, tuple) else outcome)
+        kinds.update(h.certificate for _, h in parts)
+    # at n > 0 no case lands in a stable ball at a place of S
+    assert kinds >= {"constant", "torsion", "witness", "Escaped",
+                     "TorsionCertified", "IterationBudgetExhausted"}
+    assert ("GoodReductionIntegral" in kinds) == (n == 0)
+
+
+def test_interval_without_witness_raises_like_the_oracle(car3, F3):
+    # 1/t^7 at v_inf ends at DEGREE_CAP; given only that part, no witness
+    # is certified and x is not torsion
+    x = R(F3, "1/t^7")
+    v = InfinitePlace(F3)
+    h = local_height(car3, v, x)
+    assert _fields(h) == _fields(walk_oracle(car3, v, x))
+    assert h.certificate == "IterationBudgetExhausted"
+    with pytest.raises(BudgetExhaustedError):
+        check_t2mwg(car3, x, parts=[(v, h)])
+    # with every part, the pole at v[t] is the witness
+    assert _t2_outcome(car3, x) == \
+        t2mwg_oracle(car3, x, breakdown_oracle(car3, x))
+
+
+def test_escaping_height_job_builds_no_torsion_data(monkeypatch, F3):
+    # the point escapes at step 0 at both places of S: each local height
+    # there is read off v(x), and the witness needs no torsion decision
+    from drinheights import cli, drinfeld, heights, torsion
+    seen = []
+    lattice_init = torsion.TorsionLattice.__init__
+
+    def spy_lattice(self, module):
+        seen.append("TorsionLattice")
+        lattice_init(self, module)
+
+    def spy_annihilator(module, x):
+        seen.append("annihilator_of")
+        return annihilator_of(module, x)
+
+    floor = drinfeld.ReductionData.stable_floor.func
+
+    def spy_floor(self):
+        seen.append("stable_floor")
+        return floor(self)
+    monkeypatch.setattr(torsion.TorsionLattice, "__init__", spy_lattice)
+    for namespace in (heights, cli, torsion):
+        monkeypatch.setattr(namespace, "annihilator_of", spy_annihilator)
+    monkeypatch.setattr(drinfeld.ReductionData, "stable_floor",
+                        property(spy_floor))
+    job = ('{"field": {"p": 3}, "module": {"coefficients": '
+           '["t", "1/(t^2+1)", "1"]}, "point": "t^6/(t^2+1)^2"}')
+    monkeypatch.setattr(sys, "stdin", __import__("io").StringIO(job))
+    assert cli.main(["height", "-", "--json"]) == 0
+    assert seen == []
+    # the same job with a point in the stable ball at v_inf reads all three
+    mod = make_module(F3, "t", "1/(t^2+1)", "1")
+    assert global_height(mod, R(F3, "1/(t^2+1)")).is_exact
+    assert {"TorsionLattice", "annihilator_of", "stable_floor"} <= set(seen)
 
 
 def test_total_of_a_long_denominator_factors_nothing():

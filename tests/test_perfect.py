@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_module
+from drinheights import gf
+from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import IsotrivialModuleError, NonMonicError
 from drinheights.gf import finite_field
 from drinheights.perfect import (InsepLevel, insep_height, insep_level,
                                  key_dichotomy_check, lehper_check)
 from drinheights.heights import global_height, lehmer_bounds
-from drinheights.places import InfinitePlace
-from drinheights.ratfunc import Poly, RatFunc, parse_poly, parse_ratfunc
+from drinheights.places import FinitePlace, InfinitePlace
+from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics, parse_poly,
+                                 parse_ratfunc)
 from drinheights.torsion import annihilator_of
 from drinheights.verify import rand_with_valuation
 
@@ -94,6 +97,38 @@ def test_level_push_substitutes_nothing(monkeypatch):
         for n in (1, 2):
             InsepLevel(mod, n)
     assert calls == []
+
+
+def _closed_form_pool():
+    # over F_81 built on F_9 a p^n-th root is not a power of F_9's Frobenius,
+    # and over F_9 the place t^2+t+3 (3 = g) twists to u^2+u+6 at odd n
+    F9 = finite_field(3, 2)
+    F81 = gf._proven_extension(F9, (3, 1, 1))
+    return _stretch_pool() + [
+        make_module(F9, "t", "1/(t^2+t+3)", "1"),
+        make_module(F81, "t", "(t+2)/(t+9)", "1"),
+        make_module(F81, "9*t+1/(t^2+t+10)", "1")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_reads_the_factoring_path_off_the_module_below(n):
+    # the pushed module's S and reduction data at each place, read off the
+    # module below, equal those of the same coefficients factored afresh
+    for mod in _closed_form_pool():
+        field = mod.field
+        pushed = insep_level(mod, n).pushed
+        plain = DrinfeldModule(field, [a.spread(field.char**n)
+                                       for a in mod.coeffs])
+        S = pushed.bad_reduction_set()
+        assert S == plain.bad_reduction_set(), (mod, n)
+        u = Poly.x(field)
+        good = [FinitePlace(u + Poly.one(field)),
+                FinitePlace(next(P for P in irreducible_monics(field, 2)
+                                 if FinitePlace(P) not in S))]
+        for w in list(S) + good:
+            a, b = pushed.reduction_data(w), plain.reduction_data(w)
+            assert (a.vals, a.in_S, a.M, a.T, a.newton) == \
+                (b.vals, b.in_S, b.M, b.T, b.newton), (mod, n, w)
 
 
 def test_bad_set_size_invariant(car3, psi2, F3):

@@ -583,6 +583,49 @@ def test_factor_matches_sympy(p):
     assert got == oracle
     assert got_unit == int(lc) % p == unit
     assert dict(got) == expected
+    # linear polynomials, monic or not, and products with one factor in
+    # each distinct-degree block: no split, so no random draw
+    rng = random.Random(300 + p)
+    cases = [Poly(field, [rng.randrange(p), c]) for c in range(1, p)]
+    for _ in range(6):
+        g = Poly.const(field, rng.randrange(1, p))
+        for d in rng.sample(range(1, 4), rng.randint(1, 3)):
+            g = g * rng.choice(list(irreducible_monics(field, d)))**rng.randint(1, 3)
+        cases.append(g)
+    for g in cases:
+        lc, sym_factors = sympy.Poly(list(reversed(g.coeffs)), t,
+                                     modulus=p).factor_list()
+        oracle = sorted(((Poly(field, [int(c) % p for c in reversed(h.all_coeffs())]), m)
+                         for h, m in sym_factors), key=lambda gm: gm[0].sort_key())
+        assert factor(g) == (int(lc) % p, oracle), g
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2)])
+def test_factor_takes_a_linear_polynomial_as_it_is(p, k, monkeypatch):
+    field = finite_field(p, k)
+    for c0 in field.elements():
+        for c1 in range(1, field.order):
+            f = Poly(field, [c0, c1])
+            assert factor(f) == (c1, [(f.monic(), 1)])
+    from types import SimpleNamespace
+    from drinheights import ratfunc
+    # one factor per distinct-degree block: nothing is split, and the
+    # splitting generator is never built
+    built = []
+    monkeypatch.setattr(ratfunc, "random", SimpleNamespace(
+        Random=lambda seed: built.append(seed) or random.Random(seed)))
+    A = next(irreducible_monics(field, 1))
+    B = next(irreducible_monics(field, 2))
+    assert factor(A**3 * B) == (1, sorted([(A, 3), (B, 1)],
+                                          key=lambda gm: gm[0].sort_key()))
+    assert built == []
+    factor(A * (A + Poly.one(field)))
+    assert len(built) == 1
+    calls = []
+    monkeypatch.setattr(ratfunc, "_squarefree_decomposition",
+                        lambda f: calls.append(f))
+    assert factor(Poly(field, [1, 2])) == (2, [(Poly(field, [1, 2]).monic(), 1)])
+    assert calls == []
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 2)])
