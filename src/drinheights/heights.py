@@ -17,8 +17,16 @@ lambda*_v of the phi_t-stable balls {v(y) >= lambda}
 the height is 0; a torsion certificate also gives 0.  The certificates are
 read in the order that builds least: v(x) first, and a point that escapes
 at step 0 has hhat_v(x) = -d(v) v(x) > 0, so it is not torsion and the
-floor (>= ceil(min{0, M_v})) cannot stop it; then the torsion decision,
-then the stable floor and the walk.
+floor (>= ceil(min{0, M_v})) cannot stop it; then the step ahead, read off
+the valuation law g = ReductionData.valuation_law: when one index attains
+g(v(y_n)) < min{0, M_v}, then v(y_(n+1)) = g(v(y_n)) exactly (a strict
+ultrametric minimum), so y_(n+1) escapes, and its value is read without
+building it; then the torsion decision, then the stable floor and the
+walk, which reads the step ahead again before it builds each iterate.  An
+escape proves hhat_v(x) > 0, so the decision and the floor could not have
+stopped it; the step ahead is read only where the walk would build
+y_(n+1) (next_iterate_fits), and a tie of two indices, where the terms
+may cancel, leaves the step to the walk.
 
 There is one budget, DEGREE_CAP on the Weil height of the iterates, and one
 rule applies it (next_iterate_fits, which the key dichotomy's walk also
@@ -181,13 +189,16 @@ def local_height(module, place, x, index=1, val=None):
     """hhat_v(x), exact whenever a certificate fires within DEGREE_CAP.
 
     Outside S the closed form decides at step 0 (_good_height).  At a place
-    of S a point with v(x) < min{0, M_v} escapes at step 0; otherwise a
-    torsion point is 0 at once, and the iterates y_n = phi_t^n(x) are walked
-    until one escapes below min{0, M_v} (Escaped, the exact limit) or lands
-    in the stable ball v(y) >= lambda*_v (GoodReductionIntegral, exactly 0),
-    or until the next iterate would pass DEGREE_CAP, which every
-    non-torsion orbit does (see the module docstring); the answer is then
-    the interval [0, -d(v) min{0, M_v} / q^(rn)].
+    of S a point with v(x) < min{0, M_v} escapes at step 0, and one whose
+    next iterate escapes by the valuation law (one index at the minimum)
+    escapes at step 1 without building it; otherwise a torsion point is 0
+    at once, and the iterates y_n = phi_t^n(x) are walked, each read ahead
+    the same way, until one escapes below min{0, M_v} (Escaped, the exact
+    limit) or lands in the stable ball v(y) >= lambda*_v
+    (GoodReductionIntegral, exactly 0), or until the next iterate would
+    pass DEGREE_CAP, which every non-torsion orbit does (see the module
+    docstring); the answer is then the interval
+    [0, -d(v) min{0, M_v} / q^(rn)].
 
     For a module over an extension L of K, `index` = [L:K] and the place
     counts with its coherent degree d(v) / [L:K].  `val` is v(x) when the
@@ -203,25 +214,34 @@ def local_height(module, place, x, index=1, val=None):
     if val < lam:
         return HeightValue.exact(degree * Fraction(-val), ESCAPED, 0)
 
-    if annihilator_of(module, x) is not None:
-        return HeightValue.exact(0, TORSION)
-
     q, r = module.q, module.r
     phi_t = module.phi_t
-    floor = rd.stable_floor
-    y = x
-    n = 0
+    y, n, floor = x, 0, None
     while True:
+        # y_n is built and val = v(y_n) >= lam.  When one index attains
+        # g = valuation_law(val) < lam, v(y_(n+1)) = g escapes (v(0) = +inf
+        # never does): x is not torsion and y_n lies in no stable ball, so
+        # neither the decision nor the floor is needed
+        fits = next_iterate_fits(module, y)
+        if fits:
+            g, ids = rd.valuation_law(val)
+            if len(ids) == 1 and g < lam:
+                return HeightValue.exact(
+                    degree * Fraction(-g, q**(r * (n + 1))), ESCAPED, n + 1)
+        if n == 0:
+            if annihilator_of(module, x) is not None:
+                return HeightValue.exact(0, TORSION)
+            floor = rd.stable_floor
         if floor is not None and val >= floor:
             return HeightValue.exact(0, GOOD_REDUCTION, n)
-        if val < lam:
-            return HeightValue.exact(
-                degree * Fraction(-val, q**(r * n)), ESCAPED, n)
-        if not next_iterate_fits(module, y):
+        if not fits:
             break
         y = phi_t(y)
         n += 1
         val = place.valuation(y)
+        if val < lam:
+            return HeightValue.exact(
+                degree * Fraction(-val, q**(r * n)), ESCAPED, n)
     return HeightValue(0, degree * Fraction(-lam) / q**(r * n), EXHAUSTED, n)
 
 

@@ -246,19 +246,22 @@ def lehper_check(module, n, x):
 def _lehper_at(level, x, parts):
     """lehper_check at a level already built; `parts` is
     global_height_breakdown(level.pushed, x, level.index) when the
-    caller has it, and only the total is computed otherwise."""
+    caller has it, and only the total is computed otherwise.  The height
+    comes first: a positive lower bound proves x is not torsion, so the
+    torsion decision runs only when it is 0."""
     if level.module.modular_trdeg() == 0:
         raise IsotrivialModuleError(
             "the perfect-closure floor requires a non-isotrivial module: "
             "heights of x^(1/p^n) decay to 0 over the constants")
     bound = lehmer_bounds(level.module).lehper
-    b = annihilator_of(level.pushed, x)
-    if b is not None:
-        return LehperReport(True, b, None, bound, None)
     if parts is None:
         h = global_height(level.pushed, x, level.index)
     else:
         h = height_sum(parts)
+    if h.lo == 0:
+        b = annihilator_of(level.pushed, x)
+        if b is not None:
+            return LehperReport(True, b, None, bound, None)
     if not h.is_exact:
         if h.lo > bound:
             return LehperReport(False, None, h, bound, h.lo - bound)

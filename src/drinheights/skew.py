@@ -5,7 +5,7 @@ composition of the additive maps x -> sum c_i x^(q^i), so the coefficient of
 tau^k in f*g is sum_{i+j=k} f_i * g_j^(q^i).
 """
 
-from drinheights.ratfunc import RatFunc
+from drinheights.ratfunc import Poly, RatFunc, _add, _mul
 
 
 class SkewPoly:
@@ -86,8 +86,25 @@ class SkewPoly:
         return SkewPoly(self.field, out)
 
     def __call__(self, y):
-        """Evaluate the additive polynomial: sum c_i y^(q^i)."""
-        acc = RatFunc.zero(self.field)
+        """Evaluate the additive polynomial: sum c_i y^(q^i).
+
+        y^(q^i) is y spread by q^i, since y has its coefficients in F_q.
+        When y and every c_i are polynomials the sum is one pass over
+        coefficient lists (ratfunc's kernels _mul and _add), and a sum of
+        polynomials is reduced as it stands; otherwise each term is a
+        RatFunc product, added with one reduced sum.
+        """
+        field = self.field
+        if y.den.is_one() and all(c.den.is_one() for c in self.coeffs):
+            a, N, acc = y.num.coeffs, 1, []
+            for c in self.coeffs:
+                if a and c.num.coeffs:
+                    pw = [0] * (N * (len(a) - 1) + 1)
+                    pw[::N] = a
+                    acc = _add(field, acc, _mul(field, c.num.coeffs, pw))
+                N *= field.order
+            return RatFunc(Poly(field, acc), Poly.one(field), _reduced=True)
+        acc = RatFunc.zero(field)
         pw = y
         for i, c in enumerate(self.coeffs):
             if i > 0:

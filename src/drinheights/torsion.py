@@ -251,11 +251,20 @@ class TorsionCertificate:
 
 
 def is_torsion(module, x):
+    """Decide whether x is torsion: its minimal annihilator, or a height
+    witness that proves hhat(x) > 0.
+
+    The witness is looked for first (check_t2mwg), since a local height
+    that escapes needs no pole lattice.  Any other certificate means x is
+    torsion (a constant, when S is empty), and annihilator_of gives its
+    minimal annihilator, kept per point.  Budget exhaustion raises
+    BudgetExhaustedError, and a non-monic module NonMonicError.
+    """
     from drinheights.heights import check_t2mwg
-    b = annihilator_of(module, x)
-    if b is not None:
-        return TorsionCertificate(x, b, None)
-    return TorsionCertificate(x, None, check_t2mwg(module, x))
+    cert = check_t2mwg(module, x)
+    if cert.kind == "witness":
+        return TorsionCertificate(x, None, cert)
+    return TorsionCertificate(x, annihilator_of(module, x), None)
 
 
 class AnnihilatorBound:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import decimal_unlimited, make_module
+from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import BudgetExhaustedError, NonMonicError
 from drinheights.gf import finite_field
 from drinheights.heights import (DEGREE_CAP, HeightValue, check_t2mwg, frac,
@@ -549,6 +551,88 @@ def test_escaping_height_job_builds_no_torsion_data(monkeypatch, F3):
     mod = make_module(F3, "t", "1/(t^2+1)", "1")
     assert global_height(mod, R(F3, "1/(t^2+1)")).is_exact
     assert {"TorsionLattice", "annihilator_of", "stable_floor"} <= set(seen)
+
+
+def psi_module(field, g):
+    """psi_t = -g^(q-1) + tau: S = {v_inf}, M = -deg g and T(K) = F_q g."""
+    a0 = -RatFunc.from_poly(g)**(field.order - 1)
+    return DrinfeldModule(field, [a0, RatFunc.one(field)])
+
+
+# (p, g): every point of degree <= deg g is walked, so deg g stays small
+PSI_CASES = [(3, (2, 1, 1)), (5, (1, 0, 1)), (7, (3, 1))]
+
+
+@pytest.mark.parametrize("p, g", PSI_CASES)
+def test_step_ahead_escapes_match_walk_oracle(p, g):
+    # at v_inf, v(x) = -k >= -deg g = lambda.  For k < deg g one index
+    # attains the valuation law, so x escapes at step 1 with the closed
+    # form ((q-1) deg g + k)/q, read without building y_1.  At k = deg g
+    # the two indices tie and the walk decides: c g is torsion (phi_t
+    # cancels it), and c g + h escapes at step 1 through the walk
+    field = finite_field(p)
+    mod = psi_module(field, Poly(field, g))
+    d = len(g) - 1
+    v = InfinitePlace(field)
+    seen = set()
+    for c in itertools.product(range(p), repeat=d + 1):
+        x = RatFunc.from_poly(Poly(field, c))
+        h = local_height(mod, v, x)
+        assert _fields(h) == _fields(walk_oracle(mod, v, x)), x
+        k = x.num.degree
+        if 0 <= k < d:
+            value = Fraction((p - 1) * d + k, p)
+            assert _fields(h) == (value, value, "Escaped", 1), x
+        seen.add((h.certificate, h.step, k == d))
+    assert seen == {("Escaped", 1, False), ("Escaped", 1, True),
+                    ("TorsionCertified", None, True),
+                    ("TorsionCertified", None, False)}
+
+
+def test_step_ahead_escape_waits_for_the_budget(F3):
+    # at v[t^2+1], t^7000 has v = 0 and the law reads v(y_1) = v(a_1) = -1
+    # below lambda = -1/6, but h(x) q^r passes DEGREE_CAP, so the walk
+    # would not build y_1: the interval at step 0, as the walk gives
+    mod = make_module(F3, "t", "1/(t^2+1)", "1")
+    v = FinitePlace(parse_poly(F3, "t^2+1"))
+    x = R(F3, "t^7000")
+    h = local_height(mod, v, x)
+    assert _fields(h) == _fields(walk_oracle(mod, v, x))
+    assert (h.certificate, h.step) == ("IterationBudgetExhausted", 0)
+
+
+def test_non_torsion_psi_point_builds_nothing(monkeypatch):
+    # is_torsion at a psi point of degree < deg g: the witness at v_inf is
+    # read off the valuation law, so no pole lattice is built, no stable
+    # floor is read and phi_t is never evaluated
+    from drinheights import drinfeld, skew, torsion
+    seen = []
+    lattice_init = torsion.TorsionLattice.__init__
+    floor = drinfeld.ReductionData.stable_floor.func
+    call = skew.SkewPoly.__call__
+
+    def spy_lattice(self, module):
+        seen.append("TorsionLattice")
+        lattice_init(self, module)
+
+    def spy_floor(self):
+        seen.append("stable_floor")
+        return floor(self)
+
+    def spy_call(self, y):
+        seen.append("phi_t")
+        return call(self, y)
+    monkeypatch.setattr(torsion.TorsionLattice, "__init__", spy_lattice)
+    monkeypatch.setattr(drinfeld.ReductionData, "stable_floor",
+                        property(spy_floor))
+    monkeypatch.setattr(skew.SkewPoly, "__call__", spy_call)
+    F5 = finite_field(5)
+    mod = psi_module(F5, parse_poly(F5, "t^2+1"))
+    cert = torsion.is_torsion(mod, R(F5, "3*t+1"))
+    assert not cert.torsion
+    assert (cert.witness.place, cert.witness.local) == \
+        (InfinitePlace(F5), Fraction(4 * 2 + 1, 5))
+    assert seen == []
 
 
 def test_total_of_a_long_denominator_factors_nothing():

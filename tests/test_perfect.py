@@ -227,6 +227,29 @@ def test_lehper_check_torsion_report(psi2, F2):
     assert rep.torsion and rep.annihilator == parse_poly(F2, "t")
 
 
+def test_lehper_height_comes_before_the_torsion_decision(monkeypatch, F3):
+    # at level 1 the point escapes at step 0 at both places of S, so its
+    # height is positive, it is not torsion, and no pole lattice is built
+    import io
+    import sys
+    from drinheights import cli, torsion
+    built = []
+    lattice_init = torsion.TorsionLattice.__init__
+
+    def spy_lattice(self, module):
+        built.append(module)
+        lattice_init(self, module)
+    monkeypatch.setattr(torsion.TorsionLattice, "__init__", spy_lattice)
+    job = ('{"field": {"p": 3}, "module": {"coefficients": '
+           '["t", "1/(t^2+1)", "1"]}, "point": "u^18/(u^2+1)^6"}')
+    monkeypatch.setattr(sys, "stdin", io.StringIO(job))
+    assert cli.main(["height", "-", "--insep-level", "1", "--json"]) == 0
+    assert built == []
+    # a torsion point still gets its annihilator
+    assert lehper_check(make_module(F3, "t", "1/(t^2+1)", "1"), 1,
+                        RatFunc.zero(F3)).torsion
+
+
 def test_lehper_check_isotrivial_rejected(tau2, F2):
     with pytest.raises(IsotrivialModuleError):
         lehper_check(tau2, 1, RatFunc.x(F2))

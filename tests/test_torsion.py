@@ -7,12 +7,14 @@ from conftest import make_module
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.gf import finite_field
-from drinheights.heights import lehmer_bounds
+from drinheights.errors import BudgetExhaustedError, NonMonicError
+from drinheights.heights import check_t2mwg, lehmer_bounds
 from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
                                  parse_poly, parse_ratfunc)
-from drinheights.torsion import (annihilator_bound, annihilator_of,
-                                 is_torsion, kernel_in_K, torsion_annihilator,
-                                 torsion_enumerate, torsion_lattice)
+from drinheights.torsion import (TorsionCertificate, annihilator_bound,
+                                 annihilator_of, is_torsion, kernel_in_K,
+                                 torsion_annihilator, torsion_enumerate,
+                                 torsion_lattice)
 from drinheights.verify import module_pool
 
 
@@ -346,7 +348,7 @@ def test_kernel_heavy_psi_closed_form(g, b):
     assert kernel_in_K(mod, Poly(F7, b)) == sorted(expect, key=lambda y: y.sort_key())
 
 
-def test_annihilator_computed_once_per_point(F3, monkeypatch):
+def test_annihilator_computed_once_per_point(F2, F3, monkeypatch):
     from drinheights import gf
     eliminated = []
     real = gf.first_dependence
@@ -355,17 +357,75 @@ def test_annihilator_computed_once_per_point(F3, monkeypatch):
         eliminated.append(field)
         return real(vectors, field)
     monkeypatch.setattr(gf, "first_dependence", counting)
-    mod = make_module(F3, "t", "1")  # a fresh module has no answers kept
-    # the decision, the T2 check and the local height at v_inf all ask;
-    # one elimination answers them all
-    x = RatFunc.one(F3)
-    cert = is_torsion(mod, x)
-    assert not cert.torsion and cert.witness.kind == "witness"
+    mod = make_module(F2, "t", "1")  # a fresh module has no answers kept
+    # t+1 is torsion, and at v_inf its valuation law ties, so nothing is
+    # read ahead: the local height at v_inf, the T2 check and the decision
+    # all ask, and one elimination answers them all
+    cert = is_torsion(mod, R(F2, "t+1"))
+    assert cert.torsion and cert.annihilator == parse_poly(F2, "t+1")
     info = annihilator_of.cache_info()
-    assert (info.misses, len(eliminated)) == (1, 1) and info.hits >= 1
-    assert annihilator_of(mod, RatFunc.zero(F3)) == Poly.one(F3)
-    assert annihilator_of(mod, RatFunc.zero(F3)) == Poly.one(F3)
+    assert (info.misses, len(eliminated)) == (1, 1) and info.hits >= 2
+    assert annihilator_of(mod, RatFunc.zero(F2)) == Poly.one(F2)
+    assert annihilator_of(mod, RatFunc.zero(F2)) == Poly.one(F2)
     assert (annihilator_of.cache_info().misses, len(eliminated)) == (2, 2)
+    # 1 under Carlitz over F_3 escapes at v_inf at step 1, read off the
+    # valuation law: the witness needs no elimination
+    cert = is_torsion(make_module(F3, "t", "1"), RatFunc.one(F3))
+    assert not cert.torsion and cert.witness.kind == "witness"
+    assert (annihilator_of.cache_info().misses, len(eliminated)) == (2, 2)
+
+
+def is_torsion_oracle(module, x):
+    """is_torsion as it was before the witness came first: the torsion
+    decision, then check_t2mwg for a non-torsion point."""
+    b = annihilator_of(module, x)
+    if b is not None:
+        return TorsionCertificate(x, b, None)
+    return TorsionCertificate(x, None, check_t2mwg(module, x))
+
+
+def _decision(decide, module, x):
+    """Every field of decide(module, x), or the name of its error."""
+    try:
+        cert = decide(module, x)
+    except (BudgetExhaustedError, NonMonicError) as exc:
+        return type(exc).__name__
+    w = cert.witness
+    return (cert.point, cert.torsion, cert.annihilator, None if w is None
+            else (w.kind, w.annihilator, w.place, w.local, w.bound))
+
+
+def _decision_cases():
+    """(module, points): Carlitz over F_2 with T(K) = {0, 1, t, t+1};
+    psi over F_3 and F_5 with T(K) = F_q g; deep poles at both places of S;
+    S empty; and a non-monic module."""
+    F2, F3, F5 = finite_field(2), finite_field(3), finite_field(5)
+    yield make_module(F2, "t", "1"), ["0", "1", "t", "t+1", "t^2", "1/t",
+                                      "1/(t+1)", "t/(t+1)", "t^3+t+1"]
+    for field, g in ((F3, "t^2+t+2"), (F5, "t^2+1")):
+        psi = DrinfeldModule(field, [-R(field, g)**(field.order - 1),
+                                     RatFunc.one(field)])
+        yield psi, ["0", g, "2*(%s)" % g, "1", "t", "2*t+1", g + "+1",
+                    "t^3", "1/t"]
+    yield make_module(F3, "t", "1/(t^2+1)", "1"), [
+        "1/(t^2+1)^3", "(t+1)/((t^2+1)^2*t)", "t^4", "1/(t^2+1)", "0"]
+    yield make_module(F2, "0", "1"), ["0", "1", "t", "1/(t+1)"]
+    yield make_module(F3, "t", "2"), ["0", "1", "t"]
+
+
+def test_is_torsion_matches_the_oracle():
+    from conftest import MODULE_MEMOS
+    kinds = set()
+    for mod, points in _decision_cases():
+        for s in points:
+            x = R(mod.field, s)
+            got = _decision(is_torsion, mod, x)
+            for memo in MODULE_MEMOS:
+                memo.cache_clear()
+            assert got == _decision(is_torsion_oracle, mod, x), (mod, s)
+            kinds.add(got if isinstance(got, str)
+                      else got[3][0] if got[3] else got[1])
+    assert kinds == {True, "witness", "NonMonicError"}
 
 
 UNENUMERABLE_AT_B_LCM = ["rank2-two-bad", "rank2-deg2-bad", "rank2-q2",
