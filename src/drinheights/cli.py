@@ -548,6 +548,7 @@ COMMANDS = {
     "lehmer": cmd_lehmer,
     "insep-height": cmd_insep_height,
     "dichotomy": cmd_dichotomy,
+    "verify": cmd_verify,
 }
 
 
@@ -556,7 +557,7 @@ PARSER = argparse.ArgumentParser(
     prog="drinheights",
     description="Exact heights, reduction data and torsion bounds for "
                 "Drinfeld modules over F_q(t).")
-PARSER.add_argument("command", choices=sorted(COMMANDS) + ["verify"])
+PARSER.add_argument("command", choices=sorted(COMMANDS))
 PARSER.add_argument("job", nargs="?", default="-",
                     help="job JSON file, or - for stdin")
 PARSER.add_argument("--json", action="store_true", dest="as_json",
@@ -581,10 +582,7 @@ def main(argv=None):
     rep = Report(args.as_json)
     try:
         job = Job(load_job(args.job), args)
-        if args.command == "verify":
-            code = cmd_verify(job, rep)
-        else:
-            code = COMMANDS[args.command](job, rep)
+        code = COMMANDS[args.command](job, rep)
     except (InputError, NonMonicError, IsotrivialModuleError,
             ResidueFieldError) as exc:
         print("input error: %s" % exc, file=sys.stderr)

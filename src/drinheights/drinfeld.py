@@ -67,20 +67,22 @@ class ReductionData:
     """Reduction data of a monic module at one place (see module docstring).
 
     Built at once: the valuations `vals` (module.coefficient_valuations),
-    `in_S`, M_v, T_v and the Newton polygon.  Built on first read and kept: `stable_floor`, and the
-    exceptional sets P, Pp, Ppp, Q and R, all five together (R maps each
-    alpha in Q_v to a tuple of nonzero residue-field elements).  `pair_in`
-    is the dichotomy membership test (v(x), ac(x)) in P x R(v(x)).
+    `in_S`, M_v, lam = min(0, M_v), T_v and the Newton polygon.  Built on
+    first read and kept: `stable_floor`, and the exceptional sets P, Pp,
+    Ppp, Q and R, all five together (R maps each alpha in Q_v to a tuple of
+    nonzero residue-field elements).  `pair_in` is the dichotomy membership
+    test (v(x), ac(x)) in P x R(v(x)).
     """
 
     def __init__(self, module, place):
         q, r = self.q, self.r = module.q, module.r
+        self.module = module
         self.place = place
-        self.coeffs = module.coeffs
         self.N_phi = module.N_phi
         self.vals = vals = module.coefficient_valuations(place)
         self.in_S = any(a < 0 for a in vals)  # S: some v(a_i) < 0
         self.M = _mv(vals, q, r)
+        self.lam = min(0, self.M)
         self.T = _tv(vals, q, r)
         points = [(q**i, a) for i, a in enumerate(vals) if a is not INFINITY]
         hull = _lower_hull(points)
@@ -133,7 +135,8 @@ class ReductionData:
         R = {}
         for alpha in Q:
             _, ids = self.valuation_law(alpha)
-            image = [(v.angular_component(self.coeffs[i]), i) for i in ids]
+            image = [(v.angular_component(self.module.coeffs[i]), i)
+                     for i in ids]
             targets = []
             if alpha in P or alpha in Ppp:
                 targets.append(k_v.zero)
@@ -194,16 +197,15 @@ class ReductionData:
         # Newton breakpoints, where two do.  g(k) - k is nondecreasing, so
         # g(lambda) >= lambda proves B_lambda stable; it holds from `top` on,
         # and never if v(a_0) < 0.  Below `top` only a breakpoint can be
-        # stable, and below ceil(min(0, M_v)) nothing is, since there
+        # stable, and below ceil(lam) nothing is, since there
         # v(phi_t(pi^k)) = q^r k < k.
         vals, place = self.vals, self.place
-        phi_t = SkewPoly(place.field, self.coeffs)
         if vals[0] is not INFINITY and vals[0] < 0:
             top = None
         else:
             top = max(-(a // (self.q**i - 1)) for i, a in enumerate(vals)
                       if i and a is not INFINITY)
-        bottom = math.ceil(min(Fraction(0), self.M))
+        bottom = math.ceil(self.lam)
         breaks = [int(-seg[2]) for seg in self.newton if seg[2].denominator == 1]
         candidates = sorted(b for b in breaks
                             if b >= bottom and (top is None or b < top))
@@ -213,7 +215,7 @@ class ReductionData:
             # min_j v(phi_t(pi^k t^j)), evaluated once per breakpoint
             if k not in lowest:
                 pk, t = place.uniformizer**k, RatFunc.x(place.field)
-                lowest[k] = min(place.valuation(phi_t(pk * t**j))
+                lowest[k] = min(place.valuation(self.module.phi_t(pk * t**j))
                                 for j in range(place.degree))
             return lowest[k]
 
@@ -257,7 +259,7 @@ class DrinfeldModule:
     def is_monic(self):
         return self.coeffs[-1].is_one()
 
-    @property
+    @cached_property
     def phi_t(self):
         return SkewPoly(self.field, self.coeffs)
 
@@ -274,10 +276,9 @@ class DrinfeldModule:
         """The skew polynomial phi_b for b in F_q[t], by Horner composition."""
         if b.is_zero():
             return SkewPoly.zero(self.field)
-        phi_t = self.phi_t
         acc = SkewPoly.const(self.field, RatFunc.const(self.field, b.coeffs[-1]))
         for j in range(len(b.coeffs) - 2, -1, -1):
-            acc = acc * phi_t
+            acc = acc * self.phi_t
             if b.coeffs[j]:
                 acc = acc + SkewPoly.const(
                     self.field, RatFunc.const(self.field, b.coeffs[j]))
@@ -292,10 +293,9 @@ class DrinfeldModule:
         """
         if b.is_zero():
             return RatFunc.zero(self.field)
-        phi_t = self.phi_t
         acc = x.scale(b.coeffs[-1])
         for c in reversed(b.coeffs[:-1]):
-            acc = phi_t(acc)
+            acc = self.phi_t(acc)
             if c:
                 acc = acc + x.scale(c)
         return acc
@@ -340,18 +340,13 @@ class DrinfeldModule:
                 "leading unit %s of a_r is not a (q^r-1)-th power in F_q "
                 "(only 1 is)" % self.field.elem_str(unit))
         gamma = RatFunc.one(self.field)
-        for P, e in num_factors:
+        # a_r's prime powers, those of its denominator with negative exponent
+        for P, e in num_factors + [(P, -e) for P, e in den_factors]:
             if e % m:
                 raise MonicizeError(
                     "exponent %d of %s in a_r is not divisible by q^r-1 = %d"
                     % (e, P, m))
             gamma = gamma * RatFunc.from_poly(P)**(-e // m)
-        for P, e in den_factors:
-            if e % m:
-                raise MonicizeError(
-                    "exponent %d of %s in a_r is not divisible by q^r-1 = %d"
-                    % (-e, P, m))
-            gamma = gamma * RatFunc.from_poly(P)**(e // m)
         new_coeffs = [a * gamma**(self.q**i - 1)
                       for i, a in enumerate(self.coeffs)]
         conj = DrinfeldModule(self.field, new_coeffs)

@@ -14,25 +14,24 @@ v(y_n) drops below min{0, M_v} the valuation multiplies by exactly q^r each
 step (so the limit is read off at step n); once v(y_n) reaches the floor
 lambda*_v of the phi_t-stable balls {v(y) >= lambda}
 (ReductionData.stable_floor, built once per place) the orbit is bounded and
-the height is 0; a torsion certificate also gives 0.  The certificates are
-read in the order that builds least: v(x) first, and a point that escapes
-at step 0 has hhat_v(x) = -d(v) v(x) > 0, so it is not torsion and the
-floor (>= ceil(min{0, M_v})) cannot stop it; then the step ahead, read off
-the valuation law g = ReductionData.valuation_law: when one index attains
-g(v(y_n)) < min{0, M_v}, then v(y_(n+1)) = g(v(y_n)) exactly (a strict
-ultrametric minimum), so y_(n+1) escapes, and its value is read without
-building it; then the torsion decision, then the stable floor and the
-walk, which reads the step ahead again before it builds each iterate.  An
-escape proves hhat_v(x) > 0, so the decision and the floor could not have
-stopped it; the step ahead is read only where the walk would build
-y_(n+1) (next_iterate_fits), and a tie of two indices, where the terms
-may cancel, leaves the step to the walk.
+the height is 0; a torsion certificate also gives 0.  Each step reads the
+certificates in the order that builds least: v(y_n) first, and a point
+that escapes at step 0 has hhat_v(x) = -d(v) v(x) > 0, so it is not
+torsion and the floor (>= ceil(min{0, M_v})) cannot stop it; then the step
+ahead, read off the valuation law g = ReductionData.valuation_law: when
+one index attains g(v(y_n)) < min{0, M_v}, then v(y_(n+1)) = g(v(y_n))
+exactly (a strict ultrametric minimum), so y_(n+1) escapes, and its value
+is read without building it; then, at step 0, the torsion decision and
+the floor; then y_(n+1) is built.  An escape proves hhat_v(x) > 0, so the
+decision and the floor could not have stopped it; the step ahead is read
+only where the walk would build y_(n+1) (next_iterate_fits), and a tie of
+two indices, where the terms may cancel, leaves the step to the walk.
 
 There is one budget, DEGREE_CAP on the Weil height of the iterates, and one
 rule applies it (next_iterate_fits, which the key dichotomy's walk also
 reads): a walk builds phi_t(y) only while h(y) q^r is within the cap.  The
-iterate built may still pass the cap by at most the largest coefficient
-height, and the rule ends every walk that no certificate ends first.  A
+iterate built may still pass the cap by at most the sum of the coefficient
+heights, and the rule ends every walk that no certificate ends first.  A
 torsion point is certified before the walk.  Every other point is
 non-torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
 hhat(x) >= q^(-2r - r^2 N |S|)), and the Weil height of phi_t^n(x) grows
@@ -180,8 +179,8 @@ class HeightValue:
 
 def next_iterate_fits(module, y):
     """Is h(y) q^r within DEGREE_CAP?  A walk builds phi_t(y) only then.
-    The iterate's height is at most h(y) q^r plus the largest coefficient
-    height, so it may pass the cap by that much."""
+    Over lcm(den a_i) den(y)^(q^r), h(phi_t(y)) <= h(y) q^r + sum h(a_i):
+    the iterate may pass the cap by that sum."""
     return y.weil_height() * module.q**module.r <= DEGREE_CAP
 
 
@@ -210,18 +209,16 @@ def local_height(module, place, x, index=1, val=None):
         return _good_height(place, val, index)
     degree = place.degree if index == 1 else Fraction(place.degree, index)
     rd = module.reduction_data(place)
-    lam = min(0, rd.M)
-    if val < lam:
-        return HeightValue.exact(degree * Fraction(-val), ESCAPED, 0)
-
-    q, r = module.q, module.r
-    phi_t = module.phi_t
+    lam, q, r = rd.lam, module.q, module.r
     y, n, floor = x, 0, None
     while True:
-        # y_n is built and val = v(y_n) >= lam.  When one index attains
-        # g = valuation_law(val) < lam, v(y_(n+1)) = g escapes (v(0) = +inf
-        # never does): x is not torsion and y_n lies in no stable ball, so
-        # neither the decision nor the floor is needed
+        # y_n is built and val = v(y_n): below lam it escapes.  Else, when
+        # one index attains g = valuation_law(val) < lam, v(y_(n+1)) = g
+        # escapes (v(0) = +inf never does): x is not torsion and y_n lies
+        # in no stable ball, so neither the decision nor the floor is needed
+        if val < lam:
+            return HeightValue.exact(
+                degree * Fraction(-val, q**(r * n)), ESCAPED, n)
         fits = next_iterate_fits(module, y)
         if fits:
             g, ids = rd.valuation_law(val)
@@ -236,12 +233,9 @@ def local_height(module, place, x, index=1, val=None):
             return HeightValue.exact(0, GOOD_REDUCTION, n)
         if not fits:
             break
-        y = phi_t(y)
+        y = module.phi_t(y)
         n += 1
         val = place.valuation(y)
-        if val < lam:
-            return HeightValue.exact(
-                degree * Fraction(-val, q**(r * n)), ESCAPED, n)
     return HeightValue(0, degree * Fraction(-lam) / q**(r * n), EXHAUSTED, n)
 
 

@@ -184,7 +184,6 @@ def key_dichotomy_check(module, n, x):
             exhausted = True
 
     uptos = [(w, math.floor(psi.reduction_data(w).T)) for w in S]
-    phi_t = psi.phi_t
 
     def conditions():
         y = x
@@ -194,7 +193,7 @@ def key_dichotomy_check(module, n, x):
                     raise BudgetExhaustedError(
                         "iterates outgrew the degree budget before a "
                         "branch-2 certificate appeared")
-                y = phi_t(y)
+                y = psi.phi_t(y)
             vec = {}
             for w_idx, (w, upto) in enumerate(uptos):
                 vec.update(_expansion_vector(w_idx, w, y, upto))

@@ -66,7 +66,7 @@ class TorsionLattice:
         m_inf = 0
         S = module.bad_reduction_set()
         for v in S:
-            e = math.floor(-min(0, module.reduction_data(v).M))
+            e = math.floor(-module.reduction_data(v).lam)
             if isinstance(v, FinitePlace):
                 Q = Q * v.P**e
             else:
@@ -213,7 +213,6 @@ def annihilator_of(module, x):
     if x not in lattice:
         return None
     Q = lattice.Q
-    phi_t = module.phi_t
 
     def coordinates():
         # numerators over the common denominator Q; leaving the lattice
@@ -221,7 +220,7 @@ def annihilator_of(module, x):
         y = x
         for j in range(lattice.m + 1):
             if j:
-                y = phi_t(y)
+                y = module.phi_t(y)
                 if y not in lattice:
                     return
             yield dict(enumerate((y.num * (Q // y.den)).coeffs))

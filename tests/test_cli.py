@@ -120,6 +120,34 @@ def test_torsion_report(tmp_path, capsys):
         assert line in out
 
 
+@pytest.mark.parametrize("command, job", [
+    ("torsion", PSI2),
+    ("height", dict(RANK2_BAD, point="1/(t^2+1)")),
+])
+def test_job_builds_phi_t_once_per_module(command, job, tmp_path, capsys,
+                                          monkeypatch):
+    # phi_t is the module's one SkewPoly: the walk, act, the torsion
+    # decision and the stable floor all apply it, none builds its own
+    from drinheights.drinfeld import DrinfeldModule
+    from drinheights.skew import SkewPoly
+    modules, built = [], []
+    module_init, skew_init = DrinfeldModule.__init__, SkewPoly.__init__
+
+    def spy_module(self, field, coeffs):
+        module_init(self, field, coeffs)
+        modules.append(self)
+
+    def spy_skew(self, field, coeffs):
+        built.append(coeffs)
+        skew_init(self, field, coeffs)
+    monkeypatch.setattr(DrinfeldModule, "__init__", spy_module)
+    monkeypatch.setattr(SkewPoly, "__init__", spy_skew)
+    code, _, _ = run(capsys, [command, job_file(tmp_path, job), "--json"])
+    assert code == 0 and modules
+    assert [sum(c is mod.coeffs for c in built) for mod in modules] == \
+        [1] * len(modules)
+
+
 def test_kernel_report(tmp_path, capsys):
     job = dict(PSI2, b="t^2+t")
     code, out, _ = run(capsys, ["kernel", job_file(tmp_path, job)])

@@ -257,9 +257,14 @@ def test_monicize_carlitz_twist(F3):
 
 
 def test_monicize_obstruction(F3):
-    m = make_module(F3, "t", "t")
-    with pytest.raises(MonicizeError):
-        m.monicize()
+    # the first obstruction is named: a prime power of a_r's numerator, or
+    # one of its denominator, whose exponent prints negative
+    for a_r, msg in (("t", "exponent 1 of t"),
+                     ("t^2/(t+1)", "exponent -1 of t+1")):
+        with pytest.raises(MonicizeError) as err:
+            make_module(F3, "t", a_r).monicize()
+        assert str(err.value) == msg + (" in a_r is not divisible by "
+                                        "q^r-1 = 2")
 
 
 def test_monicize_preserves_heights(F3):

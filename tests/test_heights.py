@@ -22,7 +22,8 @@ from drinheights.places import (FinitePlace, InfinitePlace,
 from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
                                  ord_at, parse_poly, parse_ratfunc)
 from drinheights.torsion import annihilator_of, torsion_enumerate
-from drinheights.verify import module_pool, rand_ratfunc
+from drinheights.verify import (module_pool, rand_nonzero_ratfunc,
+                                rand_ratfunc)
 
 
 def R(field, s, var="t"):
@@ -280,6 +281,30 @@ def test_height_value_arithmetic():
     # a float bound is an int / int division somewhere
     with pytest.raises(AssertionError):
         HeightValue(0.5, 0.5, "bad")
+
+
+def test_iterate_height_bound(F2, F3, F5):
+    # over the denominator lcm(den a_i) den(y)^(q^r), h(phi_t(y)) is at most
+    # q^r h(y) + sum h(a_i), the margin next_iterate_fits leaves past the
+    # cap; the largest h(a_i) alone is not enough: here h(phi_t(1)) = 2
+    def past_max(mod, y):
+        """Check the sum bound; does the iterate pass q^r h(y) + max h(a_i)?"""
+        h, base = mod.phi_t(y).weil_height(), mod.q**mod.r * y.weil_height()
+        heights = [a.weil_height() for a in mod.coeffs]
+        assert h <= base + sum(heights), (mod, y)
+        return h > base + max(heights)
+
+    assert past_max(make_module(F3, "1/(t+1)", "1/t", "1"), RatFunc.one(F3))
+    rng = random.Random(3000)
+    passed = 0
+    for field in (F2, F3, F5, finite_field(2, 2), finite_field(3, 2)):
+        for _ in range(100):
+            coeffs = [rand_ratfunc(rng, field, 2)
+                      for _ in range(rng.randint(1, 2))]
+            coeffs.append(rand_nonzero_ratfunc(rng, field, 2))
+            passed += past_max(DrinfeldModule(field, coeffs),
+                               rand_ratfunc(rng, field, 3))
+    assert passed > 0  # the pool meets the case the old text missed
 
 
 def _certificate_fields(cert):
