@@ -33,5 +33,6 @@ class IsotrivialModuleError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """The degree budget (heights.DEGREE_CAP) ran out before a certificate
-    was reached."""
+    """The degree budget (heights.DEGREE_CAP) ended a walk of the iterates
+    before a certificate was reached: a local height walked after a tie of
+    the valuation law, or the key dichotomy's branch 2."""

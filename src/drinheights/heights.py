@@ -9,34 +9,30 @@ lambda*_v is 0: the walk below would stop at once, escaping when v(x) < 0
 and in the stable ball otherwise.  So no reduction data is built and
 nothing is iterated at a good place.
 
-At a place of S the limit is resolved exactly by iterating phi_t: once
-v(y_n) drops below min{0, M_v} the valuation multiplies by exactly q^r each
-step (so the limit is read off at step n); once v(y_n) reaches the floor
-lambda*_v of the phi_t-stable balls {v(y) >= lambda}
-(ReductionData.stable_floor, built once per place) the orbit is bounded and
-the height is 0; a torsion certificate also gives 0.  Each step reads the
-certificates in the order that builds least: v(y_n) first, and a point
-that escapes at step 0 has hhat_v(x) = -d(v) v(x) > 0, so it is not
-torsion and the floor (>= ceil(min{0, M_v})) cannot stop it; then the step
-ahead, read off the valuation law g = ReductionData.valuation_law: when
-one index attains g(v(y_n)) < min{0, M_v}, then v(y_(n+1)) = g(v(y_n))
-exactly (a strict ultrametric minimum), so y_(n+1) escapes, and its value
-is read without building it; then, at step 0, the torsion decision and
-the floor; then y_(n+1) is built.  An escape proves hhat_v(x) > 0, so the
-decision and the floor could not have stopped it; the step ahead is read
-only where the walk would build y_(n+1) (next_iterate_fits), and a tie of
-two indices, where the terms may cancel, leaves the step to the walk.
+At a place of S the limit is read off the integers v(y_n), y_n =
+phi_t^n(x), not off the iterates.  With g = ReductionData.valuation_law,
+v(phi_t(y)) = g(v(y)) when one index attains g (a strict ultrametric
+minimum; Poonen 1995), so while one does and g(v) < v the walk v <- g(v)
+is exact.  Below min{0, M_v} the valuation multiplies by q^r each step, so
+an orbit there at step n has hhat_v(x) = -d(v) v(y_n) / q^(rn) (Escaped).
+g(k) - k is nondecreasing, so g(v) >= v makes the ball {v(y) >= v}
+phi_t-stable, and every earlier step descends: the walk ends within
+v(x) - ceil(min{0, M_v}) + 1 steps, with no budget.  An orbit that does
+not escape is 0 when x is torsion (TorsionCertified), and 0 at step 0 when
+v(x) is at least the floor lambda*_v of the stable balls
+(ReductionData.stable_floor; GoodReductionIntegral), which always holds
+when the walk stopped at g(v) >= v.  That leaves a tie of two indices at
+g(v) < v, where the terms may cancel: there the iterates y_n are walked
+from x, each read for an escape and for the floor.
 
-There is one budget, DEGREE_CAP on the Weil height of the iterates, and one
-rule applies it (next_iterate_fits, which the key dichotomy's walk also
-reads): a walk builds phi_t(y) only while h(y) q^r is within the cap.  The
-iterate built may still pass the cap by at most the sum of the coefficient
-heights, and the rule ends every walk that no certificate ends first.  A
-torsion point is certified before the walk.  Every other point is
-non-torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
-hhat(x) >= q^(-2r - r^2 N |S|)), and the Weil height of phi_t^n(x) grows
-like hhat(x) q^(rn) until it passes the cap.  There the answer is the sound
-interval [0, -d(v) lambda / q^(rn)] instead of a guess.
+That walk alone has a budget, DEGREE_CAP on the Weil height of the
+iterates, applied by one rule (next_iterate_fits, which the key
+dichotomy's walk also reads): phi_t(y) is built only while h(y) q^r is
+within the cap, and may pass it by at most the sum of the coefficient
+heights.  The rule ends every walk that no certificate ends first: x is
+not torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
+hhat(x) >= q^(-2r - r^2 N |S|)), and h(y_n) grows like hhat(x) q^(rn).
+The answer is then the sound interval [0, -d(v) lambda / q^(rn)].
 
 The global height sums the local heights over S and the poles of x
 outside S; everywhere else hhat_v(x) = 0.  The good poles are the factors
@@ -67,8 +63,8 @@ from drinheights.places import INFINITY, InfinitePlace, poles
 from drinheights.ratfunc import Poly, RatFunc, _divide_out
 from drinheights.torsion import _gap_degree, annihilator_of
 
-# iterates beyond this degree force the sound interval fallback; the bound
-# exists to keep adversarial non-escaping orbits from eating memory
+# a walk after a tie builds no iterate past this degree and ends in the
+# sound interval instead; the bound keeps such orbits from eating memory
 DEGREE_CAP = 20000
 
 ESCAPED = "Escaped"
@@ -185,19 +181,12 @@ def next_iterate_fits(module, y):
 
 
 def local_height(module, place, x, index=1, val=None):
-    """hhat_v(x), exact whenever a certificate fires within DEGREE_CAP.
+    """hhat_v(x), exact unless the walk after a tie passes DEGREE_CAP.
 
     Outside S the closed form decides at step 0 (_good_height).  At a place
-    of S a point with v(x) < min{0, M_v} escapes at step 0, and one whose
-    next iterate escapes by the valuation law (one index at the minimum)
-    escapes at step 1 without building it; otherwise a torsion point is 0
-    at once, and the iterates y_n = phi_t^n(x) are walked, each read ahead
-    the same way, until one escapes below min{0, M_v} (Escaped, the exact
-    limit) or lands in the stable ball v(y) >= lambda*_v
-    (GoodReductionIntegral, exactly 0), or until the next iterate would
-    pass DEGREE_CAP, which every non-torsion orbit does (see the module
-    docstring); the answer is then the interval
-    [0, -d(v) min{0, M_v} / q^(rn)].
+    of S the valuation walk decides, and only a tie walks the iterates (see
+    the module docstring); an interval is [0, -d(v) min{0, M_v} / q^(rn)]
+    at step n.
 
     For a module over an extension L of K, `index` = [L:K] and the place
     counts with its coherent degree d(v) / [L:K].  `val` is v(x) when the
@@ -210,33 +199,32 @@ def local_height(module, place, x, index=1, val=None):
     degree = place.degree if index == 1 else Fraction(place.degree, index)
     rd = module.reduction_data(place)
     lam, q, r = rd.lam, module.q, module.r
-    y, n, floor = x, 0, None
-    while True:
-        # y_n is built and val = v(y_n): below lam it escapes.  Else, when
-        # one index attains g = valuation_law(val) < lam, v(y_(n+1)) = g
-        # escapes (v(0) = +inf never does): x is not torsion and y_n lies
-        # in no stable ball, so neither the decision nor the floor is needed
-        if val < lam:
-            return HeightValue.exact(
-                degree * Fraction(-val, q**(r * n)), ESCAPED, n)
-        fits = next_iterate_fits(module, y)
-        if fits:
-            g, ids = rd.valuation_law(val)
-            if len(ids) == 1 and g < lam:
-                return HeightValue.exact(
-                    degree * Fraction(-g, q**(r * (n + 1))), ESCAPED, n + 1)
-        if n == 0:
-            if annihilator_of(module, x) is not None:
-                return HeightValue.exact(0, TORSION)
-            floor = rd.stable_floor
+    start, n = val, 0
+    # the valuation walk: it escapes when the loop ends without a break;
+    # v(0) = +inf stops at once, since g(+inf) = +inf
+    while val >= lam:
+        g, ids = rd.valuation_law(val)
+        if len(ids) > 1 or g >= val:
+            break
+        val, n = g, n + 1
+    else:
+        return HeightValue.exact(degree * Fraction(-val, q**(r * n)),
+                                 ESCAPED, n)
+    if annihilator_of(module, x) is not None:
+        return HeightValue.exact(0, TORSION)
+    floor = rd.stable_floor
+    # v(x) < floor only at a tie with g(v) < v: the iterates decide
+    y, n, val = x, 0, start
+    while val >= lam:
         if floor is not None and val >= floor:
             return HeightValue.exact(0, GOOD_REDUCTION, n)
-        if not fits:
-            break
+        if not next_iterate_fits(module, y):
+            return HeightValue(0, degree * Fraction(-lam) / q**(r * n),
+                               EXHAUSTED, n)
         y = module.phi_t(y)
         n += 1
         val = place.valuation(y)
-    return HeightValue(0, degree * Fraction(-lam) / q**(r * n), EXHAUSTED, n)
+    return HeightValue.exact(degree * Fraction(-val, q**(r * n)), ESCAPED, n)
 
 
 def _good_height(place, val, index):

@@ -31,6 +31,9 @@ CAR3 = {"field": {"p": 3, "k": 1}, "module": {"coefficients": ["t", "1"]}}
 # t + tau/(t^2+1) + tau^2 over F_3: bad at t^2+1 and at infinity
 RANK2_BAD = {"field": {"p": 3, "k": 1},
              "module": {"coefficients": ["t", "1/(t^2+1)", "1"]}}
+# 2 t^2 + tau over F_3: the valuation law ties at v_inf on v = -1, which
+# the orbit of 1/t reaches at step 1
+TIE_AT_INF = {"field": {"p": 3}, "module": {"coefficients": ["2*t^2", "1"]}}
 # 2*(t+2)^2 over F_3, and x^2 - 1 = (x+1)(x-1) as the modulus of F_9; the
 # CI workflow also pipes the place into the installed entry point
 REDUCIBLE_PLACE = {"kind": "finite", "P": "2*t^2+2*t+2"}
@@ -45,6 +48,14 @@ LOCAL_AT_LEVEL = {"field": {"p": 3}, "module": {"coefficients": ["t", "1"]},
 # entry point
 BIG_PLACE = {"field": {"p": 3}, "module": {
     "coefficients": ["t", "(t^3+2*t+1)/(t^100+t+2)", "1"]}}
+# P is the degree-20 factor of t^100+t+2; psi_t = -1/P^2 + tau is bad at P
+# alone, and 1/P is torsion (phi_t(c/P) = -c/P^3 + c^3/P^3 = 0), so its
+# local height is 0 there and the dichotomy's branch 2 expands its iterates
+# at P
+BIG_P = ("t^20+t^18+2*t^17+t^13+2*t^12+2*t^11+t^10+t^9+t^7+2*t^5+t^4+2*t^3"
+         "+2*t^2+t+2")
+BIG_TORSION = {"field": {"p": 3}, "module": {
+    "coefficients": ["2/(%s)^2" % BIG_P, "1"]}, "point": "1/(%s)" % BIG_P}
 
 
 # 1/t + 4999 t's: not a polynomial, and 10001 characters long
@@ -120,12 +131,18 @@ def test_torsion_report(tmp_path, capsys):
         assert line in out
 
 
-@pytest.mark.parametrize("command, job", [
-    ("torsion", PSI2),
-    ("height", dict(RANK2_BAD, point="1/(t^2+1)")),
+@pytest.mark.parametrize("command, job, builds", [
+    pytest.param("torsion", PSI2, 1, id="torsion-job0"),
+    # both places of S are decided by the valuation walk, which reads no
+    # iterate, and no torsion decision or floor is needed
+    pytest.param("height", dict(RANK2_BAD, point="1/(t^2+1)"), 0,
+                 id="height-job1"),
+    # a tie at v_inf: the iterates are walked after the torsion decision
+    pytest.param("height", dict(TIE_AT_INF, point="1/t"), 1,
+                 id="height-job2"),
 ])
-def test_job_builds_phi_t_once_per_module(command, job, tmp_path, capsys,
-                                          monkeypatch):
+def test_job_builds_phi_t_once_per_module(command, job, builds, tmp_path,
+                                          capsys, monkeypatch):
     # phi_t is the module's one SkewPoly: the walk, act, the torsion
     # decision and the stable floor all apply it, none builds its own
     from drinheights.drinfeld import DrinfeldModule
@@ -145,7 +162,7 @@ def test_job_builds_phi_t_once_per_module(command, job, tmp_path, capsys,
     code, _, _ = run(capsys, [command, job_file(tmp_path, job), "--json"])
     assert code == 0 and modules
     assert [sum(c is mod.coeffs for c in built) for mod in modules] == \
-        [1] * len(modules)
+        [builds] * len(modules)
 
 
 def test_kernel_report(tmp_path, capsys):
@@ -281,9 +298,9 @@ ENTRY_ERRORS = [
     # refused before the module memo, which cannot hash a list
     ("lehmer", dict(CAR3, module={"coefficients": ["t", ["1"]]}), []),
     # a residue field past gf.ORDER_CAP, read by the reduction report and by
-    # the dichotomy's branch 2 (every bad-place walk ends in an interval)
+    # the dichotomy's branch 2
     ("reduction", BIG_PLACE, []),
-    ("dichotomy", dict(BIG_PLACE, point="(t^2300+1)/(t^2300+2)"), []),
+    ("dichotomy", BIG_TORSION, []),
     # integer literals past Python's int-to-string digit limit, which int()
     # refuses: in a point, a coefficient, b and a place P
     ("height", dict(CAR3, point=LONG_LITERAL), []),
