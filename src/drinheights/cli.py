@@ -29,24 +29,21 @@ from json.encoder import encode_basestring_ascii
 
 from drinheights import verify as verify_mod
 from drinheights.drinfeld import DrinfeldModule
-from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
-                                NonMonicError, quote)
+from drinheights.errors import (BudgetExhaustedError, InputError,
+                                IsotrivialModuleError, NonMonicError, quote)
 from drinheights.gf import (FIELD_MEMO, FieldError, ResidueFieldError,
                             finite_field)
 from drinheights.heights import (frac, global_height_breakdown, height_sum,
                                  height_via_embedding, lehmer_bounds,
                                  local_height, check_t2mwg)
-from drinheights.perfect import _lehper_at, insep_level, key_dichotomy_check
+from drinheights.perfect import (_lehper_at, check_level, insep_level,
+                                 key_dichotomy_check)
 from drinheights.places import (FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding)
-from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
-                                 parse_ratfunc)
+from drinheights.ratfunc import (MAX_DEGREE, ParseError, check_push,
+                                 parse_poly, parse_ratfunc)
 from drinheights.torsion import (annihilator_of, kernel_in_K,
                                  torsion_enumerate, torsion_lattice)
-
-
-class InputError(ValueError):
-    pass
 
 
 def load_job(path):
@@ -71,18 +68,6 @@ def integer(value, key, minimum=None):
         raise InputError("%s must be at least %d, not %s"
                          % (key, minimum, quote(str(value), str)))
     return value
-
-
-def check_push(what, multiplier, *pushed):
-    """The push rule: a push to F_q(u) (a level t = u^(p^n), a substitution
-    t -> f(u)) multiplies every degree by `multiplier` (p^n, or h(f)), so it
-    is refused, before anything is pushed, when multiplier times the largest
-    of h(t) = 1 and the heights of the `pushed` a_i and point passes
-    MAX_DEGREE."""
-    top = max([1] + [y.weil_height() for y in pushed])
-    if multiplier * top > MAX_DEGREE:
-        raise InputError("%s takes degree %d past the cap MAX_DEGREE = %d"
-                         % (what, top, MAX_DEGREE))
 
 
 def text(value, what):
@@ -127,12 +112,9 @@ class Job:
         return integer(value, key, minimum)
 
     def set_level(self, level, *pushed):
-        """Work over F_q(u) with t = u^(p^level) under the push rule; p^level
-        is not formed past the bit length of MAX_DEGREE, which breaks it."""
-        shown = quote(str(level), str)
-        check_push("insep_level %s (degrees times p^%s)" % (shown, shown),
-                   self.field.char ** min(level, MAX_DEGREE.bit_length()),
-                   *pushed)
+        """Work over F_q(u) with t = u^(p^level) under the push rule
+        (perfect.check_level)."""
+        check_level(self.field.char, level, *pushed)
         self.level = level
 
     @property

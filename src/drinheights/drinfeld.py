@@ -8,7 +8,8 @@ transcendence degree.  A place's reduction data holds the rationals M_v and
 T_v and the Newton polygon of phi_t, built at once, and the exceptional
 valuation sets P_v, P'_v, P''_v, Q_v and the angular-component sets
 R_v(alpha), built together on first read: only the `reduction` report and
-`verify` read them.
+`verify` read them.  The angular components ac(a_i), which a local height's
+walk reads at a tie and R_v(alpha) reads too, are taken once, on first read.
 """
 
 import math
@@ -68,10 +69,11 @@ class ReductionData:
 
     Built at once: the valuations `vals` (module.coefficient_valuations),
     `in_S`, M_v, lam = min(0, M_v), T_v and the Newton polygon.  Built on
-    first read and kept: `stable_floor`, and the exceptional sets P, Pp,
-    Ppp, Q and R, all five together (R maps each alpha in Q_v to a tuple of
-    nonzero residue-field elements).  `pair_in` is the dichotomy membership
-    test (v(x), ac(x)) in P x R(v(x)).
+    first read and kept: `stable_floor`, `zero_stop`, the angular
+    components `acs`, and the exceptional sets P, Pp, Ppp, Q and R, all five
+    together (R maps each alpha in Q_v to a tuple of nonzero residue-field
+    elements).  `pair_in` is the dichotomy membership test (v(x), ac(x)) in
+    P x R(v(x)); `leading_residue` decides a tie of the valuation law.
     """
 
     def __init__(self, module, place):
@@ -135,8 +137,7 @@ class ReductionData:
         R = {}
         for alpha in Q:
             _, ids = self.valuation_law(alpha)
-            image = [(v.angular_component(self.module.coeffs[i]), i)
-                     for i in ids]
+            image = [(self.acs[i], i) for i in ids]
             targets = []
             if alpha in P or alpha in Ppp:
                 targets.append(k_v.zero)
@@ -164,6 +165,33 @@ class ReductionData:
             elif c == best:
                 ids.append(i)
         return best, ids
+
+    @cached_property
+    def acs(self):
+        """(ac(a_0), ..., ac(a_r)) at the place, None where a_i = 0."""
+        return tuple(None if a.is_zero() else self.place.angular_component(a)
+                     for a in self.module.coeffs)
+
+    def leading_residue(self, ac, runs, ids):
+        """ac(phi_t(y)) when it is not 0, else 0, for the i in `ids`
+        attaining g(v(y)): sum ac(a_i) ac(y)^(q^i) (Poonen 1995).  ac(y) is
+        carried from ac = ac(z) along `runs`, the (i, k) walked from z to y,
+        each k steps of index i; only index 0 takes k > 1, and maps ac to
+        ac(a_0)^k ac."""
+        acs = self.acs
+        for i, k in runs:
+            ac = acs[i]**k * ac.frobenius(i)
+        return sum((acs[i] * ac.frobenius(i) for i in ids), ac.field.zero)
+
+    @cached_property
+    def zero_stop(self):
+        """Index 0 alone attains g at an integer v >= lam exactly when
+        v >= zero_stop, the first Newton breakpoint: from there the walk is
+        v <- v + v(a_0), a run of index 0."""
+        vals, q = self.vals, self.q
+        return max([math.ceil(self.lam)]
+                   + [(vals[0] - a) // (q**i - 1) + 1
+                      for i, a in enumerate(vals) if i and a is not INFINITY])
 
     def _check(self, sets):
         q, r = self.q, self.r

@@ -1,10 +1,11 @@
 """Exception types shared across the package, and `quote`, the one way an
 error message shows the input it refuses.
 
-The CLI maps these to exit codes: NonMonicError and IsotrivialModuleError
-exit 2, as input errors (so does gf.ResidueFieldError), and degree budget
-exhaustion exits 3.  An internal check that fails raises AssertionError or
-RuntimeError, never one of these, and exits 4 like every other exception.
+The CLI maps these to exit codes: InputError, NonMonicError and
+IsotrivialModuleError exit 2, as input errors (so does
+gf.ResidueFieldError), and degree budget exhaustion exits 3.  An internal
+check that fails raises AssertionError or RuntimeError, never one of these,
+and exits 4 like every other exception.
 """
 
 # an error message shows at most this many characters of a refused input
@@ -18,6 +19,10 @@ def quote(text, render=repr):
         return render(text)
     return "%s (first %d of %d characters)" % (
         render(text[:QUOTE_CHARS]), QUOTE_CHARS, len(text))
+
+
+class InputError(ValueError):
+    """A malformed input, such as a push past ratfunc.MAX_DEGREE."""
 
 
 class NonMonicError(ValueError):
@@ -34,5 +39,6 @@ class IsotrivialModuleError(ValueError):
 
 class BudgetExhaustedError(RuntimeError):
     """The degree budget (heights.DEGREE_CAP) ended a walk of the iterates
-    before a certificate was reached: a local height walked after a tie of
-    the valuation law, or the key dichotomy's branch 2."""
+    before a certificate was reached: a local height walked after a
+    cancellation (a tie of the valuation law whose leading residue is 0),
+    or the key dichotomy's branch 2."""

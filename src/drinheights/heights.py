@@ -13,17 +13,24 @@ At a place of S the limit is read off the integers v(y_n), y_n =
 phi_t^n(x), not off the iterates.  With g = ReductionData.valuation_law,
 v(phi_t(y)) = g(v(y)) when one index attains g (a strict ultrametric
 minimum; Poonen 1995), so while one does and g(v) < v the walk v <- g(v)
-is exact.  Below min{0, M_v} the valuation multiplies by q^r each step, so
-an orbit there at step n has hhat_v(x) = -d(v) v(y_n) / q^(rn) (Escaped).
-g(k) - k is nondecreasing, so g(v) >= v makes the ball {v(y) >= v}
-phi_t-stable, and every earlier step descends: the walk ends within
-v(x) - ceil(min{0, M_v}) + 1 steps, with no budget.  An orbit that does
-not escape is 0 when x is torsion (TorsionCertified), and 0 at step 0 when
-v(x) is at least the floor lambda*_v of the stable balls
-(ReductionData.stable_floor; GoodReductionIntegral), which always holds
-when the walk stopped at g(v) >= v.  That leaves a tie of two indices at
-g(v) < v, where the terms may cancel: there the iterates y_n are walked
-from x, each read for an escape and for the floor.
+is exact; a run of index 0, v <- v + v(a_0) down to the first Newton
+breakpoint (ReductionData.zero_stop), is taken at once.  Where several
+indices attain g, the leading terms decide: ac(phi_t(y)) is the leading
+residue sum ac(a_i) ac(y)^(q^i) over them (ReductionData.leading_residue),
+and when it is not 0, v(phi_t(y)) = g(v(y)) still.  The walk records its
+runs and carries ac(x), or the last residue, along them only at a tie, so
+a tie-free walk builds no residue field.  Below min{0, M_v} the valuation
+multiplies by q^r each step, so an orbit there at step n has hhat_v(x) =
+-d(v) v(y_n) / q^(rn) (Escaped).  g(k) - k is nondecreasing, so g(v) >= v
+makes the ball {v(y) >= v} phi_t-stable, and every earlier step descends:
+the walk ends within v(x) - ceil(min{0, M_v}) + 1 steps, with no budget.
+An orbit that does not escape is 0 when x is torsion (TorsionCertified),
+and 0 at step 0 when v(x) is at least the floor lambda*_v of the stable
+balls (ReductionData.stable_floor; GoodReductionIntegral), which always
+holds when the walk stopped at g(v) >= v.  That leaves a cancellation, a
+tie whose leading residue is 0 (or a tie at a place whose residue field is
+past gf.ORDER_CAP): there the iterates y_n are walked from x, each read
+for an escape and for the floor.
 
 That walk alone has a budget, DEGREE_CAP on the Weil height of the
 iterates, applied by one rule (next_iterate_fits, which the key
@@ -63,8 +70,9 @@ from drinheights.places import INFINITY, InfinitePlace, poles
 from drinheights.ratfunc import Poly, RatFunc, _divide_out
 from drinheights.torsion import _gap_degree, annihilator_of
 
-# a walk after a tie builds no iterate past this degree and ends in the
-# sound interval instead; the bound keeps such orbits from eating memory
+# a walk after a cancellation builds no iterate past this degree and ends
+# in the sound interval instead; the bound keeps such orbits from eating
+# memory
 DEGREE_CAP = 20000
 
 ESCAPED = "Escaped"
@@ -181,12 +189,13 @@ def next_iterate_fits(module, y):
 
 
 def local_height(module, place, x, index=1, val=None):
-    """hhat_v(x), exact unless the walk after a tie passes DEGREE_CAP.
+    """hhat_v(x), exact unless the walk after a cancellation passes
+    DEGREE_CAP.
 
     Outside S the closed form decides at step 0 (_good_height).  At a place
-    of S the valuation walk decides, and only a tie walks the iterates (see
-    the module docstring); an interval is [0, -d(v) min{0, M_v} / q^(rn)]
-    at step n.
+    of S the valuation walk decides, a tie by its leading residue, and only
+    a cancellation walks the iterates (see the module docstring); an
+    interval is [0, -d(v) min{0, M_v} / q^(rn)] at step n.
 
     For a module over an extension L of K, `index` = [L:K] and the place
     counts with its coherent degree d(v) / [L:K].  `val` is v(x) when the
@@ -199,21 +208,39 @@ def local_height(module, place, x, index=1, val=None):
     degree = place.degree if index == 1 else Fraction(place.degree, index)
     rd = module.reduction_data(place)
     lam, q, r = rd.lam, module.q, module.r
-    start, n = val, 0
+    # runs: the (index, steps) walked since x or the last tie; ac: the
+    # leading residue at that tie, or None at x, whose ac is read only at
+    # a tie
+    start, n, runs, ac = val, 0, [], None
     # the valuation walk: it escapes when the loop ends without a break;
     # v(0) = +inf stops at once, since g(+inf) = +inf
     while val >= lam:
         g, ids = rd.valuation_law(val)
-        if len(ids) > 1 or g >= val:
+        if g >= val:
             break
-        val, n = g, n + 1
+        k = 1
+        if len(ids) > 1:
+            try:
+                ac = rd.leading_residue(
+                    place.angular_component(x) if ac is None else ac, runs, ids)
+            except gf.ResidueFieldError:
+                break
+            if not ac:  # the leading terms cancel: v(y_(n+1)) > g
+                break
+            runs = []
+        else:
+            if ids == [0]:  # the whole run of index 0 in one step
+                k = (val - rd.zero_stop) // -rd.vals[0] + 1
+                g = val + k * rd.vals[0]
+            runs.append((ids[0], k))
+        val, n = g, n + k
     else:
         return HeightValue.exact(degree * Fraction(-val, q**(r * n)),
                                  ESCAPED, n)
     if annihilator_of(module, x) is not None:
         return HeightValue.exact(0, TORSION)
     floor = rd.stable_floor
-    # v(x) < floor only at a tie with g(v) < v: the iterates decide
+    # v(x) < floor only at a cancellation: the iterates decide
     y, n, val = x, 0, start
     while val >= lam:
         if floor is not None and val >= floor:

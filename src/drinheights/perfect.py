@@ -18,11 +18,12 @@ from functools import cached_property, lru_cache
 
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
-from drinheights.errors import BudgetExhaustedError, IsotrivialModuleError
+from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
+                                quote)
 from drinheights.heights import (global_height, height_sum, lehmer_bounds,
                                  local_height, next_iterate_fits)
 from drinheights.places import INFINITY, FinitePlace, InfinitePlace, expansion
-from drinheights.ratfunc import Poly
+from drinheights.ratfunc import MAX_DEGREE, Poly, check_push
 from drinheights.torsion import annihilator_of
 
 
@@ -73,13 +74,16 @@ class InsepLevel:
     (_PushedModule), so |S| is the same by construction, and the check
     T_v >= [L:K]/q^r that the level runs is a theorem: at a bad place some
     v(a_i) <= -1 with i < r (a_r = 1), so T_v >= 1/q^(r-1) > 1/q^r below,
-    and T_w = p^n T_v above.
+    and T_w = p^n T_v above.  A level whose push passes ratfunc.MAX_DEGREE
+    is refused (check_level) before p^n is formed.
     """
 
     def __init__(self, module, n):
         module._require_monic()
         if n < 0:
             raise ValueError("inseparable level must be >= 0")
+        if n:
+            check_level(module.field.char, n, *module.coeffs)
         self.module = module
         self.n = n
         self.index = module.field.char**n  # [L : K]
@@ -95,6 +99,15 @@ class InsepLevel:
             T = self.pushed.reduction_data(w).T
             if not T >= Fraction(self.index, q**r):
                 raise AssertionError("T_v < [L:K]/q^r at a bad place")
+
+
+def check_level(p, n, *pushed):
+    """The push rule (ratfunc.check_push) for the level t = u^(p^n) of the
+    `pushed` a_i and points; p^n is not formed past the bit length of
+    MAX_DEGREE, which the rule refuses already."""
+    shown = quote(str(n), str)
+    check_push("insep_level %s (degrees times p^%s)" % (shown, shown),
+               p ** min(n, MAX_DEGREE.bit_length()), *pushed)
 
 
 @lru_cache(maxsize=gf.FIELD_MEMO)

@@ -15,7 +15,7 @@ through those kernels and reduces once per expression, at the end.
 
 import random
 
-from drinheights.errors import quote
+from drinheights.errors import InputError, quote
 from drinheights.gf import (_poly_is_irreducible, _trim, monic_coeffs,
                             poly_str)
 
@@ -483,6 +483,18 @@ def _tokenize(s):
             raise ParseError("unexpected character %r at position %d" % (c, i))
     tokens.append(("end", None, len(s)))
     return tokens
+
+
+def check_push(what, multiplier, *pushed):
+    """The push rule: a push to F_q(u) (a level t = u^(p^n), a substitution
+    t -> f(u)) multiplies every degree by `multiplier` (p^n, or h(f)), so it
+    is refused, before anything is pushed, when multiplier times the largest
+    of h(t) = 1 and the heights of the `pushed` a_i and point passes
+    MAX_DEGREE."""
+    top = max([1] + [y.weil_height() for y in pushed])
+    if multiplier * top > MAX_DEGREE:
+        raise InputError("%s takes degree %d past the cap MAX_DEGREE = %d"
+                         % (what, top, MAX_DEGREE))
 
 
 def _check_degree(bound):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_module
-from drinheights import cli, drinfeld, gf, perfect, places
+from drinheights import cli, drinfeld, gf, places
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import MonicizeError, NonMonicError
 from drinheights.gf import finite_field
@@ -551,29 +551,21 @@ def test_only_reduction_builds_the_residue_sets(monkeypatch, tmp_path,
                                                 capsys):
     from drinheights.verify import module_pool
     calls = []
-    # dichotomy's branch 2 expands the point itself at each bad place;
-    # angular components taken there are not reduction data
-    in_expansion = []
 
     def spy(owner, name):
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            if not in_expansion:
-                calls.append(name)
+            calls.append(name)
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     spy(gf, "additive_preimages")
-    spy(places.FinitePlace, "angular_component")
-    spy(places.InfinitePlace, "angular_component")
-
-    def expansion(*args):
-        in_expansion.append(True)
-        try:
-            return places.expansion(*args)
-        finally:
-            in_expansion.pop()
-    monkeypatch.setattr(perfect, "expansion", expansion)
+    # every read of P_v ... R_v(alpha) goes through _residue_sets; the walk
+    # of a local height reads ac(x) and ac(a_i) at a tie, which are not
+    # residue sets
+    real_sets = drinfeld.ReductionData._residue_sets.func
+    monkeypatch.setattr(drinfeld.ReductionData, "_residue_sets", property(
+        lambda self: calls.append("_residue_sets") or real_sets(self)))
 
     def run(command, mod, extra):
         job = {"field": {"p": mod.q},
@@ -591,4 +583,4 @@ def test_only_reduction_builds_the_residue_sets(monkeypatch, tmp_path,
     assert calls == []
     for mod in pool:
         run("reduction", mod, {})
-    assert "additive_preimages" in calls and "angular_component" in calls
+    assert "additive_preimages" in calls and "_residue_sets" in calls

@@ -278,16 +278,152 @@ def test_carlitz_inverse_powers_in_closed_form(p):
     # falls by one a step, below lambda = -1/(q-1) at step k + 1 when q > 2,
     # so hhat = 1/q^(k+1); over F_2, lambda = -1 and the ball v >= -1 is
     # phi_t-stable, so the height is 0 at step 0 (1 is torsion there)
+    # the walk takes each run of index 0 in one step: it must end where
+    # the walk of one step of g at a time ends
     field = finite_field(p)
     mod = make_module(field, "t", "1")
     v = InfinitePlace(field)
-    for k in list(range(21)) + [20000]:
-        h = local_height(mod, v, R(field, "1/t^%d" % k))
+    for k in list(range(21)) + [20000, 100000]:
+        x = R(field, "1/t^%d" % k)
+        h = local_height(mod, v, x)
+        assert _step_walk(mod, v, x) == (-1, k + 1), k
         if p > 2:
             value = Fraction(1, p**(k + 1))
             assert _fields(h) == (value, value, "Escaped", k + 1), k
         elif k:
+            # the tie at v = -1 cancels, ac(a_0) + ac(a_1) = 1 + 1 = 0
             assert _fields(h) == (0, 0, "GoodReductionIntegral", 0), k
+
+
+def _step_walk(module, place, x):
+    """(v(y_n), n) where the walk of one step of the valuation law g at a
+    time leaves [lambda, +inf), meets a tie or reaches g(v) >= v."""
+    rd = module.reduction_data(place)
+    val, n = place.valuation(x), 0
+    while val >= rd.lam:
+        g, ids = rd.valuation_law(val)
+        if len(ids) > 1 or g >= val:
+            break
+        val, n = g, n + 1
+    return val, n
+
+
+def _iterate_oracle(module, place, x, index=1, steps=8):
+    """(hhat_v(x), step) off the global iterates, built without DEGREE_CAP,
+    for an orbit that escapes within `steps` steps."""
+    lam = module.reduction_data(place).lam
+    y = x
+    for n in range(steps + 1):
+        val = place.valuation(y)
+        if val < lam:
+            return (Fraction(place.degree, index)
+                    * Fraction(-val, module.q**(module.r * n)), n)
+        y = module.phi_t(y)
+    raise AssertionError("no escape within %d steps" % steps)
+
+
+def _laurent_oracle(module, x, steps, below=40):
+    """v_inf(phi_t^n(x)) for n <= steps, for x and a_i Laurent polynomials
+    in t, off phi_t on Laurent polynomials cut below an exponent.  A term
+    t^j cut off (j < cut) reaches only exponents below the next cut,
+    max_i (deg a_i + q^i (cut - 1)) + 1, so every exponent kept is exact,
+    and no iterate is built in full.  Each coefficient lies in F_q, so
+    y^(q^i) only spreads the exponents of y."""
+    field, q = module.field, module.q
+
+    def laurent(y):
+        assert y.den == Poly.x(field)**y.den.degree
+        return {j - y.den.degree: c for j, c in enumerate(y.num.coeffs) if c}
+    coeffs = [laurent(a) for a in module.coeffs]
+    y = laurent(x)
+    cut, vals = max(y) - below, []
+    for _ in range(steps + 1):
+        vals.append(-max(y))
+        image = {}
+        for i, a in enumerate(coeffs):
+            for ja, ca in a.items():
+                for jy, cy in y.items():
+                    j = ja + q**i * jy
+                    image[j] = field.add(image.get(j, 0), field.mul(ca, cy))
+        cut = max(max(a) + q**i * (cut - 1)
+                  for i, a in enumerate(coeffs) if a) + 1
+        y = {j: c for j, c in image.items() if c and j >= cut}
+    return vals
+
+
+# ((p, k), coefficients, level, point, hhat at v_inf, step): each walk meets
+# a tie whose leading terms do not cancel; at the F_3 and F_5 points the
+# walk of the iterates meets DEGREE_CAP first
+_TIE_CASES = [
+    ((3, 1), ("t", "1/t", "t+1", "1"), 0, "1/t^2", Fraction(1, 3**9), 3),
+    ((3, 1), ("t", "1/t", "t+1", "1"), 0, "1/t^7", Fraction(1, 3**24), 8),
+    ((2, 2), ("2*t^3", "1"), 0, "1/t^8", Fraction(1, 4**3), 4),
+    ((3, 2), ("3*t^8", "1"), 0, "1/t^15", Fraction(1, 9**2), 3),
+    ((5, 1), ("t", "3*t+4", "0", "1"), 1, "1/u^5", Fraction(1, 5**6), 2),
+    ((3, 1), ("t", "1/t", "t+1", "1"), 1, "1/u^6", Fraction(1, 3**9), 3),
+]
+
+
+@pytest.mark.parametrize("pk, coeffs, n, point, value, step", _TIE_CASES,
+                         ids=["%s-level%d" % (c[3], c[2]) for c in _TIE_CASES])
+def test_non_cancelling_ties_match_iterates(pk, coeffs, n, point, value,
+                                            step):
+    # past a tie, v(y_(n+1)) = g and ac(y_(n+1)) is the leading residue
+    field = finite_field(*pk)
+    level = insep_level(make_module(field, *coeffs), n)
+    psi, index = level.pushed, level.index
+    v, x = InfinitePlace(field), R(field, point, "u" if n else "t")
+    h = local_height(psi, v, x, index)
+    assert _fields(h) == (value, value, "Escaped", step)
+    assert _agrees(h, walk_oracle(psi, v, x, index))
+    vals = _laurent_oracle(psi, x, step)
+    lam = psi.reduction_data(v).lam
+    assert min(vals[:-1]) >= lam > vals[-1]
+    assert value == Fraction(-vals[-1], index * psi.q**(psi.r * step))
+    if step < 8:  # the iterates of 1/t^7 pass degree 10^10 by step 7
+        assert _iterate_oracle(psi, v, x, index) == (value, step)
+
+
+# (p, coefficients, P, point): ties at v[P], deg P = 2, where whether the
+# leading terms cancel depends on ac(y) in F_(q^2), not only on the ac(a_i)
+_RESIDUE_CASES = [
+    # ac(x) = i with i^2 = -1: ac(a_0) i + i^3 = 0, a cancellation
+    (3, ("1/(t^2+1)^2", "1"), "t^2+1", "t/(t^2+1)"),
+    (3, ("1/(t^2+1)^2", "1"), "t^2+1", "1/(t^2+1)"),
+    # two steps of index 0 map ac(x) = 1 + i to ac(a_0)^2 (1 + i), where
+    # the tie cancels
+    (3, ("t/(t^2+1)^2", "1"), "t^2+1", "(t+1)*(t^2+1)^3"),
+    (3, ("t/(t^2+1)^2", "1"), "t^2+1", "(t^2+1)^3"),
+    # two ties: the residue 1 of the first one cancels the second
+    (2, ("1/(t^2+t+1)^3", "1/(t^2+t+1)^4", "1"), "t^2+t+1", "t*(t^2+t+1)"),
+]
+
+
+@pytest.mark.parametrize("p, coeffs, P, point", _RESIDUE_CASES,
+                         ids=[c[3] for c in _RESIDUE_CASES])
+def test_ties_at_a_place_of_degree_two_match_iterates(p, coeffs, P, point):
+    field = finite_field(p)
+    mod = make_module(field, *coeffs)
+    v, x = FinitePlace(parse_poly(field, P)), R(field, point)
+    h = local_height(mod, v, x)
+    want = walk_oracle(mod, v, x)
+    assert want.is_exact and _fields(h) == _fields(want), (h, want)
+    assert _iterate_oracle(mod, v, x) == (h.value, h.step)
+
+
+def test_tie_past_the_residue_field_cap_walks_the_iterates(F3):
+    # psi_t = -1/P^2 + tau ties at v = -1 at P, the degree-20 factor of
+    # t^100+t+2, whose residue field (3^20 elements) is past gf.ORDER_CAP:
+    # no leading residue is read there, and the iterates decide
+    P = ("t^20+t^18+2*t^17+t^13+2*t^12+2*t^11+t^10+t^9+t^7+2*t^5+t^4+2*t^3"
+         "+2*t^2+t+2")
+    mod = make_module(F3, "2/(%s)^2" % P, "1")
+    v = FinitePlace(parse_poly(F3, P))
+    for point, want in (("1/(%s)" % P, (0, 0, "TorsionCertified", None)),
+                        ("t/(%s)" % P, (20, 20, "Escaped", 1))):
+        x = R(F3, point)
+        assert _fields(local_height(mod, v, x)) == want
+        assert _fields(walk_oracle(mod, v, x)) == want
 
 
 def test_height_value_arithmetic():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from conftest import make_module
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
-from drinheights.errors import IsotrivialModuleError, NonMonicError
+from drinheights.errors import (InputError, IsotrivialModuleError,
+                                NonMonicError)
 from drinheights.gf import finite_field
 from drinheights.perfect import (InsepLevel, insep_height, insep_level,
                                  key_dichotomy_check, lehper_check)
@@ -57,6 +59,16 @@ def test_level_kept_on_the_module(F3):
             insep_level(mod, -1)
         with pytest.raises(NonMonicError):
             insep_level(make_module(F3, "t", "2"), 1)
+        # 3^16 * h(1/(t^2+1)) passes MAX_DEGREE: refused, by the CLI's
+        # rule and message, before 3^n is formed
+        for n in (16, 10**8):
+            start = time.perf_counter()
+            with pytest.raises(InputError) as refused:
+                insep_level(mod, n)
+            assert time.perf_counter() - start < 0.1
+        assert str(refused.value) == (
+            "insep_level 100000000 (degrees times p^100000000) takes degree "
+            "2 past the cap MAX_DEGREE = 100000")
     assert insep_level.cache_info().currsize == 3
 
 
