@@ -8,8 +8,12 @@ transcendence degree.  A place's reduction data holds the rationals M_v and
 T_v and the Newton polygon of phi_t, built at once, and the exceptional
 valuation sets P_v, P'_v, P''_v, Q_v and the angular-component sets
 R_v(alpha), built together on first read: only the `reduction` report and
-`verify` read them.  The angular components ac(a_i), which a local height's
-walk reads at a tie and R_v(alpha) reads too, are taken once, on first read.
+`verify` read them.  Where one index i attains the valuation law at alpha,
+X -> ac(a_i) X^(q^i) is a bijection of the residue field, so R_v(alpha)
+holds the one preimage (target/ac(a_i))^(q^-i) of each nonzero target; only
+a tie of two or more indices solves an additive equation.  The angular
+components ac(a_i), which a local height's walk reads at a tie and
+R_v(alpha) reads too, are taken once, on first read.
 """
 
 import math
@@ -137,14 +141,22 @@ class ReductionData:
         R = {}
         for alpha in Q:
             _, ids = self.valuation_law(alpha)
-            image = [(self.acs[i], i) for i in ids]
             targets = []
             if alpha in P or alpha in Ppp:
                 targets.append(k_v.zero)
             if alpha in pp_target:
                 targets.extend(R[pp_target[alpha]])
-            sols = {e for target in targets
-                    for e in gf.additive_preimages(image, target) if e.val != 0}
+            if len(ids) == 1:
+                # X -> c X^(q^i) is a bijection of k_v: each nonzero target
+                # has the one preimage (target/c)^(q^-i), and 0 only 0
+                i = ids[0]
+                sols = {(target / self.acs[i]).frobenius(-i)
+                        for target in targets if target}
+            else:
+                image = [(self.acs[i], i) for i in ids]
+                sols = {e for target in targets
+                        for e in gf.additive_preimages(image, target)
+                        if e.val != 0}
             if alpha == 0:
                 sols.add(k_v.one)
             R[alpha] = tuple(sorted(sols, key=lambda e: e.val))
@@ -154,17 +166,26 @@ class ReductionData:
 
     def valuation_law(self, alpha):
         """(g(alpha), the i attaining it) for g(alpha) = min_i v(a_i) + q^i
-        alpha; v(phi_t(y)) >= g(v(y)), with equality when one i attains it."""
+        alpha; v(phi_t(y)) >= g(v(y)), with equality when one i attains it.
+
+        g is compared on integers over alpha's denominator: an int alpha
+        gives an int, a Fraction a Fraction, and v(0) = INFINITY gives
+        INFINITY, attained by every i with a_i != 0."""
+        if alpha is INFINITY:
+            return INFINITY, [i for i, a in enumerate(self.vals)
+                              if a is not INFINITY]
+        frac = isinstance(alpha, Fraction)
+        num, den = (alpha.numerator, alpha.denominator) if frac else (alpha, 1)
         best, ids = None, []
         for i, a in enumerate(self.vals):
             if a is INFINITY:
                 continue
-            c = a + self.q**i * alpha
+            c = a * den + self.q**i * num
             if best is None or c < best:
                 best, ids = c, [i]
             elif c == best:
                 ids.append(i)
-        return best, ids
+        return (Fraction(best, den) if frac else best), ids
 
     @cached_property
     def acs(self):

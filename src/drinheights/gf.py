@@ -8,7 +8,12 @@ ints throughout the package.
 
 Extensions can be towered (e.g. residue fields of places over F_9 are
 extensions with base F_9), and the Frobenius used by additive polynomials is
-always x -> x^q with q the order of the *base* of the element's field.
+always x -> x^q with q the order of the *base* of the element's field.  It
+fixes the base, so an extension applies it as a base-linear map of the
+coordinates, whose images (x^(q^e))^j it computes once; an inverse comes
+from extended Euclid over the base on coordinate polynomials.  An
+extension up to MEMO_ORDER elements keeps every product, inverse and
+Frobenius image it has computed.
 
 Linear algebra has one eliminator, :func:`dependencies`.  It takes sparse
 vectors {key: coefficient} and yields, for each vector that reduces against
@@ -21,6 +26,7 @@ is its kernel vector, and that of the right-hand side is (-x, 1).
 
 import functools
 import operator
+from itertools import zip_longest
 
 from drinheights import _polycore
 from drinheights.errors import quote
@@ -28,8 +34,9 @@ from drinheights.errors import quote
 # fields larger than this are refused: every residue computation here is
 # desk-scale and silent overflow of packed encodings must never happen
 ORDER_CAP = 2**31
-# an extension field up to this order keeps each product (and, in odd
-# characteristic, each sum and difference) once computed: at most order**2
+# an extension field up to this order keeps each product, inverse and
+# Frobenius image (and, in odd characteristic, each sum and difference) once
+# computed: at most order**2 of each
 MEMO_ORDER = 256
 # each process-wide memo (fields, modules, values per module) keeps at most
 # this many entries, the least recently used going first: far more than a
@@ -299,6 +306,8 @@ class ExtensionField(_Field):
         self.dim = m
         self.char = base.char
         self.order = base.order**m
+        # e -> coordinates of (x^(q^e))^j for j < m, filled on first use
+        self._frobenius_images = {}
         small = self.order <= MEMO_ORDER
         if self.char == 2:
             # the encoding is the bit vector of the coordinates over F_2 at
@@ -309,6 +318,8 @@ class ExtensionField(_Field):
             self.sub = functools.cache(self.sub)
         if small:
             self.mul = functools.cache(self.mul)
+            self.inv = functools.cache(self.inv)
+            self._frobenius = functools.cache(self._frobenius)
 
     def _key(self):
         return ("ext", self.base._key(), self.modulus)
@@ -336,7 +347,8 @@ class ExtensionField(_Field):
         return a
 
     # coordinate arithmetic; _setup replaces add and sub by an exclusive or
-    # in characteristic 2, and memoizes the rest in a small field
+    # in characteristic 2, and memoizes the rest (inv and _frobenius too) in
+    # a small field
     def add(self, a, b):
         ca, cb = self.coords(a), self.coords(b)
         return self.from_coords([self.base.add(x, y) for x, y in zip(ca, cb)])
@@ -354,12 +366,45 @@ class ExtensionField(_Field):
         return self.from_coords(rem + [0] * (self.dim - len(rem)))
 
     def inv(self, a):
+        """a^-1 by extended Euclid over the base on the modulus and the
+        coordinate polynomial of a: each remainder r comes with the s that
+        has s a = r mod the modulus, and the last r is a nonzero constant."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero in %s" % self)
-        return self.pow_(a, self.order - 2)
+        base = self.base
+        r0, r1 = list(self.modulus), _trim(self.coords(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quo, rem = base.poly_divmod(r0, r1)
+            prod = base.poly_mul(quo, s1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _trim([base.sub(x, y) for x, y
+                                in zip_longest(s0, prod, fillvalue=0)])
+        c = base.inv(r1[0])
+        return self.from_coords([base.mul(c, x) for x in s1])
 
     def frobenius(self, a, e=1):
-        return self.pow_(a, self.base.order**(e % self.dim))
+        """a^(q^e), q the order of the base: the identity when dim | e."""
+        e %= self.dim
+        return self._frobenius(a, e) if e else a
+
+    def _frobenius(self, a, e):
+        # x -> x^(q^e) fixes the base, so it maps sum c_j x^j to
+        # sum c_j (x^(q^e))^j: a base-linear map of the coordinates
+        images = self._frobenius_images.get(e)
+        if images is None:
+            xqe = self.pow_(self.gen.val, self.base.order**e)
+            images, power = [], 1
+            for _ in range(self.dim):
+                images.append(self.coords(power))
+                power = self.mul(power, xqe)
+            self._frobenius_images[e] = images
+        base, out = self.base, [0] * self.dim
+        for c, image in zip(self.coords(a), images):
+            if c:
+                for k, b in enumerate(image):
+                    out[k] = base.add(out[k], base.mul(c, b))
+        return self.from_coords(out)
 
     def elem_str(self, a):
         return poly_str(self.coords(a), "g")

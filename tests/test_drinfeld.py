@@ -423,18 +423,99 @@ def _modules_with_bad_places_of_degree_1_to_3():
     return out
 
 
+def _modules_with_single_index_sets_at_degree_3():
+    """Modules over F_4 and F_9 with a pole of order 1, 4 or 8, scaled by 1
+    or 2, at a place of degree 3, whose P'_v holds an alpha attained by one
+    index with a nonempty R_v(alpha); among them ["t", "2/(t^3+t+5)^8", "1"]
+    over F_9, where R_v(71/81) is 8 elements of F_729."""
+    out = []
+    for field, P in ((finite_field(2, 2), "t^3+t+1"),
+                     (finite_field(3, 2), "t^3+t+5")):
+        for e in (1, 4, 8):
+            for c in ("1", "2"):
+                pole = "%s/(%s)^%d" % (c, P, e)
+                for coeffs in (["t", pole, "1"], ["t+" + pole, "1"],
+                               ["t", "1", pole, "1"], [pole, "t", "1"]):
+                    out.append(make_module(field, *coeffs))
+    return out
+
+
 def test_residue_sets_match_eager_oracle():
     from drinheights.verify import module_pool
     mods = ([mod for _, mod in module_pool()]
-            + _modules_with_bad_places_of_degree_1_to_3())
-    degrees = set()
+            + _modules_with_bad_places_of_degree_1_to_3()
+            + _modules_with_single_index_sets_at_degree_3())
+    degrees, single = set(), set()
     for mod in mods:
         for v in mod.bad_reduction_set():
             rd = mod.reduction_data(v)
             got = (rd.P, rd.Pp, rd.Ppp, rd.Q, rd.R)
             assert got == _eager_reduction_sets(mod, v), (mod, v)
             degrees.add((mod.q, v.degree))
+            if any(rd.R[a] and len(rd.valuation_law(a)[1]) == 1
+                   for a in rd.Pp):
+                single.add((mod.q, v.degree))
     assert {(q, d) for q in (2, 3, 4, 9) for d in (1, 2, 3)} <= degrees
+    assert {(4, 3), (9, 3)} <= single
+
+
+def test_single_index_R_read_off_the_closed_form(monkeypatch):
+    # R_v(71/81) at v = t^3+t+5 over F_9: one index attains g, so each of
+    # the 8 targets R_v(-1/9) has one preimage in F_729, found without
+    # solving; the tie at -1/9 alone goes through additive_preimages
+    F9 = finite_field(3, 2)
+    mod = make_module(F9, "t", "2/(t^3+t+5)^8", "1")
+    v = FinitePlace(parse_poly(F9, "t^3+t+5"))
+    images = []
+    real = gf.additive_preimages
+
+    def spy(image, target):
+        images.append(len(image))
+        return real(image, target)
+    monkeypatch.setattr(gf, "additive_preimages", spy)
+    rd = mod.reduction_data(v)
+    tie, alpha = Fraction(-1, 9), Fraction(71, 81)
+    assert (rd.P, rd.Pp, rd.Ppp) == ((tie,), (alpha,), ())
+    assert v.residue_field.order == 729
+    assert len(rd.valuation_law(tie)[1]) == 2
+    assert len(rd.valuation_law(alpha)[1]) == 1
+    digits = [str(i) for i in range(1, 9)]
+    assert [str(e) for e in rd.R[tie]] == digits
+    assert [str(e) for e in rd.R[alpha]] == digits
+    assert images == [2]
+
+
+def _valuation_law_oracle(vals, q, alpha):
+    """(g(alpha), the i attaining it) in Fraction arithmetic."""
+    finite = [(i, a) for i, a in enumerate(vals) if a is not INFINITY]
+    if alpha is INFINITY:
+        return INFINITY, [i for i, _ in finite]
+    cost = {i: Fraction(a) + q**i * Fraction(alpha) for i, a in finite}
+    best = min(cost.values())
+    return best, [i for i, c in cost.items() if c == best]
+
+
+def test_valuation_law_matches_fraction_oracle(F3):
+    # an int alpha gives an int, a Fraction (integral ones too) a Fraction,
+    # and v(0) = INFINITY gives INFINITY at every i with a_i != 0
+    mods = (_random_monic_modules(random.Random(12), 30)
+            + [make_module(F3, "t", "0", "1/t", "1"),
+               make_module(F3, "1/(t^2+1)", "0", "t", "1")])
+    kinds = {int: 0, Fraction: 0, float: 0}
+    for mod in mods:
+        for v in list(mod.bad_reduction_set()) + [InfinitePlace(mod.field)]:
+            rd = mod.reduction_data(v)
+            alphas = (list(range(-4, 5)) + [INFINITY]
+                      + [Fraction(k, d) for k in range(-7, 8)
+                         for d in (1, 2, 3, 8)]
+                      + [-seg[2] for seg in rd.newton])
+            for alpha in alphas:
+                got = rd.valuation_law(alpha)
+                assert got == _valuation_law_oracle(rd.vals, mod.q, alpha), (
+                    mod, v, alpha)
+                assert type(got[0]) is type(alpha), (mod, v, alpha)
+                kinds[type(alpha)] += 1
+    assert min(kinds.values()) >= 30
 
 
 def test_in_S_read_off_the_valuations():

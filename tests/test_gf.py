@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from drinheights import gf
 from drinheights.gf import (MEMO_ORDER, ExtensionField, FieldError,
                             _proven_extension, additive_kernel,
                             additive_preimages, dependencies, finite_field,
@@ -137,6 +138,46 @@ def test_frobenius_is_field_homomorphism():
         for e in (1, 2, 3):
             assert (a + b).frobenius(e) == a.frobenius(e) + b.frobenius(e)
             assert (a * b).frobenius(e) == a.frobenius(e) * b.frobenius(e)
+
+
+def _fermat_inv(field, a):
+    """The Fermat inverse a^(order - 2), by square-and-multiply."""
+    return field.pow_(a, field.order - 2)
+
+
+def _power_frobenius(field, a, e):
+    """a^(q^(e mod dim)) by square-and-multiply, q the order of the base."""
+    return field.pow_(a, field.base.order**(e % field.dim))
+
+
+def _inverse_and_frobenius_fields():
+    from drinheights.places import InfinitePlace
+    F4, F9 = finite_field(2, 2), finite_field(3, 2)
+    over = [(F4, 3), (F9, 2), (F9, 3)]   # F_64 over F_4, F_81, F_729 over F_9
+    return ([F4, finite_field(2, 3), F9, finite_field(5, 2),
+             finite_field(3, 3)]
+            + [_proven_extension(base, tuple(gf._default_modulus(base, k)))
+               for base, k in over]
+            + [InfinitePlace(F9).residue_field])
+
+
+@pytest.mark.parametrize("F", _inverse_and_frobenius_fields(), ids=repr)
+def test_inverse_and_frobenius_match_powers(F):
+    """Extended Euclid and the base-linear Frobenius agree with square-and-
+    multiply on every element, the second time from the memo in a small
+    field, which keeps both maps as it keeps products."""
+    for _ in range(2):
+        for a in F.elements():
+            if a:
+                assert F.inv(a) == _fermat_inv(F, a), (F, a)
+            for e in range(2 * F.dim + 1):
+                assert F.frobenius(a, e) == _power_frobenius(F, a, e), (
+                    F, a, e)
+    memoized = {"inv", "_frobenius"} & set(vars(F))
+    assert memoized == ({"inv", "_frobenius"} if F.order <= MEMO_ORDER
+                        else set())
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
 
 
 def test_additive_kernel_x_plus_x2_over_f2():
