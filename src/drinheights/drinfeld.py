@@ -115,19 +115,16 @@ class ReductionData:
             P.append(Fraction(0))
             P.sort()
 
-        # P'_v: 0 < alpha <= T with min_i(v(a_i) + q^i alpha) landing in P_v;
-        # the minimum is strictly increasing in alpha, so alpha is determined
-        # by its target and the candidate set below is exhaustive
+        # P'_v: 0 < alpha <= T with g(alpha) in P_v.  g is strictly
+        # increasing, and g(alpha) = alpha1 exactly when every term
+        # v(a_i) + q^i alpha is >= alpha1 and one equals it, so its inverse
+        # is alpha = max_i (alpha1 - v(a_i)) / q^i
         pp_target = {}
         for alpha1 in P:
-            for i in range(r + 1):
-                if vals[i] is INFINITY:
-                    continue
-                cand = Fraction(alpha1 - vals[i], q**i)
-                if 0 < cand <= T:
-                    best, _ = self.valuation_law(cand)
-                    if best == alpha1:
-                        pp_target[cand] = alpha1
+            alpha = max(Fraction(alpha1 - a, q**i)
+                        for i, a in enumerate(vals) if a is not INFINITY)
+            if 0 < alpha <= T:
+                pp_target[alpha] = alpha1
         Pp = sorted(pp_target)
 
         Ppp = sorted({-s for s in slopes if 0 < -s <= T})
@@ -208,11 +205,14 @@ class ReductionData:
     def zero_stop(self):
         """Index 0 alone attains g at an integer v >= lam exactly when
         v >= zero_stop, the first Newton breakpoint: from there the walk is
-        v <- v + v(a_0), a run of index 0."""
-        vals, q = self.vals, self.q
-        return max([math.ceil(self.lam)]
-                   + [(vals[0] - a) // (q**i - 1) + 1
-                      for i, a in enumerate(vals) if i and a is not INFINITY])
+        v <- v + v(a_0), a run of index 0.
+
+        Index 0 alone attains g at v when v(a_0) + v < v(a_i) + q^i v, that
+        is v > (v(a_0) - v(a_i)) / (q^i - 1), for every i > 0 with a_i != 0.
+        The largest of these bounds is -s_1, with s_1 the first slope of the
+        Newton polygon, so zero_stop = max(ceil(lam), floor(-s_1) + 1).
+        Read only when a_0 != 0."""
+        return max(math.ceil(self.lam), math.floor(-self.newton[0][2]) + 1)
 
     def _check(self, sets):
         q, r = self.q, self.r
@@ -268,13 +268,16 @@ class ReductionData:
                                 for j in range(place.degree))
             return lowest[k]
 
-        # a breakpoint at or past `top` keeps every image above top > b
+        # a breakpoint at or past `top` keeps every image above top > b;
+        # past the run of breakpoints b, ..., after - 1 the law alone keeps
+        # v(phi_t(pi^c t^j)) >= g(c) >= g(after) >= b, so phi_t is applied
+        # only inside the run
         for b in candidates:
             after = b + 1
             while after in candidates:
                 after += 1
             if self.valuation_law(after)[0] >= b and all(
-                    lowest_image(c) >= b for c in candidates if c >= b):
+                    lowest_image(c) >= b for c in range(b, after)):
                 return b
         return top
 

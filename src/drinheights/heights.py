@@ -24,13 +24,14 @@ multiplies by q^r each step, so an orbit there at step n has hhat_v(x) =
 -d(v) v(y_n) / q^(rn) (Escaped).  g(k) - k is nondecreasing, so g(v) >= v
 makes the ball {v(y) >= v} phi_t-stable, and every earlier step descends:
 the walk ends within v(x) - ceil(min{0, M_v}) + 1 steps, with no budget.
-An orbit that does not escape is 0 when x is torsion (TorsionCertified),
-and 0 at step 0 when v(x) is at least the floor lambda*_v of the stable
-balls (ReductionData.stable_floor; GoodReductionIntegral), which always
-holds when the walk stopped at g(v) >= v.  That leaves a cancellation, a
-tie whose leading residue is 0 (or a tie at a place whose residue field is
-past gf.ORDER_CAP): there the iterates y_n are walked from x, each read
-for an escape and for the floor.
+An orbit that does not escape is 0 when x is torsion (TorsionCertified).
+Otherwise a walk that stopped at g(v) >= v is its own certificate: the
+ball {v(y) >= v} is phi_t-stable and holds x, so the height is 0 at step 0
+(GoodReductionIntegral) and no floor is read.  The floor lambda*_v of the
+stable balls (ReductionData.stable_floor) is read only after a tie that
+the walk cannot pass, a cancellation (a leading residue 0) or a tie at a
+place whose residue field is past gf.ORDER_CAP: there the iterates y_n are
+walked from x, each read for an escape and for the floor.
 
 That walk alone has a budget, DEGREE_CAP on the Weil height of the
 iterates, applied by one rule (next_iterate_fits, which the key
@@ -169,7 +170,8 @@ class HeightValue:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.lo, self.hi))
+        # an exact value equals its number, so it hashes as that number
+        return hash(self.lo) if self.is_exact else hash((self.lo, self.hi))
 
     def __str__(self):
         if self.is_exact:
@@ -239,8 +241,10 @@ def local_height(module, place, x, index=1, val=None):
                                  ESCAPED, n)
     if annihilator_of(module, x) is not None:
         return HeightValue.exact(0, TORSION)
+    if g >= val:  # {v(y) >= val} is phi_t-stable, and v(x) >= val
+        return HeightValue.exact(0, GOOD_REDUCTION, 0)
     floor = rd.stable_floor
-    # v(x) < floor only at a cancellation: the iterates decide
+    # after a tie: the iterates decide, each read for the floor
     y, n, val = x, 0, start
     while val >= lam:
         if floor is not None and val >= floor:

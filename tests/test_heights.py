@@ -442,6 +442,25 @@ def test_height_value_arithmetic():
         HeightValue(0.5, 0.5, "bad")
 
 
+def test_height_value_hashes_like_what_it_equals():
+    # an exact value equals its number, so sets and dicts find it by either;
+    # an interval equals only an interval with the same ends
+    third = Fraction(1, 3)
+    exact = HeightValue.exact(third, "Escaped", 1)
+    zero = HeightValue.exact(0, "GoodReductionIntegral", 0)
+    interval = HeightValue(0, third, "IterationBudgetExhausted", 2)
+    assert exact == third and hash(exact) == hash(third)
+    assert third in {exact} and exact in {third}
+    assert {exact: "h"}[third] == "h" and {third: "x"}[exact] == "x"
+    for number in (0, Fraction(0)):
+        assert number in {zero} and zero in {number}
+        assert {zero: "h"}[number] == "h" and {number: "x"}[zero] == "x"
+    same = HeightValue(0, third, "Sum")
+    assert interval == same and hash(interval) == hash(same)
+    assert same in {interval} and {interval: "h"}[same] == "h"
+    assert interval not in {0, third, exact}
+
+
 def test_iterate_height_bound(F2, F3, F5):
     # over the denominator lcm(den a_i) den(y)^(q^r), h(phi_t(y)) is at most
     # q^r h(y) + sum h(a_i), the margin next_iterate_fits leaves past the
@@ -724,7 +743,8 @@ def test_interval_without_witness_raises_like_the_oracle(F3):
     assert _t2_outcome(mod, x)[2] == FinitePlace(parse_poly(F3, "t"))
 
 
-def test_escaping_height_job_builds_no_torsion_data(monkeypatch, F3):
+def test_escaping_height_job_builds_no_torsion_data(monkeypatch, F2, F3,
+                                                    psi2):
     # the point escapes at step 0 at both places of S: each local height
     # there is read off v(x), and the witness needs no torsion decision
     from drinheights import cli, drinfeld, heights, torsion
@@ -755,15 +775,40 @@ def test_escaping_height_job_builds_no_torsion_data(monkeypatch, F3):
     assert cli.main(["height", "-", "--json"]) == 0
     assert seen == []
     # so does 1/(t^2+1), which escapes at step 3 at v_inf by the valuation
-    # walk; t^2+1 lies in the stable ball v >= 1 at v[t^2+1], which reads
-    # all three
+    # walk.  On Carlitz over F_2 the walk of 1/t^3 at v_inf runs down to
+    # the tie at v = -1, which cancels; the torsion decision and the floor
+    # v >= -1 then decide, at step 0, which reads all three
     mod = make_module(F3, "t", "1/(t^2+1)", "1")
     assert global_height(mod, R(F3, "1/(t^2+1)")).is_exact
     assert seen == []
-    parts = global_height_breakdown(mod, R(F3, "t^2+1"))
-    assert [(h.certificate, h.step) for _, h in parts] == \
-        [("GoodReductionIntegral", 0), ("Escaped", 0)]
+    h = local_height(psi2, InfinitePlace(F2), R(F2, "1/t^3"))
+    assert _fields(h) == (0, 0, "GoodReductionIntegral", 0)
     assert {"TorsionLattice", "annihilator_of", "stable_floor"} <= set(seen)
+
+
+def test_law_stable_stop_builds_no_floor(monkeypatch, F3):
+    # at v[t^2+1], t^2+1 has v = 1 and g(1) = min(0 + 1, -1 + 3, 0 + 9) = 1:
+    # the walk has proved the ball v >= 1 stable, so after the torsion
+    # decision the height is 0 at step 0 with no stable floor built
+    from drinheights import drinfeld, heights
+    seen = []
+    floor = drinfeld.ReductionData.stable_floor.func
+
+    def spy_annihilator(module, x):
+        seen.append("annihilator_of")
+        return annihilator_of(module, x)
+
+    def spy_floor(self):
+        seen.append("stable_floor")
+        return floor(self)
+    monkeypatch.setattr(heights, "annihilator_of", spy_annihilator)
+    monkeypatch.setattr(drinfeld.ReductionData, "stable_floor",
+                        property(spy_floor))
+    mod = make_module(F3, "t", "1/(t^2+1)", "1")
+    v = FinitePlace(parse_poly(F3, "t^2+1"))
+    h = local_height(mod, v, R(F3, "t^2+1"))
+    assert _fields(h) == (0, 0, "GoodReductionIntegral", 0)
+    assert seen == ["annihilator_of"]
 
 
 def psi_module(field, g):

@@ -1,16 +1,24 @@
 """The floor lambda*_v of the phi_t-stable balls B_lambda = {v(y) >= lambda},
-against a brute-force oracle, and the exact zeros it gives local_height."""
+against a brute-force oracle, and the exact zeros it gives local_height;
+the reads of ReductionData off the valuation law (the floor, P'_v and
+zero_stop) against the searches they replace."""
 
+import math
 import random
 import time
+from fractions import Fraction
+
+import pytest
 
 from conftest import decimal_unlimited, make_module
-from drinheights import cli, heights, perfect, verify
+from drinheights import cli, drinfeld, heights, perfect, verify
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.gf import finite_field
 from drinheights.places import INFINITY, FinitePlace, InfinitePlace, poles
 from drinheights.ratfunc import Poly, RatFunc, irreducible_monics, parse_poly
 from drinheights.skew import SkewPoly
+from test_drinfeld import _valuation_law_oracle
+from test_heights import _oracle_pool
 
 
 def count_phi_calls(monkeypatch):
@@ -176,3 +184,143 @@ def test_default_verify_has_no_interval(monkeypatch):
     assert result.ok
     assert len(answers) > 1000
     assert all(h.is_exact for h in answers)
+
+
+def _pp_search(rd):
+    """P'_v as it was found before the inverse law: every candidate
+    (alpha1 - v(a_i)) / q^i in (0, T] for alpha1 in P_v, kept when the law
+    maps it to alpha1."""
+    q, vals = rd.q, rd.vals
+    found = set()
+    for alpha1 in rd.P:
+        for i, a in enumerate(vals):
+            if a is INFINITY:
+                continue
+            cand = Fraction(alpha1 - a, q**i)
+            if (0 < cand <= rd.T
+                    and _valuation_law_oracle(vals, q, cand)[0] == alpha1):
+                found.add(cand)
+    return tuple(sorted(found))
+
+
+def _zero_stop_formula(rd):
+    """zero_stop as it was computed before the first slope: one bound per
+    index i > 0 with a_i != 0."""
+    vals, q = rd.vals, rd.q
+    return max([math.ceil(rd.lam)]
+               + [(vals[0] - a) // (q**i - 1) + 1
+                  for i, a in enumerate(vals) if i and a is not INFINITY])
+
+
+def _floor_all_candidates(rd):
+    """stable_floor as it was before the law cleared the breakpoints past a
+    run: phi_t is applied at every candidate breakpoint c >= b."""
+    vals, place, q = rd.vals, rd.place, rd.q
+    if vals[0] is not INFINITY and vals[0] < 0:
+        top = None
+    else:
+        top = max(-(a // (q**i - 1)) for i, a in enumerate(vals)
+                  if i and a is not INFINITY)
+    bottom = math.ceil(rd.lam)
+    breaks = [int(-seg[2]) for seg in rd.newton if seg[2].denominator == 1]
+    candidates = sorted(b for b in breaks
+                        if b >= bottom and (top is None or b < top))
+    t, lowest = RatFunc.x(place.field), {}
+
+    def lowest_image(k):
+        if k not in lowest:
+            lowest[k] = min(place.valuation(rd.module.phi_t(
+                place.uniformizer**k * t**j)) for j in range(place.degree))
+        return lowest[k]
+
+    for b in candidates:
+        after = b + 1
+        while after in candidates:
+            after += 1
+        if _valuation_law_oracle(vals, q, after)[0] >= b and all(
+                lowest_image(c) >= b for c in candidates if c >= b):
+            return b
+    return top
+
+
+def _law_modules():
+    """Seeded random modules over F_2, F_3, F_5, F_4 and F_9."""
+    rng = random.Random(3400)
+    return [_random_module(rng, finite_field(p, k))
+            for p, k in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))
+            for _ in range(12)]
+
+
+def _law_cases(n):
+    """(module, places): the oracle pool and the seeded modules pushed to
+    level n; the places are S and infinity."""
+    for mod in _oracle_pool() + _law_modules():
+        mod = perfect.insep_level(mod, n).pushed
+        places = set(mod.bad_reduction_set()) | {InfinitePlace(mod.field)}
+        yield mod, sorted(places, key=lambda v: v.sort_key())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_law_reads_match_the_searches(monkeypatch, n):
+    # P'_v by the inverse law, zero_stop by the first slope and the floor
+    # with phi_t applied only inside the run of breakpoints being tried
+    # give what the searches gave.  The floor reads the law at `after`, the
+    # first integer past the run, and then applies phi_t at no breakpoint
+    # at or past it
+    events = []
+    law, call = drinfeld.ReductionData.valuation_law, SkewPoly.__call__
+
+    def spy_law(self, alpha):
+        events.append(("after", alpha))
+        return law(self, alpha)
+
+    def spy_call(self, y):
+        events.append(("phi_t", y))
+        return call(self, y)
+    monkeypatch.setattr(drinfeld.ReductionData, "valuation_law", spy_law)
+    monkeypatch.setattr(SkewPoly, "__call__", spy_call)
+    seen = {"P'": 0, "P' at T": 0, "zero_stop": 0, "floors": 0}
+    for mod, places in _law_cases(n):
+        for v in places:
+            rd = mod.reduction_data(v)
+            del events[:]
+            want = _floor_all_candidates(rd)
+            del events[:]
+            assert rd.stable_floor == want, (mod, v)
+            after = None
+            for kind, arg in events:
+                if kind == "after":
+                    after = arg
+                else:
+                    assert after is not None and v.valuation(arg) < after, (
+                        mod, v, after)
+            seen["floors"] += want is not None
+            if rd.in_S:
+                assert rd.Pp == _pp_search(rd), (mod, v)
+                seen["P'"] += len(rd.Pp)
+                seen["P' at T"] += rd.T in rd.Pp
+            if rd.vals[0] is not INFINITY:
+                assert rd.zero_stop == _zero_stop_formula(rd), (mod, v)
+                seen["zero_stop"] += 1
+    assert seen["P'"] > 10 and seen["zero_stop"] > 10 and seen["floors"] > 10
+    assert seen["P' at T"] > 0
+
+
+def test_floor_skips_breakpoints_the_law_clears(monkeypatch, F2):
+    # at v_inf the integer breakpoints >= ceil(lam) = 0 are 0, 1 and 3.
+    # The run 0, 1 ends at after = 2, where g(2) = min(1, 0, 2, 10, 32) = 0,
+    # so every image at a breakpoint >= 2 has v >= g(2) >= 0 without phi_t;
+    # phi_t(1) = 1 and v(phi_t(1/t)) = 2 close the run, and the floor is 0.
+    # Among the 96,867 valuation vectors of bad places with q <= 4, r <= 4
+    # and |v(a_i)| <= 9 (6 at r = 4), only (-1, -4, -6, -6, 0) over F_2 has
+    # a candidate past a run that the law lets through.
+    mod = make_module(F2, "t", "t^4", "t^6+t^4+t", "t^6", "1")
+    v = InfinitePlace(F2)
+    calls = count_phi_calls(monkeypatch)
+    rd = mod.reduction_data(v)
+    assert rd.vals == (-1, -4, -6, -6, 0)
+    assert stable_floor(mod, v) == 0
+    assert [v.valuation(y) for y in calls] == [0, 1]
+    assert _floor_all_candidates(rd) == 0
+    assert [v.valuation(y) for y in calls[2:]] == [0, 1, 3]
+    assert _oracle_floor(mod, v) == 0
