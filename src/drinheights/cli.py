@@ -13,8 +13,10 @@ json's pure-Python indenting encoder.  Only the report that is printed is
 formatted: the text lines are not built under --json.  Exit codes:
 0 ok, 1 property violation, 2 input error (a malformed job, or a module that
 is not monic or is isotrivial where the command needs otherwise), 3 degree
-budget exhausted, 4 internal error (any other exception).  An expression or
-a push to F_q(u) whose degree may pass ratfunc.MAX_DEGREE is malformed.
+budget exhausted, 4 internal error (any other exception, and a report that
+cannot be written: one stderr line, and nothing more on stdout).  An
+expression or a push to F_q(u) whose degree may pass ratfunc.MAX_DEGREE is
+malformed.
 
 main parses each distinct argv once per process (_args), so a caller that
 runs many jobs in one process with the same flags pays argparse once; the
@@ -24,6 +26,7 @@ Namespace it returns is shared by those calls and only read.
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -574,11 +577,31 @@ def main(argv=None):
         return 3
     except Exception as exc:
         print("internal error: %s" % exc, file=sys.stderr)
-        if args.as_json:
-            print(_json({"error": "internal", "message": str(exc)}))
+        if not args.as_json:
+            return 4
+        rep.data, code = {"error": "internal", "message": str(exc)}, 4
+    try:
+        rep.emit()
+        sys.stdout.flush()
+    except OSError as exc:
+        print("cannot write the report: %s" % exc, file=sys.stderr)
+        _discard_stdout()
         return 4
-    rep.emit()
     return code
+
+
+def _discard_stdout():
+    """Point stdout's file descriptor at os.devnull, so that what a failed
+    write left buffered is dropped when Python flushes stdout at exit,
+    instead of failing again there and turning the exit code into 120.  A
+    stdout with no descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

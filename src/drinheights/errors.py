@@ -38,11 +38,12 @@ class IsotrivialModuleError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """The degree budget (heights.DEGREE_CAP) ended a walk of the iterates
-    before a certificate was reached: a local height walked after a tie of
-    the valuation law that the walk cannot pass (one whose leading residue
-    is 0, or one at a place whose residue field is past gf.ORDER_CAP), or
-    the key dichotomy's branch 2.  A local height keeps such an answer as
+    """The degree budget (heights.DEGREE_CAP) stopped the building of
+    iterates before a certificate was reached: those a local height builds
+    at a tie of the valuation law that the walk cannot pass (one whose
+    leading residue is 0, or one at a place whose residue field is past
+    gf.ORDER_CAP), up to the one after the tie, or those of the key
+    dichotomy's branch 2.  A local height keeps such an answer as
     a sound interval; this is raised by the callers that need an exact
     value: HeightValue.value, heights.check_t2mwg,
     perfect.key_dichotomy_check and perfect.lehper_check."""

@@ -18,29 +18,39 @@ breakpoint (ReductionData.zero_stop), is taken at once.  Where several
 indices attain g, the leading terms decide: ac(phi_t(y)) is the leading
 residue sum ac(a_i) ac(y)^(q^i) over them (ReductionData.leading_residue),
 and when it is not 0, v(phi_t(y)) = g(v(y)) still.  The walk records its
-runs and carries ac(x), or the last residue, along them only at a tie, so
-a tie-free walk builds no residue field.  Below min{0, M_v} the valuation
-multiplies by q^r each step, so an orbit there at step n has hhat_v(x) =
--d(v) v(y_n) / q^(rn) (Escaped).  g(k) - k is nondecreasing, so g(v) >= v
-makes the ball {v(y) >= v} phi_t-stable, and every earlier step descends:
-the walk ends within v(x) - ceil(min{0, M_v}) + 1 steps, with no budget.
+runs and carries ac(x) (or ac of the last iterate built), or the last
+residue, along them only at a tie, so a tie-free walk builds no residue
+field.  Below min{0, M_v} the valuation multiplies by q^r each step, so
+an orbit there at step n has hhat_v(x) = -d(v) v(y_n) / q^(rn) (Escaped).
+g(k) - k is nondecreasing, so g(v) >= v makes the ball {v(y) >= v}
+phi_t-stable, and every earlier step descends: a walk that builds no
+iterate ends within v(x) - ceil(min{0, M_v}) + 1 steps, with no budget.
 An orbit that does not escape is 0 when x is torsion (TorsionCertified).
 Otherwise a walk that stopped at g(v) >= v is its own certificate: the
 ball {v(y) >= v} is phi_t-stable and holds x, so the height is 0 at step 0
-(GoodReductionIntegral) and no floor is read.  The floor lambda*_v of the
-stable balls (ReductionData.stable_floor) is read only after a tie that
-the walk cannot pass, a cancellation (a leading residue 0) or a tie at a
-place whose residue field is past gf.ORDER_CAP: there the iterates y_n are
-walked from x, each read for an escape and for the floor.
+(GoodReductionIntegral) and no floor is read.
 
-That walk alone has a budget, DEGREE_CAP on the Weil height of the
-iterates, applied by one rule (next_iterate_fits, which the key
-dichotomy's walk also reads): phi_t(y) is built only while h(y) q^r is
-within the cap, and may pass it by at most the sum of the coefficient
-heights.  The rule ends every walk that no certificate ends first: x is
-not torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
+Only a tie that the law cannot pass needs an iterate: a cancellation (a
+leading residue 0, so v(phi_t(y)) > g), or a tie at a place whose residue
+field is past gf.ORDER_CAP.  At such a tie at step n the iterates are
+built from the last one built (x at first) up to y_(n+1), and the same
+walk goes on from v(y_(n+1)), reading ac off that iterate at its next tie.
+The first such tie decides torsion and reads the floor lambda*_v of the
+stable balls (ReductionData.stable_floor), once; from then on every step
+is checked against the floor, and an orbit in the ball {v(y) >= lambda*_v}
+has height 0 (GoodReductionIntegral).  Before the first iterate is built
+the valuations only fall, so a floor met there holds x: step 0.
+
+Building iterates alone has a budget, DEGREE_CAP on their Weil height,
+applied by one rule (next_iterate_fits, which the key dichotomy's walk
+also reads): phi_t(y) is built only while h(y) q^r is within the cap, and
+may pass it by at most the sum of the coefficient heights.  The rule ends
+every walk that no certificate ends first.  Between two cancellations the
+valuations fall, so such a walk builds iterates again and again; x is not
+torsion, so hhat(x) > 0 (Denis 1992; the Lehmer-type bound gives
 hhat(x) >= q^(-2r - r^2 N |S|)), and h(y_n) grows like hhat(x) q^(rn).
-The answer is then the sound interval [0, -d(v) lambda / q^(rn)].
+The answer is then the sound interval [0, -d(v) lambda / q^(rn)] at the
+step n of the iterate that does not fit.
 
 The global height sums the local heights over S and the poles of x
 outside S; everywhere else hhat_v(x) = 0.  The good poles are the factors
@@ -191,13 +201,14 @@ def next_iterate_fits(module, y):
 
 
 def local_height(module, place, x, index=1, val=None):
-    """hhat_v(x), exact unless the walk after a cancellation passes
-    DEGREE_CAP.
+    """hhat_v(x), exact unless an iterate needed after a cancellation
+    passes DEGREE_CAP.
 
     Outside S the closed form decides at step 0 (_good_height).  At a place
-    of S the valuation walk decides, a tie by its leading residue, and only
-    a cancellation walks the iterates (see the module docstring); an
-    interval is [0, -d(v) min{0, M_v} / q^(rn)] at step n.
+    of S one valuation walk decides, a tie by its leading residue; only a
+    cancellation builds iterates, up to the one after it, and the walk goes
+    on from there (see the module docstring).  An interval is
+    [0, -d(v) min{0, M_v} / q^(rn)] at step n.
 
     For a module over an extension L of K, `index` = [L:K] and the place
     counts with its coherent degree d(v) / [L:K].  `val` is v(x) when the
@@ -210,52 +221,56 @@ def local_height(module, place, x, index=1, val=None):
     degree = place.degree if index == 1 else Fraction(place.degree, index)
     rd = module.reduction_data(place)
     lam, q, r = rd.lam, module.q, module.r
-    # runs: the (index, steps) walked since x or the last tie; ac: the
-    # leading residue at that tie, or None at x, whose ac is read only at
-    # a tie
-    start, n, runs, ac = val, 0, [], None
-    # the valuation walk: it escapes when the loop ends without a break;
-    # v(0) = +inf stops at once, since g(+inf) = +inf
+    # y: the last iterate built, y_built (x until a cancellation); runs: the
+    # (index, steps) walked since y or the last tie; ac: the leading
+    # residue at that tie, or None, when ac(y) is read only at a tie;
+    # floor: lambda*_v, read at the first cancellation
+    y, built, n, runs, ac, floor = x, 0, 0, [], None, None
+    # the walk escapes when the loop ends without a break; v(0) = +inf
+    # stops at once, since g(+inf) = +inf
     while val >= lam:
+        if floor is not None and val >= floor:
+            return HeightValue.exact(0, GOOD_REDUCTION, n)
         g, ids = rd.valuation_law(val)
         if g >= val:
             break
         k = 1
-        if len(ids) > 1:
-            try:
-                ac = rd.leading_residue(
-                    place.angular_component(x) if ac is None else ac, runs, ids)
-            except gf.ResidueFieldError:
-                break
-            if not ac:  # the leading terms cancel: v(y_(n+1)) > g
-                break
-            runs = []
-        else:
+        if len(ids) == 1:
             if ids == [0]:  # the whole run of index 0 in one step
                 k = (val - rd.zero_stop) // -rd.vals[0] + 1
                 g = val + k * rd.vals[0]
             runs.append((ids[0], k))
-        val, n = g, n + k
+        else:
+            try:
+                ac = rd.leading_residue(
+                    place.angular_component(y) if ac is None else ac, runs, ids)
+            except gf.ResidueFieldError:
+                ac = None  # past gf.ORDER_CAP: taken as a cancellation
+            runs = []
+        if len(ids) == 1 or ac:  # v(y_(n+k)) = g
+            val, n = g, n + k
+            continue
+        # the leading terms cancel: v(y_(n+1)) > g is read off y_(n+1)
+        if not built and annihilator_of(module, x) is not None:
+            return HeightValue.exact(0, TORSION)
+        floor = rd.stable_floor
+        # the valuations only fell since y_built: the floor's ball holds it
+        if floor is not None and val >= floor:
+            return HeightValue.exact(0, GOOD_REDUCTION, built)
+        while built <= n:
+            if not next_iterate_fits(module, y):
+                return HeightValue(0, degree * Fraction(-lam, q**(r * built)),
+                                   EXHAUSTED, built)
+            y, built = module.phi_t(y), built + 1
+        val, n, ac = place.valuation(y), built, None
     else:
         return HeightValue.exact(degree * Fraction(-val, q**(r * n)),
                                  ESCAPED, n)
     if annihilator_of(module, x) is not None:
         return HeightValue.exact(0, TORSION)
-    if g >= val:  # {v(y) >= val} is phi_t-stable, and v(x) >= val
-        return HeightValue.exact(0, GOOD_REDUCTION, 0)
-    floor = rd.stable_floor
-    # after a tie: the iterates decide, each read for the floor
-    y, n, val = x, 0, start
-    while val >= lam:
-        if floor is not None and val >= floor:
-            return HeightValue.exact(0, GOOD_REDUCTION, n)
-        if not next_iterate_fits(module, y):
-            return HeightValue(0, degree * Fraction(-lam) / q**(r * n),
-                               EXHAUSTED, n)
-        y = module.phi_t(y)
-        n += 1
-        val = place.valuation(y)
-    return HeightValue.exact(degree * Fraction(-val, q**(r * n)), ESCAPED, n)
+    # no iterate is built yet (after one, the floor stops the walk first):
+    # {v(y) >= val} is phi_t-stable, and v(x) >= val
+    return HeightValue.exact(0, GOOD_REDUCTION, 0)
 
 
 def _good_height(place, val, index):
@@ -335,14 +350,13 @@ def global_height(module, x, index=1):
 class LehmerBounds:
     """The module's Lehmer-type constants, as exact fractions."""
 
-    __slots__ = ("sharp", "weak", "lehper", "torsion_degree", "s")
+    __slots__ = ("sharp", "weak", "lehper", "torsion_degree")
 
     def __init__(self, module):
         q, r = module.q, module.r
         S = module.bad_reduction_set()
         s = len(S)
         N = module.N_phi
-        self.s = s
         self.sharp = Fraction(1, q**(2 * r + r * r * N * s))
         self.weak = Fraction(1, q**(r * (2 + (r * r + r) * s)))
         self.torsion_degree = _gap_degree(module, S)

@@ -598,6 +598,30 @@ def test_invalid_height_interval_is_internal_error(tmp_path, capsys,
     assert "internal error: invalid height interval [1, 0]" in err
 
 
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_report_that_cannot_be_written_exits_4(flags, tmp_path, capsys,
+                                               monkeypatch):
+    # a write error is neither a property violation (exit 1) nor a
+    # traceback: one short line on stderr, and no error object on stdout
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = cli.main(["lehmer", job_file(tmp_path, CAR3)] + flags)
+    err = capsys.readouterr().err
+    assert code == 4 and pipe.getvalue() == ""
+    assert err == "cannot write the report: [Errno 32] Broken pipe\n"
+    # an internal error under --json writes its error object the same way
+    monkeypatch.setattr(cli, "lehmer_bounds", lambda module: 1 / 0)
+    assert cli.main(["lehmer", job_file(tmp_path, CAR3)] + flags) == 4
+    assert pipe.getvalue() == ""
+
+
 def test_verify_ok(tmp_path, capsys):
     job = {"field": {"p": 2, "k": 1}, "module": {"coefficients": ["t", "1"]},
            "seed": 0, "counts": 30}

@@ -924,3 +924,90 @@ def test_total_of_a_long_denominator_factors_nothing():
     seconds, lo, hi = out.split()
     assert lo == hi == str(2000 + Fraction(1, 3**2001))
     assert float(seconds) < 2
+
+
+# (coefficients, P, point, value, step, evaluations) over F_2: a tie at
+# v[P] whose leading terms cancel, after which the walk builds the iterates
+# up to the cancelled step plus one and goes on by the valuation law
+_CANCELLED_CASES = [
+    # v(x) = 0, index 0 to v = -2, where indices 0 and 1 tie and cancel:
+    # y_1 and y_2 are built, v(y_2) = -1, and index 0 escapes at step 3
+    (("1/(t^5+t^4+t^3+1)", "1"), "t+1", "1/t^2", Fraction(3, 8), 3, 2),
+    # the tie at v(x) = -1 cancels: y_1 is built, v(y_1) = -1 ties again,
+    # and ac(y_1) decides that it does not cancel: v(y_2) = -4 escapes
+    (("t", "1/(t^4+t^2+1)", "1"), "t^2+t+1", "1/(t^2+t+1)",
+     Fraction(1, 2), 2, 1),
+]
+
+
+@pytest.mark.parametrize("coeffs, P, point, value, step, evaluations",
+                         _CANCELLED_CASES,
+                         ids=[c[2] for c in _CANCELLED_CASES])
+def test_iterates_are_built_only_up_to_the_cancelled_step(
+        monkeypatch, F2, coeffs, P, point, value, step, evaluations):
+    from drinheights import skew
+    mod = make_module(F2, *coeffs)
+    v, x = FinitePlace(parse_poly(F2, P)), R(F2, point)
+    # the torsion decision and the floor evaluate phi_t too: warm them
+    assert annihilator_of(mod, x) is None
+    mod.reduction_data(v).stable_floor
+    calls = []
+    call = skew.SkewPoly.__call__
+
+    def spy_call(self, y):
+        calls.append(y)
+        return call(self, y)
+    monkeypatch.setattr(skew.SkewPoly, "__call__", spy_call)
+    h = local_height(mod, v, x)
+    assert _fields(h) == (value, value, "Escaped", step)
+    assert len(calls) == evaluations
+
+
+# (p, k, coefficients, point, level, P or None for v_inf, value or None
+# for an interval, certificate, step): at that level every case meets a
+# cancellation at v[P]
+_AFTER_CANCELLATION = [
+    (2, 1, ("1/(t^5+t^4+t^3+1)", "1"), "1/t^2", 0, "t+1", Fraction(3, 8),
+     "Escaped", 3),
+    (2, 1, ("t", "1/(t^4+t^2+1)", "1"), "1/(t^2+t+1)", 0, "t^2+t+1",
+     Fraction(1, 2), "Escaped", 2),
+    (2, 1, ("t^2+1", "1"), "(t+1)/t", 0, None, Fraction(3, 4), "Escaped", 2),
+    # the run of index 0 from v(x) = 3 ends in a tie at v = -1 that
+    # cancels; v(x) lies in the stable ball v >= -1: the floor at step 0
+    (2, 1, ("t", "1"), "1/t^3", 0, None, 0, "GoodReductionIntegral", 0),
+    # six cancellations, and DEGREE_CAP ends the walk at step 13
+    (2, 1, ("t^2+1", "1"), "1/t^2", 0, None, None,
+     "IterationBudgetExhausted", 13),
+    # at level 1, v[u] with v(a_i) = (2, -4, 0) and floor 4: the orbit of
+    # u^2+u (v = 1) enters the floor's ball at y_2, built after a
+    # cancellation
+    (2, 1, ("t", "1/(t^6+t^4+t^2)", "1"), "t^2+t", 1, "t", 0,
+     "GoodReductionIntegral", 2),
+    # over F_9 at a place of degree 2: ac(a_0) ac(x) + ac(x)^9 = 0 holds
+    # for ac(x) = t mod P in F_81, not for every unit
+    (3, 2, ("2*t^8/(t^2+t+3)^8", "1"), "1+t/(t^2+t+3)", 0, "t^2+t+3",
+     Fraction(16, 9), "Escaped", 1),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize(
+    "p, k, coeffs, point, level, P, value, cert, step", _AFTER_CANCELLATION,
+    ids=["%d^%d-%s-%s" % (c[0], c[1], c[2][0], c[3])
+         for c in _AFTER_CANCELLATION])
+def test_answers_after_a_cancellation_match_walk_oracle(
+        n, p, k, coeffs, point, level, P, value, cert, step):
+    field = finite_field(p, k)
+    insep = insep_level(make_module(field, *coeffs), n)
+    psi, index = insep.pushed, insep.index
+    x = R(field, point.replace("t", "u") if n else point, "u" if n else "t")
+    if n == level:
+        v = FinitePlace(parse_poly(field, P)) if P else InfinitePlace(field)
+        h = local_height(psi, v, x, index)
+        assert (h.certificate, h.step) == (cert, step)
+        assert h.value == value if value is not None else not h.is_exact
+        # the walk met a cancellation: it read the floor
+        assert "stable_floor" in vars(psi.reduction_data(v))
+    for v in psi.bad_reduction_set():
+        h = local_height(psi, v, x, index)
+        assert _fields(h) == _fields(walk_oracle(psi, v, x, index)), (v, h)
