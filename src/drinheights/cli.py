@@ -295,7 +295,7 @@ def cmd_reduction(job, rep):
     for name, v in zip(names, S):
         rd = mod.reduction_data(v)
         entry = {"place": name, "M": frac(rd.M), "T": frac(rd.T),
-                 "newton_slopes": [frac(seg[2]) for seg in rd.newton]}
+                 "newton_slopes": [frac(s) for s in rd.newton]}
         rep.data["places"].append(entry)
         rep.say("")
         rep.say("at %s:", entry["place"])
@@ -583,7 +583,7 @@ def main(argv=None):
     try:
         rep.emit()
         sys.stdout.flush()
-    except OSError as exc:
+    except Exception as exc:  # a write error, or a value _json refuses
         print("cannot write the report: %s" % exc, file=sys.stderr)
         _discard_stdout()
         return 4

@@ -4,10 +4,13 @@ A module is given by the coefficients a_0..a_r of phi_t.  This module houses
 the ring-homomorphism extension phi_b, the bad-reduction set S, the per-place
 reduction data, the floor of the phi_t-stable balls at a place, monicization
 by a conjugation in K, and the isotriviality test via the relative modular
-transcendence degree.  A place's reduction data holds the rationals M_v and
-T_v and the Newton polygon of phi_t, built at once, and the exceptional
+transcendence degree.  A place's reduction data holds the valuations
+v(a_i) and the slopes of the Newton polygon of phi_t, built at once, and
+reads every constant off those two and the valuation law g(alpha) =
+min_i v(a_i) + q^i alpha (Poonen 1995): M_v is minus the last slope, since
+phi_t is monic, T_v is g^-1(0) and P'_v is g^-1 of P_v.  The exceptional
 valuation sets P_v, P'_v, P''_v, Q_v and the angular-component sets
-R_v(alpha), built together on first read: only the `reduction` report and
+R_v(alpha) are built together on first read: only the `reduction` report and
 `verify` read them.  Where one index i attains the valuation law at alpha,
 X -> ac(a_i) X^(q^i) is a bijection of the residue field, so R_v(alpha)
 holds the one preimage (target/ac(a_i))^(q^-i) of each nonzero target; only
@@ -32,28 +35,6 @@ from drinheights.skew import SkewPoly
 _ResidueSets = namedtuple("ResidueSets", "P Pp Ppp Q R")
 
 
-def _mv(vals, q, r):
-    """M_v = min over i < r of v(a_i)/(q^r - q^i), skipping v(0) = +inf."""
-    best = INFINITY
-    for i in range(r):
-        if vals[i] is not INFINITY:
-            cand = Fraction(vals[i], q**r - q**i)
-            if cand < best:
-                best = cand
-    return best
-
-
-def _tv(vals, q, r):
-    """T_v = -min over 0 <= i <= r of v(a_i)/q^i."""
-    best = None
-    for i in range(r + 1):
-        if vals[i] is not INFINITY:
-            cand = Fraction(vals[i], q**i)
-            if best is None or cand < best:
-                best = cand
-    return -best
-
-
 def _lower_hull(points):
     """Lower convex hull vertices of points sorted by increasing x."""
     hull = []
@@ -72,7 +53,9 @@ class ReductionData:
     """Reduction data of a monic module at one place (see module docstring).
 
     Built at once: the valuations `vals` (module.coefficient_valuations),
-    `in_S`, M_v, lam = min(0, M_v), T_v and the Newton polygon.  Built on
+    `in_S` and the slopes `newton` of the Newton polygon, and read off
+    those two: M_v = minus the last slope (+inf with none), lam = min(0,
+    M_v), and T_v = g^-1(0) by `inverse_law`.  Built on
     first read and kept: `stable_floor`, `zero_stop`, the angular
     components `acs`, and the exceptional sets P, Pp, Ppp, Q and R, all five
     together (R maps each alpha in Q_v to a tuple of nonzero residue-field
@@ -81,19 +64,22 @@ class ReductionData:
     """
 
     def __init__(self, module, place):
-        q, r = self.q, self.r = module.q, module.r
+        q = self.q = module.q
+        self.r = module.r
         self.module = module
         self.place = place
         self.N_phi = module.N_phi
         self.vals = vals = module.coefficient_valuations(place)
         self.in_S = any(a < 0 for a in vals)  # S: some v(a_i) < 0
-        self.M = _mv(vals, q, r)
-        self.lam = min(0, self.M)
-        self.T = _tv(vals, q, r)
-        points = [(q**i, a) for i, a in enumerate(vals) if a is not INFINITY]
-        hull = _lower_hull(points)
-        self.newton = tuple(((x1, y1), (x2, y2), Fraction(y2 - y1, x2 - x1))
+        hull = _lower_hull([(q**i, a) for i, a in enumerate(vals)
+                            if a is not INFINITY])
+        self.newton = tuple(Fraction(y2 - y1, x2 - x1)
                             for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+        # a_r = 1 puts the last vertex at (q^r, 0), so the last slope is the
+        # largest -v(a_i) / (q^r - q^i) over i < r: minus M_v
+        self.M = -self.newton[-1] if self.newton else INFINITY
+        self.lam = min(0, self.M)
+        self.T = self.inverse_law(0)
         if self.in_S and not self.T > 0:
             raise RuntimeError("T_v must be positive at a bad place")
 
@@ -107,22 +93,17 @@ class ReductionData:
     def _residue_sets(self):
         """The five exceptional sets, built together and checked; a failed
         check keeps nothing, so the next read fails again."""
-        q, r, vals, T, v = self.q, self.r, self.vals, self.T, self.place
-        slopes = [seg[2] for seg in self.newton]
+        q, r, slopes, T, v = self.q, self.r, self.newton, self.T, self.place
 
         P = sorted({-s for s in slopes if s >= 0})
         if q == 2 and r == 1 and self.in_S and Fraction(0) not in P:
             P.append(Fraction(0))
             P.sort()
 
-        # P'_v: 0 < alpha <= T with g(alpha) in P_v.  g is strictly
-        # increasing, and g(alpha) = alpha1 exactly when every term
-        # v(a_i) + q^i alpha is >= alpha1 and one equals it, so its inverse
-        # is alpha = max_i (alpha1 - v(a_i)) / q^i
+        # P'_v: 0 < alpha <= T with g(alpha) in P_v
         pp_target = {}
         for alpha1 in P:
-            alpha = max(Fraction(alpha1 - a, q**i)
-                        for i, a in enumerate(vals) if a is not INFINITY)
+            alpha = self.inverse_law(alpha1)
             if 0 < alpha <= T:
                 pp_target[alpha] = alpha1
         Pp = sorted(pp_target)
@@ -184,6 +165,14 @@ class ReductionData:
                 ids.append(i)
         return (Fraction(best, den) if frac else best), ids
 
+    def inverse_law(self, beta):
+        """The alpha with g(alpha) = beta: g is strictly increasing, and
+        g(alpha) = beta exactly when every term v(a_i) + q^i alpha is >= beta
+        and one equals it, so alpha = max_i (beta - v(a_i)) / q^i, a
+        Fraction.  T_v is g^-1(0), and P'_v is read off g^-1 of P_v."""
+        return max(Fraction(beta - a, self.q**i)
+                   for i, a in enumerate(self.vals) if a is not INFINITY)
+
     @cached_property
     def acs(self):
         """(ac(a_0), ..., ac(a_r)) at the place, None where a_i = 0."""
@@ -212,7 +201,7 @@ class ReductionData:
         The largest of these bounds is -s_1, with s_1 the first slope of the
         Newton polygon, so zero_stop = max(ceil(lam), floor(-s_1) + 1).
         Read only when a_0 != 0."""
-        return max(math.ceil(self.lam), math.floor(-self.newton[0][2]) + 1)
+        return max(math.ceil(self.lam), math.floor(-self.newton[0]) + 1)
 
     def _check(self, sets):
         q, r = self.q, self.r
@@ -255,7 +244,7 @@ class ReductionData:
             top = max(-(a // (self.q**i - 1)) for i, a in enumerate(vals)
                       if i and a is not INFINITY)
         bottom = math.ceil(self.lam)
-        breaks = [int(-seg[2]) for seg in self.newton if seg[2].denominator == 1]
+        breaks = [int(-s) for s in self.newton if s.denominator == 1]
         candidates = sorted(b for b in breaks
                             if b >= bottom and (top is None or b < top))
         lowest = {}
@@ -300,8 +289,6 @@ class DrinfeldModule:
             coeffs.pop()
         if len(coeffs) < 2:
             raise ValueError("phi_t must involve tau: need r >= 1")
-        if coeffs[-1].is_zero():
-            raise ValueError("leading coefficient a_r must be nonzero")
         self.field = field
         self.coeffs = tuple(coeffs)
         self.r = len(coeffs) - 1

@@ -35,11 +35,13 @@ leading residue 0, so v(phi_t(y)) > g), or a tie at a place whose residue
 field is past gf.ORDER_CAP.  At such a tie at step n the iterates are
 built from the last one built (x at first) up to y_(n+1), and the same
 walk goes on from v(y_(n+1)), reading ac off that iterate at its next tie.
-The first such tie decides torsion and reads the floor lambda*_v of the
-stable balls (ReductionData.stable_floor), once; from then on every step
-is checked against the floor, and an orbit in the ball {v(y) >= lambda*_v}
-has height 0 (GoodReductionIntegral).  Before the first iterate is built
-the valuations only fall, so a floor met there holds x: step 0.
+The first such tie decides torsion, and each reads the floor lambda*_v of
+the stable balls (ReductionData.stable_floor, built once); the tie and then
+every iterate built are checked against it, and an orbit in the ball
+{v(y) >= lambda*_v} has height 0 (GoodReductionIntegral).  No other step
+needs the test: between builds the valuations only fall, and a stop at
+g(v) >= v makes {v(y) >= v} stable, so the floor is at or below v.  A
+tie-free walk tests only min{0, M_v} and the law.
 
 Building iterates alone has a budget, DEGREE_CAP on their Weil height,
 applied by one rule (next_iterate_fits, which the key dichotomy's walk
@@ -207,7 +209,9 @@ def local_height(module, place, x, index=1, val=None):
     Outside S the closed form decides at step 0 (_good_height).  At a place
     of S one valuation walk decides, a tie by its leading residue; only a
     cancellation builds iterates, up to the one after it, and the walk goes
-    on from there (see the module docstring).  An interval is
+    on from there (see the module docstring).  The stable floor is tested
+    at a cancellation and after each iterate built, the only places where
+    it can stop the walk.  An interval is
     [0, -d(v) min{0, M_v} / q^(rn)] at step n.
 
     For a module over an extension L of K, `index` = [L:K] and the place
@@ -223,14 +227,11 @@ def local_height(module, place, x, index=1, val=None):
     lam, q, r = rd.lam, module.q, module.r
     # y: the last iterate built, y_built (x until a cancellation); runs: the
     # (index, steps) walked since y or the last tie; ac: the leading
-    # residue at that tie, or None, when ac(y) is read only at a tie;
-    # floor: lambda*_v, read at the first cancellation
-    y, built, n, runs, ac, floor = x, 0, 0, [], None, None
+    # residue at that tie, or None, when ac(y) is read only at a tie
+    y, built, n, runs, ac = x, 0, 0, [], None
     # the walk escapes when the loop ends without a break; v(0) = +inf
     # stops at once, since g(+inf) = +inf
     while val >= lam:
-        if floor is not None and val >= floor:
-            return HeightValue.exact(0, GOOD_REDUCTION, n)
         g, ids = rd.valuation_law(val)
         if g >= val:
             break
@@ -263,6 +264,11 @@ def local_height(module, place, x, index=1, val=None):
                                    EXHAUSTED, built)
             y, built = module.phi_t(y), built + 1
         val, n, ac = place.valuation(y), built, None
+        # the floor is tested again only here: the valuations fall until
+        # the next build, and a stop at g(v) >= v puts the floor at or
+        # below v, so a later test would have fired here first
+        if floor is not None and val >= floor:
+            return HeightValue.exact(0, GOOD_REDUCTION, n)
     else:
         return HeightValue.exact(degree * Fraction(-val, q**(r * n)),
                                  ESCAPED, n)

@@ -31,9 +31,15 @@ def decimal_unlimited(n):
 
 
 def plant_mv_bug(monkeypatch):
-    """Flip the sign of M_v: a real defect that `verify` must catch."""
-    mv = drinfeld._mv
-    monkeypatch.setattr(drinfeld, "_mv", lambda vals, q, r: -mv(vals, q, r))
+    """Flip the sign of M_v, and lam with it: a real defect that `verify`
+    must catch."""
+    init = drinfeld.ReductionData.__init__
+
+    def flipped(self, module, place):
+        init(self, module, place)
+        self.M = -self.M
+        self.lam = min(0, self.M)
+    monkeypatch.setattr(drinfeld.ReductionData, "__init__", flipped)
 
 
 @pytest.fixture(autouse=True)

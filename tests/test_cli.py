@@ -622,6 +622,31 @@ def test_report_that_cannot_be_written_exits_4(flags, tmp_path, capsys,
     assert pipe.getvalue() == ""
 
 
+def _refuse(exc):
+    def refuse(*args):
+        raise exc("refused")
+    return refuse
+
+
+@pytest.mark.parametrize("exc", [TypeError, ValueError])
+@pytest.mark.parametrize("flags, hook", [
+    ([], "stdout"), (["--json"], "stdout"), (["--json"], "_json")])
+def test_any_write_failure_exits_4(flags, hook, exc, tmp_path, capsys,
+                                   monkeypatch):
+    # not only an OSError: a stdout that refuses a write, or a value that
+    # _json refuses, is a report that cannot be written, so exit 4 with
+    # one stderr line, not a traceback with exit 1 (a property violation)
+    if hook == "_json":
+        monkeypatch.setattr(cli, "_json", _refuse(exc))
+    else:
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", _refuse(exc))
+    code = cli.main(["lehmer", job_file(tmp_path, CAR3)] + flags)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "cannot write the report: refused\n"
+
+
 def test_verify_ok(tmp_path, capsys):
     job = {"field": {"p": 2, "k": 1}, "module": {"coefficients": ["t", "1"]},
            "seed": 0, "counts": 30}

@@ -222,7 +222,7 @@ def _floor_all_candidates(rd):
         top = max(-(a // (q**i - 1)) for i, a in enumerate(vals)
                   if i and a is not INFINITY)
     bottom = math.ceil(rd.lam)
-    breaks = [int(-seg[2]) for seg in rd.newton if seg[2].denominator == 1]
+    breaks = [int(-s) for s in rd.newton if s.denominator == 1]
     candidates = sorted(b for b in breaks
                         if b >= bottom and (top is None or b < top))
     t, lowest = RatFunc.x(place.field), {}
@@ -241,6 +241,30 @@ def _floor_all_candidates(rd):
                 lowest_image(c) >= b for c in candidates if c >= b):
             return b
     return top
+
+
+def _mv_loop(vals, q, r):
+    """M_v as it was computed before the last slope: min over i < r of
+    v(a_i)/(q^r - q^i), skipping v(0) = +inf."""
+    best = INFINITY
+    for i in range(r):
+        if vals[i] is not INFINITY:
+            cand = Fraction(vals[i], q**r - q**i)
+            if cand < best:
+                best = cand
+    return best
+
+
+def _tv_loop(vals, q, r):
+    """T_v as it was computed before the inverse law: -min over
+    0 <= i <= r of v(a_i)/q^i."""
+    best = None
+    for i in range(r + 1):
+        if vals[i] is not INFINITY:
+            cand = Fraction(vals[i], q**i)
+            if best is None or cand < best:
+                best = cand
+    return -best
 
 
 def _law_modules():
@@ -304,6 +328,48 @@ def test_law_reads_match_the_searches(monkeypatch, n):
                 seen["zero_stop"] += 1
     assert seen["P'"] > 10 and seen["zero_stop"] > 10 and seen["floors"] > 10
     assert seen["P' at T"] > 0
+
+
+def _slope_modules():
+    """Seeded random monic modules of rank 1 to 3 over F_2, F_3, F_5, F_4
+    and F_9, some with a zero coefficient, and so some with no slope."""
+    rng = random.Random(3600)
+    out = []
+    for p, k in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)):
+        field = finite_field(p, k)
+        for _ in range(30):
+            coeffs = [RatFunc.zero(field) if rng.random() < 0.2
+                      else _random_ratfunc(rng, field)
+                      for _ in range(rng.randint(1, 3))]
+            out.append(DrinfeldModule(field, coeffs + [RatFunc.one(field)]))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_constants_read_off_the_slopes(n):
+    # M_v as minus the last Newton slope, lam = min(0, M_v) and T_v by the
+    # inverse law give what the min-loops over the coefficients gave, values
+    # and types; P'_v, read off the same inverse law, is what the search
+    # found below that T_v
+    seen = {"S": 0, "M = +inf": 0}
+    cases = list(_law_cases(n))
+    for mod in _slope_modules():
+        mod = perfect.insep_level(mod, n).pushed
+        cases.append((mod, set(mod.bad_reduction_set())
+                      | {InfinitePlace(mod.field)}))
+    for mod, places in cases:
+        for v in places:
+            rd = mod.reduction_data(v)
+            M = _mv_loop(rd.vals, mod.q, mod.r)
+            want = (M, min(0, M), _tv_loop(rd.vals, mod.q, mod.r))
+            got = (rd.M, rd.lam, rd.T)
+            assert got == want, (mod, v)
+            assert [type(a) for a in got] == [type(a) for a in want], (mod, v)
+            seen["M = +inf"] += M is INFINITY
+            if rd.in_S:
+                assert rd.Pp == _pp_search(rd), (mod, v)
+                seen["S"] += 1
+    assert seen["S"] > 250 and seen["M = +inf"] > 10, seen
 
 
 def test_floor_skips_breakpoints_the_law_clears(monkeypatch, F2):
