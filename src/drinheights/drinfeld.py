@@ -13,10 +13,10 @@ valuation sets P_v, P'_v, P''_v, Q_v and the angular-component sets
 R_v(alpha) are built together on first read: only the `reduction` report and
 `verify` read them.  Where one index i attains the valuation law at alpha,
 X -> ac(a_i) X^(q^i) is a bijection of the residue field, so R_v(alpha)
-holds the one preimage (target/ac(a_i))^(q^-i) of each nonzero target; only
-a tie of two or more indices solves an additive equation.  The angular
-components ac(a_i), which a local height's walk reads at a tie and
-R_v(alpha) reads too, are taken once, on first read.
+holds the one preimage target^(q^-i) c of each nonzero target, with the one
+inverse c = (1/ac(a_i))^(q^-i) per alpha; only a tie of two or more indices
+solves an additive equation.  The angular components ac(a_i), which a local
+height's walk reads at a tie and R_v(alpha) reads too, are taken once.
 """
 
 import math
@@ -126,18 +126,19 @@ class ReductionData:
                 targets.extend(R[pp_target[alpha]])
             if len(ids) == 1:
                 # X -> c X^(q^i) is a bijection of k_v: each nonzero target
-                # has the one preimage (target/c)^(q^-i), and 0 only 0
+                # has the one preimage target^(q^-i) (1/c)^(q^-i), and 0 only 0
                 i = ids[0]
-                sols = {(target / self.acs[i]).frobenius(-i)
+                scale = any(targets) and k_v.frobenius(
+                    k_v.inv(self.acs[i].val), -i)
+                sols = {k_v.mul(k_v.frobenius(target.val, -i), scale)
                         for target in targets if target}
             else:
                 image = [(self.acs[i], i) for i in ids]
-                sols = {e for target in targets
-                        for e in gf.additive_preimages(image, target)
-                        if e.val != 0}
+                sols = {e.val for target in targets
+                        for e in gf.additive_preimages(image, target)} - {0}
             if alpha == 0:
-                sols.add(k_v.one)
-            R[alpha] = tuple(sorted(sols, key=lambda e: e.val))
+                sols.add(1)
+            R[alpha] = tuple(gf.FqElem(k_v, e) for e in sorted(sols))
         sets = _ResidueSets(tuple(P), tuple(Pp), tuple(Ppp), tuple(Q), R)
         self._check(sets)
         return sets
@@ -169,9 +170,13 @@ class ReductionData:
         """The alpha with g(alpha) = beta: g is strictly increasing, and
         g(alpha) = beta exactly when every term v(a_i) + q^i alpha is >= beta
         and one equals it, so alpha = max_i (beta - v(a_i)) / q^i, a
-        Fraction.  T_v is g^-1(0), and P'_v is read off g^-1 of P_v."""
-        return max(Fraction(beta - a, self.q**i)
-                   for i, a in enumerate(self.vals) if a is not INFINITY)
+        Fraction, compared on integers over the denominator beta.denominator
+        * q^r and built once.  T_v is g^-1(0), and P'_v is read off g^-1 of
+        P_v."""
+        num, den, top = beta.numerator, beta.denominator, len(self.vals) - 1
+        return Fraction(max((num - a * den) * self.q**(top - i)
+                            for i, a in enumerate(self.vals)
+                            if a is not INFINITY), den * self.q**top)
 
     @cached_property
     def acs(self):

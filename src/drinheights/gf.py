@@ -10,10 +10,13 @@ Extensions can be towered (e.g. residue fields of places over F_9 are
 extensions with base F_9), and the Frobenius used by additive polynomials is
 always x -> x^q with q the order of the *base* of the element's field.  It
 fixes the base, so an extension applies it as a base-linear map of the
-coordinates, whose images (x^(q^e))^j it computes once; an inverse comes
-from extended Euclid over the base on coordinate polynomials.  An
-extension up to MEMO_ORDER elements keeps every product, inverse and
-Frobenius image it has computed.
+coordinates, whose images (x^(q^e))^j it computes once: x^q by the one
+power taken, x^(q^e) by e - 1 steps of the map of e = 1 from there.  A
+product is the base product of the coordinate polynomials, reduced by a
+table of x^m ... x^(2m-2) mod the modulus that the field builds with
+itself; an inverse comes from extended Euclid over the base on coordinate
+polynomials.  An extension up to MEMO_ORDER elements keeps every product,
+inverse and Frobenius image it has computed.
 
 Linear algebra has one eliminator, :func:`dependencies`.  It takes sparse
 vectors {key: coefficient} and yields, for each vector that reduces against
@@ -26,7 +29,7 @@ is its kernel vector, and that of the right-hand side is (-x, 1).
 
 import functools
 import operator
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from drinheights import _polycore
 from drinheights.errors import quote
@@ -306,6 +309,15 @@ class ExtensionField(_Field):
         self.dim = m
         self.char = base.char
         self.order = base.order**m
+        # x^(m+k) mod the modulus for k < m - 1: x^m is minus the modulus
+        # below its leading 1, and x times a row shifts it up and folds its
+        # top coefficient through x^m.  A product of two reduced elements
+        # folds through these rows back below degree m
+        self._fold = [[base.neg(c) for c in modulus[:-1]]]
+        for _ in range(m - 2):
+            row = self._fold[-1]
+            self._fold.append(
+                self._combine(row[-1:], self._fold, [0] + row[:-1]))
         # e -> coordinates of (x^(q^e))^j for j < m, filled on first use
         self._frobenius_images = {}
         small = self.order <= MEMO_ORDER
@@ -362,8 +374,21 @@ class ExtensionField(_Field):
 
     def mul(self, a, b):
         prod = self.base.poly_mul(_trim(self.coords(a)), _trim(self.coords(b)))
-        _, rem = self.base.poly_divmod(prod, list(self.modulus))
-        return self.from_coords(rem + [0] * (self.dim - len(rem)))
+        return self.from_coords(
+            self._combine(prod[self.dim:], self._fold, prod[:self.dim]))
+
+    def _combine(self, scalars, rows, start=None):
+        """Coordinates of start + sum_k scalars[k] rows[k] over the base; a
+        prime base adds on ints and reduces once."""
+        base = self.base
+        out = [0] * self.dim if start is None else start
+        prime = isinstance(base, PrimeField)
+        for c, row in zip(scalars, rows):
+            if c and prime:
+                out = [x + c * y for x, y in zip(out, row)]
+            elif c:
+                out = [base.add(x, base.mul(c, y)) for x, y in zip(out, row)]
+        return [x % base.p for x in out] if prime else out
 
     def inv(self, a):
         """a^-1 by extended Euclid over the base on the modulus and the
@@ -391,20 +416,24 @@ class ExtensionField(_Field):
     def _frobenius(self, a, e):
         # x -> x^(q^e) fixes the base, so it maps sum c_j x^j to
         # sum c_j (x^(q^e))^j: a base-linear map of the coordinates
+        return self.from_coords(self._combine(self.coords(a), self._images(e)))
+
+    def _images(self, e):
+        """Coordinates of (x^(q^e))^j for j < dim, 0 < e < dim, the powers of
+        x^(q^e): x^q is the one power taken, and x^(q^e) is e - 1 steps of
+        the map of e = 1 from there."""
         images = self._frobenius_images.get(e)
         if images is None:
-            xqe = self.pow_(self.gen.val, self.base.order**e)
-            images, power = [], 1
-            for _ in range(self.dim):
-                images.append(self.coords(power))
-                power = self.mul(power, xqe)
+            if e == 1:
+                xqe = self.coords(self.pow_(self.gen.val, self.base.order))
+            else:
+                xqe = self._images(1)[1]
+                for _ in range(e - 1):
+                    xqe = self._combine(xqe, self._images(1))
+            images = [self.coords(x) for x in accumulate(
+                [self.from_coords(xqe)] * (self.dim - 1), self.mul, initial=1)]
             self._frobenius_images[e] = images
-        base, out = self.base, [0] * self.dim
-        for c, image in zip(self.coords(a), images):
-            if c:
-                for k, b in enumerate(image):
-                    out[k] = base.add(out[k], base.mul(c, b))
-        return self.from_coords(out)
+        return images
 
     def elem_str(self, a):
         return poly_str(self.coords(a), "g")
@@ -660,16 +689,17 @@ def solve(rows, rhs, field, ncols):
 # --- additive (F_q-linear) polynomial equations over F_{q^m} ---
 
 def _additive_matrix(coeffs, field):
-    """Matrix over field.base of X -> sum c_j X^(q^i_j) in power-basis coords."""
+    """Matrix over field.base of X -> sum c_j X^(q^i_j) in power-basis coords:
+    column s is sum c_j (x^s)^(q^i_j), read off the cached Frobenius images."""
     m = field.dim
-    cols = []
-    for s in range(m):
-        e_s = field.from_coords([1 if i == s else 0 for i in range(m)])
-        acc = 0
-        for c, i in coeffs:
-            acc = field.add(acc, field.mul(c.val, field.frobenius(e_s, i)))
-        cols.append(field.coords(acc))
-    return [[cols[s][t] for s in range(m)] for t in range(m)]
+    cols = [0] * m
+    for c, i in coeffs:
+        e = i % m
+        images = ([field.from_coords(v) for v in field._images(e)] if e
+                  else [field.base.order**s for s in range(m)])
+        cols = [field.add(acc, field.mul(c.val, x))
+                for acc, x in zip(cols, images)]
+    return [list(row) for row in zip(*map(field.coords, cols))]
 
 
 def _check_additive_args(coeffs):
@@ -698,17 +728,21 @@ def additive_kernel(coeffs):
     return [field.element(field.from_coords(v)) for v in basis]
 
 
-def span(field, basis):
-    """All F_q-combinations of basis elements (including 0).
-
-    Base scalars c < q coincide with their canonical encoding in the
-    extension, so field.mul applies them directly.
-    """
-    elems = [field.element(0)]
-    for b in basis:
-        scalars = [field.element(field.mul(b.val, c)) for c in field.base.elements()]
-        elems = [e + s for e in elems for s in scalars]
+def _span_vals(field, vals, start=0):
+    # start + every F_q-combination of vals, on int encodings; a base scalar
+    # scales the coordinates
+    base, elems = field.base, [start]
+    for b in vals:
+        coords = field.coords(b)
+        scalars = [field.from_coords([base.mul(c, x) for x in coords])
+                   for c in base.elements()]
+        elems = [field.add(e, s) for e in elems for s in scalars]
     return elems
+
+
+def span(field, basis):
+    """All F_q-combinations of basis elements (including 0)."""
+    return [FqElem(field, e) for e in _span_vals(field, [b.val for b in basis])]
 
 
 def additive_preimages(coeffs, target):
@@ -720,6 +754,6 @@ def additive_preimages(coeffs, target):
                         field.base, field.dim)
     if part is None:
         return []
-    x0 = field.element(field.from_coords(part))
-    kernel = [field.element(field.from_coords(v)) for v in basis]
-    return sorted((x0 + k for k in span(field, kernel)), key=lambda e: e.val)
+    kernel = [field.from_coords(v) for v in basis]
+    return [FqElem(field, e) for e in
+            sorted(_span_vals(field, kernel, field.from_coords(part)))]

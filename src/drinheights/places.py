@@ -89,9 +89,9 @@ class FinitePlace(Place):
             raise ValueError("angular component of zero")
         # the P-free parts of num and den come from the same division that
         # finds the valuation; their residues are units of k_v
-        num = _divide_out(y.num, self.P)[1]
-        den = _divide_out(y.den, self.P)[1]
-        return self._embed(num % self.P) / self._embed(den % self.P)
+        num = self._embed(_divide_out(y.num, self.P)[1] % self.P)
+        den = _divide_out(y.den, self.P)[1] % self.P
+        return num if den.is_one() else num / self._embed(den)
 
     def lift(self, c):
         return RatFunc.from_poly(Poly(self.field, c.coords()))

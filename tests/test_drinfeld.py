@@ -500,6 +500,57 @@ def test_single_index_R_read_off_the_closed_form(monkeypatch):
     assert images == [2]
 
 
+def test_single_index_R_takes_one_inverse(monkeypatch):
+    # the 8 targets of R_v(71/81) share the one scale (1/c)^(q^-i): a single
+    # inverse in F_729, and none for angular components with residue 1 below
+    F9 = finite_field(3, 2)
+    mod = make_module(F9, "t", "2/(t^3+t+5)^8", "1")
+    v = FinitePlace(parse_poly(F9, "t^3+t+5"))
+    rd = mod.reduction_data(v)
+    inverted = []
+    real = gf.ExtensionField.inv
+
+    def spy(self, a):
+        if self is v.residue_field:
+            inverted.append(a)
+        return real(self, a)
+    monkeypatch.setattr(gf.ExtensionField, "inv", spy)
+    alpha = Fraction(71, 81)
+    assert len(rd.R[alpha]) == 8 and len(rd.valuation_law(alpha)[1]) == 1
+    assert len(inverted) <= 1
+
+
+def _inverse_law_oracle(vals, q, beta):
+    """max_i (beta - v(a_i)) / q^i, one Fraction per index."""
+    return max(Fraction(beta - a, q**i)
+               for i, a in enumerate(vals) if a is not INFINITY)
+
+
+def test_inverse_law_matches_fraction_oracle(F3):
+    # a Fraction for int and Fraction beta alike, and g(g^-1(beta)) = beta,
+    # with zero coefficients (v = INFINITY) among them
+    mods = (_random_monic_modules(random.Random(14), 30)
+            + [make_module(F3, "t", "0", "1/t", "1"),
+               make_module(F3, "1/(t^2+1)", "0", "t", "1"),
+               make_module(F3, "0", "1/(t^2+1)", "1")])
+    kinds, infinite = {int: 0, Fraction: 0}, 0
+    for mod in mods:
+        for v in list(mod.bad_reduction_set()) + [InfinitePlace(mod.field)]:
+            rd = mod.reduction_data(v)
+            infinite += INFINITY in rd.vals
+            betas = (list(range(-4, 5))
+                     + [Fraction(k, d) for k in range(-7, 8) for d in (2, 3, 8)]
+                     + [-s for s in rd.newton])
+            for beta in betas:
+                got = rd.inverse_law(beta)
+                assert got == _inverse_law_oracle(rd.vals, mod.q, beta), (
+                    mod, v, beta)
+                assert type(got) is Fraction, (mod, v, beta)
+                assert rd.valuation_law(got)[0] == beta, (mod, v, beta)
+                kinds[type(beta)] += 1
+    assert min(kinds.values()) >= 30 and infinite >= 3
+
+
 def _valuation_law_oracle(vals, q, alpha):
     """(g(alpha), the i attaining it) in Fraction arithmetic."""
     finite = [(i, a) for i, a in enumerate(vals) if a is not INFINITY]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -178,6 +179,163 @@ def test_inverse_and_frobenius_match_powers(F):
                         else set())
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+# Oracles for the residue-field kernels, in the form the package had before
+# products were folded through a table and x^(q^e) stepped from x^q: the
+# product divided by the modulus, x^(q^e) by a power, and the additive
+# matrix built one basis element at a time.
+
+def _divmod_mul(F, a, b):
+    prod = F.base.poly_mul(gf._trim(F.coords(a)), gf._trim(F.coords(b)))
+    _, rem = F.base.poly_divmod(prod, list(F.modulus))
+    return F.from_coords(rem + [0] * (F.dim - len(rem)))
+
+
+@functools.lru_cache(maxsize=None)
+def _power_images(F, e):
+    """Coordinates of (x^(q^e))^j, j < dim, with x^(q^e) by square-and-
+    multiply through _divmod_mul; kept per (field, e)."""
+    xqe, base, n = 1, F.gen.val, F.base.order**e
+    while n:
+        if n & 1:
+            xqe = _divmod_mul(F, xqe, base)
+        base, n = _divmod_mul(F, base, base), n >> 1
+    images, power = [], 1
+    for _ in range(F.dim):
+        images.append(F.coords(power))
+        power = _divmod_mul(F, power, xqe)
+    return images
+
+
+def _oracle_frobenius(F, a, e):
+    e %= F.dim
+    if not e:
+        return a
+    out = [0] * F.dim
+    for c, image in zip(F.coords(a), _power_images(F, e)):
+        for k, b in enumerate(image):
+            out[k] = F.base.add(out[k], F.base.mul(c, b))
+    return F.from_coords(out)
+
+
+def _oracle_additive_matrix(coeffs, F):
+    m, cols = F.dim, []
+    for s in range(m):
+        e_s = F.from_coords([1 if i == s else 0 for i in range(m)])
+        acc = 0
+        for c, i in coeffs:
+            image = _oracle_frobenius(F, e_s, i)
+            acc = F.add(acc, _divmod_mul(F, c.val, image))
+        cols.append(F.coords(acc))
+    return [[cols[s][t] for s in range(m)] for t in range(m)]
+
+
+def _kernel_fields():
+    F4, F9 = finite_field(2, 2), finite_field(3, 2)
+    return [F4, finite_field(2, 3), F9, finite_field(5, 2),
+            ExtensionField(F4, [F4.gen.val, 1, 1]),      # F_16 over F_4
+            ExtensionField(F9, [F9.gen.val, 1, 1]),      # F_81 over F_9
+            _proven_extension(F9, tuple(gf._default_modulus(F9, 3))),  # F_729
+            _proven_extension(F9, (4, 1)),               # dim 1 over F_9
+            finite_field(3, 19), finite_field(46337, 2)]
+
+
+def _fresh(F):
+    """A second build of F with empty memos, for a planted fault."""
+    return gf._proven_extension.__wrapped__(F.base, F.modulus)
+
+
+def _fold_rows(F, sub):
+    """x^(dim+k) mod the modulus for k < dim - 1, the recurrence's step
+    taking `sub` for its subtraction."""
+    rows = [[F.base.neg(c) for c in F.modulus[:-1]]]
+    while len(rows) < F.dim - 1:
+        row = rows[-1]
+        rows.append([sub(a, F.base.mul(row[-1], c))
+                     for a, c in zip([0] + row[:-1], F.modulus)])
+    return rows
+
+
+def _kernel_mismatches(F, seed=3):
+    """Where F's mul, frobenius (exponents -1 ... dim + 1) and
+    _additive_matrix differ from the oracles."""
+    rng = random.Random(seed)
+    top = F.base.order**(F.dim - 1)   # x^(dim-1): its square reads every row
+    elems = [top, F.order - 1] + [rng.randrange(F.order) for _ in range(30)]
+    checks = [("mul", a, b, lambda a=a, b=b: F.mul(a, b),
+               lambda a=a, b=b: _divmod_mul(F, a, b))
+              for a, b in zip(elems, [top, F.order - 1] + elems[::-1])]
+    checks += [("frobenius", a, e, lambda a=a, e=e: F.frobenius(a, e),
+                lambda a=a, e=e: _oracle_frobenius(F, a, e))
+               for a in elems[:8] for e in range(-1, F.dim + 2)]
+    coeffs = [(F.element(rng.randrange(1, F.order)), i)
+              for i in range(F.dim + 2)]
+    checks.append(("matrix", None, None,
+                   lambda: gf._additive_matrix(coeffs, F),
+                   lambda: _oracle_additive_matrix(coeffs, F)))
+    return [(kernel, a, b) for kernel, a, b, got, want in checks
+            if got() != want()]
+
+
+@pytest.mark.parametrize("F", _kernel_fields(), ids=repr)
+def test_residue_field_kernels_match_oracles(F):
+    """The fold table is the recurrence's, and products, Frobenius images
+    and the additive matrix agree with the oracles, on a fresh build and
+    again on the memoized one."""
+    assert F._fold == _fold_rows(F, F.base.sub)
+    assert _kernel_mismatches(_fresh(F)) == []
+    assert _kernel_mismatches(F) == []
+
+
+def test_planted_kernel_faults_are_caught(monkeypatch):
+    fields = [F for F in _kernel_fields() if F.dim > 1]
+    for F in fields:
+        shifted = _fresh(F)   # one fold row moved up by one power of x
+        k = len(shifted._fold) // 2
+        shifted._fold[k] = [0] + shifted._fold[k][:-1]
+        assert _kernel_mismatches(shifted), F
+    # a plus for the minus of the recurrence changes a row only where a
+    # top coefficient folds, which characteristic 2 cannot see
+    signed = [F for F in fields if _fold_rows(F, F.base.add) != F._fold]
+    assert [F.order for F in signed] == [3**19]
+    for F in signed:
+        faulty = _fresh(F)
+        faulty._fold = _fold_rows(F, F.base.add)
+        assert _kernel_mismatches(faulty), F
+    # a Frobenius exponent passed on without reduction mod dim: e = -1 then
+    # takes no step from x^q, which only a field of dim > 2 tells from q^-1
+    monkeypatch.setattr(ExtensionField, "frobenius",
+                        lambda self, a, e=1: (self._frobenius(a, e)
+                                              if e % self.dim else a))
+    deep = [F for F in fields if F.dim > 2]
+    assert [F.order for F in deep] == [8, 729, 3**19]
+    for F in deep:
+        assert _kernel_mismatches(_fresh(F)), F
+
+
+def test_frobenius_takes_one_power(monkeypatch):
+    # a residue field raises x to the q once; every other exponent is
+    # composed from that map, however many are read
+    from drinheights.places import FinitePlace
+    from drinheights.ratfunc import parse_poly
+    F9 = finite_field(3, 2)
+    P = FinitePlace(parse_poly(F9, "t^3+t+5")).P
+    powers = []
+    real = gf._Field.pow_
+
+    def spy(self, a, e):
+        powers.append(self)
+        return real(self, a, e)
+    monkeypatch.setattr(gf._Field, "pow_", spy)
+    for F in (gf._proven_extension.__wrapped__(F9, P.coeffs),
+              _fresh(finite_field(3, 19)), _fresh(finite_field(2, 3))):
+        del powers[:]
+        for e in range(-F.dim, 2 * F.dim + 1):
+            for a in (F.gen.val, F.order - 1):
+                F.frobenius(a, e)
+        gf._additive_matrix([(F.one, i) for i in range(F.dim + 1)], F)
+        assert [f for f in powers if f is F] == [F], F
 
 
 def test_additive_kernel_x_plus_x2_over_f2():
