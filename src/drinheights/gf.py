@@ -15,8 +15,9 @@ power taken, x^(q^e) by e - 1 steps of the map of e = 1 from there.  A
 product is the base product of the coordinate polynomials, reduced by a
 table of x^m ... x^(2m-2) mod the modulus that the field builds with
 itself; an inverse comes from extended Euclid over the base on coordinate
-polynomials.  An extension up to MEMO_ORDER elements keeps every product,
-inverse and Frobenius image it has computed.
+polynomials.  A field that finite_field returns with at most MEMO_ORDER
+elements keeps every product and inverse (and, in odd characteristic, every
+sum and difference) it has computed; a residue field keeps none.
 
 Linear algebra has one eliminator, :func:`dependencies`.  It takes sparse
 vectors {key: coefficient} and yields, for each vector that reduces against
@@ -37,8 +38,8 @@ from drinheights.errors import quote
 # fields larger than this are refused: every residue computation here is
 # desk-scale and silent overflow of packed encodings must never happen
 ORDER_CAP = 2**31
-# an extension field up to this order keeps each product, inverse and
-# Frobenius image (and, in odd characteristic, each sum and difference) once
+# an extension that finite_field returns up to this order keeps each product
+# and inverse (and, in odd characteristic, each sum and difference) once
 # computed: at most order**2 of each
 MEMO_ORDER = 256
 # each process-wide memo (fields, modules, values per module) keeps at most
@@ -320,18 +321,10 @@ class ExtensionField(_Field):
                 self._combine(row[-1:], self._fold, [0] + row[:-1]))
         # e -> coordinates of (x^(q^e))^j for j < m, filled on first use
         self._frobenius_images = {}
-        small = self.order <= MEMO_ORDER
         if self.char == 2:
             # the encoding is the bit vector of the coordinates over F_2 at
             # every level of a tower, so a sum is an exclusive or
             self.add = self.sub = operator.xor
-        elif small:
-            self.add = functools.cache(self.add)
-            self.sub = functools.cache(self.sub)
-        if small:
-            self.mul = functools.cache(self.mul)
-            self.inv = functools.cache(self.inv)
-            self._frobenius = functools.cache(self._frobenius)
 
     def _key(self):
         return ("ext", self.base._key(), self.modulus)
@@ -359,8 +352,7 @@ class ExtensionField(_Field):
         return a
 
     # coordinate arithmetic; _setup replaces add and sub by an exclusive or
-    # in characteristic 2, and memoizes the rest (inv and _frobenius too) in
-    # a small field
+    # in characteristic 2
     def add(self, a, b):
         ca, cb = self.coords(a), self.coords(b)
         return self.from_coords([self.base.add(x, y) for x, y in zip(ca, cb)])
@@ -411,9 +403,8 @@ class ExtensionField(_Field):
     def frobenius(self, a, e=1):
         """a^(q^e), q the order of the base: the identity when dim | e."""
         e %= self.dim
-        return self._frobenius(a, e) if e else a
-
-    def _frobenius(self, a, e):
+        if not e:
+            return a
         # x -> x^(q^e) fixes the base, so it maps sum c_j x^j to
         # sum c_j (x^(q^e))^j: a base-linear map of the coordinates
         return self.from_coords(self._combine(self.coords(a), self._images(e)))
@@ -594,12 +585,16 @@ def finite_field(p, k=1, modulus=None):
 
 @functools.lru_cache(maxsize=FIELD_MEMO)
 def _finite_field(p, k, modulus):
+    # built afresh, never shared with a residue field: only this field keeps
+    # element memos, wrapped once since the field is built once
     prime = PrimeField(p)
     if k == 1:
         return prime
-    if modulus is None:
-        return _proven_extension(prime, tuple(_default_modulus(prime, k)))
-    return ExtensionField(prime, modulus)
+    field = ExtensionField(prime, modulus or _default_modulus(prime, k))
+    if field.order <= MEMO_ORDER:
+        for name in ("mul", "inv") + (("add", "sub") if p != 2 else ()):
+            setattr(field, name, functools.cache(getattr(field, name)))
+    return field
 
 
 # --- linear algebra over a finite field ---

@@ -362,12 +362,8 @@ class RatFunc:
         g2 = c.gcd(b) if not b.is_one() else None
         if g2 is not None and not g2.is_one():
             c, b = c // g2, b // g2
-        num = a * c
-        den = b * d
-        if not num.is_zero() and not den.is_monic():
-            inv = self.field.inv(den.lc)
-            num, den = num.scale(inv), den.scale(inv)
-        return RatFunc(num, den, _reduced=True)
+        # b and d are monic, and so are their quotients by monic gcds
+        return RatFunc(a * c, b * d, _reduced=True)
 
     __rmul__ = __mul__
 

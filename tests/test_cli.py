@@ -110,6 +110,83 @@ def test_height_insep_level(tmp_path, capsys):
     assert "lehper bound" in out and "PASS" in out
 
 
+def test_height_torsion_point_at_level(tmp_path, capsys):
+    # 1 is torsion for Carlitz over F_2 at any level: the floor is not read
+    job = job_file(tmp_path, dict(PSI2, point="1"))
+    code, out, _ = run(capsys, ["height", job, "--insep-level", "1"])
+    assert code == 0
+    assert "torsion point, annihilator b = t^2+t" in out.splitlines()
+    code, out, _ = run(capsys, ["height", job, "--insep-level", "1",
+                                "--json"])
+    data = json.loads(out)
+    assert code == 0 and data["torsion"] == "t^2+t" and "lehper" not in data
+
+
+def test_height_constant_point(tmp_path, capsys):
+    # phi_t = 1 + tau over F_3 has good reduction everywhere
+    job = job_file(tmp_path, {"field": {"p": 3}, "point": "2",
+                              "module": {"coefficients": ["1", "1"]}})
+    code, out, _ = run(capsys, ["height", job])
+    assert code == 0
+    assert ("constant point (torsion = constants since S is empty)"
+            in out.splitlines())
+    code, out, _ = run(capsys, ["height", job, "--json"])
+    assert code == 0 and json.loads(out)["certificate"] == {"kind": "constant"}
+
+
+# 1/u^2 for Carlitz over F_2 at level 1: v[inf] bounds its local height
+# only by an interval, so its height is [1, 8193/8192]; once that place
+# decides it exactly, these tests are re-recorded
+INTERVAL_AT_LEVEL = dict(PSI2, point="1/u^2", insep_level=1)
+
+
+def test_height_interval_passes_the_floor(tmp_path, capsys):
+    job = job_file(tmp_path, INTERVAL_AT_LEVEL)
+    code, out, _ = run(capsys, ["height", job])
+    assert code == 0
+    assert ("lehper bound 1/524288: [1, 8193/8192] > 1/524288: PASS"
+            in out.splitlines())
+    code, out, _ = run(capsys, ["height", job, "--json"])
+    data = json.loads(out)
+    assert code == 0
+    assert (data["height"]["lo"], data["height"]["hi"]) == ("1", "8193/8192")
+    assert data["lehper"] == {"bound": "1/524288", "margin": "524287/524288"}
+
+
+def test_dichotomy_passes_an_interval_to_branch_2(tmp_path, capsys, psi2,
+                                                  F2):
+    from drinheights import parse_ratfunc
+    from drinheights.heights import local_height
+    from drinheights.perfect import insep_level
+    from drinheights.places import InfinitePlace
+    job = job_file(tmp_path, INTERVAL_AT_LEVEL)
+    code, out, _ = run(capsys, ["dichotomy", job])
+    assert code == 0
+    assert out.splitlines() == [
+        "branch 2: b = t^3+t^2+t+1 pushes x above every T_v",
+        "  v = v[inf]: v(phi_b(x)) = 6 > T_v = 2"]
+    code, out, _ = run(capsys, ["dichotomy", job, "--json"])
+    assert code == 0 and json.loads(out) == {
+        "b": "t^3+t^2+t+1", "branch": 2, "valuations": [["v[inf]", "6"]]}
+    # branch 1 had an interval, not a value, at the one bad place
+    level = insep_level(psi2, 1)
+    assert [str(v) for v in level.pushed.bad_reduction_set()] == ["v[inf]"]
+    x = parse_ratfunc(F2, "1/u^2", var="u")
+    assert not local_height(level.pushed, InfinitePlace(F2), x,
+                            level.index).is_exact
+
+
+def test_dichotomy_branch_2_budget_exhausted(tmp_path, capsys, monkeypatch):
+    from drinheights import heights
+    monkeypatch.setattr(heights, "DEGREE_CAP", 16)
+    job = job_file(tmp_path, INTERVAL_AT_LEVEL)
+    code, out, err = run(capsys, ["dichotomy", job])
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "budget exhausted: iterates outgrew the degree budget before a "
+        "branch-2 certificate appeared"]
+
+
 def test_local_height_json(tmp_path, capsys):
     job = dict(CAR3, point="t^2+1", place={"kind": "infinity"})
     code, out, _ = run(capsys, ["local-height", job_file(tmp_path, job),

@@ -74,15 +74,18 @@ def test_repeated_field_runs_no_trial_division():
     assert info.misses == 2 and info.currsize == 2
 
 
-def _small_fields():
-    F4 = finite_field(2, 2)
-    F9 = finite_field(3, 2)
-    return [F4, finite_field(2, 3), F9, finite_field(5, 2), finite_field(3, 3),
-            ExtensionField(F4, [F4.gen.val, 1, 1]),    # F_16 over F_4
-            ExtensionField(F9, [F9.gen.val, 1, 1])]    # F_81 over F_9
+def _memo_fields():
+    """The fields up to MEMO_ORDER that finite_field returns."""
+    return [finite_field(2, 2), finite_field(2, 3), finite_field(3, 2),
+            finite_field(5, 2), finite_field(3, 3)]
 
 
-@pytest.mark.parametrize("F", _small_fields(), ids=repr)
+def _memoized(F):
+    """The names of F's methods wrapped in a functools memo."""
+    return {name for name, f in vars(F).items() if hasattr(f, "cache_info")}
+
+
+@pytest.mark.parametrize("F", _memo_fields(), ids=repr)
 def test_memoized_arithmetic_matches_coordinates(F):
     """Sums (xor in characteristic 2), differences and products agree with
     coordinate arithmetic on every pair, the second time from the memo too."""
@@ -94,6 +97,61 @@ def test_memoized_arithmetic_matches_coordinates(F):
                 assert F.sub(a, b) == ExtensionField.sub(F, a, b)
                 assert F.mul(a, b) == ExtensionField.mul(F, a, b)
     assert F.mul.cache_info().currsize == F.order**2
+
+
+def _tower_fields():
+    F4, F9 = finite_field(2, 2), finite_field(3, 2)
+    return [ExtensionField(F4, [F4.gen.val, 1, 1]),    # F_16 over F_4
+            ExtensionField(F9, [F9.gen.val, 1, 1])]    # F_81 over F_9
+
+
+@pytest.mark.parametrize("F", _tower_fields(), ids=repr)
+def test_tower_arithmetic_matches_coordinates(F):
+    """A field built directly keeps no memo; its sums (xor in
+    characteristic 2) and differences are those of the coordinates over the
+    base, and its products those of the modulus, on every pair."""
+    assert F.order <= MEMO_ORDER and _memoized(F) == set()
+    base = F.base
+    for a in range(F.order):
+        ca = F.coords(a)
+        for b in range(F.order):
+            pairs = list(zip(ca, F.coords(b)))
+            assert F.add(a, b) == F.from_coords(
+                [base.add(x, y) for x, y in pairs])
+            assert F.sub(a, b) == F.from_coords(
+                [base.sub(x, y) for x, y in pairs])
+            assert F.mul(a, b) == _divmod_mul(F, a, b)
+
+
+def test_only_the_coefficient_field_keeps_memos(tmp_path, capsys,
+                                                monkeypatch):
+    """After reduction reports over F_3, F_4 and F_9, no residue field of a
+    place holds a memo, not even F_9 at t^2+1 over F_3, which equals
+    finite_field(3, 2); that field wraps mul, inv, add and sub once each."""
+    import json
+    from drinheights import cli
+    built = []
+    real = gf._proven_extension
+
+    def spy(base, modulus):
+        built.append(real(base, modulus))
+        return built[-1]
+    monkeypatch.setattr(gf, "_proven_extension", spy)
+    for field, a1 in (({"p": 3}, "1/(t^2+1)"),
+                      ({"p": 2, "k": 2}, "1/(t^2+t+2)"),
+                      ({"p": 3, "k": 2}, "1/(t^2+t+3)")):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"field": field, "module": {
+            "coefficients": ["t", a1, "1"]}}))
+        assert cli.main(["reduction", str(path)]) == 0
+    capsys.readouterr()
+    # each report reads residues at its place of degree 2 and at infinity
+    assert sorted({F.order for F in built}) == [3, 4, 9, 16, 81]
+    F9 = finite_field(3, 2)
+    assert any(F == F9 and F is not F9 for F in built)
+    assert [F for F in built if _memoized(F)] == []
+    assert _memoized(F9) == {"mul", "inv", "add", "sub"}
+    assert not hasattr(F9.mul.__wrapped__, "cache_info")
 
 
 def test_large_field_arithmetic_not_memoized():
@@ -165,8 +223,9 @@ def _inverse_and_frobenius_fields():
 @pytest.mark.parametrize("F", _inverse_and_frobenius_fields(), ids=repr)
 def test_inverse_and_frobenius_match_powers(F):
     """Extended Euclid and the base-linear Frobenius agree with square-and-
-    multiply on every element, the second time from the memo in a small
-    field, which keeps both maps as it keeps products."""
+    multiply on every element, the second time from the memo in a field
+    that finite_field returns, which keeps inverses as it keeps products; a
+    residue field keeps neither, and no field keeps Frobenius images."""
     for _ in range(2):
         for a in F.elements():
             if a:
@@ -174,9 +233,11 @@ def test_inverse_and_frobenius_match_powers(F):
             for e in range(2 * F.dim + 1):
                 assert F.frobenius(a, e) == _power_frobenius(F, a, e), (
                     F, a, e)
-    memoized = {"inv", "_frobenius"} & set(vars(F))
-    assert memoized == ({"inv", "_frobenius"} if F.order <= MEMO_ORDER
-                        else set())
+    coefficient_field = (F.base.order == F.char
+                         and F is finite_field(F.char, F.dim))
+    memoized = {"inv", "frobenius"} & _memoized(F)
+    assert memoized == ({"inv"} if coefficient_field else set())
+    assert not hasattr(F, "_frobenius")
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
 
@@ -242,7 +303,8 @@ def _kernel_fields():
 
 
 def _fresh(F):
-    """A second build of F with empty memos, for a planted fault."""
+    """A second build of F, with no memo and no Frobenius images yet, for a
+    planted fault."""
     return gf._proven_extension.__wrapped__(F.base, F.modulus)
 
 
@@ -306,8 +368,9 @@ def test_planted_kernel_faults_are_caught(monkeypatch):
     # a Frobenius exponent passed on without reduction mod dim: e = -1 then
     # takes no step from x^q, which only a field of dim > 2 tells from q^-1
     monkeypatch.setattr(ExtensionField, "frobenius",
-                        lambda self, a, e=1: (self._frobenius(a, e)
-                                              if e % self.dim else a))
+                        lambda self, a, e=1: (self.from_coords(self._combine(
+                            self.coords(a), self._images(e)))
+                            if e % self.dim else a))
     deep = [F for F in fields if F.dim > 2]
     assert [F.order for F in deep] == [8, 729, 3**19]
     for F in deep:
