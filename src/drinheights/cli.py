@@ -102,9 +102,9 @@ class Job:
             self.field = finite_field(p, k, modulus)
         except FieldError as exc:
             raise InputError(str(exc))
-        # a command-line flag overrides the job's entry of the same name;
-        # keys that no command reads are ignored
-        self.set_level(self._setting(args, "insep_level", 0, minimum=0))
+        # a flag overrides the job's entry of the same name; keys that no
+        # command reads are ignored; the push rule runs where a level is read
+        self.level = self._setting(args, "insep_level", 0, minimum=0)
         self.seed = self._setting(args, "seed", 0)
         self.counts = self._setting(args, "counts", 500, minimum=0)
 
@@ -317,8 +317,8 @@ def _height_core(job, rep):
     level = job.at_level(x)
     var = job.point_var
     if level.n:
-        rep.say("inseparable level %d: t = u^%d", level.n, level.index)
-    parts = global_height_breakdown(level.pushed, x, level.index)
+        rep.say("inseparable level %d: t = u^%d", level.n, level.pushed.index)
+    parts = global_height_breakdown(level.pushed, x)
     total = height_sum(parts)
     point = x.to_string(var)
     rep.put("point", point)
@@ -389,7 +389,7 @@ def cmd_local_height(job, rep):
     x = job.point()
     level = job.at_level(x)
     v = job.place()
-    h = local_height(level.pushed, v, x, level.index)
+    h = local_height(level.pushed, v, x)
     place = _place_str(v, job)
     if not rep.as_json:
         rep.say("h_%s(%s) = %s  [%s]", place, x.to_string(job.point_var), h,

@@ -286,7 +286,11 @@ class ReductionData:
 
 class DrinfeldModule:
     """phi with phi_t = sum a_i tau^i over K = F_q(t), a_r != 0, r >= 1;
-    compared and hashed by identity, so a memo key finds one in O(1)."""
+    compared and hashed by identity, so a memo key finds one in O(1).  Its
+    heights count a place v with d(v) / index, the coherent degree: index is
+    [L:K] for a module pushed to an extension L of K, 1 over K itself."""
+
+    index = 1
 
     def __init__(self, field, coeffs):
         coeffs = list(coeffs)

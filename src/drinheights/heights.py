@@ -61,6 +61,8 @@ and infinity when it is outside S and deg num > deg den.  The per-place
 breakdown (global_height_breakdown) factors den' alone, never the whole
 denominator; the total (global_height) factors nothing, since the good
 poles add up to (deg den' + [inf not in S] max(0, deg num - deg den)) / [L:K].
+[L:K] is module.index, which a module pushed to an extension L of K carries,
+so every height takes the module alone: a place v counts d(v) / [L:K].
 Dividing a finite place v of S out of den finds e_v, its multiplicity
 there; x is reduced, so v(x) = -e_v when e_v > 0, and that value is
 handed to the walk at v rather than found by dividing again.
@@ -202,7 +204,7 @@ def next_iterate_fits(module, y):
     return y.weil_height() * module.q**module.r <= DEGREE_CAP
 
 
-def local_height(module, place, x, index=1, val=None):
+def local_height(module, place, x, *, val=None):
     """hhat_v(x), exact unless an iterate needed after a cancellation
     passes DEGREE_CAP.
 
@@ -214,15 +216,14 @@ def local_height(module, place, x, index=1, val=None):
     it can stop the walk.  An interval is
     [0, -d(v) min{0, M_v} / q^(rn)] at step n.
 
-    For a module over an extension L of K, `index` = [L:K] and the place
-    counts with its coherent degree d(v) / [L:K].  `val` is v(x) when the
-    caller has it already.
+    The place counts with its coherent degree d(v) / module.index.  `val`
+    is v(x) when the caller has it already.
     """
     if val is None:
         val = place.valuation(x)
     if place not in module.bad_reduction_set():
-        return _good_height(place, val, index)
-    degree = place.degree if index == 1 else Fraction(place.degree, index)
+        return _good_height(module, place, val)
+    degree = Fraction(place.degree, module.index)
     rd = module.reduction_data(place)
     lam, q, r = rd.lam, module.q, module.r
     # y: the last iterate built, y_built (x until a cancellation); runs: the
@@ -279,12 +280,12 @@ def local_height(module, place, x, index=1, val=None):
     return HeightValue.exact(0, GOOD_REDUCTION, 0)
 
 
-def _good_height(place, val, index):
+def _good_height(module, place, val):
     """hhat_v(x) at a place v outside S, given val = v(x): d(v) max(0, -val)
     / [L:K] at step 0, an int at index 1 (see the module docstring)."""
     if val >= 0:
         return HeightValue.exact(0, GOOD_REDUCTION, 0)
-    value = place.degree * -val
+    value, index = place.degree * -val, module.index
     return HeightValue.exact(value if index == 1 else Fraction(value, index),
                              ESCAPED, 0)
 
@@ -305,7 +306,7 @@ def _outside(S, x):
     return den, inf_bad, orders
 
 
-def _local_heights(module, x, index):
+def _local_heights(module, x):
     """(place, hhat_v(x)) over S and the poles of x outside S, sorted; a
     place of S is walked only when the iteration reaches it."""
     S = module.bad_reduction_set()
@@ -316,17 +317,15 @@ def _local_heights(module, x, index):
         at.append((InfinitePlace(x.field), x.den.degree - x.num.degree))
     at.sort(key=lambda pair: pair[0].sort_key())
     for v, val in at:
-        yield v, (local_height(module, v, x, index, orders.get(v))
-                  if val is None else _good_height(v, val, index))
+        yield v, (local_height(module, v, x, val=orders.get(v))
+                  if val is None else _good_height(module, v, val))
 
 
-def global_height_breakdown(module, x, index=1):
+def global_height_breakdown(module, x):
     """[(place, local height)] over S and the poles of x outside S, sorted:
-    everywhere else hhat_v(x) = 0.  Only den' is factored (_outside).
-
-    `index` = [L:K] for a module over an extension L of K (see local_height).
-    """
-    return list(_local_heights(module, x, index))
+    everywhere else hhat_v(x) = 0.  Only den' is factored (_outside).  Each
+    place counts with d(v) / module.index (see local_height)."""
+    return list(_local_heights(module, x))
 
 
 def height_sum(parts):
@@ -336,21 +335,21 @@ def height_sum(parts):
     return total
 
 
-def global_height(module, x, index=1):
+def global_height(module, x):
     """hhat(x) = sum of local heights; exact iff every summand is exact.
 
-    Equal to height_sum(global_height_breakdown(module, x, index)), without
+    Equal to height_sum(global_height_breakdown(module, x)), without
     factoring: the good poles add up to deg den' plus, when infinity is
-    outside S, max(0, deg num - deg den), over [L:K].
+    outside S, max(0, deg num - deg den), over [L:K] = module.index.
     """
     S = module.bad_reduction_set()
     den, inf_bad, orders = _outside(S, x)
     good = den.degree
     if not inf_bad:
         good += max(0, x.num.degree - x.den.degree)
-    total = height_sum((v, local_height(module, v, x, index, orders.get(v)))
+    total = height_sum((v, local_height(module, v, x, val=orders.get(v)))
                        for v in S)
-    return total + HeightValue.exact(Fraction(good, index), "Sum")
+    return total + HeightValue.exact(Fraction(good, module.index), "Sum")
 
 
 class LehmerBounds:
@@ -417,9 +416,10 @@ def check_t2mwg(module, x, parts=None):
 
     With S empty: x is constant or some place has hhat_v(x) >= d(v).  With S
     nonempty: x is torsion with an annihilator of degree <= r N |S|, or some
-    place has hhat_v(x) > q^(-2r - r^2 N |S|) d(v).  Budget exhaustion raises
-    rather than guessing.  The witness is looked for first: it proves
-    hhat(x) > 0, so x is not torsion and the torsion decision is skipped.
+    place has hhat_v(x) > q^(-2r - r^2 N |S|) d(v), d(v) over module.index
+    as in the local heights.  Budget exhaustion raises rather than guessing.
+    The witness is looked for first: it proves hhat(x) > 0, so x is not
+    torsion and the torsion decision is skipped.
 
     `parts` is global_height_breakdown(module, x) when the caller has
     it already; x is then neither factored nor iterated again.
@@ -429,22 +429,22 @@ def check_t2mwg(module, x, parts=None):
     bounds = lehmer_bounds(module)
     if parts is None:
         # lazy, so that the search stops at the first witness
-        parts = _local_heights(module, x, 1)
+        parts = _local_heights(module, x)
     if not S:
         if x.is_constant():
             return T2Certificate("constant")
         # the places are the poles of x, all good, and each local height
-        # there is the closed form -v(x) d(v) >= d(v)
+        # there is the closed form -v(x) d(v) >= d(v), both over the index
         v, h = next(iter(parts))
         return T2Certificate("witness", place=v, local=h.value,
-                             bound=Fraction(v.degree))
+                             bound=Fraction(v.degree, module.index))
 
     exhausted = False
     for v, h in parts:
         if not h.is_exact:
             exhausted = True
             continue
-        bound = bounds.sharp * v.degree
+        bound = bounds.sharp * Fraction(v.degree, module.index)
         if h.value > bound:
             return T2Certificate("witness", place=v, local=h.value, bound=bound)
 
@@ -461,12 +461,12 @@ def check_t2mwg(module, x, parts=None):
 
 
 def height_via_embedding(module, emb, x):
-    """hhat of the image of x in F_q(u), over coherent degrees relative to K.
-
-    By coherence this equals global_height(module, x) whenever both resolve
-    exactly.
-    """
+    """hhat of the image of x in F_q(u) on the module pushed along emb, whose
+    index [L:K] = emb.degree makes the degrees coherent relative to K: by
+    coherence this equals global_height(module, x) whenever both resolve
+    exactly."""
     module._require_monic()
     pushed = DrinfeldModule(module.field,
                             [emb.apply(a) for a in module.coeffs])
-    return global_height(pushed, emb.apply(x), emb.degree)
+    pushed.index = emb.degree
+    return global_height(pushed, emb.apply(x))

@@ -7,9 +7,9 @@ with coherent degrees d(w) / p^n relative to K.  A module is pushed to a
 level by stretching exponents: a(t) becomes a(u^(p^n)) (RatFunc.spread).
 
 The extension is purely inseparable, so each place v of K has exactly one
-place w above it, and w(a(u^(p^n))) = p^n v(a).  The pushed module reads its
-bad set S and the valuations of its coefficients off the module below
-(_PushedModule): nothing stretched is factored or divided.
+place w above it, and w(a(u^(p^n))) = p^n v(a).  The pushed module, of index
+[L:K] = p^n, reads its bad set S and the valuations of its coefficients off
+the module below (_PushedModule): nothing stretched is factored or divided.
 """
 
 import math
@@ -33,15 +33,13 @@ class _PushedModule(DrinfeldModule):
     The place above v[P], P = sum c_i t^i, is v[P'] with
     P' = sum c_i^(p^-n) u^i, since P'(u)^(p^n) = P(u^(p^n)); over a prime
     field P' = P.  Infinity lies over infinity.  A valuation upstairs is
-    p^n times the one below, and +inf stays +inf.
+    p^n = index = [L:K] times the one below, and +inf stays +inf.
     """
 
     def __init__(self, below, n):
-        index = below.field.char**n
+        self.index = index = below.field.char**n
         super().__init__(below.field, [a.spread(index) for a in below.coeffs])
-        self.below = below
-        self.index = index
-        self.n = n
+        self.below, self.n = below, n
 
     def _twist(self, place, e):
         """The finite place whose polynomial has place's coefficients raised
@@ -70,12 +68,12 @@ class InsepLevel:
     """The embedding K = F_q(t) into F_q(u) with t = u^(p^n).
 
     At n = 0 the level is the module itself (`pushed is module`, index 1).
-    At n > 0 the pushed module reads S and its valuations off the module
-    (_PushedModule), so |S| is the same by construction, and the check
-    T_v >= [L:K]/q^r that the level runs is a theorem: at a bad place some
-    v(a_i) <= -1 with i < r (a_r = 1), so T_v >= 1/q^(r-1) > 1/q^r below,
-    and T_w = p^n T_v above.  A level whose push passes ratfunc.MAX_DEGREE
-    is refused (check_level) before p^n is formed.
+    At n > 0 the pushed module (index [L:K] = p^n) reads S and its valuations
+    off the module (_PushedModule), so |S| is the same by construction, and
+    the check T_v >= [L:K]/q^r that the level runs is a theorem: at a bad
+    place some v(a_i) <= -1 with i < r (a_r = 1), so T_v >= 1/q^(r-1) >
+    1/q^r below, and T_w = p^n T_v above.  A level whose push passes
+    ratfunc.MAX_DEGREE is refused (check_level) before p^n is formed.
     """
 
     def __init__(self, module, n):
@@ -86,7 +84,6 @@ class InsepLevel:
             check_level(module.field.char, n, *module.coeffs)
         self.module = module
         self.n = n
-        self.index = module.field.char**n  # [L : K]
         if n == 0:
             self.pushed = module
             return
@@ -97,7 +94,7 @@ class InsepLevel:
         q, r = self.module.q, self.module.r
         for w in self.pushed.bad_reduction_set():
             T = self.pushed.reduction_data(w).T
-            if not T >= Fraction(self.index, q**r):
+            if not T >= Fraction(self.pushed.index, q**r):
                 raise AssertionError("T_v < [L:K]/q^r at a bad place")
 
 
@@ -124,8 +121,7 @@ def insep_height(module, n, y):
     At n = 0 this is global_height; coherent degrees make the value
     comparable across levels.  Nothing is factored (see global_height).
     """
-    level = insep_level(module, n)
-    return global_height(level.pushed, y, level.index)
+    return global_height(insep_level(module, n).pushed, y)
 
 
 class DichotomyReport:
@@ -187,8 +183,8 @@ def key_dichotomy_check(module, n, x):
     exhausted = False
     for w in S:
         rd = psi.reduction_data(w)
-        threshold = -Fraction(w.degree, level.index) * rd.M / q**exponent
-        h = local_height(psi, w, x, level.index)
+        threshold = -Fraction(w.degree, psi.index) * rd.M / q**exponent
+        h = local_height(psi, w, x)
         if h.is_exact:
             if h.value >= threshold:
                 return DichotomyReport(level, 1, place=w, local=h.value,
@@ -257,17 +253,17 @@ def lehper_check(module, n, x):
 
 def _lehper_at(level, x, parts):
     """lehper_check at a level already built; `parts` is
-    global_height_breakdown(level.pushed, x, level.index) when the
-    caller has it, and only the total is computed otherwise.  The height
-    comes first: a positive lower bound proves x is not torsion, so the
-    torsion decision runs only when it is 0."""
+    global_height_breakdown(level.pushed, x) when the caller has it, and
+    only the total is computed otherwise.  The height comes first: a
+    positive lower bound proves x is not torsion, so the torsion decision
+    runs only when it is 0."""
     if level.module.modular_trdeg() == 0:
         raise IsotrivialModuleError(
             "the perfect-closure floor requires a non-isotrivial module: "
             "heights of x^(1/p^n) decay to 0 over the constants")
     bound = lehmer_bounds(level.module).lehper
     if parts is None:
-        h = global_height(level.pushed, x, level.index)
+        h = global_height(level.pushed, x)
     else:
         h = height_sum(parts)
     if h.lo == 0:

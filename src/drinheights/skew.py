@@ -122,7 +122,7 @@ class SkewPoly:
             if c.is_zero():
                 continue
             cs = c.to_string(var)
-            if "+" in cs or "-" in cs[1:]:
+            if "+" in cs:
                 cs = "(%s)" % cs
             if i == 0:
                 terms.append(cs)

@@ -347,7 +347,7 @@ def check_lehper_floor(rng, count, modules):
         if annihilator_of(level.pushed, y) is not None:
             continue
         done += 1
-        h = global_height(level.pushed, y, level.index)
+        h = global_height(level.pushed, y)
         if not h.is_exact:
             _fail("lehper floor: unresolved height at level %d for y = %s", n, y)
         if not h.value > bound:

@@ -172,8 +172,7 @@ def test_dichotomy_passes_an_interval_to_branch_2(tmp_path, capsys, psi2,
     level = insep_level(psi2, 1)
     assert [str(v) for v in level.pushed.bad_reduction_set()] == ["v[inf]"]
     x = parse_ratfunc(F2, "1/u^2", var="u")
-    assert not local_height(level.pushed, InfinitePlace(F2), x,
-                            level.index).is_exact
+    assert not local_height(level.pushed, InfinitePlace(F2), x).is_exact
 
 
 def test_dichotomy_branch_2_budget_exhausted(tmp_path, capsys, monkeypatch):
@@ -283,7 +282,8 @@ def test_input_error_exit_2(tmp_path, capsys):
 
 
 # entries of the wrong type (or absent from their object), each refused by
-# a message that names the entry and says what it must be
+# a message that names the entry and says what it must be, and at the end
+# the job, its field, a place kind and a point, each refused by its message
 ENTRY_ERRORS = [
     ("height", dict(CAR3, point="1", substitution={"u_image_of_t": [1]}),
      "substitution u_image_of_t must be a string, not [1]"),
@@ -295,6 +295,13 @@ ENTRY_ERRORS = [
      "substitution u_image_of_t must be a string, not 5"),
     ("local-height", dict(CAR3, point="1", place={"kind": "finite"}),
      "place P must be a string, not null"),
+    ("lehmer", [1], "job must be a JSON object"),
+    ("lehmer", dict(CAR3, field=3), "job needs a field"),
+    ("lehmer", dict(CAR3, field={"p": 3, "k": 2, "modulus": 5}),
+     "modulus must be a list of integers"),
+    ("local-height", dict(CAR3, point="1", place={"kind": "zero"}),
+     "place kind must be \"finite\" or \"infinity\""),
+    ("height", dict(CAR3, point="t t"), "trailing input at position 2"),
 ]
 
 
@@ -448,6 +455,26 @@ def test_push_past_max_degree_refused_before_pushing(command, job, flags,
     assert (code, out) == (2, "")
     assert err.startswith("input error: ") and "MAX_DEGREE = 100000" in err
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("command, job, flags", [
+    ("torsion", PSI2, []),
+    ("kernel", dict(CAR3, b="t^2+1"), []),
+    ("lehmer", RANK2_BAD, []),
+    ("verify", CAR3, ["--counts", "5"]),
+])
+def test_commands_over_K_ignore_the_level(command, job, flags, tmp_path,
+                                          capsys):
+    # these work over K: a level past the push rule's cap, as a flag or a
+    # job entry, is neither pushed nor refused
+    plain = job_file(tmp_path, job)
+    leveled = job_file(tmp_path, dict(job, insep_level=100), "leveled.json")
+    for more in ([], ["--json"]):
+        want = run(capsys, [command, plain] + flags + more)
+        assert want[0] == 0 and want[1] and not want[2]
+        assert run(capsys, [command, plain, "--insep-level", "100"] + flags
+                   + more) == want
+        assert run(capsys, [command, leveled] + flags + more) == want
 
 
 # job text that json.load refuses: an integer past Python's int-to-string
@@ -647,7 +674,7 @@ def test_stray_exception_is_internal_error(exc, tmp_path, capsys,
                                            monkeypatch):
     # only a malformed job or a property of its module is an input error
     # (exit 2); any other exception is a defect (exit 4), not a traceback
-    def failing(module, place, x, index=1):
+    def failing(module, place, x, *, val=None):
         raise exc
     monkeypatch.setattr(cli, "local_height", failing)
     job = job_file(tmp_path, dict(CAR3, point="1/t",
@@ -666,7 +693,7 @@ def test_invalid_height_interval_is_internal_error(tmp_path, capsys,
     # defect (exit 4), not an input error (exit 2)
     from drinheights.heights import EXHAUSTED, HeightValue
 
-    def bad_interval(module, place, x, index=1):
+    def bad_interval(module, place, x, *, val=None):
         return HeightValue(1, 0, EXHAUSTED)
     monkeypatch.setattr(cli, "local_height", bad_interval)
     job = dict(CAR3, point="1/t", place={"kind": "infinity"})

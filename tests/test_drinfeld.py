@@ -316,6 +316,23 @@ def test_modular_trdeg_conjugation_invariance(F3):
             assert conj.modular_trdeg() == expected
 
 
+@pytest.mark.parametrize("p, k, coeffs, shown", [
+    (3, 1, ("t", "1"), "tau + t"),
+    (3, 1, ("t", "1/(t^2+1)", "1"), "tau^2 + (1/(t^2+1))*tau + t"),
+    (3, 1, ("t+1", "0", "2*t", "1"), "tau^3 + 2*t*tau^2 + (t+1)"),
+    (3, 2, ("t", "(4*t+2)/t", "1"), "tau^2 + ((4*t+2)/t)*tau + t"),
+    (3, 1, ("0", "1"), "tau"),
+])
+def test_module_repr_writes_phi_t(p, k, coeffs, shown):
+    # highest power first; a coefficient 1 is left out before tau, a zero
+    # term is dropped, and a coefficient holding "+" is parenthesized
+    # (RatFunc.to_string writes no minus sign)
+    mod = make_module(finite_field(p, k), *coeffs)
+    assert repr(mod) == "DrinfeldModule(phi_t = %s)" % shown
+    assert repr(mod.phi_t) == "SkewPoly(%s)" % shown
+    assert SkewPoly.zero(mod.field).to_string() == "0"
+
+
 def test_module_validation(F3):
     with pytest.raises(ValueError):
         DrinfeldModule(F3, [parse_ratfunc(F3, "t")])  # no tau part

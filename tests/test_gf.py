@@ -196,7 +196,11 @@ def test_frobenius_is_field_homomorphism():
         b = F9.element(rng.randrange(9))
         for e in (1, 2, 3):
             assert (a + b).frobenius(e) == a.frobenius(e) + b.frobenius(e)
+            assert (a - b).frobenius(e) == a.frobenius(e) - b.frobenius(e)
             assert (a * b).frobenius(e) == a.frobenius(e) * b.frobenius(e)
+        # a - b and 1 - a (an int acts through Z -> F_9) undo the sums
+        assert (a - b).val == F9.sub(a.val, b.val) and (a - b) + b == a
+        assert (1 - a).val == F9.sub(1, a.val) and (1 - a) + a == F9.one
 
 
 def _fermat_inv(field, a):

@@ -163,6 +163,59 @@ def test_height_via_embedding_examples(car3, F3):
         assert height_via_embedding(car3, ident, x) == global_height(car3, x)
 
 
+def test_heights_read_the_index_off_the_module(car3, F3):
+    # [L:K] lives on the module: the pushed module alone gives the coherent
+    # heights, and an index passed as before is refused, not read as v(x)
+    level = insep_level(car3, 1)
+    psi, u, v = level.pushed, R(F3, "u", "u"), InfinitePlace(F3)
+    assert (car3.index, psi.index) == (1, 3) and not hasattr(level, "index")
+    assert global_height(psi, u).value == Fraction(4, 9)
+    assert insep_height(car3, 1, u).value == Fraction(4, 9)
+    assert local_height(psi, v, u).value == Fraction(4, 9)
+    assert _fields(local_height(psi, v, u, val=-1)) == \
+        _fields(local_height(psi, v, u))
+    with pytest.raises(TypeError):
+        local_height(psi, v, u, 9)
+    with pytest.raises(TypeError):
+        global_height_breakdown(psi, u, 3)
+    with pytest.raises(TypeError):
+        global_height(psi, u, 3)
+
+
+@pytest.mark.parametrize("image", ["u^2", "u^3", "u^2+u", "u^3+2*u+1",
+                                   "(u^2+1)/u", "1/u^2"])
+def test_height_via_embedding_pushes_the_degree(car3, F3, image):
+    # verify's six coherence images: the module pushed along t -> f(u)
+    # carries index emb.degree, so its height is the oracle breakdown at
+    # that index, and equals the height over K
+    emb = SubstitutionEmbedding(R(F3, image, "u"))
+    plain = DrinfeldModule(F3, [emb.apply(a) for a in car3.coeffs])
+    rng = random.Random(3100 + emb.degree)
+    for _ in range(6):
+        x = rand_ratfunc(rng, F3, 3)
+        h = height_via_embedding(car3, emb, x)
+        want = height_sum(breakdown_oracle(plain, emb.apply(x), emb.degree))
+        assert _agrees(h, want), (image, x)
+        assert h == global_height(car3, x), (image, x)
+    assert plain.index == 1
+
+
+def test_t2mwg_bound_scales_with_the_index(car3, tau2, F2, F3):
+    # on a pushed module both sides of the gap scale by 1/[L:K]: the
+    # local height off local_height, the bound sharp d(v) / p
+    psi, u, v = insep_level(car3, 1).pushed, R(F3, "u", "u"), InfinitePlace(F3)
+    cert = check_t2mwg(psi, u)
+    assert (cert.kind, cert.place) == ("witness", v)
+    assert cert.local == local_height(psi, v, u).value == Fraction(4, 9)
+    assert cert.bound == lehmer_bounds(psi).sharp * Fraction(v.degree, 3)
+    # S empty: hhat_v(x) >= d(v) / [L:K] at a pole
+    psi, u, v = insep_level(tau2, 1).pushed, R(F2, "u", "u"), InfinitePlace(F2)
+    cert = check_t2mwg(psi, u)
+    assert (cert.kind, cert.place) == ("witness", v)
+    assert cert.local == local_height(psi, v, u).value == Fraction(1, 2)
+    assert cert.bound == Fraction(1, 2)
+
+
 def test_multiplicativity(car3, F3):
     rng = random.Random(51)
     for _ in range(50):
@@ -371,17 +424,17 @@ def test_non_cancelling_ties_match_iterates(pk, coeffs, n, point, value,
     # past a tie, v(y_(n+1)) = g and ac(y_(n+1)) is the leading residue
     field = finite_field(*pk)
     level = insep_level(make_module(field, *coeffs), n)
-    psi, index = level.pushed, level.index
+    psi = level.pushed
     v, x = InfinitePlace(field), R(field, point, "u" if n else "t")
-    h = local_height(psi, v, x, index)
+    h = local_height(psi, v, x)
     assert _fields(h) == (value, value, "Escaped", step)
-    assert _agrees(h, walk_oracle(psi, v, x, index))
+    assert _agrees(h, walk_oracle(psi, v, x, psi.index))
     vals = _laurent_oracle(psi, x, step)
     lam = psi.reduction_data(v).lam
     assert min(vals[:-1]) >= lam > vals[-1]
-    assert value == Fraction(-vals[-1], index * psi.q**(psi.r * step))
+    assert value == Fraction(-vals[-1], psi.index * psi.q**(psi.r * step))
     if step < 8:  # the iterates of 1/t^7 pass degree 10^10 by step 7
-        assert _iterate_oracle(psi, v, x, index) == (value, step)
+        assert _iterate_oracle(psi, v, x, psi.index) == (value, step)
 
 
 # (p, coefficients, P, point): ties at v[P], deg P = 2, where whether the
@@ -616,11 +669,13 @@ def test_closed_form_matches_walk_oracle(n):
     decided = 0
     for mod in _oracle_pool():
         level = insep_level(mod, n)
-        psi, index = level.pushed, level.index
+        psi = level.pushed
+        index = psi.index
+        assert index == psi.field.char**n
         S = psi.bad_reduction_set()
         for x in _oracle_points(rng, psi):
             for v in _oracle_places(psi, x):
-                h = local_height(psi, v, x, index)
+                h = local_height(psi, v, x)
                 want = walk_oracle(psi, v, x, index)
                 assert _agrees(h, want), (psi, v, x)
                 decided += h.is_exact and not want.is_exact
@@ -630,12 +685,12 @@ def test_closed_form_matches_walk_oracle(n):
                     lam = psi.reduction_data(v).lam
                     assert h.step <= max(0, v.valuation(x) - math.ceil(lam)
                                          + 1), (psi, v, x)
-            parts = global_height_breakdown(psi, x, index)
+            parts = global_height_breakdown(psi, x)
             want = breakdown_oracle(psi, x, index)
             assert [v for v, _ in parts] == [v for v, _ in want]
             assert all(_agrees(h, w) for (_, h), (_, w) in zip(parts, want)), \
                 (psi, x)
-            total = global_height(psi, x, index)
+            total = global_height(psi, x)
             assert _fields(total) == _fields(height_sum(parts)), (psi, x)
             assert _agrees(total, height_sum(want)), (psi, x)
             for h in (total, height_sum(parts)):
@@ -648,15 +703,16 @@ def test_closed_form_matches_walk_oracle(n):
 def t2mwg_oracle(module, x, parts):
     """check_t2mwg as it was before the witness scan came first: the S-empty
     branch, then the torsion decision, then the witness scan, on `parts`,
-    the oracle breakdown.  The certificate's fields, or the name of the
-    error."""
+    the oracle breakdown.  Each d(v) is over module.index, as in the local
+    heights.  The certificate's fields, or the name of the error."""
     module._require_monic()
     S = module.bad_reduction_set()
     if not S:
         if x.is_constant():
             return ("constant", None, None, None, None)
         v, h = parts[0]
-        return ("witness", None, v, h.value, Fraction(v.degree))
+        return ("witness", None, v, h.value,
+                Fraction(v.degree, module.index))
     b = annihilator_of(module, x)
     if b is not None:
         return ("torsion", b, None, None, None)
@@ -666,8 +722,9 @@ def t2mwg_oracle(module, x, parts):
         if not h.is_exact:
             exhausted = True
             continue
-        if h.value > sharp * v.degree:
-            return ("witness", None, v, h.value, sharp * v.degree)
+        bound = sharp * Fraction(v.degree, module.index)
+        if h.value > bound:
+            return ("witness", None, v, h.value, bound)
     assert exhausted, "height gap theorem violated"
     return "BudgetExhaustedError"
 
@@ -710,7 +767,7 @@ def test_certificate_order_matches_oracles(n):
     rng = random.Random(2800 + n)
     kinds = set()
     for psi, x in _order_cases(n, rng):
-        want = breakdown_oracle(psi, x)
+        want = breakdown_oracle(psi, x, psi.index)
         parts = global_height_breakdown(psi, x)
         assert [v for v, _ in parts] == [v for v, _ in want]
         assert all(_agrees(h, w) for (_, h), (_, w) in zip(parts, want)), \
@@ -999,15 +1056,16 @@ def test_answers_after_a_cancellation_match_walk_oracle(
         n, p, k, coeffs, point, level, P, value, cert, step):
     field = finite_field(p, k)
     insep = insep_level(make_module(field, *coeffs), n)
-    psi, index = insep.pushed, insep.index
+    psi = insep.pushed
     x = R(field, point.replace("t", "u") if n else point, "u" if n else "t")
     if n == level:
         v = FinitePlace(parse_poly(field, P)) if P else InfinitePlace(field)
-        h = local_height(psi, v, x, index)
+        h = local_height(psi, v, x)
         assert (h.certificate, h.step) == (cert, step)
         assert h.value == value if value is not None else not h.is_exact
         # the walk met a cancellation: it read the floor
         assert "stable_floor" in vars(psi.reduction_data(v))
     for v in psi.bad_reduction_set():
-        h = local_height(psi, v, x, index)
-        assert _fields(h) == _fields(walk_oracle(psi, v, x, index)), (v, h)
+        h = local_height(psi, v, x)
+        assert _fields(h) == _fields(walk_oracle(psi, v, x, psi.index)), \
+            (v, h)

@@ -45,7 +45,7 @@ def test_sharpness_decay(tau2, F2):
 
 def test_level_zero_is_the_module(car3):
     level = InsepLevel(car3, 0)
-    assert level.pushed is car3 and level.index == 1
+    assert level.pushed is car3 and level.pushed.index == 1
 
 
 def test_level_kept_on_the_module(F3):
