@@ -114,12 +114,6 @@ class Job:
             value = self.data.get(key, default)
         return integer(value, key, minimum)
 
-    def set_level(self, level, *pushed):
-        """Work over F_q(u) with t = u^(p^level) under the push rule
-        (perfect.check_level)."""
-        check_level(self.field.char, level, *pushed)
-        self.level = level
-
     @property
     def point_var(self):
         return "u" if self.level > 0 else "t"
@@ -133,11 +127,12 @@ class Job:
                        tuple(text(c, "a coefficient") for c in coeffs))
 
     def at_level(self, *points):
-        """The job's module at its inseparable level (at level 0, the
-        module itself), once the push rule holds for it and the points."""
+        """The job's module over F_q(u) with t = u^(p^level) (at level 0,
+        the module itself), once the push rule (perfect.check_level) holds
+        for it and the points."""
         mod = self.module()
         if self.level:
-            self.set_level(self.level, *mod.coeffs, *points)
+            check_level(self.field.char, self.level, *mod.coeffs, *points)
         return insep_level(mod, self.level)
 
     def expression(self, key, kind, parse, var, within=None):
@@ -276,7 +271,7 @@ def _height_json(h):
 
 
 def cmd_reduction(job, rep):
-    mod = job.at_level().pushed
+    mod = job.at_level()
     S = mod.bad_reduction_set()
     names = [_place_str(v, job) for v in S]
     rep.put("S", names)
@@ -314,11 +309,11 @@ def cmd_reduction(job, rep):
 
 def _height_core(job, rep):
     x = job.point()
-    level = job.at_level(x)
+    psi = job.at_level(x)
     var = job.point_var
-    if level.n:
-        rep.say("inseparable level %d: t = u^%d", level.n, level.pushed.index)
-    parts = global_height_breakdown(level.pushed, x)
+    if job.level:
+        rep.say("inseparable level %d: t = u^%d", job.level, psi.index)
+    parts = global_height_breakdown(psi, x)
     total = height_sum(parts)
     point = x.to_string(var)
     rep.put("point", point)
@@ -331,12 +326,13 @@ def _height_core(job, rep):
         rep.data["local"].append(entry)
     rep.say("global height = %s", total)
     rep.put("height", _height_json(total))
-    return level, x, parts, total
+    return psi, x, parts, total
 
 
 def cmd_height(job, rep):
-    level, x, parts, total = _height_core(job, rep)
-    image = job.substitution() if level.n == 0 else None
+    psi, x, parts, total = _height_core(job, rep)
+    mod = job.module()
+    image = job.substitution() if job.level == 0 else None
     if image is not None:
         try:
             emb = SubstitutionEmbedding(image)
@@ -344,21 +340,21 @@ def cmd_height(job, rep):
             raise InputError("bad substitution: %s" % exc)
         check_push("substitution t -> %s (degrees times %d)"
                    % (quote(job.data["substitution"]["u_image_of_t"]),
-                      emb.degree), emb.degree, *level.module.coeffs, x)
-        h2 = height_via_embedding(level.module, emb, x)
+                      emb.degree), emb.degree, *mod.coeffs, x)
+        h2 = height_via_embedding(mod, emb, x)
         if not rep.as_json:
             agree = (total.is_exact and h2.is_exact
                      and total.value == h2.value)
             rep.say("height via t -> %s: %s%s", image.to_string("u"), h2,
                     "  (agrees)" if agree else "")
         rep.put("embedding_height", _height_json(h2))
-    bounds = lehmer_bounds(level.module)
+    bounds = lehmer_bounds(mod)
     rep.put("bounds", {"sharp": frac(bounds.sharp), "weak": frac(bounds.weak),
                        "lehper": None if bounds.lehper is None
                        else frac(bounds.lehper),
                        "torsion_degree": bounds.torsion_degree})
-    if level.n:
-        report = _lehper_at(level, x, parts)
+    if job.level:
+        report = _lehper_at(mod, psi, x, parts)
         if report.torsion:
             b = report.annihilator.to_string()
             rep.say("torsion point, annihilator b = %s", b)
@@ -368,7 +364,7 @@ def cmd_height(job, rep):
             rep.say("lehper bound %s: %s > %s: PASS", bound, total, bound)
             rep.put("lehper", {"bound": bound, "margin": frac(report.margin)})
         return 0
-    cert = check_t2mwg(level.module, x, parts=parts)
+    cert = check_t2mwg(mod, x, parts=parts)
     if cert.kind == "constant":
         rep.say("constant point (torsion = constants since S is empty)")
         rep.put("certificate", {"kind": "constant"})
@@ -387,9 +383,9 @@ def cmd_height(job, rep):
 
 def cmd_local_height(job, rep):
     x = job.point()
-    level = job.at_level(x)
+    psi = job.at_level(x)
     v = job.place()
-    h = local_height(level.pushed, v, x)
+    h = local_height(psi, v, x)
     place = _place_str(v, job)
     if not rep.as_json:
         rep.say("h_%s(%s) = %s  [%s]", place, x.to_string(job.point_var), h,
@@ -472,15 +468,15 @@ def cmd_lehmer(job, rep):
 
 
 def cmd_insep_height(job, rep):
-    job.set_level(max(job.level, 1))
+    job.level = max(job.level, 1)
     _height_core(job, rep)
     return 0
 
 
 def cmd_dichotomy(job, rep):
     x = job.point()
-    level = job.at_level(x)
-    report = key_dichotomy_check(level.module, level.n, x)
+    psi = job.at_level(x)
+    report = key_dichotomy_check(job.module(), job.level, x)
     if report.branch == 1:
         place = report.place.to_string(job.point_var)
         local, threshold = frac(report.local), frac(report.threshold)
@@ -498,7 +494,7 @@ def cmd_dichotomy(job, rep):
             rep.say("branch 2: b = %s pushes x above every T_v", b)
             for (v, _), (place, val) in zip(report.valuations, rows):
                 rep.say("  v = %s: v(phi_b(x)) = %s > T_v = %s", place, val,
-                        frac(report.level.pushed.reduction_data(v).T))
+                        frac(psi.reduction_data(v).T))
         rep.put("branch", 2)
         rep.put("b", b)
         rep.put("valuations", rows)

@@ -103,8 +103,8 @@ _BLOCK_DIGITS = 600
 
 
 def frac(x):
-    """x exactly, as "a/b" or "a", however many digits a and b have; "+inf"
-    for places.INFINITY.
+    """x, an int or a Fraction, exactly, as "a/b" or "a", however many
+    digits a and b have; "+inf" for places.INFINITY.
 
     str() comes first; a numerator or denominator past Python's
     int-to-string digit limit is written out by blocks instead, and the
@@ -112,8 +112,6 @@ def frac(x):
     """
     if x is INFINITY:
         return "+inf"
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
     try:
         return str(x)
     except ValueError:

@@ -7,9 +7,10 @@ with coherent degrees d(w) / p^n relative to K.  A module is pushed to a
 level by stretching exponents: a(t) becomes a(u^(p^n)) (RatFunc.spread).
 
 The extension is purely inseparable, so each place v of K has exactly one
-place w above it, and w(a(u^(p^n))) = p^n v(a).  The pushed module, of index
-[L:K] = p^n, reads its bad set S and the valuations of its coefficients off
-the module below (_PushedModule): nothing stretched is factored or divided.
+place w above it, and w(a(u^(p^n))) = p^n v(a).  The level, the module
+pushed to F_q(u) with index [L:K] = p^n (InsepLevel), reads its bad set S and
+the valuations of its coefficients off the module below: nothing stretched
+is factored or divided.
 """
 
 import math
@@ -27,19 +28,30 @@ from drinheights.ratfunc import MAX_DEGREE, Poly, check_push
 from drinheights.torsion import annihilator_of
 
 
-class _PushedModule(DrinfeldModule):
-    """phi_t with coefficients a_i(u^(p^n)), the a_i those of `below`.
+class InsepLevel(DrinfeldModule):
+    """The module `below` over F_q(u) with t = u^(p^n), n >= 1: phi_t with
+    coefficients a_i(u^(p^n)), of index [L:K] = p^n.
 
     The place above v[P], P = sum c_i t^i, is v[P'] with
     P' = sum c_i^(p^-n) u^i, since P'(u)^(p^n) = P(u^(p^n)); over a prime
     field P' = P.  Infinity lies over infinity.  A valuation upstairs is
-    p^n = index = [L:K] times the one below, and +inf stays +inf.
+    p^n = index times the one below, and +inf stays +inf.  So S and the
+    valuations of the coefficients are read off `below`, |S| is the same by
+    construction, and the check T_v >= [L:K]/q^r run here is a theorem: at
+    a bad place some v(a_i) <= -1 with i < r (a_r = 1), so T_v >=
+    1/q^(r-1) > 1/q^r below, and T_w = p^n T_v above.  A level whose push
+    passes ratfunc.MAX_DEGREE is refused (check_level) before p^n is formed.
     """
 
     def __init__(self, below, n):
+        check_level(below.field.char, n, *below.coeffs)
         self.index = index = below.field.char**n
         super().__init__(below.field, [a.spread(index) for a in below.coeffs])
         self.below, self.n = below, n
+        floor = Fraction(index, self.q**self.r)
+        for w in self.bad_reduction_set():
+            if not self.reduction_data(w).T >= floor:
+                raise AssertionError("T_v < [L:K]/q^r at a bad place")
 
     def _twist(self, place, e):
         """The finite place whose polynomial has place's coefficients raised
@@ -64,40 +76,6 @@ class _PushedModule(DrinfeldModule):
         return tuple(v if v is INFINITY else self.index * v for v in vals)
 
 
-class InsepLevel:
-    """The embedding K = F_q(t) into F_q(u) with t = u^(p^n).
-
-    At n = 0 the level is the module itself (`pushed is module`, index 1).
-    At n > 0 the pushed module (index [L:K] = p^n) reads S and its valuations
-    off the module (_PushedModule), so |S| is the same by construction, and
-    the check T_v >= [L:K]/q^r that the level runs is a theorem: at a bad
-    place some v(a_i) <= -1 with i < r (a_r = 1), so T_v >= 1/q^(r-1) >
-    1/q^r below, and T_w = p^n T_v above.  A level whose push passes
-    ratfunc.MAX_DEGREE is refused (check_level) before p^n is formed.
-    """
-
-    def __init__(self, module, n):
-        module._require_monic()
-        if n < 0:
-            raise ValueError("inseparable level must be >= 0")
-        if n:
-            check_level(module.field.char, n, *module.coeffs)
-        self.module = module
-        self.n = n
-        if n == 0:
-            self.pushed = module
-            return
-        self.pushed = _PushedModule(module, n)
-        self._check()
-
-    def _check(self):
-        q, r = self.module.q, self.module.r
-        for w in self.pushed.bad_reduction_set():
-            T = self.pushed.reduction_data(w).T
-            if not T >= Fraction(self.pushed.index, q**r):
-                raise AssertionError("T_v < [L:K]/q^r at a bad place")
-
-
 def check_level(p, n, *pushed):
     """The push rule (ratfunc.check_push) for the level t = u^(p^n) of the
     `pushed` a_i and points; p^n is not formed past the bit length of
@@ -109,10 +87,13 @@ def check_level(p, n, *pushed):
 
 @lru_cache(maxsize=gf.FIELD_MEMO)
 def insep_level(module, n):
-    """The module's InsepLevel at n, built once per (module, n), so its
-    pushed module and every value kept for that one serve each later call;
-    a refused level keeps nothing."""
-    return InsepLevel(module, n)
+    """The module over F_q(u) with t = u^(p^n): the module itself at n = 0,
+    its InsepLevel past that.  Built once per (module, n), so every value
+    kept for it serves each later call; a refused level keeps nothing."""
+    module._require_monic()
+    if n < 0:
+        raise ValueError("inseparable level must be >= 0")
+    return InsepLevel(module, n) if n else module
 
 
 def insep_height(module, n, y):
@@ -121,20 +102,17 @@ def insep_height(module, n, y):
     At n = 0 this is global_height; coherent degrees make the value
     comparable across levels.  Nothing is factored (see global_height).
     """
-    return global_height(insep_level(module, n).pushed, y)
+    return global_height(insep_level(module, n), y)
 
 
 class DichotomyReport:
     """Either a bad place with a certified large local height (branch 1) or
-    a polynomial b pushing x above every T_v (branch 2), at the InsepLevel
-    `level` whose places these are."""
+    a polynomial b pushing x above every T_v (branch 2)."""
 
-    __slots__ = ("level", "branch", "place", "local", "threshold", "b",
-                 "valuations")
+    __slots__ = ("branch", "place", "local", "threshold", "b", "valuations")
 
-    def __init__(self, level, branch, place=None, local=None, threshold=None,
-                 b=None, valuations=None):
-        self.level = level
+    def __init__(self, branch, place=None, local=None, threshold=None, b=None,
+                 valuations=None):
         self.branch = branch
         self.place = place
         self.local = local
@@ -168,14 +146,13 @@ def key_dichotomy_check(module, n, x):
     bad w; found by eliminating the uniformizer-expansion conditions of the
     iterates of x, exactly as the span argument in the proof.
     """
-    level = insep_level(module, n)
-    psi = level.pushed
+    psi = insep_level(module, n)
     field = module.field
     q, r = module.q, module.r
     S = psi.bad_reduction_set()
     if not S:
         one = Poly.one(field)
-        return DichotomyReport(level, 2, b=one, valuations=[])
+        return DichotomyReport(2, b=one, valuations=[])
     s = len(S)
     B = 4 * (r + 1)**2 * s
     exponent = 4 * r * (r + 1)**2 * s + 2 * r
@@ -187,7 +164,7 @@ def key_dichotomy_check(module, n, x):
         h = local_height(psi, w, x)
         if h.is_exact:
             if h.value >= threshold:
-                return DichotomyReport(level, 1, place=w, local=h.value,
+                return DichotomyReport(1, place=w, local=h.value,
                                        threshold=threshold)
         else:
             exhausted = True
@@ -216,7 +193,7 @@ def key_dichotomy_check(module, n, x):
         for w, val in vals:
             if not val > psi.reduction_data(w).T:
                 raise AssertionError("branch 2 certificate fails at %r" % w)
-        return DichotomyReport(level, 2, b=b, valuations=vals)
+        return DichotomyReport(2, b=b, valuations=vals)
 
     if exhausted:
         raise BudgetExhaustedError(
@@ -248,26 +225,26 @@ def lehper_check(module, n, x):
     Requires positive relative modular transcendence degree.  Non-torsion
     points must come out strictly above min d(v_0) / q^(4r(r+1)^2 s + 3r).
     """
-    return _lehper_at(insep_level(module, n), x, None)
+    return _lehper_at(module, insep_level(module, n), x, None)
 
 
-def _lehper_at(level, x, parts):
-    """lehper_check at a level already built; `parts` is
-    global_height_breakdown(level.pushed, x) when the caller has it, and
+def _lehper_at(module, psi, x, parts):
+    """lehper_check with psi = insep_level(module, n) already built; `parts`
+    is global_height_breakdown(psi, x) when the caller has it, and
     only the total is computed otherwise.  The height comes first: a
     positive lower bound proves x is not torsion, so the torsion decision
     runs only when it is 0."""
-    if level.module.modular_trdeg() == 0:
+    if module.modular_trdeg() == 0:
         raise IsotrivialModuleError(
             "the perfect-closure floor requires a non-isotrivial module: "
             "heights of x^(1/p^n) decay to 0 over the constants")
-    bound = lehmer_bounds(level.module).lehper
+    bound = lehmer_bounds(module).lehper
     if parts is None:
-        h = global_height(level.pushed, x)
+        h = global_height(psi, x)
     else:
         h = height_sum(parts)
     if h.lo == 0:
-        b = annihilator_of(level.pushed, x)
+        b = annihilator_of(psi, x)
         if b is not None:
             return LehperReport(True, b, None, bound, None)
     if not h.is_exact:

@@ -152,16 +152,12 @@ class Poly:
         return Poly(self.field, _neg(self.field, self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other % self.field.char)
         # Poly is immutable, so a factor 1 can hand back the other factor
         if self.coeffs == (1,):
             return other
         if other.coeffs == (1,):
             return self
         return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         """Multiply by the field element with encoding c."""
@@ -331,19 +327,10 @@ class RatFunc:
         return RatFunc(num // h, (b // h) * d1, _reduced=True)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.const(self.field, other % self.field.char)
         return self._add_reduced(other, +1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.const(self.field, other % self.field.char)
         return self._add_reduced(other, -1)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, _reduced=True)

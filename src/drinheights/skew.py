@@ -62,16 +62,8 @@ class SkewPoly:
             out[i] = out[i] + c
         return SkewPoly(self.field, out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SkewPoly(self.field, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         """Composition with the twist rule tau*a = a^q*tau."""
-        if isinstance(other, RatFunc):
-            other = SkewPoly.const(self.field, other)
         if self.is_zero() or other.is_zero():
             return SkewPoly.zero(self.field)
         out = [RatFunc.zero(self.field)

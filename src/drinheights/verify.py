@@ -342,12 +342,12 @@ def check_lehper_floor(rng, count, modules):
     done = 0
     while done < count:
         n = rng.randint(0, 2)
-        level = insep_level(mod, n)
+        psi = insep_level(mod, n)
         y = rand_nonzero_ratfunc(rng, F3, 3)
-        if annihilator_of(level.pushed, y) is not None:
+        if annihilator_of(psi, y) is not None:
             continue
         done += 1
-        h = global_height(level.pushed, y)
+        h = global_height(psi, y)
         if not h.is_exact:
             _fail("lehper floor: unresolved height at level %d for y = %s", n, y)
         if not h.value > bound:

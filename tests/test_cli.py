@@ -169,10 +169,10 @@ def test_dichotomy_passes_an_interval_to_branch_2(tmp_path, capsys, psi2,
     assert code == 0 and json.loads(out) == {
         "b": "t^3+t^2+t+1", "branch": 2, "valuations": [["v[inf]", "6"]]}
     # branch 1 had an interval, not a value, at the one bad place
-    level = insep_level(psi2, 1)
-    assert [str(v) for v in level.pushed.bad_reduction_set()] == ["v[inf]"]
+    psi = insep_level(psi2, 1)
+    assert [str(v) for v in psi.bad_reduction_set()] == ["v[inf]"]
     x = parse_ratfunc(F2, "1/u^2", var="u")
-    assert not local_height(level.pushed, InfinitePlace(F2), x).is_exact
+    assert not local_height(psi, InfinitePlace(F2), x).is_exact
 
 
 def test_dichotomy_branch_2_budget_exhausted(tmp_path, capsys, monkeypatch):
@@ -440,12 +440,9 @@ def test_push_past_max_degree_refused_before_pushing(command, job, flags,
     # m * max(h(t), h(point), h(a_i)) passes MAX_DEGREE, before any level
     # above 0 is built and before the substitution is applied
     from drinheights import perfect, places
-    real = perfect.InsepLevel.__init__
 
     def level(self, module, n):
-        if n:
-            raise AssertionError("pushed to level %d" % n)
-        real(self, module, n)
+        raise AssertionError("pushed to level %d" % n)
 
     def substitute(self, y):
         raise AssertionError("pushed along the substitution")
@@ -455,6 +452,20 @@ def test_push_past_max_degree_refused_before_pushing(command, job, flags,
     assert (code, out) == (2, "")
     assert err.startswith("input error: ") and "MAX_DEGREE = 100000" in err
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("command", ["height", "insep-height", "dichotomy"])
+def test_refused_level_names_the_largest_pushed_degree(command, tmp_path,
+                                                       capsys):
+    # every level command checks the module and the point together, so
+    # the refusal names a_1 = 1/t^1000's degree, not h(t) = 1
+    job = dict(CAR3, module={"coefficients": ["t", "1/t^1000", "1"]},
+               point="u")
+    code, out, err = run(capsys, [command, job_file(tmp_path, job),
+                                  "--insep-level", "11"])
+    assert (code, out) == (2, "")
+    assert err == ("input error: insep_level 11 (degrees times p^11) takes "
+                   "degree 1000 past the cap MAX_DEGREE = 100000\n")
 
 
 @pytest.mark.parametrize("command, job, flags", [
@@ -1114,18 +1125,18 @@ def test_height_over_extension_one_level_no_place_below(
 ])
 def test_level_zero_job_pushes_nothing(cmd, job, tmp_path, capsys,
                                        monkeypatch):
-    # at level 0 the job's one InsepLevel is the module itself
+    # at level 0 the job's module is its level: no InsepLevel is built
     from drinheights import perfect
     levels = []
     real_init = perfect.InsepLevel.__init__
 
     def counting_init(self, module, n):
+        levels.append(n)
         real_init(self, module, n)
-        levels.append((n, self.pushed is module))
     monkeypatch.setattr(perfect.InsepLevel, "__init__", counting_init)
     code, _, _ = run(capsys, [cmd, job_file(tmp_path, job)])
     assert code == 0
-    assert levels == [(0, True)]
+    assert levels == []
 
 
 def test_local_height_at_level_matches_insep_height(tmp_path, capsys):
@@ -1158,7 +1169,7 @@ def test_reduction_at_level_is_the_pushed_module(tmp_path, capsys):
     places = {e["place"]: (e["M"], e["T"]) for e in json.loads(out)["places"]}
     assert places == {"v[u^2+1]": ("-1/2", "1"), "v[inf]": ("-3/8", "3")}
     F3 = cli.finite_field(3)
-    pushed = InsepLevel(make_module(F3, "t", "1/(t^2+1)", "1"), 1).pushed
+    pushed = InsepLevel(make_module(F3, "t", "1/(t^2+1)", "1"), 1)
     for w in pushed.bad_reduction_set():
         rd = pushed.reduction_data(w)
         assert places[w.to_string("u")] == (str(rd.M), str(rd.T))

@@ -267,6 +267,14 @@ def test_monicize_obstruction(F3):
                                         "q^r-1 = 2")
 
 
+def test_monicize_leading_unit_obstruction(F3):
+    # 2 is not a square in F_3, so no gamma in K makes t + 2 tau monic
+    with pytest.raises(MonicizeError) as err:
+        make_module(F3, "t", "2").monicize()
+    assert str(err.value) == ("leading unit 2 of a_r is not a (q^r-1)-th "
+                              "power in F_q (only 1 is)")
+
+
 def test_monicize_preserves_heights(F3):
     from drinheights.heights import global_height
     m = make_module(F3, "t", "1/t^2")

@@ -166,9 +166,8 @@ def test_height_via_embedding_examples(car3, F3):
 def test_heights_read_the_index_off_the_module(car3, F3):
     # [L:K] lives on the module: the pushed module alone gives the coherent
     # heights, and an index passed as before is refused, not read as v(x)
-    level = insep_level(car3, 1)
-    psi, u, v = level.pushed, R(F3, "u", "u"), InfinitePlace(F3)
-    assert (car3.index, psi.index) == (1, 3) and not hasattr(level, "index")
+    psi, u, v = insep_level(car3, 1), R(F3, "u", "u"), InfinitePlace(F3)
+    assert (car3.index, psi.index) == (1, 3) and insep_level(car3, 0) is car3
     assert global_height(psi, u).value == Fraction(4, 9)
     assert insep_height(car3, 1, u).value == Fraction(4, 9)
     assert local_height(psi, v, u).value == Fraction(4, 9)
@@ -203,13 +202,13 @@ def test_height_via_embedding_pushes_the_degree(car3, F3, image):
 def test_t2mwg_bound_scales_with_the_index(car3, tau2, F2, F3):
     # on a pushed module both sides of the gap scale by 1/[L:K]: the
     # local height off local_height, the bound sharp d(v) / p
-    psi, u, v = insep_level(car3, 1).pushed, R(F3, "u", "u"), InfinitePlace(F3)
+    psi, u, v = insep_level(car3, 1), R(F3, "u", "u"), InfinitePlace(F3)
     cert = check_t2mwg(psi, u)
     assert (cert.kind, cert.place) == ("witness", v)
     assert cert.local == local_height(psi, v, u).value == Fraction(4, 9)
     assert cert.bound == lehmer_bounds(psi).sharp * Fraction(v.degree, 3)
     # S empty: hhat_v(x) >= d(v) / [L:K] at a pole
-    psi, u, v = insep_level(tau2, 1).pushed, R(F2, "u", "u"), InfinitePlace(F2)
+    psi, u, v = insep_level(tau2, 1), R(F2, "u", "u"), InfinitePlace(F2)
     cert = check_t2mwg(psi, u)
     assert (cert.kind, cert.place) == ("witness", v)
     assert cert.local == local_height(psi, v, u).value == Fraction(1, 2)
@@ -423,8 +422,7 @@ def test_non_cancelling_ties_match_iterates(pk, coeffs, n, point, value,
                                             step):
     # past a tie, v(y_(n+1)) = g and ac(y_(n+1)) is the leading residue
     field = finite_field(*pk)
-    level = insep_level(make_module(field, *coeffs), n)
-    psi = level.pushed
+    psi = insep_level(make_module(field, *coeffs), n)
     v, x = InfinitePlace(field), R(field, point, "u" if n else "t")
     h = local_height(psi, v, x)
     assert _fields(h) == (value, value, "Escaped", step)
@@ -668,8 +666,7 @@ def test_closed_form_matches_walk_oracle(n):
     rng = random.Random(2500 + n)
     decided = 0
     for mod in _oracle_pool():
-        level = insep_level(mod, n)
-        psi = level.pushed
+        psi = insep_level(mod, n)
         index = psi.index
         assert index == psi.field.char**n
         S = psi.bad_reduction_set()
@@ -744,12 +741,12 @@ def _order_cases(n, rng):
     v_inf and then DEGREE_CAP."""
     F2, F3 = finite_field(2), finite_field(3)
     for mod in _oracle_pool():
-        psi = insep_level(mod, n).pushed
+        psi = insep_level(mod, n)
         for x in _oracle_points(rng, psi):
             yield psi, x
     for mod in (make_module(F2, "t", "1"), make_module(F3, "2*t^2", "1")):
         index = mod.field.char**n
-        psi = insep_level(mod, n).pushed
+        psi = insep_level(mod, n)
         points = [x.spread(index) for x in torsion_enumerate(mod)]
         if mod.field is F2:
             points += [R(F2, s).spread(index)
@@ -1055,8 +1052,7 @@ _AFTER_CANCELLATION = [
 def test_answers_after_a_cancellation_match_walk_oracle(
         n, p, k, coeffs, point, level, P, value, cert, step):
     field = finite_field(p, k)
-    insep = insep_level(make_module(field, *coeffs), n)
-    psi = insep.pushed
+    psi = insep_level(make_module(field, *coeffs), n)
     x = R(field, point.replace("t", "u") if n else point, "u" if n else "t")
     if n == level:
         v = FinitePlace(parse_poly(field, P)) if P else InfinitePlace(field)

@@ -44,8 +44,8 @@ def test_sharpness_decay(tau2, F2):
 
 
 def test_level_zero_is_the_module(car3):
-    level = InsepLevel(car3, 0)
-    assert level.pushed is car3 and level.pushed.index == 1
+    level = insep_level(car3, 0)
+    assert level is car3 and level.index == 1
 
 
 def test_level_kept_on_the_module(F3):
@@ -53,7 +53,7 @@ def test_level_kept_on_the_module(F3):
     mod = make_module(F3, "t", "1/(t^2+1)", "1")
     levels = [insep_level(mod, n) for n in range(3)]
     assert all(insep_level(mod, n) is level for n, level in enumerate(levels))
-    assert levels[0].pushed is mod and levels[1].pushed is not mod
+    assert levels[0] is mod and levels[1] is not mod
     for _ in range(2):
         with pytest.raises(ValueError, match=">= 0"):
             insep_level(mod, -1)
@@ -91,8 +91,7 @@ def test_level_push_matches_horner_substitution():
             emb = SubstitutionEmbedding(
                 RatFunc.from_poly(x**mod.field.char**n))
             level = InsepLevel(mod, n)
-            assert level.pushed.coeffs == tuple(emb.apply(a)
-                                                for a in mod.coeffs)
+            assert level.coeffs == tuple(emb.apply(a) for a in mod.coeffs)
 
 
 def test_level_push_substitutes_nothing(monkeypatch):
@@ -128,7 +127,7 @@ def test_level_reads_the_factoring_path_off_the_module_below(n):
     # module below, equal those of the same coefficients factored afresh
     for mod in _closed_form_pool():
         field = mod.field
-        pushed = insep_level(mod, n).pushed
+        pushed = insep_level(mod, n)
         plain = DrinfeldModule(field, [a.spread(field.char**n)
                                        for a in mod.coeffs])
         S = pushed.bad_reduction_set()
@@ -148,17 +147,17 @@ def test_bad_set_size_invariant(car3, psi2, F3):
     for mod in mods:
         s0 = len(mod.bad_reduction_set())
         for n in range(3):
-            level = InsepLevel(mod, n)
-            assert len(level.pushed.bad_reduction_set()) == s0
+            level = insep_level(mod, n)
+            assert len(level.bad_reduction_set()) == s0
 
 
 def test_tv_growth(car3):
     q, r = car3.q, car3.r
     p = car3.field.char
     for n in range(3):
-        level = InsepLevel(car3, n)
-        for w in level.pushed.bad_reduction_set():
-            T = level.pushed.reduction_data(w).T
+        level = insep_level(car3, n)
+        for w in level.bad_reduction_set():
+            T = level.reduction_data(w).T
             assert T >= Fraction(p**n, q**r)
 
 
@@ -199,7 +198,7 @@ def test_key_dichotomy_at_level(car3, F3):
     report = key_dichotomy_check(car3, 1, RatFunc.x(F3))
     assert report.branch in (1, 2)
     if report.branch == 2:
-        pushed = InsepLevel(car3, 1).pushed
+        pushed = InsepLevel(car3, 1)
         for w, val in report.valuations:
             assert val > pushed.reduction_data(w).T
 
@@ -271,13 +270,13 @@ def test_lehper_floor_random(car3, F3):
     bound = lehmer_bounds(car3).lehper
     rng = random.Random(73)
     done = 0
-    levels = {n: InsepLevel(car3, n) for n in range(3)}
+    levels = {n: insep_level(car3, n) for n in range(3)}
     while done < 60:
         n = rng.randint(0, 2)
         level = levels[n]
         y = RatFunc(Poly(F3, [rng.randrange(3) for _ in range(4)]),
                     Poly(F3, [rng.randrange(3) for _ in range(3)] + [1]))
-        if y.is_zero() or annihilator_of(level.pushed, y) is not None:
+        if y.is_zero() or annihilator_of(level, y) is not None:
             continue
         done += 1
         rep = lehper_check(car3, n, y)

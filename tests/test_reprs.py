@@ -1,0 +1,42 @@
+import pytest
+
+from drinheights.heights import check_t2mwg
+from drinheights.perfect import key_dichotomy_check, lehper_check
+from drinheights.ratfunc import RatFunc
+from drinheights.torsion import annihilator_bound, is_torsion
+
+ONE, X = RatFunc.one, RatFunc.x
+
+
+@pytest.mark.parametrize("module, field, build, expect", [
+    ("car3", "F3", lambda m, F: check_t2mwg(m, ONE(F)),
+     "T2Certificate(witness at v[inf]: 1/3 > 1/27)"),
+    ("psi2", "F2", lambda m, F: check_t2mwg(m, X(F)),
+     "T2Certificate(torsion, b = t)"),
+    ("tau2", "F2", lambda m, F: check_t2mwg(m, ONE(F)),
+     "T2Certificate(constant)"),
+    ("psi2", "F2", lambda m, F: is_torsion(m, X(F)),
+     "TorsionCertificate(torsion, b = t)"),
+    ("car3", "F3", lambda m, F: is_torsion(m, ONE(F)),
+     "TorsionCertificate(non-torsion, "
+     "T2Certificate(witness at v[inf]: 1/3 > 1/27))"),
+    ("car3", "F3", lambda m, F: annihilator_bound(m),
+     "AnnihilatorBound(D=1, b_lcm=t^3+2*t)"),
+    ("tau2", "F2", lambda m, F: annihilator_bound(m),
+     "AnnihilatorBound(torsion = constants F_q)"),
+    ("car3", "F3", lambda m, F: key_dichotomy_check(m, 0, ONE(F)),
+     "DichotomyReport(branch 1 at v[inf]: 1/3 >= 1/774840978)"),
+    ("psi2", "F2", lambda m, F: key_dichotomy_check(m, 0, X(F)),
+     "DichotomyReport(branch 2, b = t, valuations [(v[inf], inf)])"),
+    ("psi2", "F2", lambda m, F: lehper_check(m, 0, X(F)),
+     "LehperReport(torsion, b = t)"),
+    ("car3", "F3", lambda m, F: lehper_check(m, 1, X(F)),
+     "LehperReport(4/9 > 1/1162261467, margin 516560651/1162261467)"),
+], ids=["t2-witness", "t2-torsion", "t2-constant", "torsion", "non-torsion",
+        "bound", "bound-constants", "dichotomy-1", "dichotomy-2",
+        "lehper-torsion", "lehper-floor"])
+def test_report_reprs(module, field, build, expect, request):
+    # each report names its branch and the exact numbers behind it
+    report = build(request.getfixturevalue(module),
+                   request.getfixturevalue(field))
+    assert repr(report) == expect

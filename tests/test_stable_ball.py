@@ -279,7 +279,7 @@ def _law_cases(n):
     """(module, places): the oracle pool and the seeded modules pushed to
     level n; the places are S and infinity."""
     for mod in _oracle_pool() + _law_modules():
-        mod = perfect.insep_level(mod, n).pushed
+        mod = perfect.insep_level(mod, n)
         places = set(mod.bad_reduction_set()) | {InfinitePlace(mod.field)}
         yield mod, sorted(places, key=lambda v: v.sort_key())
 
@@ -354,7 +354,7 @@ def test_constants_read_off_the_slopes(n):
     seen = {"S": 0, "M = +inf": 0}
     cases = list(_law_cases(n))
     for mod in _slope_modules():
-        mod = perfect.insep_level(mod, n).pushed
+        mod = perfect.insep_level(mod, n)
         cases.append((mod, set(mod.bad_reduction_set())
                       | {InfinitePlace(mod.field)}))
     for mod, places in cases:

@@ -110,6 +110,8 @@ def test_kernel_examples(psi2, car3, F2, F3):
     assert [str(x) for x in k] == ["0", "1", "t", "t+1"]
     k = kernel_in_K(car3, parse_poly(F3, "t"))
     assert [str(x) for x in k] == ["0"]
+    with pytest.raises(ValueError, match="phi_0"):
+        kernel_in_K(car3, Poly.zero(F3))
 
 
 def test_kernel_inseparable_matches_brute_force(F3):
