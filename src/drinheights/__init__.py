@@ -17,7 +17,7 @@ from drinheights.gf import (ExtensionField, FieldError, FqElem, PrimeField,
 from drinheights.heights import (HeightValue, check_t2mwg, global_height,
                                  global_height_breakdown, height_via_embedding,
                                  lehmer_bounds, local_height)
-from drinheights.perfect import (InsepLevel, insep_height, key_dichotomy_check,
+from drinheights.perfect import (InsepLevel, insep_level, key_dichotomy_check,
                                  lehper_check)
 from drinheights.places import (INFINITY, FinitePlace, InfinitePlace, Place,
                                 PlaceExtension, SubstitutionEmbedding,

@@ -39,12 +39,12 @@ from drinheights.gf import (FIELD_MEMO, FieldError, ResidueFieldError,
 from drinheights.heights import (frac, global_height_breakdown, height_sum,
                                  height_via_embedding, lehmer_bounds,
                                  local_height, check_t2mwg)
-from drinheights.perfect import (_lehper_at, check_level, insep_level,
-                                 key_dichotomy_check)
+from drinheights.perfect import (check_level, insep_level,
+                                 key_dichotomy_check, lehper_check)
 from drinheights.places import (FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding)
-from drinheights.ratfunc import (MAX_DEGREE, ParseError, check_push,
-                                 parse_poly, parse_ratfunc)
+from drinheights.ratfunc import (MAX_DEGREE, ParseError, parse_poly,
+                                 parse_ratfunc)
 from drinheights.torsion import (annihilator_of, kernel_in_K,
                                  torsion_enumerate, torsion_lattice)
 
@@ -258,10 +258,6 @@ def _json(value, pad="\n"):
                     % type(value).__name__)
 
 
-def _place_str(v, job):
-    return v.to_string(job.point_var)
-
-
 def _height_json(h):
     if h.is_exact:
         return {"value": frac(h.lo), "certificate": h.certificate,
@@ -273,7 +269,7 @@ def _height_json(h):
 def cmd_reduction(job, rep):
     mod = job.at_level()
     S = mod.bad_reduction_set()
-    names = [_place_str(v, job) for v in S]
+    names = [v.to_string(job.point_var) for v in S]
     rep.put("S", names)
     rep.put("N_phi", mod.N_phi)
     if not rep.as_json:
@@ -331,30 +327,26 @@ def _height_core(job, rep):
 
 def cmd_height(job, rep):
     psi, x, parts, total = _height_core(job, rep)
-    mod = job.module()
     image = job.substitution() if job.level == 0 else None
     if image is not None:
         try:
             emb = SubstitutionEmbedding(image)
         except ValueError as exc:
             raise InputError("bad substitution: %s" % exc)
-        check_push("substitution t -> %s (degrees times %d)"
-                   % (quote(job.data["substitution"]["u_image_of_t"]),
-                      emb.degree), emb.degree, *mod.coeffs, x)
-        h2 = height_via_embedding(mod, emb, x)
+        h2 = height_via_embedding(psi, emb, x)
         if not rep.as_json:
             agree = (total.is_exact and h2.is_exact
                      and total.value == h2.value)
             rep.say("height via t -> %s: %s%s", image.to_string("u"), h2,
                     "  (agrees)" if agree else "")
         rep.put("embedding_height", _height_json(h2))
-    bounds = lehmer_bounds(mod)
+    bounds = lehmer_bounds(psi)
     rep.put("bounds", {"sharp": frac(bounds.sharp), "weak": frac(bounds.weak),
                        "lehper": None if bounds.lehper is None
                        else frac(bounds.lehper),
                        "torsion_degree": bounds.torsion_degree})
     if job.level:
-        report = _lehper_at(mod, psi, x, parts)
+        report = lehper_check(psi, x, parts=parts)
         if report.torsion:
             b = report.annihilator.to_string()
             rep.say("torsion point, annihilator b = %s", b)
@@ -364,7 +356,7 @@ def cmd_height(job, rep):
             rep.say("lehper bound %s: %s > %s: PASS", bound, total, bound)
             rep.put("lehper", {"bound": bound, "margin": frac(report.margin)})
         return 0
-    cert = check_t2mwg(mod, x, parts=parts)
+    cert = check_t2mwg(psi, x, parts=parts)
     if cert.kind == "constant":
         rep.say("constant point (torsion = constants since S is empty)")
         rep.put("certificate", {"kind": "constant"})
@@ -386,7 +378,7 @@ def cmd_local_height(job, rep):
     psi = job.at_level(x)
     v = job.place()
     h = local_height(psi, v, x)
-    place = _place_str(v, job)
+    place = v.to_string(job.point_var)
     if not rep.as_json:
         rep.say("h_%s(%s) = %s  [%s]", place, x.to_string(job.point_var), h,
                 h.certificate)
@@ -476,7 +468,7 @@ def cmd_insep_height(job, rep):
 def cmd_dichotomy(job, rep):
     x = job.point()
     psi = job.at_level(x)
-    report = key_dichotomy_check(job.module(), job.level, x)
+    report = key_dichotomy_check(psi, x)
     if report.branch == 1:
         place = report.place.to_string(job.point_var)
         local, threshold = frac(report.local), frac(report.threshold)

@@ -80,9 +80,9 @@ from functools import lru_cache
 
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
-from drinheights.errors import BudgetExhaustedError
+from drinheights.errors import BudgetExhaustedError, quote
 from drinheights.places import INFINITY, InfinitePlace, poles
-from drinheights.ratfunc import Poly, RatFunc, _divide_out
+from drinheights.ratfunc import Poly, RatFunc, _divide_out, check_push
 from drinheights.torsion import _gap_degree, annihilator_of
 
 # a walk after a cancellation builds no iterate past this degree and ends
@@ -462,8 +462,12 @@ def height_via_embedding(module, emb, x):
     """hhat of the image of x in F_q(u) on the module pushed along emb, whose
     index [L:K] = emb.degree makes the degrees coherent relative to K: by
     coherence this equals global_height(module, x) whenever both resolve
-    exactly."""
+    exactly.  The push rule (ratfunc.check_push) runs before anything is
+    pushed."""
     module._require_monic()
+    check_push("substitution t -> %s (degrees times %d)"
+               % (quote(emb.image.to_string("u")), emb.degree), emb.degree,
+               *module.coeffs, x)
     pushed = DrinfeldModule(module.field,
                             [emb.apply(a) for a in module.coeffs])
     pushed.index = emb.degree

@@ -11,6 +11,11 @@ place w above it, and w(a(u^(p^n))) = p^n v(a).  The level, the module
 pushed to F_q(u) with index [L:K] = p^n (InsepLevel), reads its bad set S and
 the valuations of its coefficients off the module below: nothing stretched
 is factored or divided.
+
+insep_level(module, n) is the one function that takes a module and n.  The
+key dichotomy, the perfect-closure floor and every height take the level it
+returns, and read q, r, S and [L:K] off it: a height at level n is
+global_height(insep_level(module, n), y).
 """
 
 import math
@@ -96,15 +101,6 @@ def insep_level(module, n):
     return InsepLevel(module, n) if n else module
 
 
-def insep_height(module, n, y):
-    """Global height of y in F_q(u) for the module rewritten via t = u^(p^n).
-
-    At n = 0 this is global_height; coherent degrees make the value
-    comparable across levels.  Nothing is factored (see global_height).
-    """
-    return global_height(insep_level(module, n), y)
-
-
 class DichotomyReport:
     """Either a bad place with a certified large local height (branch 1) or
     a polynomial b pushing x above every T_v (branch 2)."""
@@ -138,18 +134,19 @@ def _expansion_vector(w_idx, w, y, upto):
     return vec
 
 
-def key_dichotomy_check(module, n, x):
-    """Certify the key dichotomy at level n.
+def key_dichotomy_check(level, x):
+    """Certify the key dichotomy for x on `level`, the module over
+    K^(1/p^n) that insep_level(module, n) returns; q, r, S and the index
+    [L:K] are read off it.
 
     Branch 1: some bad w has hhat_w(x) >= -d(w) M_w / q^(4r(r+1)^2|S|+2r).
     Branch 2: some b of degree <= 4(r+1)^2 |S| has w(phi_b(x)) > T_w for all
     bad w; found by eliminating the uniformizer-expansion conditions of the
     iterates of x, exactly as the span argument in the proof.
     """
-    psi = insep_level(module, n)
-    field = module.field
-    q, r = module.q, module.r
-    S = psi.bad_reduction_set()
+    field = level.field
+    q, r = level.q, level.r
+    S = level.bad_reduction_set()
     if not S:
         one = Poly.one(field)
         return DichotomyReport(2, b=one, valuations=[])
@@ -159,9 +156,9 @@ def key_dichotomy_check(module, n, x):
 
     exhausted = False
     for w in S:
-        rd = psi.reduction_data(w)
-        threshold = -Fraction(w.degree, psi.index) * rd.M / q**exponent
-        h = local_height(psi, w, x)
+        rd = level.reduction_data(w)
+        threshold = -Fraction(w.degree, level.index) * rd.M / q**exponent
+        h = local_height(level, w, x)
         if h.is_exact:
             if h.value >= threshold:
                 return DichotomyReport(1, place=w, local=h.value,
@@ -169,17 +166,17 @@ def key_dichotomy_check(module, n, x):
         else:
             exhausted = True
 
-    uptos = [(w, math.floor(psi.reduction_data(w).T)) for w in S]
+    uptos = [(w, math.floor(level.reduction_data(w).T)) for w in S]
 
     def conditions():
         y = x
         for j in range(B + 1):
             if j:
-                if not next_iterate_fits(psi, y):
+                if not next_iterate_fits(level, y):
                     raise BudgetExhaustedError(
                         "iterates outgrew the degree budget before a "
                         "branch-2 certificate appeared")
-                y = psi.phi_t(y)
+                y = level.phi_t(y)
             vec = {}
             for w_idx, (w, upto) in enumerate(uptos):
                 vec.update(_expansion_vector(w_idx, w, y, upto))
@@ -188,10 +185,10 @@ def key_dichotomy_check(module, n, x):
     dep = gf.first_dependence(conditions(), field)
     if dep is not None:
         b = Poly(field, dep)
-        z = psi.act(b, x)
+        z = level.act(b, x)
         vals = [(w, w.valuation(z)) for w in S]
         for w, val in vals:
-            if not val > psi.reduction_data(w).T:
+            if not val > level.reduction_data(w).T:
                 raise AssertionError("branch 2 certificate fails at %r" % w)
         return DichotomyReport(2, b=b, valuations=vals)
 
@@ -219,32 +216,30 @@ class LehperReport:
             self.height, self.bound, self.margin)
 
 
-def lehper_check(module, n, x):
-    """Check the uniform perfect-closure floor for one point at level n.
+def lehper_check(level, x, *, parts=None):
+    """Check the uniform perfect-closure floor for x on `level`, the module
+    over K^(1/p^n) that insep_level(module, n) returns.
 
     Requires positive relative modular transcendence degree.  Non-torsion
-    points must come out strictly above min d(v_0) / q^(4r(r+1)^2 s + 3r).
+    points must come out strictly above the floor
+    lehmer_bounds(level).lehper = min d(v_0) / q^(4r(r+1)^2 s + 3r); a push
+    keeps q, r, |S|, the degrees in S and the modular transcendence degree,
+    so both are the module's.  `parts` is global_height_breakdown(level, x)
+    when the caller has it, and only the total is computed otherwise.  The
+    height comes first: a positive lower bound proves x is not torsion, so
+    the torsion decision runs only when it is 0.
     """
-    return _lehper_at(module, insep_level(module, n), x, None)
-
-
-def _lehper_at(module, psi, x, parts):
-    """lehper_check with psi = insep_level(module, n) already built; `parts`
-    is global_height_breakdown(psi, x) when the caller has it, and
-    only the total is computed otherwise.  The height comes first: a
-    positive lower bound proves x is not torsion, so the torsion decision
-    runs only when it is 0."""
-    if module.modular_trdeg() == 0:
+    if level.modular_trdeg() == 0:
         raise IsotrivialModuleError(
             "the perfect-closure floor requires a non-isotrivial module: "
             "heights of x^(1/p^n) decay to 0 over the constants")
-    bound = lehmer_bounds(module).lehper
+    bound = lehmer_bounds(level).lehper
     if parts is None:
-        h = global_height(psi, x)
+        h = global_height(level, x)
     else:
         h = height_sum(parts)
     if h.lo == 0:
-        b = annihilator_of(psi, x)
+        b = annihilator_of(level, x)
         if b is not None:
             return LehperReport(True, b, None, bound, None)
     if not h.is_exact:

@@ -226,8 +226,9 @@ class PlaceExtension:
         self.d_above = d_above
 
     def __repr__(self):
-        return "PlaceExtension(%r above %r, e=%d, f=%d, d=%s)" % (
-            self.above, self.below, self.e, self.f, self.d_above)
+        return "PlaceExtension(%s above %r, e=%d, f=%d, d=%s)" % (
+            self.above.to_string("u"), self.below, self.e, self.f,
+            self.d_above)
 
 
 def extend_places(emb, v):

@@ -17,7 +17,7 @@ from drinheights.gf import finite_field
 from drinheights.heights import (check_t2mwg, global_height,
                                  height_via_embedding, lehmer_bounds,
                                  local_height)
-from drinheights.perfect import insep_height
+from drinheights.perfect import insep_level
 from drinheights.places import (InfinitePlace, SubstitutionEmbedding,
                                 extend_places, support)
 from drinheights.ratfunc import Poly, RatFunc, parse_poly, parse_ratfunc
@@ -131,7 +131,7 @@ def test_criterion_4_coherence(car3):
 def test_criterion_5_perfect_closure_floor(car3):
     with criterion(5, "perfect-closure floor: h(t^(1/3)) = 4/9 > 3^-19; "
                       "200 random non-torsion points over levels <= 2"):
-        h = insep_height(car3, 1, RatFunc.x(F3))
+        h = global_height(insep_level(car3, 1), RatFunc.x(F3))
         assert h.is_exact and h.value == Fraction(4, 9)
         bound = lehmer_bounds(car3).lehper
         assert bound == Fraction(1, 3**19)
@@ -144,7 +144,7 @@ def test_criterion_6_sharpness_decay(tau2):
     with criterion(6, "sharpness: phi_t = tau over F_2(t) has "
                       "h(t^(1/2^n)) = 2^-n for n = 0..3"):
         for n in range(4):
-            h = insep_height(tau2, n, RatFunc.x(F2))
+            h = global_height(insep_level(tau2, n), RatFunc.x(F2))
             assert h.is_exact and h.value == Fraction(1, 2**n)
 
 

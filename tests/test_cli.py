@@ -454,6 +454,16 @@ def test_push_past_max_degree_refused_before_pushing(command, job, flags,
     assert len(err.encode()) < 300
 
 
+def test_refused_substitution_is_quoted_in_normal_form(tmp_path, capsys):
+    # the library refuses the push, so the message shows the parsed image
+    job = dict(CAR3, point="t^50001",
+               substitution={"u_image_of_t": "u^2 + u"})
+    code, out, err = run(capsys, ["height", job_file(tmp_path, job)])
+    assert (code, out) == (2, "")
+    assert err == ("input error: substitution t -> 'u^2+u' (degrees times 2) "
+                   "takes degree 50001 past the cap MAX_DEGREE = 100000\n")
+
+
 @pytest.mark.parametrize("command", ["height", "insep-height", "dichotomy"])
 def test_refused_level_names_the_largest_pushed_degree(command, tmp_path,
                                                        capsys):

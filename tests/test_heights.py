@@ -12,13 +12,14 @@ import pytest
 
 from conftest import decimal_unlimited, make_module
 from drinheights.drinfeld import DrinfeldModule
-from drinheights.errors import BudgetExhaustedError, NonMonicError
+from drinheights.errors import (BudgetExhaustedError, InputError,
+                                NonMonicError)
 from drinheights.gf import finite_field
 from drinheights.heights import (DEGREE_CAP, HeightValue, check_t2mwg, frac,
                                  global_height, global_height_breakdown,
                                  height_sum, height_via_embedding,
                                  lehmer_bounds, local_height)
-from drinheights.perfect import insep_height, insep_level
+from drinheights.perfect import insep_level
 from drinheights.places import (FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, poles, support)
 from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
@@ -169,7 +170,7 @@ def test_heights_read_the_index_off_the_module(car3, F3):
     psi, u, v = insep_level(car3, 1), R(F3, "u", "u"), InfinitePlace(F3)
     assert (car3.index, psi.index) == (1, 3) and insep_level(car3, 0) is car3
     assert global_height(psi, u).value == Fraction(4, 9)
-    assert insep_height(car3, 1, u).value == Fraction(4, 9)
+    assert global_height(insep_level(car3, 1), u).value == Fraction(4, 9)
     assert local_height(psi, v, u).value == Fraction(4, 9)
     assert _fields(local_height(psi, v, u, val=-1)) == \
         _fields(local_height(psi, v, u))
@@ -197,6 +198,22 @@ def test_height_via_embedding_pushes_the_degree(car3, F3, image):
         assert _agrees(h, want), (image, x)
         assert h == global_height(car3, x), (image, x)
     assert plain.index == 1
+
+
+def test_substitution_push_refused_before_pushing(car3, F3, monkeypatch):
+    # the library runs the push rule too: h(u^300) * h(t^1000) passes
+    # MAX_DEGREE, so nothing is pushed along the substitution
+    from drinheights import places
+
+    def substitute(self, y):
+        raise AssertionError("pushed along the substitution")
+    emb = SubstitutionEmbedding(R(F3, "u^300", "u"))
+    monkeypatch.setattr(places.SubstitutionEmbedding, "apply", substitute)
+    with pytest.raises(InputError) as exc:
+        height_via_embedding(car3, emb, R(F3, "t^1000"))
+    assert str(exc.value) == ("substitution t -> 'u^300' (degrees times 300) "
+                              "takes degree 1000 past the cap MAX_DEGREE = "
+                              "100000")
 
 
 def test_t2mwg_bound_scales_with_the_index(car3, tau2, F2, F3):
@@ -692,7 +709,8 @@ def test_closed_form_matches_walk_oracle(n):
             assert _agrees(total, height_sum(want)), (psi, x)
             for h in (total, height_sum(parts)):
                 assert type(h.lo) is Fraction and type(h.hi) is Fraction
-            assert _fields(insep_height(mod, n, x)) == _fields(total)
+            assert _fields(global_height(insep_level(mod, n), x)) == \
+                _fields(total)
     # 1/t^7 at level 0: the oracle's budget ends walks that escape later
     assert (decided > 0) == (n == 0)
 

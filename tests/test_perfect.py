@@ -10,23 +10,23 @@ from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import (InputError, IsotrivialModuleError,
                                 NonMonicError)
 from drinheights.gf import finite_field
-from drinheights.perfect import (InsepLevel, insep_height, insep_level,
-                                 key_dichotomy_check, lehper_check)
+from drinheights.perfect import (InsepLevel, insep_level, key_dichotomy_check,
+                                 lehper_check)
 from drinheights.heights import global_height, lehmer_bounds
 from drinheights.places import FinitePlace, InfinitePlace
 from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics, parse_poly,
                                  parse_ratfunc)
 from drinheights.torsion import annihilator_of
-from drinheights.verify import rand_with_valuation
+from drinheights.verify import module_pool, rand_with_valuation
 
 
 def test_insep_height_carlitz_level1(car3, F3):
-    h = insep_height(car3, 1, RatFunc.x(F3))  # u = t^(1/3)
+    h = global_height(insep_level(car3, 1), RatFunc.x(F3))  # u = t^(1/3)
     assert h.is_exact and h.value == Fraction(4, 9)
 
 
 def test_insep_height_isotrivial(tau2, F2):
-    h = insep_height(tau2, 1, RatFunc.x(F2))
+    h = global_height(insep_level(tau2, 1), RatFunc.x(F2))
     assert h.is_exact and h.value == Fraction(1, 2)
     assert global_height(tau2, RatFunc.x(F2)).value == 1
 
@@ -34,12 +34,12 @@ def test_insep_height_isotrivial(tau2, F2):
 def test_insep_height_level0_is_global(car3, F3):
     for s in ("1", "t", "(t^2+1)/t", "t^2+2*t"):
         x = parse_ratfunc(F3, s)
-        assert insep_height(car3, 0, x) == global_height(car3, x)
+        assert global_height(insep_level(car3, 0), x) == global_height(car3, x)
 
 
 def test_sharpness_decay(tau2, F2):
     for n in range(4):
-        h = insep_height(tau2, n, RatFunc.x(F2))
+        h = global_height(insep_level(tau2, n), RatFunc.x(F2))
         assert h.is_exact and h.value == Fraction(1, 2**n)
 
 
@@ -170,19 +170,20 @@ def test_isotrivial_decay_random(tau2, F2):
             continue
         base = global_height(tau2, x)
         for n in range(4):
-            h = insep_height(tau2, n, x)  # prime field: root has same coeffs
+            # prime field: the root has the same coefficients
+            h = global_height(insep_level(tau2, n), x)
             assert h.is_exact and h.value == base.value / 2**n
 
 
 def test_key_dichotomy_psi2_torsion(psi2, F2):
-    report = key_dichotomy_check(psi2, 0, RatFunc.x(F2))
+    report = key_dichotomy_check(insep_level(psi2, 0), RatFunc.x(F2))
     assert report.branch == 2
     assert report.b == parse_poly(F2, "t")
     assert all(val == float("inf") for _, val in report.valuations)
 
 
 def test_key_dichotomy_carlitz_branch1(car3, F3):
-    report = key_dichotomy_check(car3, 0, RatFunc.one(F3))
+    report = key_dichotomy_check(insep_level(car3, 0), RatFunc.one(F3))
     assert report.branch == 1
     assert report.place == InfinitePlace(F3)
     assert report.local == Fraction(1, 3)
@@ -190,12 +191,12 @@ def test_key_dichotomy_carlitz_branch1(car3, F3):
 
 
 def test_key_dichotomy_zero(car3, F3):
-    report = key_dichotomy_check(car3, 0, RatFunc.zero(F3))
+    report = key_dichotomy_check(insep_level(car3, 0), RatFunc.zero(F3))
     assert report.branch == 2 and report.b.is_one()
 
 
 def test_key_dichotomy_at_level(car3, F3):
-    report = key_dichotomy_check(car3, 1, RatFunc.x(F3))
+    report = key_dichotomy_check(insep_level(car3, 1), RatFunc.x(F3))
     assert report.branch in (1, 2)
     if report.branch == 2:
         pushed = InsepLevel(car3, 1)
@@ -223,18 +224,18 @@ def test_another_dichotomy_fuzz(car3, psi2, F3):
 
 
 def test_lehper_check_examples(car3, F3):
-    rep = lehper_check(car3, 1, RatFunc.x(F3))
+    rep = lehper_check(insep_level(car3, 1), RatFunc.x(F3))
     assert not rep.torsion
     assert rep.height.value == Fraction(4, 9)
     assert rep.bound == Fraction(1, 3**19)
     assert rep.margin == Fraction(4, 9) - Fraction(1, 3**19)
 
-    rep = lehper_check(car3, 0, RatFunc.one(F3))
+    rep = lehper_check(insep_level(car3, 0), RatFunc.one(F3))
     assert rep.height.value == Fraction(1, 3)
 
 
 def test_lehper_check_torsion_report(psi2, F2):
-    rep = lehper_check(psi2, 0, RatFunc.x(F2))
+    rep = lehper_check(insep_level(psi2, 0), RatFunc.x(F2))
     assert rep.torsion and rep.annihilator == parse_poly(F2, "t")
 
 
@@ -257,13 +258,43 @@ def test_lehper_height_comes_before_the_torsion_decision(monkeypatch, F3):
     assert cli.main(["height", "-", "--insep-level", "1", "--json"]) == 0
     assert built == []
     # a torsion point still gets its annihilator
-    assert lehper_check(make_module(F3, "t", "1/(t^2+1)", "1"), 1,
-                        RatFunc.zero(F3)).torsion
+    level = insep_level(make_module(F3, "t", "1/(t^2+1)", "1"), 1)
+    assert lehper_check(level, RatFunc.zero(F3)).torsion
 
 
 def test_lehper_check_isotrivial_rejected(tau2, F2):
     with pytest.raises(IsotrivialModuleError):
-        lehper_check(tau2, 1, RatFunc.x(F2))
+        lehper_check(insep_level(tau2, 1), RatFunc.x(F2))
+
+
+def _level_pool():
+    F4, F9 = finite_field(2, 2), finite_field(3, 2)
+    return [mod for _, mod in module_pool()] + [
+        make_module(F4, "t", "1/t", "1"),
+        make_module(F9, "t", "1/(t^3+t+2)", "1"),
+        make_module(F9, "t", "1/(t^2+t+3)", "1")]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_level_keeps_the_lehmer_constants(n):
+    # a push keeps q, r, |S|, the degrees in S and the modular
+    # transcendence degree, so the floor and the isotriviality test that
+    # lehper_check reads off a level are the module's
+    for mod in _level_pool():
+        level = insep_level(mod, n)
+        got, want = lehmer_bounds(level), lehmer_bounds(mod)
+        for name in ("sharp", "weak", "lehper", "torsion_degree"):
+            assert getattr(got, name) == getattr(want, name), (mod, n, name)
+        assert level.modular_trdeg() == mod.modular_trdeg(), (mod, n)
+
+
+def test_stale_level_calls_raise(car3, F3):
+    # (module, n) is taken by insep_level alone; a stale n is not read as x
+    x = RatFunc.x(F3)
+    with pytest.raises(TypeError):
+        lehper_check(car3, 1, x)
+    with pytest.raises(TypeError):
+        key_dichotomy_check(car3, 0, x)
 
 
 def test_lehper_floor_random(car3, F3):
@@ -279,5 +310,5 @@ def test_lehper_floor_random(car3, F3):
         if y.is_zero() or annihilator_of(level, y) is not None:
             continue
         done += 1
-        rep = lehper_check(car3, n, y)
+        rep = lehper_check(insep_level(car3, n), y)
         assert rep.height.value > bound

@@ -1,8 +1,10 @@
 import pytest
 
 from drinheights.heights import check_t2mwg
-from drinheights.perfect import key_dichotomy_check, lehper_check
-from drinheights.ratfunc import RatFunc
+from drinheights.perfect import insep_level, key_dichotomy_check, lehper_check
+from drinheights.places import (FinitePlace, SubstitutionEmbedding,
+                                extend_places)
+from drinheights.ratfunc import RatFunc, parse_poly, parse_ratfunc
 from drinheights.torsion import annihilator_bound, is_torsion
 
 ONE, X = RatFunc.one, RatFunc.x
@@ -24,13 +26,13 @@ ONE, X = RatFunc.one, RatFunc.x
      "AnnihilatorBound(D=1, b_lcm=t^3+2*t)"),
     ("tau2", "F2", lambda m, F: annihilator_bound(m),
      "AnnihilatorBound(torsion = constants F_q)"),
-    ("car3", "F3", lambda m, F: key_dichotomy_check(m, 0, ONE(F)),
+    ("car3", "F3", lambda m, F: key_dichotomy_check(insep_level(m, 0), ONE(F)),
      "DichotomyReport(branch 1 at v[inf]: 1/3 >= 1/774840978)"),
-    ("psi2", "F2", lambda m, F: key_dichotomy_check(m, 0, X(F)),
+    ("psi2", "F2", lambda m, F: key_dichotomy_check(insep_level(m, 0), X(F)),
      "DichotomyReport(branch 2, b = t, valuations [(v[inf], inf)])"),
-    ("psi2", "F2", lambda m, F: lehper_check(m, 0, X(F)),
+    ("psi2", "F2", lambda m, F: lehper_check(insep_level(m, 0), X(F)),
      "LehperReport(torsion, b = t)"),
-    ("car3", "F3", lambda m, F: lehper_check(m, 1, X(F)),
+    ("car3", "F3", lambda m, F: lehper_check(insep_level(m, 1), X(F)),
      "LehperReport(4/9 > 1/1162261467, margin 516560651/1162261467)"),
 ], ids=["t2-witness", "t2-torsion", "t2-constant", "torsion", "non-torsion",
         "bound", "bound-constants", "dichotomy-1", "dichotomy-2",
@@ -40,3 +42,11 @@ def test_report_reprs(module, field, build, expect, request):
     report = build(request.getfixturevalue(module),
                    request.getfixturevalue(field))
     assert repr(report) == expect
+
+
+def test_place_reprs(F3):
+    # the embedding writes its image in u, and a place above in u too
+    emb = SubstitutionEmbedding(parse_ratfunc(F3, "u^2", var="u"))
+    assert repr(emb) == "Embedding(t -> u^2)"
+    [ext] = extend_places(emb, FinitePlace(parse_poly(F3, "t")))
+    assert repr(ext) == "PlaceExtension(v[u] above v[t], e=2, f=1, d=1/2)"
