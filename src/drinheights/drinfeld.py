@@ -286,13 +286,11 @@ class ReductionData:
 
 class DrinfeldModule:
     """phi with phi_t = sum a_i tau^i over K = F_q(t), a_r != 0, r >= 1;
-    compared and hashed by identity, so a memo key finds one in O(1).  Its
-    heights count a place v with d(v) / index, the coherent degree: index is
-    [L:K] for a module pushed to an extension L of K, 1 over K itself."""
+    immutable and hashed by identity, so a memo key finds one in O(1).  Its
+    heights count a place v with d(v) / index, the coherent degree: index,
+    fixed when built, is [L:K] for a module pushed to an extension L of K."""
 
-    index = 1
-
-    def __init__(self, field, coeffs):
+    def __init__(self, field, coeffs, *, index=1):
         coeffs = list(coeffs)
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
@@ -302,6 +300,7 @@ class DrinfeldModule:
         self.coeffs = tuple(coeffs)
         self.r = len(coeffs) - 1
         self.q = field.order
+        self.index = index
 
     @property
     def is_monic(self):
@@ -407,7 +406,8 @@ class DrinfeldModule:
 
         Tested on conjugation invariants: a_0 and, for each i, the divisor
         identity (q^r-1) div(a_i) = (q^i-1) div(a_r), which says
-        a_i^(q^r-1)/a_r^(q^i-1) is constant.
+        a_i^(q^r-1)/a_r^(q^i-1) is constant.  With a_r = 1 every a_i is then
+        constant: a monic module is isotrivial exactly when S is empty.
         """
         if not self.coeffs[0].is_constant():
             return 1

@@ -469,6 +469,6 @@ def height_via_embedding(module, emb, x):
                % (quote(emb.image.to_string("u")), emb.degree), emb.degree,
                *module.coeffs, x)
     pushed = DrinfeldModule(module.field,
-                            [emb.apply(a) for a in module.coeffs])
-    pushed.index = emb.degree
+                            [emb.apply(a) for a in module.coeffs],
+                            index=emb.degree)
     return global_height(pushed, emb.apply(x))

@@ -15,7 +15,8 @@ is factored or divided.
 insep_level(module, n) is the one function that takes a module and n.  The
 key dichotomy, the perfect-closure floor and every height take the level it
 returns, and read q, r, S and [L:K] off it: a height at level n is
-global_height(insep_level(module, n), y).
+global_height(insep_level(module, n), y).  The floor needs a non-isotrivial
+module: for a monic module, one whose S is not empty.
 """
 
 import math
@@ -49,9 +50,12 @@ class InsepLevel(DrinfeldModule):
     """
 
     def __init__(self, below, n):
+        if n < 1:
+            raise ValueError("InsepLevel needs n >= 1; insep_level(m, 0) is m")
         check_level(below.field.char, n, *below.coeffs)
-        self.index = index = below.field.char**n
-        super().__init__(below.field, [a.spread(index) for a in below.coeffs])
+        index = below.field.char**n
+        super().__init__(below.field, [a.spread(index) for a in below.coeffs],
+                         index=index)
         self.below, self.n = below, n
         floor = Fraction(index, self.q**self.r)
         for w in self.bad_reduction_set():
@@ -220,20 +224,20 @@ def lehper_check(level, x, *, parts=None):
     """Check the uniform perfect-closure floor for x on `level`, the module
     over K^(1/p^n) that insep_level(module, n) returns.
 
-    Requires positive relative modular transcendence degree.  Non-torsion
-    points must come out strictly above the floor
-    lehmer_bounds(level).lehper = min d(v_0) / q^(4r(r+1)^2 s + 3r); a push
-    keeps q, r, |S|, the degrees in S and the modular transcendence degree,
-    so both are the module's.  `parts` is global_height_breakdown(level, x)
-    when the caller has it, and only the total is computed otherwise.  The
-    height comes first: a positive lower bound proves x is not torsion, so
-    the torsion decision runs only when it is 0.
+    Requires a non-isotrivial module, for a monic one S not empty
+    (DrinfeldModule.modular_trdeg): the level is refused when its floor
+    lehmer_bounds(level).lehper = min d(v_0) / q^(4r(r+1)^2 s + 3r) is None.
+    Non-torsion points must come out strictly above the floor; a push keeps
+    q, r, |S| and the degrees in S, so it is the module's.  `parts` is
+    global_height_breakdown(level, x) when the caller has it, and only the
+    total is computed otherwise.  The height comes first: a positive lower
+    bound proves x is not torsion; the torsion decision runs only when it is 0.
     """
-    if level.modular_trdeg() == 0:
+    bound = lehmer_bounds(level).lehper
+    if bound is None:
         raise IsotrivialModuleError(
             "the perfect-closure floor requires a non-isotrivial module: "
             "heights of x^(1/p^n) decay to 0 over the constants")
-    bound = lehmer_bounds(level).lehper
     if parts is None:
         h = global_height(level, x)
     else:

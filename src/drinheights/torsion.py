@@ -24,7 +24,7 @@ F_q-space, which makes everything here exact linear algebra:
 * every rational torsion point is killed by b_lcm, the lcm of all monic
   polynomials of degree <= D = r N |S|, which is Carlitz's closed form
   prod_{k=1}^{D} (t^(q^k) - t), and by B = prod_{k=1}^{min(D, n)}
-  (t^(q^k) - t) (torsion_annihilator), usually far smaller.
+  (t^(q^k) - t) (TorsionLattice.B), usually far smaller.
 
 Each answer is checked by evaluating phi_t on points of T(K), whose iterates
 stay in L: phi_mu kills each basis vector of T(K) (deg mu <= min(D, n)), and
@@ -53,10 +53,10 @@ class TorsionLattice:
     matching bound at infinity (0 when infinity has good reduction).  The
     lattice has F_q-dimension n = deg Q + m_inf + 1.  D = r N |S| bounds the
     degree of every minimal annihilator (height gap theorem), and
-    m = min(D, n) bounds the annihilator of all rational torsion
-    (torsion_annihilator); with S empty the torsion is F_q, killed by
-    t - phi_t(1), and m = n = 1.  `y in lattice` is membership; B
-    (torsion_annihilator), `torsion` and `points` are built on first read.
+    m = min(D, n) bounds the annihilator of all rational torsion (B); with
+    S empty the torsion is F_q, killed by t - phi_t(1), and m = n = 1.
+    `y in lattice` is membership; B, `torsion` and `points` are built on
+    first read.
     """
 
     def __init__(self, module):
@@ -79,6 +79,17 @@ class TorsionLattice:
 
     @cached_property
     def B(self):
+        """prod_{k=1}^{m} (t^(q^k) - t): phi_B kills all rational torsion T.
+
+        Proof.  T is an F_q[t]-submodule of the lattice, so T =
+        F_q[t]/(d_1) + ... + F_q[t]/(d_k) with d_1 | ... | d_k, and its
+        annihilator d_k has degree <= deg d_1 + ... + deg d_k = dim T <= n.
+        d_k is the minimal annihilator of a generator of the last summand,
+        so deg d_k <= D as for every torsion point.  B is the lcm of all
+        monic polynomials of degree <= m = min(D, n) (annihilator_bound),
+        hence d_k | B and phi_B(T) = 0.  Conversely every root of phi_B in K
+        is torsion, so T is exactly the kernel of phi_B in K.
+        """
         return _carlitz_lcm(self.field, self.m)
 
     @cached_property
@@ -318,23 +329,6 @@ def _carlitz_lcm(field, m):
     return b
 
 
-def torsion_annihilator(module):
-    """B = prod_{k=1}^{m} (t^(q^k) - t) with m = min(D, n); phi_B kills all
-    rational torsion.
-
-    Proof.  The rational torsion T is an F_q[t]-submodule of the pole lattice
-    L (torsion_lattice), of F_q-dimension n = deg Q + m_inf + 1.  As a finite
-    F_q[t]-module T = F_q[t]/(d_1) + ... + F_q[t]/(d_k) with d_1 | ... | d_k,
-    so its annihilator d_k has degree <= deg d_1 + ... + deg d_k = dim T <= n.
-    d_k is also the minimal annihilator of a point of T (a generator of the
-    last summand), so deg d_k <= D = r N |S| as for every torsion point.  B is
-    the lcm of all monic polynomials of degree <= m = min(D, n)
-    (annihilator_bound), hence d_k | B and phi_B(T) = 0.  Conversely every
-    root of phi_B in K is torsion, so T is exactly the kernel of phi_B in K.
-    """
-    return torsion_lattice(module).B
-
-
 def kernel_in_K(module, b):
     """All roots in K of the additive polynomial phi_b, b != 0, as a sorted
     list; separable or not.
@@ -371,7 +365,7 @@ def torsion_enumerate(module):
     """The full rational torsion submodule T(K), sorted, built and verified
     once per module (TorsionLattice.points).
 
-    T(K) is the kernel in K of phi_B, B = torsion_annihilator(module), and
+    T(K) is the kernel in K of phi_B, B = torsion_lattice(module).B, and
     the largest phi_t-stable subspace of the pole lattice; each point is
     also checked by the torsion decision and closure under phi_t.
     """

@@ -20,7 +20,7 @@ from drinheights.places import (FinitePlace, InfinitePlace,
                                 SubstitutionEmbedding, extend_places, poles,
                                 support)
 from drinheights.ratfunc import Poly, RatFunc, is_irreducible, parse_ratfunc
-from drinheights.torsion import annihilator_of, torsion_annihilator
+from drinheights.torsion import annihilator_of, torsion_lattice
 
 
 def rand_poly(rng, field, maxdeg):
@@ -288,14 +288,14 @@ def check_multiplicativity(rng, count, modules):
 
 
 def check_torsion_equivalence(rng, count, modules):
-    """Torsion decision agrees with killing by B = torsion_annihilator(mod).
+    """Torsion decision agrees with killing by B = torsion_lattice(mod).B.
 
     Only modules whose B is actually evaluable are fuzzed: phi_B(x) has
     degree q^(r deg B) in x.
     """
     usable = []
     for name, mod in modules:
-        B = torsion_annihilator(mod)
+        B = torsion_lattice(mod).B
         if mod.q**(mod.r * B.degree) > 1000:
             continue
         usable.append((name, mod, B))

@@ -15,6 +15,15 @@ from drinheights.ratfunc import (Poly, RatFunc, irreducible_monics, parse_poly,
 from drinheights.skew import SkewPoly
 
 
+def test_index_is_set_by_the_constructor(car3, F3):
+    # [L:K] is a keyword of the constructor, 1 over K itself
+    coeffs = car3.coeffs
+    assert car3.index == 1
+    assert DrinfeldModule(F3, coeffs, index=3).index == 3
+    with pytest.raises(TypeError):
+        DrinfeldModule(F3, coeffs, 3)
+
+
 def test_phi_of_one(car3):
     assert car3.phi_of(parse_poly(car3.field, "1")) == SkewPoly.one(car3.field)
     assert car3.phi_of(Poly.zero(car3.field)).is_zero()

@@ -72,6 +72,44 @@ def test_level_kept_on_the_module(F3):
     assert insep_level.cache_info().currsize == 3
 
 
+def test_insep_level_class_refuses_level_below_one(F3):
+    # level 0 is the module itself, kept by insep_level; a second level-0
+    # module would keep memos apart from it
+    mod = make_module(F3, "t", "1/(t^2+1)", "1")
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1; insep_level"):
+            InsepLevel(mod, n)
+
+
+def _spy_factor(monkeypatch):
+    """The polynomials handed to factor from here on, in order."""
+    from drinheights import drinfeld, places, ratfunc
+    seen = []
+
+    def spy(f):
+        seen.append(f)
+        return ratfunc.factor(f)
+    monkeypatch.setattr(places, "factor", spy)
+    monkeypatch.setattr(drinfeld, "factor", spy)
+    return seen
+
+
+@pytest.mark.parametrize("coeffs, n", [
+    (("t", "1/(t^2+1)", "1"), 9),
+    (("t^2+1", "1/(t^5+t+2)", "1"), 8)])
+def test_level_factors_only_the_module_below(monkeypatch, F3, coeffs, n):
+    # S and the coefficient valuations are read off the module below: a
+    # level that factored its own stretched coefficients would hand factor
+    # polynomials of degree 3^n times theirs
+    mod = make_module(F3, *coeffs)
+    longest = max(max(a.num.degree, a.den.degree) for a in mod.coeffs)
+    seen = _spy_factor(monkeypatch)
+    level = insep_level(mod, n)
+    h = global_height(level, parse_ratfunc(F3, "u^2+1", var="u"))
+    assert h.is_exact and level.bad_reduction_set()
+    assert seen and max(f.degree for f in seen) <= longest
+
+
 def _stretch_pool():
     from drinheights.verify import module_pool
     F4, F9 = finite_field(2, 2), finite_field(3, 2)
@@ -267,6 +305,17 @@ def test_lehper_check_isotrivial_rejected(tau2, F2):
         lehper_check(insep_level(tau2, 1), RatFunc.x(F2))
 
 
+def test_lehper_check_factors_nothing_once_S_is_built(monkeypatch, F3):
+    # isotriviality of a monic module is S = {}: read off the floor, with no
+    # divisor of a stretched coefficient taken
+    level = insep_level(make_module(F3, "1", "1/(t^40+t^3+2)", "1"), 1)
+    level.bad_reduction_set()
+    seen = _spy_factor(monkeypatch)
+    rep = lehper_check(level, parse_ratfunc(F3, "u^2+1", var="u"))
+    assert not rep.torsion and rep.margin > 0
+    assert seen == []
+
+
 def _level_pool():
     F4, F9 = finite_field(2, 2), finite_field(3, 2)
     return [mod for _, mod in module_pool()] + [
@@ -278,14 +327,24 @@ def _level_pool():
 @pytest.mark.parametrize("n", [1, 2])
 def test_level_keeps_the_lehmer_constants(n):
     # a push keeps q, r, |S|, the degrees in S and the modular
-    # transcendence degree, so the floor and the isotriviality test that
-    # lehper_check reads off a level are the module's
+    # transcendence degree, so the floor that lehper_check reads off a
+    # level, and with it the isotriviality test S = {}, are the module's
     for mod in _level_pool():
         level = insep_level(mod, n)
         got, want = lehmer_bounds(level), lehmer_bounds(mod)
         for name in ("sharp", "weak", "lehper", "torsion_degree"):
             assert getattr(got, name) == getattr(want, name), (mod, n, name)
         assert level.modular_trdeg() == mod.modular_trdeg(), (mod, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_monic_module_is_isotrivial_exactly_when_S_is_empty(n):
+    # the rule lehper_check reads, against the general test modular_trdeg
+    for mod in _level_pool():
+        assert mod.is_monic
+        level = insep_level(mod, n)
+        assert level.modular_trdeg() == int(bool(level.bad_reduction_set())), (
+            mod, n)
 
 
 def test_stale_level_calls_raise(car3, F3):

@@ -13,8 +13,7 @@ from drinheights.ratfunc import (Poly, RatFunc, factor, irreducible_monics,
                                  parse_poly, parse_ratfunc)
 from drinheights.torsion import (TorsionCertificate, annihilator_bound,
                                  annihilator_of, is_torsion, kernel_in_K,
-                                 torsion_annihilator, torsion_enumerate,
-                                 torsion_lattice)
+                                 torsion_enumerate, torsion_lattice)
 from drinheights.verify import module_pool
 
 
@@ -255,8 +254,8 @@ def test_torsion_lattice_holds_d_and_m(mod):
     lattice = torsion_lattice(mod)
     assert torsion_lattice(mod) is lattice
     assert lattice.D == lehmer_bounds(mod).torsion_degree
-    B = torsion_annihilator(mod)
-    assert torsion_annihilator(mod) is B is lattice.B
+    B = torsion_lattice(mod).B
+    assert torsion_lattice(mod).B is B is lattice.B
     assert lattice.m == next(i for i, c in enumerate(B.coeffs) if c)
 
 
@@ -459,7 +458,7 @@ def test_torsion_enumerate_matches_lattice_decision(mod):
     # set of lattice points that the torsion decision calls torsion
     expect = [y for y in _lattice_points(mod) if annihilator_of(mod, y) is not None]
     assert torsion_enumerate(mod) == sorted(expect, key=lambda y: y.sort_key())
-    B = torsion_annihilator(mod)
+    B = torsion_lattice(mod).B
     for y in expect:
         assert (B % annihilator_of(mod, y)).is_zero()
 
@@ -543,6 +542,6 @@ def test_kernel_matches_prime_power_oracle(mod):
     field, q = mod.field, mod.field.order
     bs = [Poly(field, [rng.randrange(q) for _ in range(rng.randint(0, 4))]
                + [1]) for _ in range(6)]
-    bs = [Poly.x(field), Poly(field, [1, 1])] + bs + [torsion_annihilator(mod)]
+    bs = [Poly.x(field), Poly(field, [1, 1])] + bs + [torsion_lattice(mod).B]
     for b in bs:
         assert kernel_in_K(mod, b) == _prime_power_kernel(mod, b)
