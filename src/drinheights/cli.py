@@ -18,9 +18,15 @@ cannot be written: one stderr line, and nothing more on stdout).  An
 expression or a push to F_q(u) whose degree may pass ratfunc.MAX_DEGREE is
 malformed.
 
-main parses each distinct argv once per process (_args), so a caller that
-runs many jobs in one process with the same flags pays argparse once; the
-Namespace it returns is shared by those calls and only read.
+A caller that runs many jobs in one process pays once for what repeats.
+The CLI keeps four memos, each an lru_cache of gf.FIELD_MEMO entries:
+_args, the Namespace per argv, so the same flags pay argparse once;
+_module, the module per (field, coefficient texts); _place, the finite
+place per (field, text of P, variable), so a place is parsed and proven
+irreducible once; and _reduction_report, the `reduction` report per
+(module, variable), formatted once, from which both the text and the JSON
+report are written.  A kept value is shared by the calls that read it and only read; refused
+input keeps nothing and is refused again on every call.
 """
 
 import argparse
@@ -148,10 +154,7 @@ class Job:
             # an absent entry of an object reads as null
             s = self.data[within].get(key)
             name = "%s %s" % (within, key)
-        try:
-            return parse(self.field, text(s, name), var=var)
-        except ParseError as exc:
-            raise InputError("bad %s %s: %s" % (kind, quote(s), exc))
+        return _parse(parse, self.field, text(s, name), kind, var)
 
     def point(self):
         return self.expression("point", "point", parse_ratfunc, self.point_var)
@@ -163,12 +166,8 @@ class Job:
         if desc.get("kind") == "infinity":
             return InfinitePlace(self.field)
         if desc.get("kind") == "finite":
-            P = self.expression("P", "place", parse_poly, self.point_var,
-                                within="place")
-            try:
-                return FinitePlace(P.monic())
-            except ValueError as exc:
-                raise InputError(str(exc))
+            return _place(self.field, text(desc.get("P"), "place P"),
+                          self.point_var)
         raise InputError("place kind must be \"finite\" or \"infinity\"")
 
     def substitution(self):
@@ -182,6 +181,30 @@ class Job:
                              % quote(json.dumps(sub), str))
         return self.expression("u_image_of_t", "substitution", parse_ratfunc,
                                "u", within="substitution")
+
+
+def _parse(parse, field, s, kind, var):
+    """`parse` of the string `s` in `var`, or an InputError naming `kind`."""
+    try:
+        return parse(field, s, var=var)
+    except ParseError as exc:
+        raise InputError("bad %s %s: %s" % (kind, quote(s), exc))
+
+
+@functools.lru_cache(maxsize=FIELD_MEMO)
+def _place(field, P, var):
+    """The finite place of the polynomial whose text in `var` is `P`, made
+    monic.
+
+    Memoized by (field, P, var) for the process, so each place is parsed
+    and proven irreducible once.  Refused input keeps nothing and is
+    refused again on every call.
+    """
+    P = _parse(parse_poly, field, P, "place", var)
+    try:
+        return FinitePlace(P.monic())
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 @functools.lru_cache(maxsize=FIELD_MEMO)
@@ -266,38 +289,58 @@ def _height_json(h):
             "step": h.step}
 
 
+@functools.lru_cache(maxsize=FIELD_MEMO)
+def _reduction_report(module, var):
+    """The `--json` report of `reduction` on `module`, places written in
+    `var`: S by name, N_phi, and for each place of S its M, T, Newton
+    slopes, P, P', P'', Q and R as strings, or "constants" for the torsion
+    when S is empty.
+
+    Memoized by (module, var) for the process, so a job on a module seen
+    before formats nothing; the value is shared by those jobs' reports and
+    only read.  A build that fails keeps nothing.
+    """
+    S = module.bad_reduction_set()
+    report = {"S": [v.to_string(var) for v in S], "N_phi": module.N_phi}
+    if not S:
+        report["torsion"] = "constants"
+        return report
+    report["places"] = []
+    for name, v in zip(report["S"], S):
+        rd = module.reduction_data(v)
+        entry = {"place": name, "M": frac(rd.M), "T": frac(rd.T),
+                 "newton_slopes": [frac(s) for s in rd.newton]}
+        for key in ("P", "Pp", "Ppp", "Q"):
+            entry[key] = [frac(a) for a in getattr(rd, key)]
+        entry["R"] = {s: [str(e) for e in rd.R[a]]
+                      for s, a in zip(entry["Q"], rd.Q)}
+        report["places"].append(entry)
+    return report
+
+
 def cmd_reduction(job, rep):
     mod = job.at_level()
+    report = _reduction_report(mod, job.point_var)
+    rep.data.update(report)
+    if rep.as_json:
+        return 0
     S = mod.bad_reduction_set()
-    names = [v.to_string(job.point_var) for v in S]
-    rep.put("S", names)
-    rep.put("N_phi", mod.N_phi)
-    if not rep.as_json:
-        rep.say("bad reduction set S: %s",
-                "{" + ", ".join("%s (degree %d)" % (name, v.degree)
-                                for name, v in zip(names, S)) + "}"
-                if S else "empty")
+    rep.say("bad reduction set S: %s",
+            "{" + ", ".join("%s (degree %d)" % (name, v.degree)
+                            for name, v in zip(report["S"], S)) + "}"
+            if S else "empty")
     rep.say("N_phi = %d, r = %d, q = %d", mod.N_phi, mod.r, mod.q)
     if not S:
         rep.say("S empty; torsion = F_q (the constants)")
-        rep.put("torsion", "constants")
         return 0
-    rep.put("places", [])
-    for name, v in zip(names, S):
-        rd = mod.reduction_data(v)
-        entry = {"place": name, "M": frac(rd.M), "T": frac(rd.T),
-                 "newton_slopes": [frac(s) for s in rd.newton]}
-        rep.data["places"].append(entry)
+    for entry in report["places"]:
         rep.say("")
         rep.say("at %s:", entry["place"])
         rep.say("  M_v = %s, T_v = %s", entry["M"], entry["T"])
         rep.say("  newton slopes: [%s]", ", ".join(entry["newton_slopes"]))
         for key, name in (("P", "P_v  "), ("Pp", "P'_v "), ("Ppp", "P''_v"),
                           ("Q", "Q_v  ")):
-            entry[key] = [frac(a) for a in getattr(rd, key)]
             rep.say("  %s = {%s}", name, ", ".join(entry[key]))
-        entry["R"] = {s: [str(e) for e in rd.R[a]]
-                      for s, a in zip(entry["Q"], rd.Q)}
         for s in entry["Q"]:
             rep.say("  R_v(%s) = {%s}", s, ", ".join(entry["R"][s]))
     return 0

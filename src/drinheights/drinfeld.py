@@ -288,9 +288,13 @@ class DrinfeldModule:
     """phi with phi_t = sum a_i tau^i over K = F_q(t), a_r != 0, r >= 1;
     immutable and hashed by identity, so a memo key finds one in O(1).  Its
     heights count a place v with d(v) / index, the coherent degree: index,
-    fixed when built, is [L:K] for a module pushed to an extension L of K."""
+    fixed when built, is [L:K] for a module pushed to an extension L of K:
+    an int >= 1, and anything else (a bool too) is a ValueError."""
 
     def __init__(self, field, coeffs, *, index=1):
+        if isinstance(index, bool) or not isinstance(index, int) or index < 1:
+            raise ValueError("index ([L:K]) must be an int >= 1, not %r"
+                             % (index,))
         coeffs = list(coeffs)
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()

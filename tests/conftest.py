@@ -6,9 +6,10 @@ from drinheights import (DrinfeldModule, cli, drinfeld, finite_field,
                          heights, parse_ratfunc, perfect, torsion)
 
 # every process-wide memo keyed by a module, or by a module and a key
-MODULE_MEMOS = (cli._module, DrinfeldModule.reduction_data,
-                torsion.torsion_lattice, torsion.annihilator_of,
-                perfect.insep_level, heights.lehmer_bounds)
+MODULE_MEMOS = (cli._module, cli._reduction_report,
+                DrinfeldModule.reduction_data, torsion.torsion_lattice,
+                torsion.annihilator_of, perfect.insep_level,
+                heights.lehmer_bounds)
 
 
 def make_module(field, *coeffs, var="t"):

@@ -560,45 +560,90 @@ def test_refused_place_and_modulus_stay_refused(tmp_path, capsys):
 def test_repeated_jobs_reuse_the_module(tmp_path, capsys, monkeypatch):
     # a job on a module seen before in the process builds nothing the
     # module keeps: no module, level or reduction data, no residue-set
-    # check, and it parses only its point; its report is byte for byte the
-    # first run's
-    from drinheights import drinfeld, perfect
+    # check, and it parses only its point; a place seen before is neither
+    # parsed nor tested for irreducibility, and a reduction report formats
+    # no entry; each report is byte for byte the first run's, as text and
+    # under --json
+    from drinheights import drinfeld, perfect, places
+    at_bad_place = dict(RANK2_BAD, point="(t^2+1)/t",
+                        place={"kind": "finite", "P": "t^2+1"})
     jobs = [("reduction", RANK2_BAD, []),
+            ("reduction", RANK2_BAD, ["--json"]),
             ("height", dict(RANK2_BAD, point="(t^2+1)/t"), []),
             ("height", dict(RANK2_BAD, point="(t^2+1)/t"), ["--json"]),
             ("insep-height", dict(RANK2_BAD, point="1/(u+1)"),
-             ["--insep-level", "1"])]
+             ["--insep-level", "1"]),
+            ("local-height", at_bad_place, []),
+            ("local-height", at_bad_place, ["--json"])]
     argvs = [[cmd, job_file(tmp_path, job, "job%d.json" % i)] + flags
              for i, (cmd, job, flags) in enumerate(jobs)]
-    built, parsed = [], []
+    built, parsed, placed, tested, formatted = [], [], [], [], []
 
-    def spy(owner, name):
+    def spy(owner, name, calls=built):
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            built.append("%s.%s" % (owner.__name__, name))
+            calls.append("%s.%s" % (owner.__name__, name))
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     spy(drinfeld.DrinfeldModule, "__init__")
     spy(perfect.InsepLevel, "__init__")
     spy(drinfeld.ReductionData, "__init__")
     spy(drinfeld.ReductionData, "_check")
-    real_parse = cli.parse_ratfunc
+    spy(places, "is_irreducible", tested)
+    spy(cli, "frac", formatted)
 
-    def parse(field, s, **kwargs):
-        parsed.append(s)
-        return real_parse(field, s, **kwargs)
-    monkeypatch.setattr(cli, "parse_ratfunc", parse)
+    def parser(name, calls):
+        real = getattr(cli, name)
 
-    first = [run(capsys, argv) for argv in argvs]
+        def parse(field, s, **kwargs):
+            calls.append(s)
+            return real(field, s, **kwargs)
+        monkeypatch.setattr(cli, name, parse)
+    parser("parse_ratfunc", parsed)
+    parser("parse_poly", placed)
+
+    def run_all():
+        """Each job's (exit code, stdout, stderr), and its count of frac
+        calls in cli."""
+        reports, formats = [], []
+        for argv in argvs:
+            del formatted[:]
+            reports.append(run(capsys, argv))
+            formats.append(len(formatted))
+        return reports, formats
+
+    first, formats = run_all()
     assert [code for code, _, _ in first] == [0] * len(jobs)
     assert set(built) == {"DrinfeldModule.__init__", "InsepLevel.__init__",
                           "ReductionData.__init__", "ReductionData._check"}
     assert set(RANK2_BAD["module"]["coefficients"]) <= set(parsed)
-    del built[:], parsed[:]
-    assert [run(capsys, argv) for argv in argvs] == first
+    assert placed == ["t^2+1"] and tested and formats[0] > 0
+    del built[:], parsed[:], placed[:], tested[:]
+    again, formats = run_all()
+    assert again == first
     assert built == []
-    assert parsed == ["(t^2+1)/t", "(t^2+1)/t", "1/(u+1)"]
+    assert parsed == ["(t^2+1)/t", "(t^2+1)/t", "1/(u+1)", "(t^2+1)/t",
+                      "(t^2+1)/t"]
+    assert placed == [] and tested == [] and formats[:2] == [0, 0]
+
+
+def test_refused_place_is_refused_on_every_call(tmp_path, capsys):
+    # the place memo keeps nothing for refused input: each of two calls
+    # gets the same message and exit 2, and no entry is left
+    cli._place.cache_clear()
+    refused = [("2*t^2+2*t+2",
+                "finite places need a monic irreducible polynomial"),
+               (5, "place P must be a string, not 5"),
+               ("1/t", "bad place '1/t': '1/t' is not a polynomial"),
+               ("0", "finite places need a monic irreducible polynomial")]
+    for P, message in refused:
+        path = job_file(tmp_path, dict(CAR3, point="1",
+                                       place={"kind": "finite", "P": P}))
+        for _ in range(2):
+            assert run(capsys, ["local-height", path]) == (
+                2, "", "input error: %s\n" % message)
+    assert cli._place.cache_info().currsize == 0
 
 
 def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,17 @@ def test_index_is_set_by_the_constructor(car3, F3):
     assert DrinfeldModule(F3, coeffs, index=3).index == 3
     with pytest.raises(TypeError):
         DrinfeldModule(F3, coeffs, 3)
+
+
+@pytest.mark.parametrize("index", [0, -3, 2.5, True])
+def test_index_that_is_not_an_int_of_at_least_one_is_refused(car3, F3,
+                                                             index):
+    # [L:K] is a positive integer; 0, -3 and 2.5 failed later inside a
+    # height (ZeroDivisionError, AssertionError, TypeError), and a bool is
+    # not taken for 1
+    with pytest.raises(ValueError, match=r"index \(\[L:K\]\) must be an "
+                       r"int >= 1, not %s$" % re.escape(repr(index))):
+        DrinfeldModule(F3, car3.coeffs, index=index)
 
 
 def test_phi_of_one(car3):

@@ -8,9 +8,9 @@ import drinheights
 from conftest import MODULE_MEMOS
 from drinheights import cli, gf
 
-# keyed by field arguments or argv, never by a module
+# keyed by field arguments, a place's text or argv, never by a module
 NOT_MODULE_KEYED = (gf._is_prime, gf._proven_extension, gf._finite_field,
-                    cli._args)
+                    cli._args, cli._place)
 
 
 def package_memos():
