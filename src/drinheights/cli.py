@@ -23,10 +23,12 @@ The CLI keeps four memos, each an lru_cache of gf.FIELD_MEMO entries:
 _args, the Namespace per argv, so the same flags pay argparse once;
 _module, the module per (field, coefficient texts); _place, the finite
 place per (field, text of P, variable), so a place is parsed and proven
-irreducible once; and _reduction_report, the `reduction` report per
-(module, variable), formatted once, from which both the text and the JSON
-report are written.  A kept value is shared by the calls that read it and only read; refused
-input keeps nothing and is refused again on every call.
+irreducible once; and _module_report, the finished Report of each command
+whose answer depends on the module alone (reduction, lehmer, torsion) per
+(command, module, variable, output format), built once and rendered on its
+first emit.  A kept value is shared by the calls that read it and only
+read; refused input, and a report whose rendering fails, keeps nothing, so
+it is refused or rendered again on every call.
 """
 
 import argparse
@@ -228,12 +230,16 @@ def _module(field, coeffs):
 
 class Report:
     """The report of one job: a JSON dict, and under text output the lines
-    to print."""
+    to print.  Its text is rendered by the first emit that renders without
+    error and kept, so a report emitted again (one that _module_report
+    keeps) is printed without rendering; a failed rendering keeps
+    nothing."""
 
     def __init__(self, as_json):
         self.as_json = as_json
         self.lines = []
         self.data = {}
+        self.text = None
 
     def say(self, fmt, *args):
         if self.as_json:
@@ -244,7 +250,10 @@ class Report:
         self.data[key] = value
 
     def emit(self):
-        print(_json(self.data) if self.as_json else "\n".join(self.lines))
+        if self.text is None:
+            self.text = (_json(self.data) if self.as_json
+                         else "\n".join(self.lines))
+        print(self.text)
 
 
 def _json(value, pad="\n"):
@@ -290,60 +299,69 @@ def _height_json(h):
 
 
 @functools.lru_cache(maxsize=FIELD_MEMO)
-def _reduction_report(module, var):
-    """The `--json` report of `reduction` on `module`, places written in
-    `var`: S by name, N_phi, and for each place of S its M, T, Newton
-    slopes, P, P', P'', Q and R as strings, or "constants" for the torsion
-    when S is empty.
+def _module_report(command, module, var, as_json):
+    """The finished Report of the module-only `command` on `module`, places
+    and points written in `var`, as JSON or as text.
 
-    Memoized by (module, var) for the process, so a job on a module seen
-    before formats nothing; the value is shared by those jobs' reports and
-    only read.  A build that fails keeps nothing.
+    Memoized by (command, module, var, as_json) for the process, so a job
+    whose answer was reported before builds, formats and (once emitted)
+    renders nothing; the Report is shared by those jobs and only read.  A
+    build that fails keeps nothing.
     """
-    S = module.bad_reduction_set()
-    report = {"S": [v.to_string(var) for v in S], "N_phi": module.N_phi}
+    rep = Report(as_json)
+    MODULE_COMMANDS[command](module, var, rep)
+    return rep
+
+
+def module_report(command, job, as_json):
+    """The kept report of the module-only `command` on the job's module:
+    `reduction` reads the module at the job's level, its places written in
+    the level's variable; `lehmer` and `torsion` work over K whatever the
+    level."""
+    if command == "reduction":
+        return _module_report(command, job.at_level(), job.point_var, as_json)
+    return _module_report(command, job.module(), "t", as_json)
+
+
+def reduction_report(mod, var, rep):
+    """S by name, N_phi, and for each place of S its M, T, Newton slopes,
+    P, P', P'', Q and R as strings, or "constants" for the torsion when S
+    is empty."""
+    S = mod.bad_reduction_set()
+    names = [v.to_string(var) for v in S]
+    rep.put("S", names)
+    rep.put("N_phi", mod.N_phi)
+    if not rep.as_json:
+        rep.say("bad reduction set S: %s",
+                "{" + ", ".join("%s (degree %d)" % (name, v.degree)
+                                for name, v in zip(names, S)) + "}"
+                if S else "empty")
+        rep.say("N_phi = %d, r = %d, q = %d", mod.N_phi, mod.r, mod.q)
     if not S:
-        report["torsion"] = "constants"
-        return report
-    report["places"] = []
-    for name, v in zip(report["S"], S):
-        rd = module.reduction_data(v)
+        rep.say("S empty; torsion = F_q (the constants)")
+        rep.put("torsion", "constants")
+        return
+    rep.put("places", [])
+    for name, v in zip(names, S):
+        rd = mod.reduction_data(v)
         entry = {"place": name, "M": frac(rd.M), "T": frac(rd.T),
                  "newton_slopes": [frac(s) for s in rd.newton]}
         for key in ("P", "Pp", "Ppp", "Q"):
             entry[key] = [frac(a) for a in getattr(rd, key)]
         entry["R"] = {s: [str(e) for e in rd.R[a]]
                       for s, a in zip(entry["Q"], rd.Q)}
-        report["places"].append(entry)
-    return report
-
-
-def cmd_reduction(job, rep):
-    mod = job.at_level()
-    report = _reduction_report(mod, job.point_var)
-    rep.data.update(report)
-    if rep.as_json:
-        return 0
-    S = mod.bad_reduction_set()
-    rep.say("bad reduction set S: %s",
-            "{" + ", ".join("%s (degree %d)" % (name, v.degree)
-                            for name, v in zip(report["S"], S)) + "}"
-            if S else "empty")
-    rep.say("N_phi = %d, r = %d, q = %d", mod.N_phi, mod.r, mod.q)
-    if not S:
-        rep.say("S empty; torsion = F_q (the constants)")
-        return 0
-    for entry in report["places"]:
+        rep.data["places"].append(entry)
+        if rep.as_json:
+            continue
         rep.say("")
-        rep.say("at %s:", entry["place"])
+        rep.say("at %s:", name)
         rep.say("  M_v = %s, T_v = %s", entry["M"], entry["T"])
         rep.say("  newton slopes: [%s]", ", ".join(entry["newton_slopes"]))
-        for key, name in (("P", "P_v  "), ("Pp", "P'_v "), ("Ppp", "P''_v"),
-                          ("Q", "Q_v  ")):
-            rep.say("  %s = {%s}", name, ", ".join(entry[key]))
+        for key, label in (("P", "P_v  "), ("Pp", "P'_v "),
+                           ("Ppp", "P''_v"), ("Q", "Q_v  ")):
+            rep.say("  %s = {%s}", label, ", ".join(entry[key]))
         for s in entry["Q"]:
             rep.say("  R_v(%s) = {%s}", s, ", ".join(entry["R"][s]))
-    return 0
 
 
 def _height_core(job, rep):
@@ -430,14 +448,16 @@ def cmd_local_height(job, rep):
     return 0
 
 
-def cmd_torsion(job, rep):
-    mod = job.module()
+def torsion_report(mod, var, rep):
+    """T(K): F_q when S is empty, else D, m, B (unexpanded past
+    MAX_DEGREE) and each point of T(K), written in `var`, with its minimal
+    annihilator."""
     if not mod.bad_reduction_set():
         elements = [str(c) for c in mod.field.elements()]
         rep.say("S empty; torsion = F_q = {%s}", ", ".join(elements))
         rep.put("torsion", elements)
         rep.put("constants_only", True)
-        return 0
+        return
     lattice = torsion_lattice(mod)
     rep.say("D = r N_phi |S| = %d", lattice.D)
     rep.say("m = min(D, n) = %d (n: dimension of the pole lattice)", lattice.m)
@@ -460,12 +480,11 @@ def cmd_torsion(job, rep):
     rep.say("torsion module (%d points):", len(points))
     rep.put("torsion", [])
     for x in points:
-        entry = {"point": x.to_string(),
+        entry = {"point": x.to_string(var),
                  "annihilator": annihilator_of(mod, x).to_string()}
         rep.say("  %s  (minimal annihilator %s)", entry["point"],
                 entry["annihilator"])
         rep.data["torsion"].append(entry)
-    return 0
 
 
 def cmd_kernel(job, rep):
@@ -483,8 +502,10 @@ def cmd_kernel(job, rep):
     return 0
 
 
-def cmd_lehmer(job, rep):
-    mod = job.module()
+def lehmer_report(mod, var, rep):
+    """The Lehmer-type bounds of the module, the torsion annihilator degree
+    bound and the perfect-closure floor; they name no place or point, so
+    `var` is not read."""
     bounds = lehmer_bounds(mod)
     rep.say("sharp bound  q^(-2r - r^2 N |S|) = %s", frac(bounds.sharp))
     rep.say("weak bound   q^(-r(2 + (r^2+r)|S|)) = %s", frac(bounds.weak))
@@ -499,7 +520,6 @@ def cmd_lehmer(job, rep):
     else:
         rep.say("perfect-closure floor: absent (S empty)")
         rep.put("lehper", None)
-    return 0
 
 
 def cmd_insep_height(job, rep):
@@ -555,16 +575,23 @@ def cmd_verify(job, rep):
     return 0 if result.ok else 1
 
 
+# each a function of (job, rep) that fills rep and returns the exit code
 COMMANDS = {
-    "reduction": cmd_reduction,
     "height": cmd_height,
     "local-height": cmd_local_height,
-    "torsion": cmd_torsion,
     "kernel": cmd_kernel,
-    "lehmer": cmd_lehmer,
     "insep-height": cmd_insep_height,
     "dichotomy": cmd_dichotomy,
     "verify": cmd_verify,
+}
+
+# the commands whose report depends on the module alone, each a function of
+# (module, var, rep) that fills rep; their exit code is 0, and
+# _module_report keeps their reports
+MODULE_COMMANDS = {
+    "reduction": reduction_report,
+    "torsion": torsion_report,
+    "lehmer": lehmer_report,
 }
 
 
@@ -573,7 +600,8 @@ PARSER = argparse.ArgumentParser(
     prog="drinheights",
     description="Exact heights, reduction data and torsion bounds for "
                 "Drinfeld modules over F_q(t).")
-PARSER.add_argument("command", choices=sorted(COMMANDS))
+PARSER.add_argument("command",
+                    choices=sorted([*COMMANDS, *MODULE_COMMANDS]))
 PARSER.add_argument("job", nargs="?", default="-",
                     help="job JSON file, or - for stdin")
 PARSER.add_argument("--json", action="store_true", dest="as_json",
@@ -595,10 +623,13 @@ def _args(argv):
 def main(argv=None):
     args = _args(tuple(sys.argv[1:] if argv is None else argv))
 
-    rep = Report(args.as_json)
     try:
         job = Job(load_job(args.job), args)
-        code = COMMANDS[args.command](job, rep)
+        if args.command in MODULE_COMMANDS:
+            rep, code = module_report(args.command, job, args.as_json), 0
+        else:
+            rep = Report(args.as_json)
+            code = COMMANDS[args.command](job, rep)
     except (InputError, NonMonicError, IsotrivialModuleError,
             ResidueFieldError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
@@ -610,7 +641,10 @@ def main(argv=None):
         print("internal error: %s" % exc, file=sys.stderr)
         if not args.as_json:
             return 4
-        rep.data, code = {"error": "internal", "message": str(exc)}, 4
+        # a fresh report: a kept one is shared and never written to
+        rep, code = Report(True), 4
+        rep.put("error", "internal")
+        rep.put("message", str(exc))
     try:
         rep.emit()
         sys.stdout.flush()

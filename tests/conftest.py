@@ -6,7 +6,7 @@ from drinheights import (DrinfeldModule, cli, drinfeld, finite_field,
                          heights, parse_ratfunc, perfect, torsion)
 
 # every process-wide memo keyed by a module, or by a module and a key
-MODULE_MEMOS = (cli._module, cli._reduction_report,
+MODULE_MEMOS = (cli._module, cli._module_report,
                 DrinfeldModule.reduction_data, torsion.torsion_lattice,
                 torsion.annihilator_of, perfect.insep_level,
                 heights.lehmer_bounds)

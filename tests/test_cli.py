@@ -646,6 +646,117 @@ def test_refused_place_is_refused_on_every_call(tmp_path, capsys):
     assert cli._place.cache_info().currsize == 0
 
 
+# the commands whose report depends on the module alone, each on a module
+# with a nonempty S
+MODULE_JOBS = [("reduction", RANK2_BAD), ("lehmer", RANK2_BAD),
+               ("torsion", PSI2)]
+
+
+def spy_calls(monkeypatch, names):
+    """Replace each function `cli.<name>` by one that records its name in
+    the returned list and then calls it."""
+    calls = []
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_repeated_module_report_renders_nothing(tmp_path, capsys,
+                                                monkeypatch):
+    # a module-only report is built, formatted and rendered once: the
+    # second run of each job neither computes, formats nor writes JSON,
+    # and prints the first run's bytes, as text and under --json
+    argvs = [[cmd, job_file(tmp_path, job, "%s.json" % cmd)] + flags
+             for cmd, job in MODULE_JOBS for flags in ([], ["--json"])]
+    calls = spy_calls(monkeypatch, ["_json", "frac", "lehmer_bounds",
+                                    "torsion_enumerate"])
+    first = [run(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0] * len(argvs)
+    assert set(calls) == {"_json", "frac", "lehmer_bounds",
+                          "torsion_enumerate"}
+    del calls[:]
+    for argv, want in zip(argvs, first):
+        assert run(capsys, argv) == want
+        assert calls == [], argv
+
+
+def test_report_whose_rendering_fails_keeps_no_text(tmp_path, capsys,
+                                                    monkeypatch):
+    # _json refuses on the first emit: exit 4, and the kept report holds
+    # no text, so once _json is back the next call prints the bytes a
+    # fresh process prints
+    for cmd, job in MODULE_JOBS:
+        argv = [cmd, job_file(tmp_path, job, "%s.json" % cmd), "--json"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_json", _refuse(TypeError))
+            assert run(capsys, argv) == (
+                4, "", "cannot write the report: refused\n")
+        again = run(capsys, argv)
+        cli._module_report.cache_clear()
+        assert again == run(capsys, argv)
+        assert again[0] == 0 and json.loads(again[1])
+
+
+@pytest.mark.parametrize("command, job, owner, name", [
+    ("reduction", RANK2_BAD, "ReductionData", "_check"),
+    ("lehmer", RANK2_BAD, None, "lehmer_bounds"),
+    ("torsion", PSI2, None, "torsion_enumerate")])
+def test_internal_error_leaves_kept_reports_alone(command, job, owner, name,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+    # an internal error under --json prints a fresh error report; the
+    # report kept for another module keeps its bytes
+    from drinheights import drinfeld
+    kept = [command, job_file(tmp_path, job), "--json"]
+    other = [command, job_file(tmp_path, dict(job, module={
+        "coefficients": ["t", "1/(t^2+t+2)", "1"]}), "other.json"), "--json"]
+    want = run(capsys, kept)
+    assert want[0] == 0
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("internal guard")
+    monkeypatch.setattr(cli if owner is None else getattr(drinfeld, owner),
+                        name, failing)
+    code, out, err = run(capsys, other)
+    assert code == 4 and err == "internal error: internal guard\n"
+    assert json.loads(out) == {"error": "internal",
+                               "message": "internal guard"}
+    assert run(capsys, kept) == want
+
+
+def test_refused_module_report_is_refused_on_every_call(tmp_path, capsys):
+    # a non-monic module is refused by each module-only command, with the
+    # same message on every call, and no report is kept for it
+    path = job_file(tmp_path, dict(CAR3, module={"coefficients": ["t", "2"]}))
+    message = ("input error: phi_t is not monic; reduction and height theory"
+               " need a monic module - apply monicize() first\n")
+    for cmd, _ in MODULE_JOBS:
+        for flags in ([], ["--json"]):
+            for _ in range(2):
+                assert run(capsys, [cmd, path] + flags) == (2, "", message)
+    assert cli._module_report.cache_info().currsize == 0
+
+
+def test_module_report_is_kept_per_level(tmp_path, capsys):
+    # reduction at level 1 is the pushed module's report, kept apart from
+    # level 0's; lehmer and torsion work over K, so at level 1 they print
+    # the level-0 report, which is kept once
+    for cmd, job in MODULE_JOBS:
+        path = job_file(tmp_path, job, "%s.json" % cmd)
+        for flags in ([], ["--json"]):
+            plain = [cmd, path] + flags
+            leveled = plain + ["--insep-level", "1"]
+            runs = [run(capsys, argv) for argv in (plain, leveled) * 2]
+            assert runs[0][0] == runs[1][0] == 0
+            assert runs[2:] == runs[:2]
+            assert (runs[0] != runs[1]) == (cmd == "reduction")
+    # reduction: two levels, twice; lehmer and torsion: once each
+    assert cli._module_report.cache_info().currsize == 2 * 2 + 2 + 2
+
+
 def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
     # the parser is built once; each call must see only its own flags
     job = dict(CAR3, point="1")
@@ -786,9 +897,11 @@ def test_report_that_cannot_be_written_exits_4(flags, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 4 and pipe.getvalue() == ""
     assert err == "cannot write the report: [Errno 32] Broken pipe\n"
-    # an internal error under --json writes its error object the same way
+    # an internal error under --json writes its error object the same way;
+    # the job names another module, whose report is not kept
     monkeypatch.setattr(cli, "lehmer_bounds", lambda module: 1 / 0)
-    assert cli.main(["lehmer", job_file(tmp_path, CAR3)] + flags) == 4
+    assert cli.main(["lehmer", job_file(tmp_path, RANK2_BAD, "other.json")]
+                    + flags) == 4
     assert pipe.getvalue() == ""
 
 
