@@ -11,10 +11,11 @@ machine-readable report with fractions rendered as strings, byte for byte
 json.dumps(report, indent=2, sort_keys=True), written by _json without
 json's pure-Python indenting encoder.  Only the report that is printed is
 formatted: the text lines are not built under --json.  Exit codes:
-0 ok, 1 property violation, 2 input error (a malformed job, or a module that
-is not monic or is isotrivial where the command needs otherwise), 3 degree
-budget exhausted, 4 internal error (any other exception, and a report that
-cannot be written: one stderr line, and nothing more on stdout).  An
+0 ok, 1 property violation (a `verify` check's CheckFailure), 2 input error
+(a malformed job, or a module that is not monic or is isotrivial where the
+command needs otherwise), 3 degree budget exhausted, 4 internal error (any
+other exception, inside a `verify` check too, and a report that cannot be
+written: one stderr line, and nothing more on stdout).  An
 expression or a push to F_q(u) whose degree may pass ratfunc.MAX_DEGREE is
 malformed.
 

@@ -310,6 +310,11 @@ class DrinfeldModule:
     def is_monic(self):
         return self.coeffs[-1].is_one()
 
+    @property
+    def var(self):
+        """Its places' variable: u over an extension (index > 1), else t."""
+        return "u" if self.index > 1 else "t"
+
     @cached_property
     def phi_t(self):
         return SkewPoly(self.field, self.coeffs)

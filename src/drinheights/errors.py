@@ -5,7 +5,8 @@ The CLI maps these to exit codes: InputError, NonMonicError and
 IsotrivialModuleError exit 2, as input errors (so does
 gf.ResidueFieldError), and degree budget exhaustion exits 3.  An internal
 check that fails raises AssertionError or RuntimeError, never one of these,
-and exits 4 like every other exception.
+and exits 4 like every other exception, also inside a `verify` check, where
+only verify.CheckFailure is a property violation (exit 1).
 """
 
 # an error message shows at most this many characters of a refused input

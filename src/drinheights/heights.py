@@ -380,7 +380,6 @@ class LehmerBounds:
 def lehmer_bounds(module):
     """The module's LehmerBounds, built once per module; a non-monic module
     raises on every call, since a raising call keeps nothing."""
-    module._require_monic()
     return LehmerBounds(module)
 
 
@@ -388,22 +387,25 @@ class T2Certificate:
     """Outcome of the main height gap theorem for one point.
 
     kind is "constant" (x in F_q, S empty), "torsion" (annihilator b), or
-    "witness" (a place with hhat_v(x) above the bound).
+    "witness" (a place, written in `var`, with hhat_v(x) above the bound).
     """
 
-    __slots__ = ("kind", "annihilator", "place", "local", "bound")
+    __slots__ = ("kind", "annihilator", "place", "local", "bound", "var")
 
-    def __init__(self, kind, annihilator=None, place=None, local=None, bound=None):
+    def __init__(self, kind, annihilator=None, place=None, local=None,
+                 bound=None, var="t"):
         self.kind = kind
         self.annihilator = annihilator
         self.place = place
         self.local = local
         self.bound = bound
+        self.var = var
 
     def __repr__(self):
         if self.kind == "witness":
-            return "T2Certificate(witness at %r: %s > %s)" % (
-                self.place, frac(self.local), frac(self.bound))
+            return "T2Certificate(witness at %s: %s > %s)" % (
+                self.place.to_string(self.var), frac(self.local),
+                frac(self.bound))
         if self.kind == "torsion":
             return "T2Certificate(torsion, b = %s)" % self.annihilator
         return "T2Certificate(constant)"
@@ -422,7 +424,6 @@ def check_t2mwg(module, x, parts=None):
     `parts` is global_height_breakdown(module, x) when the caller has
     it already; x is then neither factored nor iterated again.
     """
-    module._require_monic()
     S = module.bad_reduction_set()
     bounds = lehmer_bounds(module)
     if parts is None:
@@ -435,7 +436,8 @@ def check_t2mwg(module, x, parts=None):
         # there is the closed form -v(x) d(v) >= d(v), both over the index
         v, h = next(iter(parts))
         return T2Certificate("witness", place=v, local=h.value,
-                             bound=Fraction(v.degree, module.index))
+                             bound=Fraction(v.degree, module.index),
+                             var=module.var)
 
     exhausted = False
     for v, h in parts:
@@ -444,7 +446,8 @@ def check_t2mwg(module, x, parts=None):
             continue
         bound = bounds.sharp * Fraction(v.degree, module.index)
         if h.value > bound:
-            return T2Certificate("witness", place=v, local=h.value, bound=bound)
+            return T2Certificate("witness", place=v, local=h.value,
+                                 bound=bound, var=module.var)
 
     b = annihilator_of(module, x)
     if b is not None:

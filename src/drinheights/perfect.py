@@ -107,25 +107,29 @@ def insep_level(module, n):
 
 class DichotomyReport:
     """Either a bad place with a certified large local height (branch 1) or
-    a polynomial b pushing x above every T_v (branch 2)."""
+    a polynomial b pushing x above every T_v (branch 2); places in `var`."""
 
-    __slots__ = ("branch", "place", "local", "threshold", "b", "valuations")
+    __slots__ = ("branch", "place", "local", "threshold", "b", "valuations",
+                 "var")
 
     def __init__(self, branch, place=None, local=None, threshold=None, b=None,
-                 valuations=None):
+                 valuations=None, var="t"):
         self.branch = branch
         self.place = place
         self.local = local
         self.threshold = threshold
         self.b = b
         self.valuations = valuations
+        self.var = var
 
     def __repr__(self):
         if self.branch == 1:
-            return "DichotomyReport(branch 1 at %r: %s >= %s)" % (
-                self.place, self.local, self.threshold)
-        return "DichotomyReport(branch 2, b = %s, valuations %s)" % (
-            self.b, self.valuations)
+            return "DichotomyReport(branch 1 at %s: %s >= %s)" % (
+                self.place.to_string(self.var), self.local, self.threshold)
+        vals = ", ".join("(%s, %s)" % (w.to_string(self.var), val)
+                         for w, val in self.valuations)
+        return "DichotomyReport(branch 2, b = %s, valuations [%s])" % (
+            self.b, vals)
 
 
 def _expansion_vector(w_idx, w, y, upto):
@@ -153,7 +157,7 @@ def key_dichotomy_check(level, x):
     S = level.bad_reduction_set()
     if not S:
         one = Poly.one(field)
-        return DichotomyReport(2, b=one, valuations=[])
+        return DichotomyReport(2, b=one, valuations=[], var=level.var)
     s = len(S)
     B = 4 * (r + 1)**2 * s
     exponent = 4 * r * (r + 1)**2 * s + 2 * r
@@ -166,7 +170,7 @@ def key_dichotomy_check(level, x):
         if h.is_exact:
             if h.value >= threshold:
                 return DichotomyReport(1, place=w, local=h.value,
-                                       threshold=threshold)
+                                       threshold=threshold, var=level.var)
         else:
             exhausted = True
 
@@ -194,7 +198,7 @@ def key_dichotomy_check(level, x):
         for w, val in vals:
             if not val > level.reduction_data(w).T:
                 raise AssertionError("branch 2 certificate fails at %r" % w)
-        return DichotomyReport(2, b=b, valuations=vals)
+        return DichotomyReport(2, b=b, valuations=vals, var=level.var)
 
     if exhausted:
         raise BudgetExhaustedError(

@@ -305,7 +305,6 @@ def annihilator_bound(module):
     With S empty the torsion module is exactly the constants F_q, and that
     description is returned instead.
     """
-    module._require_monic()
     S = module.bad_reduction_set()
     if not S:
         return AnnihilatorBound(True, None, None)
@@ -369,5 +368,4 @@ def torsion_enumerate(module):
     the largest phi_t-stable subspace of the pole lattice; each point is
     also checked by the torsion decision and closure under phi_t.
     """
-    module._require_monic()
     return list(torsion_lattice(module).points)

@@ -2,9 +2,9 @@
 
 Each check fuzzes one of the library's exact identities or dichotomies over
 a fixed pool of modules; a deterministic seed makes runs byte-reproducible.
-The CLI `verify` subcommand drives the full suite and exits nonzero on the
-first counterexample; the test suite reuses the same checks with the
-spec-mandated case counts.
+The CLI `verify` subcommand drives the full suite: a CheckFailure fails a
+row (exit 1), and any other exception in a check is an internal error (exit
+4).  The test suite reuses the same checks with the spec-mandated counts.
 """
 
 import math
@@ -72,16 +72,16 @@ def rand_with_valuation(rng, place, val, size=2):
     return rand_unit_at(rng, place, size) * place.uniformizer**val
 
 
+def m(field, *strings):
+    return DrinfeldModule(field, [parse_ratfunc(field, s) for s in strings])
+
+
 def module_pool():
     """Fixed monic modules exercising r in {1, 2}, |S| in {0, 1, 2},
     bad places of degree 1 and 2, and the q = 2, r = 1 special case."""
     F2 = finite_field(2)
     F3 = finite_field(3)
     F5 = finite_field(5)
-
-    def m(field, *strings):
-        return DrinfeldModule(field, [parse_ratfunc(field, s) for s in strings])
-
     return [
         ("carlitz-q2", m(F2, "t", "1")),
         ("carlitz-q3", m(F3, "t", "1")),
@@ -144,7 +144,7 @@ def check_homomorphism(rng, count, modules):
 
 
 def check_reduction_data(rng, count, modules):
-    """M_v < 0 iff v in S, T_v > 0 on S, and the cardinality bounds."""
+    """M_v < 0 iff v in S; ReductionData checks T_v > 0 and |P|, |Q|, |R|."""
     done = 0
     for name, mod in modules:
         S = set(mod.bad_reduction_set())
@@ -160,17 +160,7 @@ def check_reduction_data(rng, count, modules):
             if (rd.M < 0) != (v in S):
                 _fail("M_v < 0 iff v in S fails at %r for %s (M = %s)",
                       v, name, rd.M)
-            if v in S and not rd.T > 0:
-                _fail("T_v <= 0 at bad place %r for %s", v, name)
-            q, r = mod.q, mod.r
-            if len(rd.P) > rd.N_phi or len(rd.Q) > 2 * (r + 1):
-                _fail("cardinality bound on P/Q fails at %r for %s", v, name)
-            for alpha in rd.P:
-                if len(rd.R[alpha]) > q**r:
-                    _fail("|R(alpha)| > q^r at %r for %s", v, name)
-            for alpha in rd.Q:
-                if len(rd.R[alpha]) >= q**(2 * (r + 1)):
-                    _fail("|R(alpha)| >= q^(2(r+1)) at %r for %s", v, name)
+            rd.Q  # builds and checks P, P', P'', Q and R
 
 
 def _bad_place_cases(rng, count, modules, vmin, vmax_of):
@@ -240,7 +230,7 @@ def check_another_dichotomy(rng, count, modules):
 def check_coherence(rng, count, modules):
     """Embedding heights with coherent degrees equal base heights."""
     F3 = finite_field(3)
-    mod = DrinfeldModule(F3, [parse_ratfunc(F3, "t"), parse_ratfunc(F3, "1")])
+    mod = m(F3, "t", "1")
     images = ["u^2", "u^3", "u^2+u", "u^3+2*u+1", "(u^2+1)/u", "1/u^2"]
     for i in range(count):
         emb = SubstitutionEmbedding(parse_ratfunc(F3, images[i % len(images)],
@@ -269,7 +259,10 @@ def check_extension_defect(rng, count, modules):
             v = FinitePlace._of_irreducible(P)
         else:
             v = InfinitePlace(field)
-        extend_places(emb, v)  # raises if sum(e f) != [L:K]
+        try:
+            extend_places(emb, v)
+        except AssertionError as exc:  # sum e f != [L:K]
+            _fail("extension defect at %r along %r: %s", v, emb, exc)
 
 
 def check_multiplicativity(rng, count, modules):
@@ -311,11 +304,7 @@ def check_torsion_equivalence(rng, count, modules):
 
 def check_isotrivial_decay(rng, count, modules):
     """Constant-coefficient modules: h(x^(1/p^n)) = h(x)/p^n for n <= 3."""
-    F2 = finite_field(2)
-    F3 = finite_field(3)
-    pool = [DrinfeldModule(F2, [parse_ratfunc(F2, "0"), parse_ratfunc(F2, "1")]),
-            DrinfeldModule(F3, [parse_ratfunc(F3, "1"), parse_ratfunc(F3, "2"),
-                                parse_ratfunc(F3, "1")])]
+    pool = [m(finite_field(2), "0", "1"), m(finite_field(3), "1", "2", "1")]
     for i in range(count):
         mod = pool[i % len(pool)]
         x = rand_nonzero_ratfunc(rng, mod.field, 3)
@@ -337,7 +326,7 @@ def check_isotrivial_decay(rng, count, modules):
 def check_lehper_floor(rng, count, modules):
     """Carlitz q=3 non-torsion points at levels <= 2 beat the uniform floor."""
     F3 = finite_field(3)
-    mod = DrinfeldModule(F3, [parse_ratfunc(F3, "t"), parse_ratfunc(F3, "1")])
+    mod = m(F3, "t", "1")
     bound = lehmer_bounds(mod).lehper
     done = 0
     while done < count:
@@ -357,11 +346,7 @@ def check_lehper_floor(rng, count, modules):
 
 def check_good_reduction_gap(rng, count, modules):
     """S empty: every non-constant point has height >= 1."""
-    F2 = finite_field(2)
-    F3 = finite_field(3)
-    pool = [DrinfeldModule(F2, [parse_ratfunc(F2, "0"), parse_ratfunc(F2, "1")]),
-            DrinfeldModule(F3, [parse_ratfunc(F3, "1"), parse_ratfunc(F3, "1"),
-                                parse_ratfunc(F3, "1")])]
+    pool = [m(finite_field(2), "0", "1"), m(finite_field(3), "1", "1", "1")]
     for i in range(count):
         mod = pool[i % len(pool)]
         x = rand_nonzero_ratfunc(rng, mod.field, 3)
@@ -425,16 +410,17 @@ class VerifyResult:
 def run_verify(seed=0, count=500):
     """Run the full suite; returns a VerifyResult with one row per check."""
     result = VerifyResult()
+    modules = module_pool()
     for name, fn, default_cases in CHECKS:
         cases = count * default_cases // 500 if count else 0
         rng = random.Random(seed * 1000003 + sum(map(ord, name)))
         message = None
         if cases:
             try:
-                fn(rng, cases, module_pool())
+                fn(rng, cases, modules)
             except CheckFailure as exc:
                 message = str(exc)
-            except Exception as exc:  # real defects surface as failures too
-                message = "%s: %s" % (type(exc).__name__, exc)
+            except Exception as exc:
+                raise RuntimeError("check %s raised %r" % (name, exc)) from exc
         result.rows.append((name, cases, message))
     return result

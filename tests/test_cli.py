@@ -10,7 +10,8 @@ import pytest
 
 from conftest import decimal_unlimited, make_module, plant_mv_bug
 from drinheights import cli
-from drinheights.errors import QUOTE_CHARS, BudgetExhaustedError, quote
+from drinheights.errors import (QUOTE_CHARS, BudgetExhaustedError, InputError,
+                                quote)
 from drinheights.gf import FieldError
 
 
@@ -1364,3 +1365,69 @@ def test_verify_report_matches_golden(capsys, monkeypatch):
                                 "--json"])
     assert code == 0
     assert out.encode() == VERIFY_GOLDEN.read_bytes()
+
+
+F3_JOB = '{"field":{"p":3,"k":1}}'
+
+
+def _verify(capsys, monkeypatch, *flags):
+    monkeypatch.setattr("sys.stdin", io.StringIO(F3_JOB))
+    return run(capsys, ["verify", "-", "--counts", "5", *flags])
+
+
+@pytest.mark.parametrize("error", [RuntimeError, InputError,
+                                   ZeroDivisionError])
+def test_verify_check_that_raises_exits_4(error, capsys, monkeypatch):
+    # an exception inside a check other than its CheckFailure is an
+    # internal error naming the check, whatever its type: an InputError
+    # there is no input error of the job
+    from drinheights import verify
+    planted = error("planted")
+
+    def raising(rng, count, modules):
+        raise planted
+    checks = list(verify.CHECKS)
+    name, _, cases = checks[3]
+    checks[3] = (name, raising, cases)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    message = "check %s raised %r" % (name, planted)
+    code, out, err = _verify(capsys, monkeypatch)
+    assert (code, out, err) == (4, "", "internal error: %s\n" % message)
+    code, out, err = _verify(capsys, monkeypatch, "--json")
+    assert (code, err) == (4, "internal error: %s\n" % message)
+    assert json.loads(out) == {"error": "internal", "message": message}
+
+
+def test_verify_extension_defect_is_a_fail_row(capsys, monkeypatch):
+    # extend_places signals sum e f != [L:K] by AssertionError; the
+    # extension-defect check reports it as its own counterexample, naming
+    # the place and the image
+    from drinheights import verify
+
+    def defect(emb, v):
+        raise AssertionError("defect: sum(e*f) = 1 != [L:K] = 2")
+    monkeypatch.setattr(verify, "extend_places", defect)
+    code, out, err = _verify(capsys, monkeypatch, "--json")
+    assert code == 1 and err == ""
+    rows = json.loads(out)["checks"]
+    failed = {row["name"]: row["counterexample"] for row in rows
+              if row["status"] == "FAIL"}
+    assert list(failed) == ["extension-defect"]
+    msg = failed["extension-defect"]
+    assert msg.startswith("extension defect at v[")
+    assert msg.endswith("] along Embedding(t -> u^2): "
+                        "defect: sum(e*f) = 1 != [L:K] = 2")
+
+
+def test_verify_reduction_data_lemma_fault_exits_4(capsys, monkeypatch):
+    # ReductionData checks its own lemmas; a violated one is an internal
+    # error of the reduction-data row, not a FAIL row
+    from drinheights import drinfeld
+
+    def fault(self, sets):
+        raise RuntimeError("|P_v| exceeds N_phi")
+    monkeypatch.setattr(drinfeld.ReductionData, "_check", fault)
+    code, out, err = _verify(capsys, monkeypatch)
+    assert (code, out) == (4, "")
+    assert err == ("internal error: check reduction-data raised "
+                   "RuntimeError('|P_v| exceeds N_phi')\n")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_module
+from conftest import MODULE_MEMOS, make_module
 from drinheights import cli, drinfeld, gf, places
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import MonicizeError, NonMonicError
@@ -778,3 +778,54 @@ def test_only_reduction_builds_the_residue_sets(monkeypatch, tmp_path,
     for mod in pool:
         run("reduction", mod, {})
     assert "additive_preimages" in calls and "_residue_sets" in calls
+
+
+def _refusals():
+    """(name, call on a module) for every entry point that needs monic
+    phi_t; each reaches DrinfeldModule's one monic check."""
+    from drinheights.heights import (check_t2mwg, global_height,
+                                     height_via_embedding, lehmer_bounds)
+    from drinheights.perfect import (insep_level, key_dichotomy_check,
+                                     lehper_check)
+    from drinheights.places import SubstitutionEmbedding
+    from drinheights.torsion import (annihilator_bound, annihilator_of,
+                                     kernel_in_K, torsion_enumerate)
+
+    def point(mod):
+        return RatFunc.x(mod.field)
+
+    def emb(mod):
+        return SubstitutionEmbedding(
+            parse_ratfunc(mod.field, "u^2", var="u"))
+    return [
+        ("lehmer_bounds", lehmer_bounds),
+        ("check_t2mwg", lambda mod: check_t2mwg(mod, point(mod))),
+        ("annihilator_bound", annihilator_bound),
+        ("torsion_enumerate", torsion_enumerate),
+        ("kernel_in_K", lambda mod: kernel_in_K(mod, Poly.x(mod.field))),
+        ("kernel_in_K-b0", lambda mod: kernel_in_K(mod, Poly.zero(mod.field))),
+        ("insep_level-0", lambda mod: insep_level(mod, 0)),
+        ("height_via_embedding",
+         lambda mod: height_via_embedding(mod, emb(mod), point(mod))),
+        ("global_height", lambda mod: global_height(mod, point(mod))),
+        ("annihilator_of", lambda mod: annihilator_of(mod, point(mod))),
+        ("key_dichotomy_check",
+         lambda mod: key_dichotomy_check(mod, point(mod))),
+        ("lehper_check", lambda mod: lehper_check(mod, point(mod))),
+    ]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name)
+                                  for name, call in _refusals()])
+def test_non_monic_refused_by_the_module_alone(call, F3):
+    # every entry point refuses t + t tau with the module's own
+    # NonMonicError and message, on every call, and keeps nothing
+    mod = make_module(F3, "t", "t")
+    with pytest.raises(NonMonicError) as own:
+        mod.bad_reduction_set()
+    for _ in range(2):
+        with pytest.raises(NonMonicError) as refused:
+            call(mod)
+        assert str(refused.value) == str(own.value)
+    assert [memo.cache_info().currsize for memo in MODULE_MEMOS] == [
+        0] * len(MODULE_MEMOS)

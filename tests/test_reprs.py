@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import make_module
 from drinheights.heights import check_t2mwg
 from drinheights.perfect import insep_level, key_dichotomy_check, lehper_check
 from drinheights.places import (FinitePlace, SubstitutionEmbedding,
@@ -50,3 +51,21 @@ def test_place_reprs(F3):
     assert repr(emb) == "Embedding(t -> u^2)"
     [ext] = extend_places(emb, FinitePlace(parse_poly(F3, "t")))
     assert repr(ext) == "PlaceExtension(v[u] above v[t], e=2, f=1, d=1/2)"
+
+
+@pytest.mark.parametrize("build, expect", [
+    (lambda lv, F: key_dichotomy_check(lv, parse_ratfunc(F, "1/(u^2+1)",
+                                                         var="u")),
+     "DichotomyReport(branch 1 at v[u^2+1]: 2/3 >= 1/123329495011708990974900"
+     "260817232214728824366796574324605061468433916083)"),
+    (lambda lv, F: key_dichotomy_check(lv, RatFunc.zero(F)),
+     "DichotomyReport(branch 2, b = 1, valuations [(v[u^2+1], inf), "
+     "(v[inf], inf)])"),
+    (lambda lv, F: check_t2mwg(lv, parse_ratfunc(F, "1/(u^2+1)", var="u")),
+     "T2Certificate(witness at v[u^2+1]: 2/3 > 2/10460353203)"),
+], ids=["dichotomy-1", "dichotomy-2", "t2-witness"])
+def test_level_reports_name_places_in_u(build, expect, F3):
+    # a report on an inseparable level writes its places in the level's
+    # variable u, as the CLI does, not in t
+    level = insep_level(make_module(F3, "t", "1/(t^2+1)", "1"), 1)
+    assert repr(build(level, F3)) == expect
