@@ -20,16 +20,17 @@ expression or a push to F_q(u) whose degree may pass ratfunc.MAX_DEGREE is
 malformed.
 
 A caller that runs many jobs in one process pays once for what repeats.
-The CLI keeps four memos, each an lru_cache of gf.FIELD_MEMO entries:
+The CLI keeps three memos, each an lru_cache of gf.FIELD_MEMO entries:
 _args, the Namespace per argv, so the same flags pay argparse once;
-_module, the module per (field, coefficient texts); _place, the finite
+_module, the module per (field, coefficient texts); and _place, the finite
 place per (field, text of P, variable), so a place is parsed and proven
-irreducible once; and _module_report, the finished Report of each command
-whose answer depends on the module alone (reduction, lehmer, torsion) per
-(command, module, variable, output format), built once and rendered on its
-first emit.  A kept value is shared by the calls that read it and only
-read; refused input, and a report whose rendering fails, keeps nothing, so
-it is refused or rendered again on every call.
+irreducible once.  What it keeps per module lives on the module
+(drinfeld.kept): _module_report, the finished Report of each command whose
+answer depends on the module alone (reduction, lehmer, torsion), per
+(command, variable, output format), built once and rendered on its first
+emit.  A kept value is shared by the calls that read it and only read;
+refused input, and a report whose rendering fails, keeps nothing, so it is
+refused or rendered again on every call.
 """
 
 import argparse
@@ -40,7 +41,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from drinheights import verify as verify_mod
-from drinheights.drinfeld import DrinfeldModule
+from drinheights.drinfeld import DrinfeldModule, kept
 from drinheights.errors import (BudgetExhaustedError, InputError,
                                 IsotrivialModuleError, NonMonicError, quote)
 from drinheights.gf import (FIELD_MEMO, FieldError, ResidueFieldError,
@@ -215,9 +216,9 @@ def _module(field, coeffs):
     """The module over `field` whose coefficients are the texts `coeffs`.
 
     Memoized by (field, coeffs) for the process, so each job on a module
-    seen before reuses all that is kept for it: S, reduction data, residue
-    sets, lattice and levels.  Refused input keeps nothing and is refused
-    again on every call.
+    seen before reuses all that is kept on it: S, reduction data, residue
+    sets, lattice, bounds, levels and reports.  Refused input keeps nothing
+    and is refused again on every call.
     """
     try:
         parsed = [parse_ratfunc(field, c) for c in coeffs]
@@ -299,15 +300,15 @@ def _height_json(h):
             "step": h.step}
 
 
-@functools.lru_cache(maxsize=FIELD_MEMO)
-def _module_report(command, module, var, as_json):
+@kept
+def _module_report(module, command, var, as_json):
     """The finished Report of the module-only `command` on `module`, places
     and points written in `var`, as JSON or as text.
 
-    Memoized by (command, module, var, as_json) for the process, so a job
-    whose answer was reported before builds, formats and (once emitted)
-    renders nothing; the Report is shared by those jobs and only read.  A
-    build that fails keeps nothing.
+    Kept on the module per (command, var, as_json), so a job whose answer
+    was reported before builds, formats and (once emitted) renders nothing;
+    the Report is shared by those jobs and only read.  A build that fails
+    keeps nothing.
     """
     rep = Report(as_json)
     MODULE_COMMANDS[command](module, var, rep)
@@ -320,8 +321,8 @@ def module_report(command, job, as_json):
     the level's variable; `lehmer` and `torsion` work over K whatever the
     level."""
     if command == "reduction":
-        return _module_report(command, job.at_level(), job.point_var, as_json)
-    return _module_report(command, job.module(), "t", as_json)
+        return _module_report(job.at_level(), command, job.point_var, as_json)
+    return _module_report(job.module(), command, "t", as_json)
 
 
 def reduction_report(mod, var, rep):

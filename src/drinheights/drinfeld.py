@@ -22,7 +22,7 @@ height's walk reads at a tie and R_v(alpha) reads too, are taken once.
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 
 from drinheights import gf, places
 from drinheights.errors import MonicizeError, NonMonicError
@@ -284,12 +284,28 @@ class ReductionData:
         return ac in residue.R[Fraction(alpha)]
 
 
+def kept(build):
+    """build(module, *key), kept on the module, in the table module._kept
+    under (build, key): built on the first call for each key and read after
+    that, for as long as the module lives.  A build that raises keeps
+    nothing, so the next call builds again."""
+    @wraps(build)
+    def read(module, *key):
+        try:
+            return module._kept[build, key]
+        except KeyError:
+            value = module._kept[build, key] = build(module, *key)
+            return value
+    return read
+
+
 class DrinfeldModule:
     """phi with phi_t = sum a_i tau^i over K = F_q(t), a_r != 0, r >= 1;
-    immutable and hashed by identity, so a memo key finds one in O(1).  Its
-    heights count a place v with d(v) / index, the coherent degree: index,
-    fixed when built, is [L:K] for a module pushed to an extension L of K:
-    an int >= 1, and anything else (a bool too) is a ValueError."""
+    immutable and hashed by identity, so a memo key finds one in O(1).  What
+    is built from it alone is kept on it (`kept`).  Its heights count a
+    place v with d(v) / index, the coherent degree: index, fixed when built,
+    is [L:K] for a module pushed to an extension L of K: an int >= 1, and
+    anything else (a bool too) is a ValueError."""
 
     def __init__(self, field, coeffs, *, index=1):
         if isinstance(index, bool) or not isinstance(index, int) or index < 1:
@@ -305,6 +321,7 @@ class DrinfeldModule:
         self.r = len(coeffs) - 1
         self.q = field.order
         self.index = index
+        self._kept = {}
 
     @property
     def is_monic(self):
@@ -326,7 +343,7 @@ class DrinfeldModule:
         if not self.is_monic:
             raise NonMonicError(
                 "phi_t is not monic; reduction and height theory need a monic "
-                "module - apply monicize() first")
+                "module (a_r = 1)")
 
     def phi_of(self, b):
         """The skew polynomial phi_b for b in F_q[t], by Horner composition."""
@@ -375,9 +392,9 @@ class DrinfeldModule:
         """1 + r for every q = 2, r = 1 module (the L5' special case), else r."""
         return 2 if (self.q == 2 and self.r == 1) else self.r
 
-    @lru_cache(maxsize=gf.FIELD_MEMO)
+    @kept
     def reduction_data(self, place):
-        """Reduction data at `place`, once per (module, place); needs monic."""
+        """Reduction data at `place`, kept per place; needs monic."""
         self._require_monic()
         return ReductionData(self, place)
 

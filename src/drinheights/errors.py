@@ -27,7 +27,7 @@ class InputError(ValueError):
 
 
 class NonMonicError(ValueError):
-    """Reduction/height theory requires a monic module; monicize() first."""
+    """Reduction and height theory need a monic module (a_r = 1)."""
 
 
 class MonicizeError(ValueError):

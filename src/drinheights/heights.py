@@ -76,10 +76,9 @@ Every height is printed in full (frac).
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from drinheights import gf
-from drinheights.drinfeld import DrinfeldModule
+from drinheights.drinfeld import DrinfeldModule, kept
 from drinheights.errors import BudgetExhaustedError, quote
 from drinheights.places import INFINITY, InfinitePlace, poles
 from drinheights.ratfunc import Poly, RatFunc, _divide_out, check_push
@@ -376,9 +375,9 @@ class LehmerBounds:
                    self.torsion_degree))
 
 
-@lru_cache(maxsize=gf.FIELD_MEMO)
+@kept
 def lehmer_bounds(module):
-    """The module's LehmerBounds, built once per module; a non-monic module
+    """The module's LehmerBounds, kept on the module; a non-monic module
     raises on every call, since a raising call keeps nothing."""
     return LehmerBounds(module)
 

@@ -21,10 +21,10 @@ module: for a monic module, one whose S is not empty.
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from drinheights import gf
-from drinheights.drinfeld import DrinfeldModule
+from drinheights.drinfeld import DrinfeldModule, kept
 from drinheights.errors import (BudgetExhaustedError, IsotrivialModuleError,
                                 quote)
 from drinheights.heights import (global_height, height_sum, lehmer_bounds,
@@ -94,11 +94,11 @@ def check_level(p, n, *pushed):
                p ** min(n, MAX_DEGREE.bit_length()), *pushed)
 
 
-@lru_cache(maxsize=gf.FIELD_MEMO)
+@kept
 def insep_level(module, n):
     """The module over F_q(u) with t = u^(p^n): the module itself at n = 0,
-    its InsepLevel past that.  Built once per (module, n), so every value
-    kept for it serves each later call; a refused level keeps nothing."""
+    its InsepLevel past that.  Kept on the module per n, so every value kept
+    on the level serves each later call; a refused level keeps nothing."""
     module._require_monic()
     if n < 0:
         raise ValueError("inseparable level must be >= 0")

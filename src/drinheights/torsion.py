@@ -30,16 +30,18 @@ Each answer is checked by evaluating phi_t on points of T(K), whose iterates
 stay in L: phi_mu kills each basis vector of T(K) (deg mu <= min(D, n)), and
 phi_{b mod mu} kills each kernel generator.
 
-The pole lattice with D, m, B, T(K) and A is built once per module
-(torsion_lattice), and the minimal annihilator is kept per (module, point),
-since the decision, the T2 check and the local height at every bad place
-ask for the same point; both memos hold at most gf.FIELD_MEMO entries.
+The pole lattice with D, m, B, T(K) and A is built once per module and
+kept on it (torsion_lattice).  The minimal annihilator is kept per (module,
+point), since the decision, the T2 check and the local height at every bad
+place ask for the same point: one module meets any number of points, so
+that memo is a process-wide LRU of at most gf.FIELD_MEMO entries.
 """
 
 import math
 from functools import cached_property, lru_cache
 
 from drinheights import gf
+from drinheights.drinfeld import kept
 from drinheights.places import FinitePlace
 from drinheights.ratfunc import Poly, RatFunc
 
@@ -200,9 +202,10 @@ def _span(field, den, gens):
                   key=lambda r: r.sort_key())
 
 
-@lru_cache(maxsize=gf.FIELD_MEMO)
+@kept
 def torsion_lattice(module):
-    """The module's TorsionLattice, once per module; requires monic phi_t."""
+    """The module's TorsionLattice, kept on the module; requires monic
+    phi_t."""
     return TorsionLattice(module)
 
 

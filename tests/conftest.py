@@ -3,13 +3,17 @@ import sys
 import pytest
 
 from drinheights import (DrinfeldModule, cli, drinfeld, finite_field,
-                         heights, parse_ratfunc, perfect, torsion)
+                         parse_ratfunc, torsion)
 
-# every process-wide memo keyed by a module, or by a module and a key
-MODULE_MEMOS = (cli._module, cli._module_report,
-                DrinfeldModule.reduction_data, torsion.torsion_lattice,
-                torsion.annihilator_of, perfect.insep_level,
-                heights.lehmer_bounds)
+# every process-wide memo keyed by a module, or by a module and a key; what
+# is built from a module alone is kept on it (drinfeld.kept)
+MODULE_MEMOS = (cli._module, torsion.annihilator_of)
+
+
+def kept_keys(module, fn):
+    """The keys under which the kept function `fn` holds a value on
+    `module`, in the order they were built."""
+    return [key for build, key in module._kept if build is fn.__wrapped__]
 
 
 def make_module(field, *coeffs, var="t"):
@@ -45,8 +49,9 @@ def plant_mv_bug(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_cli_modules():
-    """Each test starts with no interned CLI module and nothing kept for
-    any module, so a test that patches ReductionData or counts builds sees
+    """Each test starts with no interned CLI module and no annihilator
+    kept, and the fixtures' modules are built per test, so nothing is kept
+    on them either: a test that patches ReductionData or counts builds sees
     values built under its patch."""
     for memo in MODULE_MEMOS:
         memo.cache_clear()
@@ -67,19 +72,19 @@ def F5():
     return finite_field(5)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def psi2(F2):
     """Carlitz module in characteristic 2."""
     return make_module(F2, "t", "1")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def car3(F3):
     """Carlitz module for q = 3."""
     return make_module(F3, "t", "1")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def tau2(F2):
     """phi_t = tau over F_2(t): constant coefficients, S empty."""
     return make_module(F2, "0", "1")

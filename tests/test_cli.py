@@ -8,17 +8,26 @@ import time
 
 import pytest
 
-from conftest import decimal_unlimited, make_module, plant_mv_bug
+from conftest import (decimal_unlimited, kept_keys, make_module,
+                      plant_mv_bug)
 from drinheights import cli
 from drinheights.errors import (QUOTE_CHARS, BudgetExhaustedError, InputError,
                                 quote)
-from drinheights.gf import FieldError
+from drinheights.gf import FieldError, finite_field
+from drinheights.perfect import insep_level
 
 
 def run(capsys, args):
     code = cli.main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def job_module(job):
+    """The CLI's module for `job`, the one its runs read once one has."""
+    field = job["field"]
+    return cli._module(finite_field(field["p"], field.get("k", 1)),
+                       tuple(job["module"]["coefficients"]))
 
 
 def job_file(tmp_path, data, name="job.json"):
@@ -158,7 +167,6 @@ def test_dichotomy_passes_an_interval_to_branch_2(tmp_path, capsys, psi2,
                                                   F2):
     from drinheights import parse_ratfunc
     from drinheights.heights import local_height
-    from drinheights.perfect import insep_level
     from drinheights.places import InfinitePlace
     job = job_file(tmp_path, INTERVAL_AT_LEVEL)
     code, out, _ = run(capsys, ["dichotomy", job])
@@ -695,8 +703,11 @@ def test_report_whose_rendering_fails_keeps_no_text(tmp_path, capsys,
             patch.setattr(cli, "_json", _refuse(TypeError))
             assert run(capsys, argv) == (
                 4, "", "cannot write the report: refused\n")
+        module = job_module(job)
+        assert (cmd, "t", True) in kept_keys(module, cli._module_report)
+        assert cli._module_report(module, cmd, "t", True).text is None
         again = run(capsys, argv)
-        cli._module_report.cache_clear()
+        cli._module.cache_clear()
         assert again == run(capsys, argv)
         assert again[0] == 0 and json.loads(again[1])
 
@@ -731,14 +742,15 @@ def test_internal_error_leaves_kept_reports_alone(command, job, owner, name,
 def test_refused_module_report_is_refused_on_every_call(tmp_path, capsys):
     # a non-monic module is refused by each module-only command, with the
     # same message on every call, and no report is kept for it
-    path = job_file(tmp_path, dict(CAR3, module={"coefficients": ["t", "2"]}))
+    nonmonic = dict(CAR3, module={"coefficients": ["t", "2"]})
+    path = job_file(tmp_path, nonmonic)
     message = ("input error: phi_t is not monic; reduction and height theory"
-               " need a monic module - apply monicize() first\n")
+               " need a monic module (a_r = 1)\n")
     for cmd, _ in MODULE_JOBS:
         for flags in ([], ["--json"]):
             for _ in range(2):
                 assert run(capsys, [cmd, path] + flags) == (2, "", message)
-    assert cli._module_report.cache_info().currsize == 0
+    assert job_module(nonmonic)._kept == {}
 
 
 def test_module_report_is_kept_per_level(tmp_path, capsys):
@@ -754,8 +766,16 @@ def test_module_report_is_kept_per_level(tmp_path, capsys):
             assert runs[0][0] == runs[1][0] == 0
             assert runs[2:] == runs[:2]
             assert (runs[0] != runs[1]) == (cmd == "reduction")
-    # reduction: two levels, twice; lehmer and torsion: once each
-    assert cli._module_report.cache_info().currsize == 2 * 2 + 2 + 2
+    # reduction: two levels, twice; lehmer and torsion: once each, on the
+    # module at level 0
+    rank2, psi2 = job_module(RANK2_BAD), job_module(PSI2)
+    assert sorted(kept_keys(rank2, cli._module_report)) == [
+        (cmd, "t", as_json) for cmd in ("lehmer", "reduction")
+        for as_json in (False, True)]
+    assert sorted(kept_keys(insep_level(rank2, 1), cli._module_report)) == [
+        ("reduction", "u", False), ("reduction", "u", True)]
+    assert sorted(kept_keys(psi2, cli._module_report)) == [
+        ("torsion", "t", False), ("torsion", "t", True)]
 
 
 def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MODULE_MEMOS, make_module
+from conftest import MODULE_MEMOS, kept_keys, make_module
 from drinheights import cli, drinfeld, gf, places
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import MonicizeError, NonMonicError
@@ -297,15 +297,18 @@ def test_monicize_leading_unit_obstruction(F3):
 
 
 def test_monicize_preserves_heights(F3):
-    from drinheights.heights import global_height
+    # conj_b(x / gamma) = phi_b(x) / gamma for every b: the orbit of
+    # x / gamma under conj is that of x under phi divided by the fixed
+    # gamma, so hhat_phi(x) = hhat_conj(x / gamma); gamma * t breaks it
     m = make_module(F3, "t", "1/t^2")
     conj, gamma = m.monicize()
-    # hhat_phi(x) = hhat_conj(x / gamma)
+    wrong = gamma * RatFunc.x(F3)
+    bs = [parse_poly(F3, b) for b in ("t", "t^2+1", "t^3")]
     for s in ("1", "t", "t+1", "(t^2+1)/t"):
         x = parse_ratfunc(F3, s)
-        h = global_height(conj, x / gamma)
-        h2 = global_height(conj, x / gamma)
-        assert h == h2  # determinism; conj is the reference monic model
+        for b in bs:
+            assert conj.act(b, x / gamma) == m.act(b, x) / gamma
+            assert conj.act(b, x / wrong) != m.act(b, x) / wrong
 
 
 def test_modular_trdeg_examples(car3, tau2, F3):
@@ -680,11 +683,8 @@ def test_residue_sets_and_bad_set_built_once(monkeypatch, F3):
     assert solved == []
 
 
-def test_reduction_data_memo_is_bounded(monkeypatch, F3):
-    # reduction data is kept for the gf.FIELD_MEMO (module, place) pairs
-    # used last, across all modules of the process, the least recently used
-    # going first; modules key by identity, and a refused call keeps nothing
-    memo = DrinfeldModule.reduction_data
+def _spy_builds(monkeypatch):
+    """The (module, place) of each ReductionData built from now on."""
     built = []
     real = drinfeld.ReductionData.__init__
 
@@ -692,33 +692,55 @@ def test_reduction_data_memo_is_bounded(monkeypatch, F3):
         built.append((module, place))
         real(self, module, place)
     monkeypatch.setattr(drinfeld.ReductionData, "__init__", spy)
+    return built
+
+
+def test_reduction_data_memo_is_bounded(monkeypatch, F3):
+    # reduction data is kept on its module, one value per place asked, so
+    # what is kept is bounded by the module and goes with it; modules key
+    # by identity, and a refused call keeps nothing
+    built = _spy_builds(monkeypatch)
     inf = InfinitePlace(F3)
+    refused = make_module(F3, "t", "2")
     for _ in range(2):
         with pytest.raises(NonMonicError):
-            make_module(F3, "t", "2").reduction_data(inf)
-    assert memo.cache_info().currsize == 0
+            refused.reduction_data(inf)
+    assert refused._kept == {} and built == []
+    mods = [make_module(F3, a, "1") for a in ("t", "t+1")]
+    mods.append(DrinfeldModule(F3, mods[0].coeffs))
+    places = [inf] + [FinitePlace(P) for d in (1, 2)
+                      for P in irreducible_monics(F3, d)]
+    keys = [(mod, v) for mod in mods for v in places]
+    first = [mod.reduction_data(v) for mod, v in keys]
+    assert built == keys
+    del built[:]
+    assert all(mod.reduction_data(v) is rd
+               for (mod, v), rd in zip(keys, first))
+    assert built == []
+    for mod in mods:
+        assert kept_keys(mod, DrinfeldModule.reduction_data) == [
+            (v,) for v in places]
+
+
+def test_reduction_data_outlives_other_modules(monkeypatch, F3):
+    # no other module's reduction data evicts a module's own: after
+    # gf.FIELD_MEMO + 10 builds on other modules, the first module's data is
+    # read, not built again
+    mod = make_module(F3, "t", "1")
+    inf = InfinitePlace(F3)
+    rd = mod.reduction_data(inf)
+    built = _spy_builds(monkeypatch)
     mods = [make_module(F3, a, "1")
             for a in ("t", "t+1", "t+2", "2*t", "2*t+1", "t^2")]
     places = [inf] + [FinitePlace(P) for d in range(1, 7)
                       for P in irreducible_monics(F3, d)]
-    keys = [(mod, v) for mod in mods for v in places][:gf.FIELD_MEMO + 10]
+    keys = [(m, v) for m in mods for v in places][:gf.FIELD_MEMO + 10]
     assert len(keys) == gf.FIELD_MEMO + 10
-    for mod, v in keys[:gf.FIELD_MEMO]:
-        mod.reduction_data(v)
-    rd = mods[0].reduction_data(inf)  # now the most recently used
-    for mod, v in keys[gf.FIELD_MEMO:]:
-        mod.reduction_data(v)
-    assert memo.cache_info().currsize == gf.FIELD_MEMO
+    for m, v in keys:
+        m.reduction_data(v)
     assert built == keys
-    del built[:]
-    assert mods[0].reduction_data(inf) is rd
-    for mod, v in keys[11:]:
-        mod.reduction_data(v)
-    assert built == []
-    for mod, v in keys[1:11]:
-        mod.reduction_data(v)
-    assert built == keys[1:11]
-    assert make_module(F3, "t", "1").reduction_data(inf) is not rd
+    assert mod.reduction_data(inf) is rd
+    assert built == keys
 
 
 def test_positive_T_checked_at_construction(monkeypatch, F3):
@@ -829,3 +851,4 @@ def test_non_monic_refused_by_the_module_alone(call, F3):
         assert str(refused.value) == str(own.value)
     assert [memo.cache_info().currsize for memo in MODULE_MEMOS] == [
         0] * len(MODULE_MEMOS)
+    assert mod._kept == {}

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import decimal_unlimited, make_module
+from conftest import decimal_unlimited, kept_keys, make_module
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import (BudgetExhaustedError, InputError,
                                 NonMonicError)
@@ -82,9 +82,10 @@ def test_nonmonic_rejected(F3):
     for _ in range(2):
         with pytest.raises(NonMonicError):
             lehmer_bounds(m)
-    assert lehmer_bounds.cache_info().currsize == 0
+    assert m._kept == {}
     mod = make_module(F3, "t", "1")
     assert lehmer_bounds(mod) is lehmer_bounds(mod)
+    assert kept_keys(mod, lehmer_bounds) == [()]
 
 
 @pytest.mark.parametrize("x", [

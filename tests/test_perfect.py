@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_module
+from conftest import kept_keys, make_module
 from drinheights import gf
 from drinheights.drinfeld import DrinfeldModule
 from drinheights.errors import (InputError, IsotrivialModuleError,
@@ -49,8 +49,10 @@ def test_level_zero_is_the_module(car3):
 
 
 def test_level_kept_on_the_module(F3):
-    # one level per (module, n); a refused level keeps nothing
+    # one level per (module, n), kept on the module; a refused level keeps
+    # nothing
     mod = make_module(F3, "t", "1/(t^2+1)", "1")
+    nonmonic = make_module(F3, "t", "2")
     levels = [insep_level(mod, n) for n in range(3)]
     assert all(insep_level(mod, n) is level for n, level in enumerate(levels))
     assert levels[0] is mod and levels[1] is not mod
@@ -58,7 +60,7 @@ def test_level_kept_on_the_module(F3):
         with pytest.raises(ValueError, match=">= 0"):
             insep_level(mod, -1)
         with pytest.raises(NonMonicError):
-            insep_level(make_module(F3, "t", "2"), 1)
+            insep_level(nonmonic, 1)
         # 3^16 * h(1/(t^2+1)) passes MAX_DEGREE: refused, by the CLI's
         # rule and message, before 3^n is formed
         for n in (16, 10**8):
@@ -69,7 +71,8 @@ def test_level_kept_on_the_module(F3):
         assert str(refused.value) == (
             "insep_level 100000000 (degrees times p^100000000) takes degree "
             "2 past the cap MAX_DEGREE = 100000")
-    assert insep_level.cache_info().currsize == 3
+    assert kept_keys(mod, insep_level) == [(0,), (1,), (2,)]
+    assert nonmonic._kept == {}
 
 
 def test_insep_level_class_refuses_level_below_one(F3):
