@@ -10,6 +10,11 @@ duration of the row; the ``op/python`` rows use the limits as shipped.  The
 size limits in ``_purepoly`` (``KRONECKER_MIN``, ``NEWTON_MIN``,
 ``ROW_MIN``) are the crossovers in this table.
 
+The ``long divisor`` table times ``divmod`` of a length n+k-1 polynomial by
+a length-n one (quotient of length k) for a long divisor and a short
+quotient, with the row loop and Newton forced: the region the second
+Newton gate (``NEWTON_LONG_DIVISOR``, ``NEWTON_SHORT_QUOTIENT``) covers.
+
 The macro benchmark times 40 Carlitz heights and a short verify run in a
 fresh interpreter.
 
@@ -23,6 +28,10 @@ import time
 
 SIZES = (8, 16, 32, 64, 256, 1024, 4096)
 PRIMES = (3, 65521)
+# divisor lengths (rows) and quotient lengths (columns) of the long-divisor
+# table
+LONG_DIVISORS = (64, 96, 128, 192, 256, 512, 1024)
+SHORT_QUOTIENTS = (2, 4, 5, 6, 8, 12, 16, 24, 31)
 
 # size limits that force one pure-Python algorithm
 NEVER = 1 << 62
@@ -31,9 +40,16 @@ ALGORITHMS = (
     ("mul", "kronecker", {"KRONECKER_MIN": 1}),
     ("mul2x", "schoolbook", {"KRONECKER_MIN": NEVER}),
     ("mul2x", "kronecker", {"KRONECKER_MIN": 1}),
-    ("divmod", "indexed", {"NEWTON_MIN": NEVER, "ROW_MIN": NEVER}),
-    ("divmod", "rows", {"NEWTON_MIN": NEVER, "ROW_MIN": 0}),
+    ("divmod", "indexed", {"NEWTON_MIN": NEVER, "NEWTON_LONG_DIVISOR": NEVER,
+                           "ROW_MIN": NEVER}),
+    ("divmod", "rows", {"NEWTON_MIN": NEVER, "NEWTON_LONG_DIVISOR": NEVER,
+                        "ROW_MIN": 0}),
     ("divmod", "newton", {"NEWTON_MIN": 1}),
+)
+# the long-divisor table forces the row loop or Newton through both gates
+LONG_ALGORITHMS = (
+    ("rows", {"NEWTON_MIN": NEVER, "NEWTON_LONG_DIVISOR": NEVER, "ROW_MIN": 0}),
+    ("newton", {"NEWTON_MIN": 1}),
 )
 
 
@@ -68,6 +84,22 @@ SHAPES = {
 }
 
 
+class forced:
+    """Set size limits of a module for the duration of a with block."""
+
+    def __init__(self, module, limits):
+        self.module, self.limits = module, limits
+
+    def __enter__(self):
+        self.saved = {name: getattr(self.module, name) for name in self.limits}
+        for name, value in self.limits.items():
+            setattr(self.module, name, value)
+
+    def __exit__(self, *exc):
+        for name, value in self.saved.items():
+            setattr(self.module, name, value)
+
+
 def row(label, impl, op, p):
     rng = random.Random(0)
 
@@ -89,17 +121,35 @@ def micro():
     print("%-8s %-18s" % ("p", "op/algorithm") + "".join("%10s" % ("n=%d" % n) for n in SIZES))
     for p in PRIMES:
         for op, algorithm, limits in ALGORITHMS:
-            saved = {name: getattr(pure, name) for name in limits}
-            try:
-                for name, value in limits.items():
-                    setattr(pure, name, value)
+            with forced(pure, limits):
                 row("%s/%s" % (op, algorithm), pure, op, p)
-            finally:
-                for name, value in saved.items():
-                    setattr(pure, name, value)
         for op in ("mul", "divmod", "gcd"):
             row("%s/python" % op, pure, op, p)
         sys.stdout.flush()
+
+
+def long_divisor():
+    from drinheights import _purepoly as pure
+
+    print()
+    print("seconds per divmod call, divisor of length n, quotient of length k")
+    print("%-8s %-8s %-10s" % ("p", "n", "algorithm")
+          + "".join("%10s" % ("k=%d" % k) for k in SHORT_QUOTIENTS))
+    for p in PRIMES:
+        rng = random.Random(0)
+
+        def rand(m):
+            return ([rng.randrange(p) for _ in range(m - 1)]
+                    + [rng.randrange(1, p)])
+        for n in LONG_DIVISORS:
+            pairs = [(rand(n + k - 1), rand(n)) for k in SHORT_QUOTIENTS]
+            for algorithm, limits in LONG_ALGORITHMS + (("python", {}),):
+                with forced(pure, limits):
+                    cols = ["%.2e" % timeit(lambda: pure.poly_divmod(a, b, p))
+                            for a, b in pairs]
+                print("%-8s %-8s %-10s" % (p, n, algorithm) + "".join(
+                    "%10s" % c for c in cols))
+            sys.stdout.flush()
 
 
 MACRO = r"""
@@ -134,4 +184,5 @@ def macro():
 
 if __name__ == "__main__":
     micro()
+    long_divisor()
     macro()

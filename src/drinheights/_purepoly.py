@@ -11,7 +11,9 @@ Each operation picks its algorithm from the operand sizes:
   ``KRONECKER_MIN``, Kronecker substitution from there on (pack both
   factors into integers, one big-integer multiply, unpack);
 * ``poly_divmod``: when quotient and divisor both have at least
-  ``NEWTON_MIN`` coefficients, multiplication by the Newton inverse of the
+  ``NEWTON_MIN`` coefficients, or the divisor at least
+  ``NEWTON_LONG_DIVISOR`` and the quotient at least
+  ``NEWTON_SHORT_QUOTIENT``, multiplication by the Newton inverse of the
   reversed divisor (von zur Gathen & Gerhard, *Modern Computer Algebra*,
   section 9.1), its products done by Kronecker; otherwise schoolbook, row
   by row through slices when the divisor has at least ``ROW_MIN``
@@ -31,6 +33,12 @@ KRONECKER_MIN = 64
 # Newton once quotient and divisor both have this many coefficients: it ties
 # the row loop at n = 32 and is about 2x faster at n = 64.
 NEWTON_MIN = 32
+# Newton also once the divisor has NEWTON_LONG_DIVISOR coefficients and the
+# quotient NEWTON_SHORT_QUOTIENT: there it wins every cell of the long-divisor
+# table, 1.2-1.3x at 128 x 8 and 2-4x at 512-1024 x 8-16; the row loop wins
+# at divisor 64 with quotient 8, and wins or ties at quotient 2.
+NEWTON_LONG_DIVISOR = 128
+NEWTON_SHORT_QUOTIENT = 8
 # Row updates by slices once the divisor has this many coefficients: they tie
 # or win at 32 and win from 64 on; at 16 the indexed loop is faster.
 ROW_MIN = 32
@@ -137,7 +145,8 @@ def poly_divmod(a, b, p):
     n = len(r) - db
     if n <= 0:
         return [], r
-    if n >= NEWTON_MIN and len(b) >= NEWTON_MIN:
+    if (n >= NEWTON_MIN and len(b) >= NEWTON_MIN
+            or n >= NEWTON_SHORT_QUOTIENT and len(b) >= NEWTON_LONG_DIVISOR):
         q, r = _divmod_newton(r, b, p)
         return q, _trim(r)
     # schoolbook, top coefficient down; q[-1] != 0 since r is trimmed

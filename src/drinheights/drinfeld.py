@@ -15,8 +15,11 @@ R_v(alpha) are built together on first read: only the `reduction` report and
 X -> ac(a_i) X^(q^i) is a bijection of the residue field, so R_v(alpha)
 holds the one preimage target^(q^-i) c of each nonzero target, with the one
 inverse c = (1/ac(a_i))^(q^-i) per alpha; only a tie of two or more indices
-solves an additive equation.  The angular components ac(a_i), which a local
-height's walk reads at a tie and R_v(alpha) reads too, are taken once.
+solves an additive equation, in one call of gf._additive_solutions with
+every target of alpha, which at a place of degree 1 is the scalar map
+X -> (sum of the tied ac(a_i)) X.  The angular components ac(a_i), which a
+local height's walk reads at a tie and R_v(alpha) reads too, are taken
+once.
 """
 
 import math
@@ -133,9 +136,9 @@ class ReductionData:
                 sols = {k_v.mul(k_v.frobenius(target.val, -i), scale)
                         for target in targets if target}
             else:
-                image = [(self.acs[i], i) for i in ids]
-                sols = {e.val for target in targets
-                        for e in gf.additive_preimages(image, target)} - {0}
+                sols = gf._additive_solutions(
+                    k_v, [(self.acs[i].val, i) for i in ids],
+                    [target.val for target in targets]) - {0}
             if alpha == 0:
                 sols.add(1)
             R[alpha] = tuple(gf.FqElem(k_v, e) for e in sorted(sols))

@@ -10,14 +10,15 @@ Extensions can be towered (e.g. residue fields of places over F_9 are
 extensions with base F_9), and the Frobenius used by additive polynomials is
 always x -> x^q with q the order of the *base* of the element's field.  It
 fixes the base, so an extension applies it as a base-linear map of the
-coordinates, whose images (x^(q^e))^j it computes once: x^q by the one
-power taken, x^(q^e) by e - 1 steps of the map of e = 1 from there.  A
-product is the base product of the coordinate polynomials, reduced by a
-table of x^m ... x^(2m-2) mod the modulus that the field builds with
-itself; an inverse comes from extended Euclid over the base on coordinate
-polynomials.  A field that finite_field returns with at most MEMO_ORDER
-elements keeps every product and inverse (and, in odd characteristic, every
-sum and difference) it has computed; a residue field keeps none.
+coordinates, whose images (x^(q^e))^j it computes once: x^q mod the modulus
+by the base's own poly_powmod, the one power taken, and x^(q^e) by e - 1
+steps of the map of e = 1 from there.  A product is the base product of
+the coordinate polynomials, reduced by a table of x^m ... x^(2m-2) mod the
+modulus that the field builds with itself; an inverse comes from extended
+Euclid over the base on coordinate polynomials.  A field that finite_field
+returns with at most MEMO_ORDER elements keeps every product and inverse
+(and, in odd characteristic, every sum and difference) it has computed; a
+residue field keeps none.
 
 Linear algebra has one eliminator, :func:`dependencies`.  It takes sparse
 vectors {key: coefficient} and yields, for each vector that reduces against
@@ -26,6 +27,16 @@ reducing vector.  Torsion and the key dichotomy feed it their own vectors;
 :func:`solve` and :func:`rref` feed it the columns of a dense matrix: the
 pivots are the columns that do not reduce, the dependency of a free column
 is its kernel vector, and that of the right-hand side is (-x, 1).
+
+An additive equation sum c_i X^(q^i) = t over a field of degree d over its
+base has one solver, :func:`_additive_solutions`, on encodings, which takes
+every target of one map at once.  X^(q^i) is X^(q^(i mod d)), so the c_i
+are summed by i mod d first.  At d = 1 the map is X -> c X and needs no
+matrix; otherwise the d x d matrix over the base, the product by each sum
+composed with the cached Frobenius images, goes to :func:`solve` once per
+target, and the solutions are spanned on coordinates.
+:func:`additive_kernel` and :func:`additive_preimages` wrap the same matrix
+and solve for FqElem arguments.
 """
 
 import functools
@@ -411,12 +422,14 @@ class ExtensionField(_Field):
 
     def _images(self, e):
         """Coordinates of (x^(q^e))^j for j < dim, 0 < e < dim, the powers of
-        x^(q^e): x^q is the one power taken, and x^(q^e) is e - 1 steps of
-        the map of e = 1 from there."""
+        x^(q^e): x^q mod the modulus, by the base's poly_powmod, is the one
+        power taken, and x^(q^e) is e - 1 steps of the map of e = 1 from
+        there."""
         images = self._frobenius_images.get(e)
         if images is None:
             if e == 1:
-                xqe = self.coords(self.pow_(self.gen.val, self.base.order))
+                xqe = self.base.poly_powmod([0, 1], self.base.order,
+                                            self.modulus)
             else:
                 xqe = self._images(1)[1]
                 for _ in range(e - 1):
@@ -683,18 +696,30 @@ def solve(rows, rhs, field, ncols):
 
 # --- additive (F_q-linear) polynomial equations over F_{q^m} ---
 
-def _additive_matrix(coeffs, field):
-    """Matrix over field.base of X -> sum c_j X^(q^i_j) in power-basis coords:
-    column s is sum c_j (x^s)^(q^i_j), read off the cached Frobenius images."""
+def _additive_matrix(field, coeffs):
+    """Rows over field.base of X -> sum c X^(q^i) in power-basis coordinates,
+    for (encoding c, exponent i) pairs.  X^(q^i) is X^(q^(i mod dim)) on the
+    field, so the c are summed by i mod dim into c_e, and the matrix is
+    sum_e M_(c_e) F_e: column s of F_e is (x^s)^(q^e), read off the cached
+    Frobenius images, and column j of M_c, the product by c, is c x^j,
+    column j - 1 shifted up one power of x with its top coefficient folded
+    through x^dim."""
     m = field.dim
-    cols = [0] * m
+    merged = [0] * m
     for c, i in coeffs:
-        e = i % m
-        images = ([field.from_coords(v) for v in field._images(e)] if e
-                  else [field.base.order**s for s in range(m)])
-        cols = [field.add(acc, field.mul(c.val, x))
-                for acc, x in zip(cols, images)]
-    return [list(row) for row in zip(*map(field.coords, cols))]
+        merged[i % m] = field.add(merged[i % m], c)
+    cols = [[0] * m for _ in range(m)]
+    for e, c in enumerate(merged):
+        if c:
+            product = [field.coords(c)]
+            for _ in range(m - 1):
+                col = product[-1]
+                product.append(field._combine(col[-1:], field._fold,
+                                              [0] + col[:-1]))
+            # F_0 is the identity, and e = 0 comes first, while cols is 0
+            cols = [field._combine(image, product, col) for image, col
+                    in zip(field._images(e), cols)] if e else product
+    return [list(row) for row in zip(*cols)]
 
 
 def _check_additive_args(coeffs):
@@ -711,6 +736,43 @@ def _check_additive_args(coeffs):
     return field
 
 
+def _span_coords(base, basis, start):
+    """Coordinates of start plus every base-combination of the coordinate
+    vectors in basis."""
+    out = [start]
+    for b in basis:
+        multiples = [[base.mul(c, x) for x in b] for c in base.elements()]
+        out = [[base.add(x, y) for x, y in zip(v, w)]
+               for v in out for w in multiples]
+    return out
+
+
+def _additive_solutions(field, coeffs, targets):
+    """The set of encodings of every X in field with sum c X^(q^i) in
+    `targets`, a collection of encodings, for (encoding c, exponent i)
+    pairs.  On a field of degree 1 the map is X -> c X, c the sum of the
+    coefficients: a target t has the one solution t / c, and when c = 0
+    every X solves t = 0 and none another t.  Otherwise each target is
+    solved on the rows of _additive_matrix, and its solutions are spanned
+    on coordinates."""
+    rows = _additive_matrix(field, coeffs)
+    base, m = field.base, field.dim
+    if m == 1:
+        # a degree-1 field holds the encodings of its base, and multiplies
+        # them as the base does
+        c = rows[0][0]
+        if c:
+            inv = base.inv(c)
+            return {base.mul(t, inv) for t in targets}
+        return set(field.elements()) if 0 in targets else set()
+    out = set()
+    for t in targets:
+        x, basis = solve(rows, field.coords(t), base, m)
+        if x is not None:
+            out.update(map(field.from_coords, _span_coords(base, basis, x)))
+    return out
+
+
 def additive_kernel(coeffs):
     """F_q-basis of the solutions of sum_j c_j X^(q^i_j) = 0 in F_{q^m}.
 
@@ -718,37 +780,22 @@ def additive_kernel(coeffs):
     q is the order of that field's base.
     """
     field = _check_additive_args(coeffs)
-    _, basis = solve(_additive_matrix(coeffs, field), [0] * field.dim,
-                     field.base, field.dim)
+    rows = _additive_matrix(field, [(c.val, i) for c, i in coeffs])
+    _, basis = solve(rows, [0] * field.dim, field.base, field.dim)
     return [field.element(field.from_coords(v)) for v in basis]
-
-
-def _span_vals(field, vals, start=0):
-    # start + every F_q-combination of vals, on int encodings; a base scalar
-    # scales the coordinates
-    base, elems = field.base, [start]
-    for b in vals:
-        coords = field.coords(b)
-        scalars = [field.from_coords([base.mul(c, x) for x in coords])
-                   for c in base.elements()]
-        elems = [field.add(e, s) for e in elems for s in scalars]
-    return elems
 
 
 def span(field, basis):
     """All F_q-combinations of basis elements (including 0)."""
-    return [FqElem(field, e) for e in _span_vals(field, [b.val for b in basis])]
+    return [FqElem(field, field.from_coords(v)) for v in _span_coords(
+        field.base, [b.coords() for b in basis], [0] * field.dim)]
 
 
 def additive_preimages(coeffs, target):
-    """All solutions of sum_j c_j X^(q^i_j) = target in F_{q^m} (may be [])."""
+    """All solutions of sum_j c_j X^(q^i_j) = target in F_{q^m} (may be []),
+    in encoding order."""
     field = _check_additive_args(coeffs)
     if target.field != field:
         raise FieldError("target from a different field")
-    part, basis = solve(_additive_matrix(coeffs, field), target.coords(),
-                        field.base, field.dim)
-    if part is None:
-        return []
-    kernel = [field.from_coords(v) for v in basis]
-    return [FqElem(field, e) for e in
-            sorted(_span_vals(field, kernel, field.from_coords(part)))]
+    return [FqElem(field, e) for e in sorted(_additive_solutions(
+        field, [(c.val, i) for c, i in coeffs], [target.val]))]

@@ -226,25 +226,47 @@ def _brute_force_R(mod, v, rd, alpha):
     return tuple(sorted(out, key=lambda e: e.val))
 
 
+def _modules_at_places_of_degree_2_and_3():
+    """Rank 1 and 2 modules over F_4, F_5 and F_9 with a simple or double
+    pole at the first irreducible of degree 2 and 3: residue fields of 16
+    to 729 elements; with ["t", "1/(t^3+t+4)", "1"] over F_9."""
+    out = [make_module(finite_field(3, 2), "t", "1/(t^3+t+4)", "1")]
+    for field in (finite_field(2, 2), finite_field(5), finite_field(3, 2)):
+        t, one = RatFunc.x(field), RatFunc.one(field)
+        for d in (2, 3):
+            pole = RatFunc(Poly.one(field), next(iter(irreducible_monics(
+                field, d))))
+            out += [DrinfeldModule(field, [t, pole, one]),
+                    DrinfeldModule(field, [t, pole * pole, one]),
+                    DrinfeldModule(field, [t + pole, one])]
+    return out
+
+
 def test_R_matches_brute_force_over_residue_field():
     from drinheights.verify import module_pool
     mods = ([mod for _, mod in module_pool()]
             + _random_monic_modules(random.Random(8), 60))
+    large = _modules_at_places_of_degree_2_and_3()
     seen = {"places": 0, "P'": 0, "P''": 0, "nonempty P'": 0}
-    for mod in mods:
+    ties = set()
+    for mod in mods + large:
         for v in mod.bad_reduction_set():
-            assert v.residue_field.order <= 256
+            assert v.residue_field.order <= 256 or mod in large
             rd = mod.reduction_data(v)
             assert set(rd.R) == set(rd.Q)
             for alpha in rd.Q:
                 assert rd.R[alpha] == _brute_force_R(mod, v, rd, alpha), (
                     mod, v, alpha)
+                if len(rd.valuation_law(alpha)[1]) > 1:
+                    ties.add(v.residue_field.order)
             seen["places"] += 1
             seen["P'"] += len(rd.Pp)
             seen["P''"] += len(rd.Ppp)
             seen["nonempty P'"] += sum(1 for a in rd.Pp if rd.R[a])
     assert seen["places"] >= 100 and seen["P''"] >= 3
     assert seen["nonempty P'"] >= 20
+    # a tie is solved at every degree 2 and 3 residue field of F_4, F_5, F_9
+    assert {16, 64, 25, 125, 81, 729} <= ties
 
 
 def test_l0_dichotomy_fuzz(psi2, car3, F3):
@@ -526,17 +548,23 @@ def test_residue_sets_match_eager_oracle():
 def test_single_index_R_read_off_the_closed_form(monkeypatch):
     # R_v(71/81) at v = t^3+t+5 over F_9: one index attains g, so each of
     # the 8 targets R_v(-1/9) has one preimage in F_729, found without
-    # solving; the tie at -1/9 alone goes through additive_preimages
+    # solving; the tie at -1/9 alone goes through the additive solver, in
+    # one call and one solve
     F9 = finite_field(3, 2)
     mod = make_module(F9, "t", "2/(t^3+t+5)^8", "1")
     v = FinitePlace(parse_poly(F9, "t^3+t+5"))
     images = []
-    real = gf.additive_preimages
+    real, real_solve = gf._additive_solutions, gf.solve
 
-    def spy(image, target):
-        images.append(len(image))
-        return real(image, target)
-    monkeypatch.setattr(gf, "additive_preimages", spy)
+    def spy(field, coeffs, targets):
+        images.append(len(coeffs))
+        return real(field, coeffs, targets)
+
+    def solve_spy(*args):
+        images.append("solve")
+        return real_solve(*args)
+    monkeypatch.setattr(gf, "_additive_solutions", spy)
+    monkeypatch.setattr(gf, "solve", solve_spy)
     rd = mod.reduction_data(v)
     tie, alpha = Fraction(-1, 9), Fraction(71, 81)
     assert (rd.P, rd.Pp, rd.Ppp) == ((tie,), (alpha,), ())
@@ -546,7 +574,7 @@ def test_single_index_R_read_off_the_closed_form(monkeypatch):
     digits = [str(i) for i in range(1, 9)]
     assert [str(e) for e in rd.R[tie]] == digits
     assert [str(e) for e in rd.R[alpha]] == digits
-    assert images == [2]
+    assert images == [2, "solve"]
 
 
 def test_single_index_R_takes_one_inverse(monkeypatch):
@@ -667,12 +695,12 @@ def test_residue_sets_built_on_first_read_and_checked(monkeypatch, F3):
 
 def test_residue_sets_and_bad_set_built_once(monkeypatch, F3):
     solved = []
-    real = gf.additive_preimages
+    real = gf._additive_solutions
 
-    def spy(image, target):
-        solved.append(target)
-        return real(image, target)
-    monkeypatch.setattr(gf, "additive_preimages", spy)
+    def spy(field, coeffs, targets):
+        solved.append(targets)
+        return real(field, coeffs, targets)
+    monkeypatch.setattr(gf, "_additive_solutions", spy)
     mod = make_module(F3, "t", "1/(t^2+1)", "1")
     assert mod.bad_reduction_set() is mod.bad_reduction_set()
     rd = mod.reduction_data(FinitePlace(parse_poly(F3, "t^2+1")))
@@ -681,6 +709,26 @@ def test_residue_sets_and_bad_set_built_once(monkeypatch, F3):
     del solved[:]
     assert rd.R is R and rd.pair_in(rd.P[0], rd.R[rd.P[0]][0])
     assert solved == []
+
+
+def test_tie_solved_once_with_every_target(monkeypatch):
+    # ["t", "t^2", "t^2", "1"] over F_2 at v_inf has vals (-1, -2, -2, 0):
+    # three ties, each solved in one call; the tie of indices 0 and 1 at
+    # alpha = 1 lies in P''_v and in P'_v above g(1) = 0, so its targets are
+    # 0 and R_v(0) = (1,), both in that one call
+    F2 = finite_field(2)
+    mod = make_module(F2, "t", "t^2", "t^2", "1")
+    calls = []
+    real = gf._additive_solutions
+
+    def spy(field, coeffs, targets):
+        calls.append(([i for _, i in coeffs], list(targets)))
+        return real(field, coeffs, targets)
+    monkeypatch.setattr(gf, "_additive_solutions", spy)
+    rd = mod.reduction_data(InfinitePlace(F2))
+    assert rd.vals == (-1, -2, -2, 0) and rd.Ppp == (1,)
+    assert [str(e) for e in rd.R[0]] == ["1"]
+    assert calls == [([2, 3], [0]), ([1, 2], [0]), ([0, 1], [0, 1])]
 
 
 def _spy_builds(monkeypatch):
@@ -775,7 +823,7 @@ def test_only_reduction_builds_the_residue_sets(monkeypatch, tmp_path,
             calls.append(name)
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    spy(gf, "additive_preimages")
+    spy(gf, "_additive_solutions")
     # every read of P_v ... R_v(alpha) goes through _residue_sets; the walk
     # of a local height reads ac(x) and ac(a_i) at a tie, which are not
     # residue sets
@@ -799,7 +847,7 @@ def test_only_reduction_builds_the_residue_sets(monkeypatch, tmp_path,
     assert calls == []
     for mod in pool:
         run("reduction", mod, {})
-    assert "additive_preimages" in calls and "_residue_sets" in calls
+    assert "_additive_solutions" in calls and "_residue_sets" in calls
 
 
 def _refusals():

@@ -338,7 +338,8 @@ def _kernel_mismatches(F, seed=3):
     coeffs = [(F.element(rng.randrange(1, F.order)), i)
               for i in range(F.dim + 2)]
     checks.append(("matrix", None, None,
-                   lambda: gf._additive_matrix(coeffs, F),
+                   lambda: gf._additive_matrix(F, [(c.val, i)
+                                                   for c, i in coeffs]),
                    lambda: _oracle_additive_matrix(coeffs, F)))
     return [(kernel, a, b) for kernel, a, b, got, want in checks
             if got() != want()]
@@ -382,27 +383,94 @@ def test_planted_kernel_faults_are_caught(monkeypatch):
 
 
 def test_frobenius_takes_one_power(monkeypatch):
-    # a residue field raises x to the q once; every other exponent is
+    # a residue field takes x^q once, by its base's poly_powmod modulo its
+    # own modulus, and no power of an element; every other exponent is
     # composed from that map, however many are read
     from drinheights.places import FinitePlace
     from drinheights.ratfunc import parse_poly
     F9 = finite_field(3, 2)
     P = FinitePlace(parse_poly(F9, "t^3+t+5")).P
     powers = []
-    real = gf._Field.pow_
+    for cls in (gf.PrimeField, gf.ExtensionField):
+        def spy(self, a, e, mod, real=cls.poly_powmod):
+            powers.append((self, tuple(mod)))
+            return real(self, a, e, mod)
+        monkeypatch.setattr(cls, "poly_powmod", spy)
+    real_pow = gf._Field.pow_
 
-    def spy(self, a, e):
-        powers.append(self)
-        return real(self, a, e)
-    monkeypatch.setattr(gf._Field, "pow_", spy)
+    def pow_spy(self, a, e):
+        powers.append((self, None))
+        return real_pow(self, a, e)
+    monkeypatch.setattr(gf._Field, "pow_", pow_spy)
     for F in (gf._proven_extension.__wrapped__(F9, P.coeffs),
               _fresh(finite_field(3, 19)), _fresh(finite_field(2, 3))):
         del powers[:]
         for e in range(-F.dim, 2 * F.dim + 1):
             for a in (F.gen.val, F.order - 1):
                 F.frobenius(a, e)
-        gf._additive_matrix([(F.one, i) for i in range(F.dim + 1)], F)
-        assert [f for f in powers if f is F] == [F], F
+        gf._additive_matrix(F, [(1, i) for i in range(F.dim + 1)])
+        assert [(f, m) for f, m in powers
+                if f is F or m == F.modulus] == [(F.base, F.modulus)], F
+
+
+def _additive_fields():
+    F4, F9 = finite_field(2, 2), finite_field(3, 2)
+    return [finite_field(2), finite_field(3), F4, F9, finite_field(2, 3),
+            finite_field(5, 2),
+            _proven_extension(F4, (2, 1)),               # degree 1 over F_4
+            _proven_extension(F9, (4, 1)),               # degree 1 over F_9
+            ExtensionField(F4, [F4.gen.val, 1, 1]),      # F_16 over F_4
+            _proven_extension(F9, (3, 1, 1))]            # F_81 over F_9
+
+
+@pytest.mark.parametrize("F", _additive_fields(), ids=repr)
+def test_additive_solutions_match_brute_force(F):
+    """_additive_solutions against every X of the field, with X^(q^i) by
+    square-and-multiply: exponents up to 2 dim + 1, congruent exponents
+    whose coefficients cancel, and several targets in one call, which
+    give the union of one call per target."""
+    rng = random.Random(F.order)
+    q, m = F.base.order, F.dim
+    xs = [F.element(a) for a in F.elements()]
+    seen = set()
+    for _ in range(12):
+        coeffs = [(rng.randrange(F.order), rng.randrange(2 * m + 2))
+                  for _ in range(rng.randint(0, 3))]
+        if len(coeffs) < 2:
+            # c X^(q^i) - c X^(q^(i + dim)) is the zero map on the field
+            c, i = rng.randrange(1, F.order), rng.randrange(m + 1)
+            coeffs += [(c, i), (F.neg(c), i + m)]
+        image = {x.val: sum((F.element(c) * x**(q**i) for c, i in coeffs),
+                            F.zero).val for x in xs}
+        targets = rng.sample(range(F.order), min(F.order, rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            targets.append(0)
+        got = gf._additive_solutions(F, coeffs, targets)
+        assert got == {x for x, y in image.items() if y in targets}, coeffs
+        assert got == set().union(*(gf._additive_solutions(F, coeffs, [t])
+                                    for t in targets))
+        zero_map = not any(image.values())
+        seen.add("zero map" if zero_map else "map")
+        if zero_map:
+            assert gf._additive_solutions(F, coeffs, [0]) == set(F.elements())
+            assert not gf._additive_solutions(F, coeffs, [t for t in targets
+                                                          if t])
+    assert seen == {"zero map", "map"}
+
+
+def test_cancelled_coefficients_solve_as_the_zero_map():
+    # X^9 - X on F_81 over F_9, and 2X - 2X^9 on F_9 over F_3 at degree 2:
+    # the coefficients cancel, so every X is in the kernel and no nonzero
+    # target has a preimage; only coefficients given all zero are refused
+    for F in (F81_OVER_F9, finite_field(3, 2)):
+        one = F.element(2)
+        coeffs = [(one, 0), (-one, F.dim)]
+        assert len(additive_kernel(coeffs)) == F.dim
+        assert [e.val for e in additive_preimages(coeffs, F.zero)] == list(
+            F.elements())
+        assert additive_preimages(coeffs, F.one) == []
+        with pytest.raises(ValueError, match="all coefficients are zero"):
+            additive_kernel([(F.zero, 0), (F.zero, F.dim)])
 
 
 def test_additive_kernel_x_plus_x2_over_f2():
@@ -638,9 +706,9 @@ def test_additive_preimages_builds_one_matrix(monkeypatch):
     built = []
     real = gf._additive_matrix
 
-    def counting(coeffs, field):
+    def counting(field, coeffs):
         built.append(coeffs)
-        return real(coeffs, field)
+        return real(field, coeffs)
     monkeypatch.setattr(gf, "_additive_matrix", counting)
     two = F9.one + F9.one
     sols = additive_preimages([(F9.one, 1), (F9.one, 0)], two)

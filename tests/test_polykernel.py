@@ -112,6 +112,44 @@ def test_divmod_matches_schoolbook(p, k, m):
     assert K.poly_divmod(school_mul(b, c, p), b, p) == (c, [])
 
 
+# (quotient length, divisor length) on both sides of each bound of the
+# second Newton gate: a long divisor with a quotient below NEWTON_MIN
+LONG_DIVISOR_SHAPES = [(k, m) for k in around(K.NEWTON_SHORT_QUOTIENT)[:3]
+                       + (K.NEWTON_MIN - 1,)
+                       for m in around(K.NEWTON_LONG_DIVISOR)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_long_divisor_gate_row_loop_and_newton_agree(p, monkeypatch):
+    # the row loop and Newton, each forced, agree with schoolbook and with
+    # the shipped gate, which takes Newton exactly where the quotient has
+    # NEWTON_SHORT_QUOTIENT coefficients and the divisor NEWTON_LONG_DIVISOR
+    rng = random.Random(p)
+    taken = []
+    real = K._divmod_newton
+
+    def spy(a, b, p):
+        taken.append(True)
+        return real(a, b, p)
+    monkeypatch.setattr(K, "_divmod_newton", spy)
+    never = 1 << 62
+    for k, m in LONG_DIVISOR_SHAPES:
+        b = rand_poly(rng, p, m)
+        a = rand_poly(rng, p, k + m - 1)
+        del taken[:]
+        shipped = K.poly_divmod(a, b, p)
+        assert taken == ([True] if k >= K.NEWTON_SHORT_QUOTIENT
+                         and m >= K.NEWTON_LONG_DIVISOR else []), (k, m)
+        with monkeypatch.context() as forced:
+            forced.setattr(K, "NEWTON_MIN", never)
+            forced.setattr(K, "NEWTON_LONG_DIVISOR", never)
+            rows = K.poly_divmod(a, b, p)
+        with monkeypatch.context() as forced:
+            forced.setattr(K, "NEWTON_MIN", 1)
+            newton = K.poly_divmod(a, b, p)
+        assert shipped == rows == newton == school_divmod(a, b, p), (k, m)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_untrimmed_and_zero_operands(p):
     rng = random.Random(p)
